@@ -6,8 +6,8 @@ afford: the event calendar, the PS server, and the SCT estimation.
 
 The calendar suite (``test_calendar_*``) drives the shared
 :mod:`core_workloads` — chained dispatch and PS-style reschedule churn
-over a large standing backlog — through all three engines (wheel, heap,
-and the preserved pre-overhaul legacy loop), then
+over a large standing backlog — through both engines (the wheel and
+the preserved pre-overhaul legacy loop), then
 ``test_core_baseline_emission`` writes the measured events/sec plus a
 machine-normalisation spin score to ``results/BENCH_core.json``. The
 committed copy at ``benchmarks/BENCH_core.json`` is the baseline the CI
@@ -86,7 +86,7 @@ def test_calendar_workload_throughput(benchmark, workload, engine):
     The staged workload runs exactly once per round: ``setup`` rebuilds
     the backlog-loaded simulator outside the timer, the timed thunk
     dispatches it. Covers the chained-event benchmark and the
-    calendar-churn benchmark across wheel, heap, and legacy engines.
+    calendar-churn benchmark across the wheel and legacy engines.
     """
     prep = WORKLOADS[workload]
 

@@ -11,9 +11,8 @@ pending *population* is huge):
   "completion" events that move on (almost) every transition, again on
   top of a standing backlog. Reschedule throughput.
 
-Both run on three engines: the current default
-(``Simulator(calendar="wheel")``), the tuple-keyed heap
-(``calendar="heap"``), and :class:`LegacySimulator` — a faithful copy
+Both run on two engines: the current ``Simulator()`` (the two-level
+wheel calendar), and :class:`LegacySimulator` — a faithful copy
 of the pre-overhaul seed engine (single heap of handle objects compared
 via Python ``__lt__``, lazy deletion with no compaction, cancel+re-push
 as the only way to move an event). The legacy engine is the recorded
@@ -33,7 +32,7 @@ from typing import Any, Callable
 
 from repro.sim.engine import Simulator
 
-ENGINES = ("wheel", "heap", "legacy")
+ENGINES = ("wheel", "legacy")
 
 #: Standing population of far-future session events (the calendar load).
 DEFAULT_BACKLOG = 500_000
@@ -95,7 +94,7 @@ class LegacySimulator:
     operation runs the handle's Python ``__lt__``; cancelled entries
     stay in the heap until popped (no compaction); and the only way to
     move an event is cancel + fresh push, which is exactly what
-    ``reschedule`` does here so callers can drive all three engines
+    ``reschedule`` does here so callers can drive both engines
     through one interface.
     """
 
@@ -161,10 +160,10 @@ class LegacySimulator:
 
 
 def make_sim(engine: str) -> Simulator | LegacySimulator:
-    """Build one of the three benchmark engines (see :data:`ENGINES`)."""
+    """Build one of the benchmark engines (see :data:`ENGINES`)."""
     if engine == "legacy":
         return LegacySimulator()
-    return Simulator(calendar=engine)
+    return Simulator()
 
 
 def _load_backlog(
@@ -189,9 +188,9 @@ def prepare_chained(
     chained push/pop has to coexist with it, which is where the heap's
     log-factor (Python-``__lt__``) work hurts and the wheel's
     near-horizon slots do not. Each engine repeats the tick its
-    idiomatic way: the overhauled engines re-arm the fired handle
-    (:meth:`Simulator.rearm`, the allocation-free periodic path this PR
-    added); the legacy engine allocates a fresh event per tick because
+    idiomatic way: the wheel engine re-arms the fired handle
+    (:meth:`Simulator.rearm`, the allocation-free periodic path); the
+    legacy engine allocates a fresh event per tick because
     that was the only pattern it had. Calendar loading happens here,
     outside the timed thunk: it is identical setup work for every
     engine and would otherwise drown the dispatch signal being

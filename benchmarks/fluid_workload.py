@@ -26,10 +26,10 @@ import time
 from typing import Any
 
 from repro.experiments.artifact import RunSpec
-from repro.experiments.fluid_equiv import steady_trace_csv
 from repro.experiments.runner import execute_spec
 from repro.experiments.scenarios import ScenarioConfig
 from repro.sim.engine import Simulator
+from repro.workload.shapes import steady_trace_csv
 
 #: The recorded headline workload (~1M sessions).
 FULL: dict[str, float] = {"duration": 900.0, "load_scale": 1.0}
@@ -59,7 +59,7 @@ def fluid_spec(mode: str, *, duration: float, load_scale: float) -> RunSpec:
 
 def _timed_run(spec: RunSpec) -> tuple[float, int, int]:
     """(wall seconds, events executed, sessions generated) for one run."""
-    sim = Simulator(calendar="wheel")
+    sim = Simulator()
     gc.collect()
     t0 = time.perf_counter()
     artifact = execute_spec(spec, sim=sim)

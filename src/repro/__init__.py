@@ -57,15 +57,6 @@ from repro.sim.engine import Simulator
 
 __version__ = "1.0.0"
 
-
-def __getattr__(name: str):
-    # Deprecated alias: the framework tuple is registry-derived now.
-    # Use registered_frameworks() (kept dynamic so controllers
-    # registered after import — e.g. plugins — are included).
-    if name == "FRAMEWORKS":
-        return registered_frameworks()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "ReproError",
     "ControlBus",
@@ -74,7 +65,6 @@ __all__ = [
     "DecisionTrace",
     "ArtifactDiff",
     "diff_artifacts",
-    "FRAMEWORKS",
     "ExperimentResult",
     "ExperimentEngine",
     "RunSpec",

@@ -29,9 +29,7 @@ Commands:
 
 ``run --mode {discrete,fluid,hybrid}`` selects the flow model: classic
 per-request discrete events, the aggregate fluid integrator, or
-governor-switched hybrid (see :mod:`repro.sim.flowmodel`); ``run
---fluid-check`` runs a fluid/hybrid scenario against its discrete twin
-and fails (exit 2) outside the equivalence tolerance. ``--arrivals
+governor-switched hybrid (see :mod:`repro.sim.flowmodel`). ``--arrivals
 closed`` swaps the open trace-driven stream for a closed population of
 synchronous users; ``--demand-dist lognormal`` draws heavy-tailed
 service demands at the calibrated mean/CV.
@@ -43,13 +41,14 @@ a hand-written ``--faults`` plan; the storyline lowers to an ordinary
 fault plan riding the run spec, so storylined runs stay cached,
 diffable (``diff --storyline-a/-b``) and byte-reproducible.
 
-``run --race-check`` replays the scenario under a permuted
-same-timestamp tie-break order and fails (exit 2) if any observable
-diverges — the dynamic complement of ``lint``. ``run --calendar-check``
-does the same for the event-calendar choice: heap vs wheel must produce
-byte-identical artifacts. ``run --calendar heap`` executes on the
-legacy heap calendar, and ``run --profile`` wraps an (uncached) run in
-cProfile and writes a pstats dump next to the artifact.
+``run --check {race,fluid}`` runs the scenario against a twin (see
+:mod:`repro.experiments.twincheck`) and fails (exit 2) on divergence:
+``race`` replays it under a permuted same-timestamp tie-break order and
+demands every observable match — the dynamic complement of ``lint`` —
+while ``fluid`` runs a fluid/hybrid scenario against its discrete twin
+and demands equivalence within tolerance. ``run --profile`` wraps an
+(uncached) run in cProfile and writes a pstats dump next to the
+artifact.
 
 Figures print their series and write CSVs under ``--results``.
 
@@ -96,14 +95,13 @@ from repro.experiments.scenarios import ARRIVAL_MODELS, ScenarioConfig
 from repro.ntier.demand import DEMAND_DISTRIBUTIONS
 from repro.scaling.registry import (
     controller_specs,
-    get_controller,
     parse_cli_params,
     registered_frameworks,
 )
 from repro.experiments.sweep import concurrency_sweep
+from repro.experiments.twincheck import CHECKS, run_twin_check
 from repro.faults.plan import FaultPlan, parse_faults
 from repro.faults.storyline import parse_storyline, storyline_names
-from repro.sim.calendar import CALENDARS
 from repro.sim.flowmodel import SIM_MODES
 from repro.workload.mixes import browse_only_mix, read_write_mix
 from repro.workload.shapes import TRACE_NAMES, make_trace
@@ -251,23 +249,12 @@ _TAIL_HEADERS = [
 ]
 
 
-def _run_overrides(
-    framework: str,
-    params: list[str] | None,
-    headroom: float | None,
-) -> RunOverrides:
-    """Controller params from ``--param`` plus the deprecated aliases.
-
-    ``--headroom`` maps onto the generic ``headroom`` parameter; on a
-    framework without one the registry rejects it with the valid
-    parameter names listed. An explicit ``--param headroom=`` wins.
-    """
-    merged = parse_cli_params(framework, params or [])
-    if headroom is not None and "headroom" not in merged:
-        merged["headroom"] = get_controller(framework).param("headroom").coerce(
-            headroom
-        )
-    return RunOverrides.from_params(merged or None)
+def _run_overrides(framework: str, params: list[str] | None) -> RunOverrides:
+    """Controller params from ``--param NAME=VALUE`` (validated against
+    the framework's registered schema)."""
+    return RunOverrides.from_params(
+        parse_cli_params(framework, params or []) or None
+    )
 
 
 def _fault_plan(
@@ -290,19 +277,13 @@ def _fault_plan(
 
 
 def _direct_run(spec: RunSpec, args: argparse.Namespace):
-    """Execute outside the engine: explicit calendar and/or profiling.
+    """Execute a profiled run outside the engine.
 
     Bypasses the result cache on purpose — a profiled run must actually
-    execute (a cache hit would profile nothing), and a heap-calendar run
-    is a debugging aid. The artifact itself is calendar-independent, so
-    nothing is lost by not publishing it.
+    execute (a cache hit would profile nothing).
     """
     from repro.experiments.runner import execute_spec
-    from repro.sim.engine import Simulator
 
-    sim = Simulator(calendar=args.calendar)
-    if not args.profile:
-        return execute_spec(spec, sim=sim)
     import cProfile
     import pstats
 
@@ -316,7 +297,7 @@ def _direct_run(spec: RunSpec, args: argparse.Namespace):
     profiler = cProfile.Profile()
     profiler.enable()
     try:
-        result = execute_spec(spec, sim=sim)
+        result = execute_spec(spec)
     finally:
         profiler.disable()
         profiler.dump_stats(dump)
@@ -333,35 +314,17 @@ def cmd_run(args: argparse.Namespace) -> int:
     spec = RunSpec(
         args.framework,
         _config(args),
-        _run_overrides(args.framework, args.param, args.headroom),
+        _run_overrides(args.framework, args.param),
         faults=_fault_plan(args.faults, args.storyline, args),
     )
-    if args.calendar_check:
-        from repro.experiments.calendar_equiv import run_calendar_check
-
-        # Raises CalendarDivergenceError (exit 2 via main) on mismatch.
-        report = run_calendar_check(spec)
-        print(report.describe())
-        print("calendar equivalence ok")
-        return 0
-    if args.fluid_check:
-        from repro.experiments.fluid_equiv import run_fluid_check
-
-        # Raises FluidDivergenceError (exit 2 via main) on divergence.
+    if args.check:
+        # Raises TwinDivergenceError (exit 2 via main) on divergence.
         # require_fluid stays off here: whether the governor finds a
         # quiet phase depends on the trace the user picked.
-        report = run_fluid_check(spec, require_fluid=False)
-        print(report.describe())
-        return 0
-    if args.race_check:
-        from repro.experiments.racecheck import run_race_check
-
-        # Raises TieOrderRaceError (exit 2 via main) on divergence.
-        report = run_race_check(spec, calendar=args.calendar)
-        print(report.describe())
+        print(run_twin_check(spec, args.check).describe())
         return 0
     engine = None
-    if args.profile or args.calendar != "wheel":
+    if args.profile:
         result = _direct_run(spec, args)
     else:
         engine = _engine(args)
@@ -411,12 +374,12 @@ def cmd_diff(args: argparse.Namespace) -> int:
     config = _config(args)
     spec_a = RunSpec(
         args.framework, config,
-        _run_overrides(args.framework, args.param_a, args.headroom_a),
+        _run_overrides(args.framework, args.param_a),
         faults=_fault_plan(args.faults_a, args.storyline_a, args, "-a"),
     )
     spec_b = RunSpec(
         args.framework, config,
-        _run_overrides(args.framework, args.param_b, args.headroom_b),
+        _run_overrides(args.framework, args.param_b),
         faults=_fault_plan(args.faults_b, args.storyline_b, args, "-b"),
     )
     if spec_a == spec_b:
@@ -527,7 +490,7 @@ def cmd_trace_export(args: argparse.Namespace) -> int:
     spec = RunSpec(
         args.framework,
         _config(args),
-        _run_overrides(args.framework, args.param, None),
+        _run_overrides(args.framework, args.param),
         faults=_fault_plan(args.faults, args.storyline, args),
     )
     engine = _engine(args)
@@ -821,8 +784,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="set a controller parameter (repeatable; see "
         "`repro controllers` for each framework's schema)",
     )
-    p_run.add_argument("--headroom", type=float, default=None,
-                       help="deprecated alias for --param headroom=H")
     p_run.add_argument(
         "--faults", default=None, metavar="PLAN",
         help="comma-separated fault plan, e.g. 'crash:db:120' or "
@@ -837,28 +798,13 @@ def build_parser() -> argparse.ArgumentParser:
         "window min(60s, 20%% of the run)",
     )
     p_run.add_argument(
-        "--race-check", action="store_true",
-        help="run twice (canonical and permuted same-timestamp order) and "
-        "fail if any observable diverges; skips the cache and the normal "
-        "summary output",
-    )
-    p_run.add_argument(
-        "--calendar", choices=CALENDARS, default="wheel",
-        help="event calendar to execute on (default: wheel); selecting "
-        "'heap' runs the legacy single-heap loop and bypasses the cache",
-    )
-    p_run.add_argument(
-        "--fluid-check", action="store_true",
-        help="run the scenario (which must use --mode fluid or hybrid) "
-        "and its discrete twin, and fail (exit 2) unless request "
-        "conservation holds and throughput/latency percentiles stay "
-        "inside the fluid-equivalence tolerance band",
-    )
-    p_run.add_argument(
-        "--calendar-check", action="store_true",
-        help="run under both calendars (heap and wheel) and fail (exit 2) "
-        "unless the artifacts match byte for byte; skips the cache and "
-        "the normal summary output",
+        "--check", choices=sorted(CHECKS), default=None,
+        help="run the scenario and a twin, and fail (exit 2) if they "
+        "diverge: 'race' replays it in permuted same-timestamp order and "
+        "demands identical observables; 'fluid' (needs --mode fluid or "
+        "hybrid) runs the discrete twin and demands request conservation "
+        "and throughput/latency percentiles inside the tolerance band. "
+        "Skips the cache and the normal summary output",
     )
     p_run.add_argument(
         "--profile", action="store_true",
@@ -885,10 +831,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--param-b", action="append", default=None, metavar="NAME=VALUE",
         help="controller parameter of side B (repeatable)",
     )
-    p_diff.add_argument("--headroom-a", type=float, default=None,
-                        help="deprecated alias for --param-a headroom=H")
-    p_diff.add_argument("--headroom-b", type=float, default=None,
-                        help="deprecated alias for --param-b headroom=H")
     p_diff.add_argument(
         "--material-only", action="store_true",
         help="ignore no-op ticks when locating the first divergence",

@@ -11,8 +11,7 @@ Serialisation is columnar: pickling a trace stores plain numpy arrays
 (one column per event field) rather than a list of objects, so a trace
 rides the content-addressed artifact cache deterministically and its
 columns can be hashed into an artifact signature. Unpickling rebuilds
-the event objects; legacy pickles of the pre-bus ``ActionLog`` (a
-``_actions`` list of ``ScalingAction``\\ s) are upgraded transparently.
+the event objects.
 """
 
 from __future__ import annotations
@@ -207,7 +206,7 @@ class DecisionTrace:
         )
 
     # ------------------------------------------------------------------
-    # pickling: columnar, with the legacy ActionLog upgrade path
+    # pickling: columnar
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
         return {"columns": self.to_columns()}
@@ -215,12 +214,5 @@ class DecisionTrace:
     def __setstate__(self, state: dict) -> None:
         if "columns" in state:
             self._events = DecisionTrace.from_columns(state["columns"])._events
-        elif "_actions" in state:
-            # A pre-bus ActionLog pickle: a list of ScalingAction
-            # records with (time, kind, tier, value, detail) fields.
-            self._events = [
-                DecisionEvent(a.time, a.kind, a.tier, a.value, a.detail)
-                for a in state["_actions"]
-            ]
         else:  # a raw event list (old in-memory copy)
             self._events = list(state.get("_events", ()))

@@ -12,9 +12,7 @@ __all__ = [
     "ConfigurationError",
     "SimulationError",
     "ScheduleError",
-    "TieOrderRaceError",
-    "CalendarDivergenceError",
-    "FluidDivergenceError",
+    "TwinDivergenceError",
     "LintError",
     "CapacityModelError",
     "PoolError",
@@ -48,41 +46,18 @@ class ScheduleError(SimulationError):
     """An event was scheduled in the past or on a finished simulator."""
 
 
-class TieOrderRaceError(SimulationError):
-    """Observable state depends on the execution order of concurrent
-    (same-timestamp, same-priority) events.
+class TwinDivergenceError(SimulationError):
+    """A run diverged from its twin under one of the twin checks.
 
-    Raised by the tie-order race detector
-    (:func:`repro.experiments.racecheck.run_race_check`) when replaying
-    a run under a permuted tie-break order diverges from the canonical
-    order in any observable: request records, warehouse series, VM
-    timelines, or control-bus events. The discrete-event analogue of a
-    data race: the outcome hangs on a scheduling accident."""
-
-
-class CalendarDivergenceError(SimulationError):
-    """The heap and wheel calendars produced different run artifacts.
-
-    Raised by the calendar-equivalence harness
-    (:func:`repro.experiments.calendar_equiv.run_calendar_check`) when
-    executing the same spec under ``Simulator(calendar="heap")`` and
-    ``Simulator(calendar="wheel")`` yields different observable
-    surfaces. The calendar is a pure performance choice; any divergence
-    is an engine bug, never a legitimate model difference."""
-
-
-class FluidDivergenceError(SimulationError):
-    """A fluid/hybrid run diverged from its discrete twin beyond the
-    equivalence tolerance.
-
-    Raised by the fluid-equivalence harness
-    (:func:`repro.experiments.fluid_equiv.run_fluid_check`) when a
-    ``mode="hybrid"`` run breaks request conservation, or its latency
-    percentiles / completed-request throughput fall outside the
-    statistical tolerance band around the ``mode="discrete"`` twin of
-    the same spec. Unlike the calendar contract this is a *statistical*
-    equivalence — the fluid integrator is an approximation by design —
-    so the tolerances are calibrated, not zero."""
+    Raised by :func:`repro.experiments.twincheck.run_twin_check`; the
+    message names the check, the spec label and every diverging
+    surface. Under ``race`` (canonical vs reversed same-timestamp tie
+    order) any difference is a tie-order race: an observable that hangs
+    on a scheduling accident. Under ``fluid`` (a fluid/hybrid run vs its
+    all-discrete twin) it means broken request conservation or a
+    throughput/percentile gap outside the calibrated tolerance band —
+    the fluid integrator approximates by design, so that comparison is
+    statistical, not exact."""
 
 
 class LintError(ReproError):

@@ -37,11 +37,10 @@ from repro.monitoring.percentiles import TailSummary, tail_summary
 from repro.monitoring.records import TimelineBin
 from repro.scaling.estimator import TierEstimate
 from repro.scaling.policy import TierPolicyConfig
-from repro.scaling.registry import get_controller, registered_frameworks
+from repro.scaling.registry import get_controller
 
 __all__ = [
     "SCHEMA_VERSION",
-    "FRAMEWORKS",
     "canonical",
     "content_digest",
     "RunOverrides",
@@ -82,22 +81,6 @@ __all__ = [
 #: event-for-event different from v6. Fault-free runs are unchanged but
 #: the spec encoding moved, so all v6 digests name different content.
 SCHEMA_VERSION = 7
-
-#: Older artifact schemas that still load (``DecisionTrace`` upgrades
-#: their pickled ``ActionLog`` transparently; pre-fault artifacts read
-#: as fault-free). The result *cache* only accepts the current version;
-#: this set is for explicitly saved artifact files.
-COMPAT_SCHEMAS = frozenset({1, 2, 3, 4, 5, 6, SCHEMA_VERSION})
-
-
-def __getattr__(name: str):
-    # Deprecated: the static FRAMEWORKS tuple became registry-derived.
-    # Import registered_frameworks() (or the registry itself) instead;
-    # this hook keeps `from repro.experiments.artifact import FRAMEWORKS`
-    # working — and seeing controllers registered after import time.
-    if name == "FRAMEWORKS":
-        return registered_frameworks()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 # Grace period after the trace ends for in-flight requests to drain
 # (also the horizon padding of the artifact's timeline).

@@ -23,7 +23,6 @@ from typing import Any
 
 from repro.errors import ExperimentError
 from repro.experiments.artifact import (
-    COMPAT_SCHEMAS,
     SCHEMA_VERSION,
     RunArtifact,
 )
@@ -217,10 +216,9 @@ def load_artifact(path: str) -> RunArtifact:
             f"{path!r} does not contain a RunArtifact "
             f"(got {type(artifact).__name__})"
         )
-    if artifact.schema not in COMPAT_SCHEMAS:
+    if artifact.schema != SCHEMA_VERSION:
         raise ExperimentError(
             f"{path!r} has artifact schema {artifact.schema}, "
-            f"this build expects {SCHEMA_VERSION} "
-            f"(compatible: {sorted(COMPAT_SCHEMAS)})"
+            f"this build reads only schema {SCHEMA_VERSION}"
         )
     return artifact

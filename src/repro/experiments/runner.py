@@ -38,15 +38,10 @@ from repro.ntier.app import APP, DB, WEB, NTierApplication
 from repro.rng import RngRegistry
 from repro.scaling.actuator import Actuator
 from repro.scaling.controller import BaseController
-from repro.scaling.dcm import DcmTrainedProfile
 from repro.scaling.estimator import OptimalConcurrencyEstimator, TierEstimate
 from repro.scaling.factory import ServerFactory
 from repro.scaling.policy import TierPolicyConfig
-from repro.scaling.registry import (
-    ControllerContext,
-    get_controller,
-    registered_frameworks,
-)
+from repro.scaling.registry import ControllerContext, get_controller
 from repro.sim.engine import PRIORITY_SAMPLER, Simulator
 from repro.sim.flowmodel import (
     DiscreteFlowModel,
@@ -69,16 +64,7 @@ __all__ = [
     "ExperimentResult",
     "run_experiment",
     "execute_spec",
-    "FRAMEWORKS",
 ]
-
-
-def __getattr__(name: str):
-    # Deprecated alias: FRAMEWORKS is registry-derived now; import
-    # repro.scaling.registry.registered_frameworks() instead.
-    if name == "FRAMEWORKS":
-        return registered_frameworks()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 # The serializable artifact replaced the old live-handle result; the
 # alias keeps existing imports working.
@@ -153,26 +139,19 @@ def _build_flow_model(
 def run_experiment(
     framework: str,
     config: ScenarioConfig,
-    dcm_profile: DcmTrainedProfile | None = None,
+    *,
     policy_overrides: dict[str, TierPolicyConfig] | None = None,
-    conscale_headroom: float | None = None,
     faults=None,
     params: dict[str, object] | None = None,
 ) -> RunArtifact:
     """Run one scenario under one scaling framework.
 
     ``params`` sets controller parameters per the framework's registered
-    schema. ``dcm_profile`` and ``conscale_headroom`` are deprecated
-    aliases for ``params={"profile": ...}`` / ``params={"headroom": ...}``
-    (an explicit ``params`` entry wins over the alias).
+    schema (e.g. ``{"headroom": 1.3}`` for ConScale, ``{"profile": ...}``
+    for DCM).
     """
-    merged: dict[str, object] = dict(params or {})
-    if dcm_profile is not None:
-        merged.setdefault("profile", dcm_profile)
-    if conscale_headroom is not None:
-        merged.setdefault("headroom", conscale_headroom)
     overrides = RunOverrides.from_params(
-        merged or None,
+        params or None,
         policy_overrides=(
             tuple(sorted(policy_overrides.items()))
             if policy_overrides is not None

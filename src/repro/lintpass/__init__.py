@@ -47,8 +47,8 @@ statement's span.) Run it as ``python -m repro lint [--deep] [--json]
 [--baseline FILE] [paths...]``; pre-existing deep findings live in
 ``results/lint-baseline.json`` with burn-down semantics — the gate
 fails on *new* findings only. The dynamic complement (the
-same-timestamp race detector) lives in
-:mod:`repro.experiments.racecheck`.
+same-timestamp ``race`` twin check) lives in
+:mod:`repro.experiments.twincheck`.
 """
 
 from __future__ import annotations

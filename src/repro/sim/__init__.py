@@ -12,17 +12,18 @@ model schedules only a handful of event types per request, and plain
 callbacks keep the hot path allocation-light, per the profiling guidance
 in the HPC Python guides.
 
-Pending events live in a pluggable calendar (:mod:`repro.sim.calendar`):
-the default two-level slotted wheel, or the classic lazy-deletion heap
-via ``Simulator(calendar="heap")``. Both execute identical event
-sequences; the equivalence harness in
-:mod:`repro.experiments.calendar_equiv` pins that property.
+Pending events live in a two-level slotted wheel
+(:mod:`repro.sim.calendar`) that executes exactly the event sequence of
+a single lazy-deletion heap; the test suite fuzzes it against a
+reference heap event loop. The twin checks in
+:mod:`repro.experiments.twincheck` gate whole runs: tie-order
+independence (``race``) and fluid/discrete equivalence (``fluid``).
 """
 
 from importlib import import_module
 from typing import Any
 
-from repro.sim.calendar import CALENDARS, HeapCalendar, WheelCalendar
+from repro.sim.calendar import WheelCalendar
 from repro.sim.engine import Simulator
 from repro.sim.event import EventHandle
 from repro.sim.process import PeriodicProcess
@@ -31,8 +32,6 @@ __all__ = [
     "Simulator",
     "EventHandle",
     "PeriodicProcess",
-    "CALENDARS",
-    "HeapCalendar",
     "WheelCalendar",
     "FlowModel",
     "DiscreteFlowModel",

@@ -1,19 +1,14 @@
-"""Event calendars: the data structures behind the simulator clock.
+"""The event calendar: the data structure behind the simulator clock.
 
 The simulator executes events in strict ``(time, priority, seq)`` order.
 *How* the pending set is stored is a pure performance decision, so it is
-factored out of :class:`~repro.sim.engine.Simulator` into pluggable
-calendar classes:
-
-* :class:`HeapCalendar` — the classic single binary heap with lazy
-  deletion. Simple, and the reference implementation the equivalence
-  harness pins the new default against.
-* :class:`WheelCalendar` — a two-level slotted calendar: a near-horizon
-  timing wheel of fixed-width slots for the dense periodic traffic
-  (warehouse ticks, 50 ms fine monitors, PS completions) backed by an
-  overflow heap for far-future events. Future-slot buckets are plain
-  unsorted lists, which makes the server model's cancel/reschedule
-  pattern a cheap *move* instead of a tombstone-and-repush.
+factored out of :class:`~repro.sim.engine.Simulator` into
+:class:`WheelCalendar` — a two-level slotted calendar: a near-horizon
+timing wheel of fixed-width slots for the dense periodic traffic
+(warehouse ticks, 50 ms fine monitors, PS completions) backed by an
+overflow heap for far-future events. Future-slot buckets are plain
+unsorted lists, which makes the server model's cancel/reschedule
+pattern a cheap *move* instead of a tombstone-and-repush.
 
 Heap tiers store ``(time, priority, seq, handle)`` tuples rather than
 bare :class:`~repro.sim.event.EventHandle` objects: ``heapq`` then
@@ -26,17 +21,19 @@ built exactly once per executed event, when its slot is loaded into the
 active heap; a bucket insert or bucket-to-bucket move allocates
 nothing.
 
-Both calendars use **lazy deletion** — :meth:`EventHandle.cancel` marks
+The calendar uses **lazy deletion** — :meth:`EventHandle.cancel` marks
 the handle and the entry is dropped when encountered — plus **amortised
 compaction**: when cancelled entries outnumber live ones (and exceed a
 small floor), the owning simulator calls :meth:`compact` to rebuild the
 structures in place, so a cancel-heavy phase can no longer bloat the
 calendar quadratically.
 
-Execution order is identical between the two calendars by construction:
-the wheel's slot index ``floor(time / slot_width)`` is monotone in
-``time``, slots are drained in index order, and each active slot is a
-real heap over the full ``(time, priority, seq)`` key.
+Execution order is exactly that of a single lazy-deletion heap by
+construction: the wheel's slot index ``floor(time / slot_width)`` is
+monotone in ``time``, slots are drained in index order, and each active
+slot is a real heap over the full ``(time, priority, seq)`` key. The
+test suite pins this against a reference heap event loop
+(``tests/sim/heap_oracle.py``) with a property-based fuzz.
 """
 
 from __future__ import annotations
@@ -47,103 +44,19 @@ from sys import maxsize
 
 from repro.sim.event import EventHandle
 
-__all__ = ["CALENDARS", "Entry", "HeapCalendar", "WheelCalendar", "make_calendar"]
+__all__ = ["Entry", "WheelCalendar"]
 
 #: A calendar entry: ``(time, priority, seq, handle)``.
 Entry = tuple[float, int, int, EventHandle]
-
-#: Recognised calendar kinds (first entry is the default).
-CALENDARS = ("wheel", "heap")
 
 #: Compaction floor: never compact below this many cancelled entries
 #: (rebuilds on tiny calendars would cost more than they save).
 COMPACT_FLOOR = 64
 
-#: Handle ``slot`` sentinel: stored in the active slot heap (or, for the
-#: heap calendar, anywhere — the heap calendar never moves entries).
+#: Handle ``slot`` sentinel: stored in the active slot heap.
 SLOT_ACTIVE = -1
 #: Handle ``slot`` sentinel: stored in the overflow heap.
 SLOT_OVERFLOW = -2
-
-
-class HeapCalendar:
-    """A single lazy-deletion binary heap over ``Entry`` tuples.
-
-    This is the pre-overhaul calendar, kept selectable as
-    ``Simulator(calendar="heap")`` so the equivalence harness can pin
-    the wheel against it run for run.
-    """
-
-    kind = "heap"
-
-    __slots__ = ("entries", "dead", "compactions")
-
-    def __init__(self) -> None:
-        #: The heap itself (also the full pending set).
-        self.entries: list[Entry] = []
-        #: Cancelled entries still stored (lazy deletion debt).
-        self.dead = 0
-        #: Number of compaction rebuilds performed.
-        self.compactions = 0
-
-    def __len__(self) -> int:
-        """Stored entries, including cancelled ones awaiting discard."""
-        return len(self.entries)
-
-    # ------------------------------------------------------------------
-    def push(self, handle: EventHandle) -> None:
-        """Insert one pending handle (keyed off its current fields)."""
-        heappush(self.entries, (handle.time, handle.priority, handle.seq, handle))
-
-    def move(self, handle: EventHandle, new_time: float, seq: int) -> bool:
-        """In-place relocation is impossible inside a heap: always False."""
-        return False
-
-    # ------------------------------------------------------------------
-    def peek(self, limit_idx: int) -> Entry | None:
-        """The earliest live entry, or None when drained.
-
-        Cancelled heads are discarded as they are encountered
-        (``limit_idx`` is a wheel concept and is ignored here).
-        """
-        entries = self.entries
-        while entries:
-            head = entries[0]
-            handle = head[3]
-            if handle.cancelled:
-                heappop(entries)
-                handle.done = True
-                self.dead -= 1
-                continue
-            return head
-        return None
-
-    def pop(self) -> Entry:
-        """Remove and return the head entry (call :meth:`peek` first)."""
-        return heappop(self.entries)
-
-    # ------------------------------------------------------------------
-    def compact(self) -> None:
-        """Drop every cancelled entry and re-heapify in place."""
-        live: list[Entry] = []
-        for entry in self.entries:
-            handle = entry[3]
-            if handle.cancelled:
-                handle.done = True
-            else:
-                live.append(entry)
-        self.entries[:] = live
-        heapify(self.entries)
-        self.dead = 0
-        self.compactions += 1
-
-    def stats(self) -> dict[str, int]:
-        """Occupancy counters (debugging / benchmarks)."""
-        return {
-            "stored": len(self.entries),
-            "dead": self.dead,
-            "compactions": self.compactions,
-        }
 
 
 class WheelCalendar:
@@ -181,8 +94,6 @@ class WheelCalendar:
     no heap surgery, no allocation. Entries in either heap fall back to
     the tombstone path in :meth:`~repro.sim.engine.Simulator.reschedule`.
     """
-
-    kind = "wheel"
 
     __slots__ = (
         "slot_width", "inv_width", "nslots", "buckets", "cur", "overflow",
@@ -442,13 +353,3 @@ class WheelCalendar:
             "compactions": self.compactions,
         }
 
-
-def make_calendar(
-    kind: str, *, slot_width: float = 0.002, nslots: int = 4096
-) -> HeapCalendar | WheelCalendar:
-    """Construct a calendar by kind name (see :data:`CALENDARS`)."""
-    if kind == "wheel":
-        return WheelCalendar(slot_width=slot_width, nslots=nslots)
-    if kind == "heap":
-        return HeapCalendar()
-    raise ValueError(f"unknown calendar kind {kind!r}; expected {CALENDARS}")

@@ -7,18 +7,11 @@ from sys import maxsize
 from typing import Any, Callable
 
 from repro.errors import ConfigurationError, ScheduleError, SimulationError
-from repro.sim.calendar import (
-    CALENDARS,
-    COMPACT_FLOOR,
-    HeapCalendar,
-    WheelCalendar,
-    make_calendar,
-)
+from repro.sim.calendar import COMPACT_FLOOR, WheelCalendar
 from repro.sim.event import EventHandle
 
 __all__ = [
     "Simulator",
-    "CALENDARS",
     "TIE_ORDERS",
     "PRIORITY_MODEL",
     "PRIORITY_FLUID",
@@ -35,7 +28,7 @@ __all__ = [
 # Same-timestamp events execute in ascending priority; events sharing a
 # (time, priority) pair are *concurrent* and must be order-independent
 # (the ``tie_order="reverse"`` debug mode permutes exactly those — see
-# the tie-order race detector in repro.experiments.racecheck). The
+# the race twin check in repro.experiments.twincheck). The
 # layering encodes the causal phases of one simulated instant: the model
 # mutates state, the warehouse aggregates it, controllers act on the
 # aggregates, and samplers record the settled picture.
@@ -82,13 +75,12 @@ class Simulator:
     only moves forward; scheduling in the past raises
     :class:`ScheduleError`.
 
-    ``calendar`` selects the pending-event store (see
-    :mod:`repro.sim.calendar`): ``"wheel"`` (default) is the two-level
-    slotted calendar tuned for dense periodic traffic and the server
-    model's reschedule churn; ``"heap"`` is the classic single
-    lazy-deletion heap, kept selectable so the calendar-equivalence
-    harness can pin the wheel against it. Both execute the *exact* same
-    event sequence for the same schedule/cancel/reschedule calls.
+    Pending events live in a two-level slotted calendar
+    (:class:`~repro.sim.calendar.WheelCalendar`) tuned for dense
+    periodic traffic and the server model's reschedule churn;
+    ``wheel_slot`` and ``wheel_slots`` set its slot width and ring size.
+    It executes the *exact* event sequence a single lazy-deletion heap
+    would for the same schedule/cancel/reschedule calls.
 
     ``tie_order`` selects how events sharing a (time, priority) pair are
     sequenced: ``"fifo"`` (default) preserves schedule order, while
@@ -104,7 +96,6 @@ class Simulator:
         start_time: float = 0.0,
         *,
         tie_order: str = "fifo",
-        calendar: str = "wheel",
         wheel_slot: float = 0.002,
         wheel_slots: int = 4096,
     ) -> None:
@@ -112,16 +103,9 @@ class Simulator:
             raise ConfigurationError(
                 f"tie_order must be one of {TIE_ORDERS}, got {tie_order!r}"
             )
-        if calendar not in CALENDARS:
-            raise ConfigurationError(
-                f"calendar must be one of {CALENDARS}, got {calendar!r}"
-            )
         self._now = float(start_time)
-        self._cal: HeapCalendar | WheelCalendar = make_calendar(
-            calendar, slot_width=wheel_slot, nslots=wheel_slots
-        )
-        if isinstance(self._cal, WheelCalendar):
-            self._cal.cursor = self._cal.slot_of(self._now)
+        self._cal = WheelCalendar(slot_width=wheel_slot, nslots=wheel_slots)
+        self._cal.cursor = self._cal.slot_of(self._now)
         self._seq = 0
         self._running = False
         self._stopped = False
@@ -155,15 +139,10 @@ class Simulator:
         """
         return self._live
 
-    @property
-    def calendar(self) -> str:
-        """The calendar kind this simulator runs on (``wheel``/``heap``)."""
-        return self._cal.kind
-
     def calendar_stats(self) -> dict[str, int]:
-        """Calendar occupancy counters: stored entries, lazy-deletion
-        debt (``dead``), and compaction count; the wheel additionally
-        reports its active/bucket/overflow split."""
+        """Calendar occupancy counters: stored entries, the
+        active/bucket/overflow split, lazy-deletion debt (``dead``), and
+        compaction count."""
         return self._cal.stats()
 
     @property
@@ -254,8 +233,8 @@ class Simulator:
 
         The rescheduled event is sequenced as if freshly scheduled now
         (new schedule order), exactly like the cancel+schedule pair it
-        replaces — so both code patterns and both calendars execute the
-        same event sequence. Raises :class:`ScheduleError` for handles
+        replaces — so both code patterns execute the same event
+        sequence. Raises :class:`ScheduleError` for handles
         that are not pending (already fired or cancelled), foreign
         handles, and times in the past.
         """
@@ -273,8 +252,8 @@ class Simulator:
         self._seq = seq + 1
         if self._cal.move(handle, new_time, seq):
             return handle
-        # Tombstone path: the entry sits in a heap, where in-place
-        # relocation is not possible. Identical cost and semantics to
+        # Tombstone path: the entry sits in the active or overflow heap,
+        # where in-place relocation is not possible. Identical cost and semantics to
         # the legacy cancel+schedule pair (one dead entry, compacted
         # away once the debt exceeds the live count).
         fresh = EventHandle(
@@ -338,42 +317,12 @@ class Simulator:
         try:
             if self._tie_order == "reverse":
                 self._run_permuted(until, max_events)
-            elif isinstance(self._cal, WheelCalendar):
-                self._run_fifo_wheel(self._cal, until, max_events)
             else:
-                self._run_fifo_heap(self._cal, until, max_events)
+                self._run_fifo_wheel(self._cal, until, max_events)
         finally:
             self._running = False
         if until is not None and self._now < until and not self._stopped:
             self._now = until
-
-    def _run_fifo_heap(
-        self, cal: HeapCalendar, until: float | None, max_events: int | None
-    ) -> None:
-        """The classic hot loop: one event at a time, strict heap order."""
-        budget = max_events if max_events is not None else -1
-        until_v = _INF if until is None else until
-        heap = cal.entries
-        while heap and not self._stopped:
-            entry = heap[0]
-            handle = entry[3]
-            if handle.cancelled:
-                heappop(heap)
-                handle.done = True
-                cal.dead -= 1
-                continue
-            time = entry[0]
-            if time > until_v:
-                break
-            heappop(heap)
-            handle.done = True
-            self._live -= 1
-            self._now = time
-            handle.callback(*handle.args)
-            self._executed += 1
-            budget -= 1
-            if budget == 0:
-                break
 
     def _run_fifo_wheel(
         self, cal: WheelCalendar, until: float | None, max_events: int | None
@@ -422,18 +371,11 @@ class Simulator:
         exactly as they would run after their creators in FIFO order.
         Causal order is therefore preserved; only the arbitrary
         interleaving of concurrent events changes.
-
-        Calendar-generic (runs on the peek/pop interface): the race
-        detector must be able to permute under both calendars.
         """
         budget = max_events if max_events is not None else -1
         until_v = _INF if until is None else until
         cal = self._cal
-        limit_idx = (
-            maxsize
-            if until is None or not isinstance(cal, WheelCalendar)
-            else cal.slot_of(until)
-        )
+        limit_idx = maxsize if until is None else cal.slot_of(until)
         while not self._stopped:
             head = cal.peek(limit_idx)
             if head is None:
@@ -486,9 +428,9 @@ class Simulator:
         self._stopped = True
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        # pending_events, not len(calendar): lazy deletion keeps
-        # cancelled entries stored, and those are not pending work.
+        # pending counts live events; stored also counts the cancelled
+        # entries lazy deletion keeps until they surface.
         return (
             f"Simulator(now={self._now:.6f}, pending={self.pending_events}, "
-            f"executed={self._executed}, calendar={self._cal.kind!r})"
+            f"stored={len(self._cal)}, executed={self._executed})"
         )

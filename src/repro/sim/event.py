@@ -23,7 +23,7 @@ class EventHandle:
     ``slot`` and ``pos`` are calendar bookkeeping (see
     :mod:`repro.sim.calendar`): ``slot`` is the absolute wheel-slot
     index while the entry sits in a wheel bucket, or a negative sentinel
-    (active heap / overflow heap / plain heap calendar); ``pos`` is the
+    (active heap / overflow heap); ``pos`` is the
     handle's position inside that bucket. Together they make the
     ``reschedule`` in-place move O(1) — the calendar jumps straight to
     the entry, swap-removes it, and appends it to its new bucket.

@@ -9,6 +9,8 @@ burst speed differ across the six categories.
 
 from __future__ import annotations
 
+import os
+import tempfile
 from typing import Callable
 
 import numpy as np
@@ -25,6 +27,7 @@ __all__ = [
     "big_spike",
     "dual_phase",
     "steep_tri_phase",
+    "steady_trace_csv",
 ]
 
 _KNOT_DT = 5.0
@@ -139,3 +142,28 @@ def make_trace(
             f"unknown trace {name!r}; expected one of {sorted(_FACTORIES)}"
         ) from None
     return factory(max_users, duration)
+
+
+def steady_trace_csv(
+    directory: str | None = None,
+    *,
+    users: float = 4000.0,
+    duration: float = 300.0,
+) -> str:
+    """Write (once) and return a constant-load trace CSV path.
+
+    The six shapes all tell a bursty story, which is exactly what the
+    hybrid-mode governor holds *discrete* — the fluid integrator needs a
+    quiet phase to earn its keep. A flat trace gives the fluid twin
+    check and the fluid perf bench a run that is mostly fluid. The path
+    (and so every spec digest naming it) depends only on ``directory``,
+    ``users`` and ``duration``.
+    """
+    directory = directory or tempfile.gettempdir()
+    path = os.path.join(
+        directory, f"repro_steady_{int(users)}_{int(duration)}.csv"
+    )
+    if not os.path.exists(path):
+        knots = np.arange(0.0, duration + 1.0, 5.0)
+        Trace("steady", knots, np.full(knots.size, users)).to_csv(path)
+    return path

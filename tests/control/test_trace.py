@@ -1,5 +1,5 @@
 """Unit tests for the decision trace: queries, columnar round-trips,
-signatures, and the legacy ActionLog upgrade path."""
+signatures, and the ActionLog alias."""
 
 import pickle
 
@@ -8,7 +8,7 @@ import numpy as np
 from repro.control.bus import ControlBus
 from repro.control.events import NOOP, THRESHOLD_TRIP, DecisionEvent
 from repro.control.trace import DecisionTrace
-from repro.scaling.actions import ActionLog, ScalingAction
+from repro.scaling.actions import ActionLog
 
 
 def sample_events():
@@ -98,26 +98,6 @@ def test_signature_key_ignores_reason_but_not_decisions():
 
     assert sig(base) == sig(reworded)
     assert sig(base) != sig(changed)
-
-
-def test_legacy_actionlog_pickle_upgrades():
-    """A pickle carrying the pre-bus ActionLog state (a ``_actions``
-    list of ScalingAction records) loads as a modern trace."""
-    log = ActionLog.__new__(ActionLog)
-    legacy_state = {
-        "_actions": [
-            ScalingAction(3.0, "scale_out_started", "db", None, "vm-4"),
-            ScalingAction(18.0, "scale_out_ready", "db", None, "db-2"),
-            ScalingAction(19.0, "soft_db_connections", "app", 12, ""),
-        ]
-    }
-    log.__setstate__(legacy_state)
-    assert isinstance(log, DecisionTrace)
-    assert len(log) == 3
-    assert log.scale_out_times("db") == [18.0]
-    assert log.cap_decisions("app", "soft_db_connections") == [(19.0, 12)]
-    # upgraded events have empty bus-era fields
-    assert all(e.source == "" and e.reason == "" for e in log)
 
 
 def test_actionlog_is_a_decision_trace():

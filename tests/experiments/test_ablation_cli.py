@@ -169,29 +169,65 @@ def test_scenario_drift_check_flag():
     assert ScenarioConfig(sct_drift_check=True).sct_drift_check is True
 
 
-def test_cli_run_calendar_check(capsys, tmp_path, monkeypatch):
+def test_cli_run_check_race(capsys, tmp_path, monkeypatch):
+    """--check race prints the clean report and bypasses the cache."""
     monkeypatch.chdir(tmp_path)
     code = main([
         "run", "conscale", "--scale", "150", "--duration", "60",
-        "--trace", "dual_phase", "--calendar-check",
+        "--trace", "dual_phase", "--check", "race",
     ])
     assert code == 0
     out = capsys.readouterr().out
-    assert "calendars equivalent" in out
-    assert "calendar equivalence ok" in out
-
-
-def test_cli_run_heap_calendar(capsys, tmp_path, monkeypatch):
-    """--calendar heap executes directly (no cache) on the heap loop."""
-    monkeypatch.chdir(tmp_path)
-    code = main([
-        "run", "conscale", "--scale", "150", "--duration", "60",
-        "--trace", "dual_phase", "--calendar", "heap",
-    ])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "p99_ms" in out
+    assert "race twin check clean" in out
+    assert "p99_ms" not in out  # no normal summary
     assert not (tmp_path / "results" / "cache").exists()
+
+
+def test_cli_run_check_divergence_exits_2(capsys, tmp_path, monkeypatch):
+    """A real tie-order race (the VM sampler demoted into the
+    controller's batch) exits 2 naming the diverging surface."""
+    import repro.experiments.runner as runner_mod
+    from repro.sim.engine import PRIORITY_CONTROLLER
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(runner_mod, "PRIORITY_SAMPLER", PRIORITY_CONTROLLER)
+    code = main([
+        "run", "conscale", "--scale", "300", "--duration", "40",
+        "--trace", "dual_phase", "--seed", "2", "--check", "race",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: race twin check diverged" in err
+    assert "vm timeline" in err
+    assert "Traceback" not in err
+
+
+def test_cli_run_check_fluid_rejects_discrete(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code = main([
+        "run", "conscale", "--scale", "300", "--duration", "30",
+        "--trace", "dual_phase", "--check", "fluid",
+    ])
+    assert code == 2
+    assert "mode='discrete'" in capsys.readouterr().err
+
+
+def _assert_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cli_run_calendar_check(capsys):
+    """The per-harness check flags collapsed into --check."""
+    for flag in ("--calendar-check", "--race-check", "--fluid-check"):
+        _assert_rejected(["run", "conscale", flag], capsys)
+
+
+def test_cli_run_heap_calendar(capsys):
+    """The heap calendar left the engine, and its selector with it."""
+    _assert_rejected(["run", "conscale", "--calendar", "heap"], capsys)
 
 
 def test_cli_run_profile_writes_pstats(capsys, tmp_path, monkeypatch):

@@ -130,10 +130,10 @@ def test_cli_diff_end_to_end(capsys, tmp_path, monkeypatch):
 
     monkeypatch.chdir(tmp_path)
     assert main(["run", "conscale", *COMMON]) == 0
-    assert main(["run", "conscale", *COMMON, "--headroom", "3.0"]) == 0
+    assert main(["run", "conscale", *COMMON, "--param", "headroom=3.0"]) == 0
     capsys.readouterr()
 
-    assert main(["diff", "conscale", *COMMON, "--headroom-b", "3.0"]) == 0
+    assert main(["diff", "conscale", *COMMON, "--param-b", "headroom=3.0"]) == 0
     out = capsys.readouterr().out
     assert "first divergence at t=" in out
     assert "p99" in out
@@ -163,11 +163,10 @@ def test_cli_run_cached_only_exits_2(capsys, tmp_path, monkeypatch):
 
 
 def test_cli_headroom_rejected_for_non_conscale(capsys, tmp_path, monkeypatch):
-    # The deprecated --headroom alias maps onto the generic `headroom`
-    # controller param, so on a framework without one the registry
-    # rejects it with the schema spelled out.
+    # `headroom` is a ConScale controller param, so on a framework
+    # without one the registry rejects it with the schema spelled out.
     from repro.cli import main
 
     monkeypatch.chdir(tmp_path)
-    assert main(["run", "ec2", *COMMON, "--headroom", "2.0"]) == 2
+    assert main(["run", "ec2", *COMMON, "--param", "headroom=2.0"]) == 2
     assert "has no param 'headroom'" in capsys.readouterr().err

@@ -313,23 +313,23 @@ def test_empty_trace_artifact_roundtrips(ec2_artifact):
     assert clone.signature() == bare.signature()
 
 
-def test_legacy_schema_artifact_still_loads(tmp_path, ec2_artifact):
-    """Schema-1 artifacts (pre-bus ActionLog era) load; unknown future
-    schemas are rejected."""
+def test_other_schema_artifact_rejected(tmp_path, ec2_artifact):
+    """Only current-schema artifacts load: older and future schemas are
+    both rejected, naming the schema found."""
     import copy
     from repro.experiments.persistence import load_artifact, save_artifact
 
-    legacy = copy.copy(ec2_artifact)
-    legacy.schema = 1
-    path = str(tmp_path / "legacy.pkl")
-    save_artifact(legacy, path)
-    assert load_artifact(path).schema == 1
+    current = str(tmp_path / "current.pkl")
+    save_artifact(ec2_artifact, current)
+    assert load_artifact(current).schema == SCHEMA_VERSION
 
-    future = copy.copy(ec2_artifact)
-    future.schema = SCHEMA_VERSION + 1
-    save_artifact(future, str(tmp_path / "future.pkl"))
-    with pytest.raises(ExperimentError, match="schema"):
-        load_artifact(str(tmp_path / "future.pkl"))
+    for schema in (1, SCHEMA_VERSION - 1, SCHEMA_VERSION + 1):
+        other = copy.copy(ec2_artifact)
+        other.schema = schema
+        path = str(tmp_path / f"schema{schema}.pkl")
+        save_artifact(other, path)
+        with pytest.raises(ExperimentError, match=f"schema {schema}"):
+            load_artifact(path)
 
 
 def test_result_summary_excludes_noops(ec2_artifact):

@@ -1,22 +1,21 @@
-"""Tests for the fluid-equivalence harness and the flow-model wiring."""
+"""Tests for the ``fluid`` twin check and the flow-model wiring."""
 
 import numpy as np
 import pytest
 
-import repro.experiments.fluid_equiv as equiv_mod
-from repro.errors import ConfigurationError, FluidDivergenceError
+import repro.experiments.twincheck as twin_mod
+from repro.errors import ConfigurationError, TwinDivergenceError
 from repro.experiments.artifact import RunSpec
-from repro.experiments.fluid_equiv import (
-    FluidCheckReport,
-    _mode_accounting,
-    default_fluid_specs,
-    run_fluid_check,
-    run_fluid_suite,
-    steady_trace_csv,
-)
-from repro.experiments.racecheck import run_race_check
 from repro.experiments.runner import execute_spec
 from repro.experiments.scenarios import ScenarioConfig
+from repro.experiments.twincheck import (
+    TwinCheckReport,
+    _mode_accounting,
+    default_specs,
+    run_twin_check,
+    run_twin_suite,
+)
+from repro.workload.shapes import steady_trace_csv
 
 
 def _steady_spec(duration: float = 120.0, **overrides) -> RunSpec:
@@ -78,23 +77,24 @@ def test_each_new_field_changes_spec_digest():
 
 
 # ----------------------------------------------------------------------
-# the equivalence check
+# the fluid twin check
 # ----------------------------------------------------------------------
 
 def test_check_rejects_discrete_spec():
     with pytest.raises(ConfigurationError, match="mode='discrete'"):
-        run_fluid_check(_steady_spec(duration=30.0, mode="discrete"))
+        run_twin_check(_steady_spec(duration=30.0, mode="discrete"), "fluid")
 
 
 def test_steady_hybrid_check_passes():
     spec = _steady_spec()
-    report = run_fluid_check(spec)
-    assert isinstance(report, FluidCheckReport)
+    report = run_twin_check(spec, "fluid", require_fluid=True)
+    assert isinstance(report, TwinCheckReport)
+    assert report.check == "fluid"
     assert report.spec_digest == spec.digest()
     assert report.fluid_entries >= 1
     assert report.completed[0] > 0 and report.completed[1] > 0
     assert set(report.percentiles) == {50, 95, 99}
-    assert report.describe().startswith("fluid equivalence ok")
+    assert report.describe().startswith("fluid twin check clean")
 
 
 def test_vacuous_hybrid_run_raises(tmp_path):
@@ -108,40 +108,46 @@ def test_vacuous_hybrid_run_raises(tmp_path):
     knots = [0.0, 10.0, 20.0, 30.0]
     Trace("saw", knots, [2000.0, 8000.0, 2000.0, 8000.0]).to_csv(saw)
     spec = _steady_spec(duration=30.0, trace_name=saw)
-    with pytest.raises(FluidDivergenceError, match="never entered"):
-        run_fluid_check(spec, require_fluid=True)
+    with pytest.raises(TwinDivergenceError, match="never entered"):
+        run_twin_check(spec, "fluid", require_fluid=True)
 
 
 def test_throughput_divergence_raises(monkeypatch):
-    real_execute = equiv_mod.execute_spec
+    real_execute = twin_mod.execute_spec
 
-    def skewed(spec):
-        result = real_execute(spec)
+    def skewed(spec, sim=None):
+        result = real_execute(spec, sim=sim)
         if spec.config.mode != "discrete":
             result.completed = int(result.completed * 0.8)
         return result
 
-    monkeypatch.setattr(equiv_mod, "execute_spec", skewed)
-    with pytest.raises(FluidDivergenceError, match="throughput divergence"):
-        run_fluid_check(_steady_spec())
+    monkeypatch.setattr(twin_mod, "execute_spec", skewed)
+    spec = _steady_spec()
+    with pytest.raises(TwinDivergenceError, match="throughput divergence") as excinfo:
+        run_twin_check(spec, "fluid")
+    assert str(excinfo.value).startswith(
+        f"fluid twin check diverged on {spec.label}"
+    )
 
 
 def test_latency_divergence_raises(monkeypatch):
-    real_execute = equiv_mod.execute_spec
+    real_execute = twin_mod.execute_spec
 
-    def skewed(spec):
-        result = real_execute(spec)
+    def skewed(spec, sim=None):
+        result = real_execute(spec, sim=sim)
         if spec.config.mode != "discrete":
             result.latencies = result.latencies * 3.0
         return result
 
-    monkeypatch.setattr(equiv_mod, "execute_spec", skewed)
-    with pytest.raises(FluidDivergenceError, match="latency divergence"):
-        run_fluid_check(_steady_spec())
+    monkeypatch.setattr(twin_mod, "execute_spec", skewed)
+    with pytest.raises(TwinDivergenceError, match="latency divergence") as excinfo:
+        run_twin_check(_steady_spec(), "fluid")
+    # Every diverging percentile is named, not just the first.
+    assert str(excinfo.value).count("latency divergence") >= 2
 
 
 def test_default_specs_cover_three_storylines():
-    specs = default_fluid_specs(duration=60.0)
+    specs = default_specs("fluid", duration=60.0)
     assert len(specs) == 3
     names = [s.config.name for s in specs]
     assert names == [
@@ -155,7 +161,7 @@ def test_default_specs_cover_three_storylines():
 
 
 def test_suite_runs_explicit_spec_list():
-    reports = run_fluid_suite([_steady_spec()])
+    reports = run_twin_suite("fluid", [_steady_spec()])
     assert len(reports) == 1 and reports[0].fluid_entries >= 1
 
 
@@ -185,8 +191,9 @@ def test_warehouse_telemetry_continuous_across_switches():
 def test_race_check_clean_on_hybrid_run():
     """Mode switching must not introduce tie-order races: all observable
     surfaces identical under permuted same-timestamp execution."""
-    report = run_race_check(_steady_spec(duration=60.0))
+    report = run_twin_check(_steady_spec(duration=60.0), "race")
     assert report.events_executed > 0
+    assert report.fluid_entries >= 1  # the run actually switched modes
 
 
 # ----------------------------------------------------------------------

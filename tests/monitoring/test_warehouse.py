@@ -9,6 +9,7 @@ from repro.ntier.server import Server, ServerConfig
 from repro.sim.engine import Simulator
 
 from tests.conftest import simple_capacity
+from tests.sim.heap_oracle import HeapSimulator
 
 
 def make_server(sim, name="db-1", tier="db", a_sat=10.0):
@@ -146,10 +147,10 @@ def test_primary_resource_rename_raises():
 
 
 def test_vectorised_collection_matches_across_calendars():
-    """The numpy collection pass is calendar-independent."""
-    outputs = {}
-    for calendar in ("wheel", "heap"):
-        sim = Simulator(calendar=calendar)
+    """The numpy collection pass collects exactly what it collects on
+    the reference heap event loop."""
+
+    def samples_on(sim):
         wh = MetricWarehouse(sim, tick=1.0, fine_interval=0.25)
         servers = [make_server(sim, f"db-{i}", "db") for i in range(3)]
         for s in servers:
@@ -162,8 +163,9 @@ def test_vectorised_collection_matches_across_calendars():
                 busy_flow(servers[i % 3], 0.2),
             )
         sim.run(until=5.0)
-        outputs[calendar] = [
+        return [
             (s.t_end, s.server, s.cpu, s.concurrency, s.throughput)
             for s in wh.samples(window=10.0)
         ]
-    assert outputs["wheel"] == outputs["heap"]
+
+    assert samples_on(Simulator()) == samples_on(HeapSimulator())

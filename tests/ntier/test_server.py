@@ -7,6 +7,7 @@ from repro.ntier.capacity import CapacityModel, ContentionModel, Resource
 from repro.ntier.request import Request
 from repro.ntier.server import Server, ServerConfig
 from repro.sim.engine import Simulator
+from tests.sim.heap_oracle import HeapSimulator
 
 
 def make_server(sim, a_sat=10.0, sigma=0.0, kappa=0.0, threads=100):
@@ -224,10 +225,9 @@ def test_outstanding_counts_admitted_and_queued():
 
 def test_ps_completions_identical_across_calendars():
     """The tuple-keyed completion heap plus the reschedule fast path
-    must not change *when* any job finishes vs the heap calendar."""
-    results = {}
-    for calendar in ("wheel", "heap"):
-        sim = Simulator(calendar=calendar)
+    must not change *when* any job finishes vs the reference heap loop."""
+
+    def completions_on(sim):
         server = make_server(sim, a_sat=4, sigma=3e-3, kappa=2e-4)
         done = []
 
@@ -237,5 +237,6 @@ def test_ps_completions_identical_across_calendars():
         for i in range(30):
             sim.schedule(i * 0.07, server.admit, make_request(i), flow)
         sim.run()
-        results[calendar] = (done, sim.events_executed)
-    assert results["wheel"] == results["heap"]
+        return done, sim.events_executed
+
+    assert completions_on(Simulator()) == completions_on(HeapSimulator())

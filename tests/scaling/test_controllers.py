@@ -37,7 +37,7 @@ def test_ec2_vm_count_grows_with_load():
 
 def test_dcm_applies_trained_profile_at_start_and_scaling():
     profile = DcmTrainedProfile(app_optimal=33, db_optimal=9)
-    res = run_experiment("dcm", small_config(), dcm_profile=profile)
+    res = run_experiment("dcm", small_config(), params={"profile": profile})
     app_sets = res.actions.of_kind("soft_app_threads")
     assert app_sets and app_sets[0].value == 33
     conn_sets = res.actions.of_kind("soft_db_connections")

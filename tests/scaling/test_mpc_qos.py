@@ -17,7 +17,7 @@ import pytest
 
 from repro.experiments.artifact import RunOverrides, RunSpec
 from repro.experiments.engine import ExperimentEngine
-from repro.experiments.racecheck import run_race_check
+from repro.experiments.twincheck import run_twin_check
 from repro.experiments.runner import execute_spec
 from repro.workload import TRACE_NAMES
 from tests.experiments.test_engine import small_config
@@ -125,7 +125,7 @@ def test_race_check_clean(framework):
     spec = RunSpec(
         framework, small_config(), RunOverrides.from_params(params)
     )
-    report = run_race_check(spec)  # raises TieOrderRaceError on a race
+    report = run_twin_check(spec, "race")  # raises TwinDivergenceError on a race
     assert report.spec_digest == spec.digest()
     assert report.tie_batches > 0  # the permutation actually bit
 

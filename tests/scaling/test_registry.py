@@ -6,8 +6,8 @@ pin the guarantees everything else leans on: registration rules
 spell out what *is* valid, digest-stable param coercion, params riding
 the cache key, and — the headline — a third-party controller registered
 at runtime working end-to-end: RunSpec construction, deterministic
-digests and signatures on both the serial and process backends, and the
-dynamic ``FRAMEWORKS`` re-exports picking it up.
+digests and signatures on both the serial and process backends, and
+``registered_frameworks()`` picking it up.
 
 Simulation runs use the reduced scale of ``test_engine`` (load_scale
 300, 60 s).
@@ -241,15 +241,12 @@ def paced_registered():
 
 def test_plugin_visible_everywhere(paced_registered):
     assert "paced" in registered_frameworks()
-    # The deprecated module-level tuples are registry-derived, so the
-    # plugin shows up in all three without re-import.
-    import repro
-    import repro.experiments.artifact as artifact
-    import repro.experiments.runner as runner
+    # The CLI's framework choices are read off the registry when the
+    # parser is built, so the plugin shows up without re-import.
+    from repro.cli import build_parser
 
-    assert "paced" in repro.FRAMEWORKS
-    assert "paced" in artifact.FRAMEWORKS
-    assert "paced" in runner.FRAMEWORKS
+    args = build_parser().parse_args(["run", "paced"])
+    assert args.framework == "paced"
 
 
 def test_plugin_runs_end_to_end_and_digests_deterministically(

@@ -201,15 +201,14 @@ def test_callback_scheduling_more_events():
 # ----------------------------------------------------------------------
 
 def test_reschedule_moves_event_to_new_time():
-    for calendar in ("wheel", "heap"):
-        sim = Simulator(calendar=calendar)
-        seen = []
-        h = sim.schedule(1.0, seen.append, "x")
-        sim.reschedule(h, 3.0)
-        sim.schedule(2.0, seen.append, "y")
-        sim.run()
-        assert seen == ["y", "x"], calendar
-        assert sim.now == 3.0
+    sim = Simulator()
+    seen = []
+    h = sim.schedule(1.0, seen.append, "x")
+    sim.reschedule(h, 3.0)
+    sim.schedule(2.0, seen.append, "y")
+    sim.run()
+    assert seen == ["y", "x"]
+    assert sim.now == 3.0
 
 
 def test_reschedule_already_fired_raises():
@@ -247,14 +246,13 @@ def test_reschedule_into_past_raises():
 def test_reschedule_sequences_as_fresh_schedule():
     """A rescheduled event runs after events already pending at the same
     instant, exactly like a cancel+schedule pair would."""
-    for calendar in ("wheel", "heap"):
-        sim = Simulator(calendar=calendar)
-        seen = []
-        moved = sim.schedule(1.0, seen.append, "moved")
-        sim.schedule(2.0, seen.append, "resident")
-        sim.reschedule(moved, 2.0)
-        sim.run()
-        assert seen == ["resident", "moved"], calendar
+    sim = Simulator()
+    seen = []
+    moved = sim.schedule(1.0, seen.append, "moved")
+    sim.schedule(2.0, seen.append, "resident")
+    sim.reschedule(moved, 2.0)
+    sim.run()
+    assert seen == ["resident", "moved"]
 
 
 def test_rearm_refires_same_handle():
@@ -310,17 +308,16 @@ def test_rearmed_handle_can_be_cancelled():
 def test_max_events_mid_batch_reverse_tie_order():
     """Exhausting max_events halfway through a reversed batch must keep
     the unexecuted tail schedulable, and a later run() finishes it."""
-    for calendar in ("wheel", "heap"):
-        sim = Simulator(tie_order="reverse", calendar=calendar)
-        seen = []
-        for tag in ("a", "b", "c", "d", "e"):
-            sim.schedule(1.0, seen.append, tag)
-        sim.run(max_events=3)
-        assert seen == ["e", "d", "c"], calendar
-        assert sim.pending_events == 2
-        sim.run()
-        assert seen == ["e", "d", "c", "b", "a"], calendar
-        assert sim.pending_events == 0
+    sim = Simulator(tie_order="reverse")
+    seen = []
+    for tag in ("a", "b", "c", "d", "e"):
+        sim.schedule(1.0, seen.append, tag)
+    sim.run(max_events=3)
+    assert seen == ["e", "d", "c"]
+    assert sim.pending_events == 2
+    sim.run()
+    assert seen == ["e", "d", "c", "b", "a"]
+    assert sim.pending_events == 0
 
 
 def test_max_events_mid_batch_preserves_cancelled_tail():
@@ -336,19 +333,22 @@ def test_max_events_mid_batch_preserves_cancelled_tail():
 
 
 # ----------------------------------------------------------------------
-# calendar selection and introspection
+# calendar introspection
 # ----------------------------------------------------------------------
 
 def test_calendar_property_and_default():
-    assert Simulator().calendar == "wheel"
-    assert Simulator(calendar="heap").calendar == "heap"
+    """One calendar, the wheel: no kind selector left to query, and the
+    occupancy counters report the wheel's tiers."""
+    sim = Simulator()
+    assert not hasattr(sim, "calendar")
+    assert set(sim.calendar_stats()) == {
+        "stored", "active", "wheel", "overflow", "dead", "compactions",
+    }
 
 
 def test_unknown_calendar_raises():
-    from repro.errors import ConfigurationError
-
-    with pytest.raises(ConfigurationError, match="calendar"):
-        Simulator(calendar="splay")
+    with pytest.raises(TypeError, match="calendar"):
+        Simulator(calendar="heap")
 
 
 def test_repr_reports_live_pending_and_calendar():
@@ -357,4 +357,4 @@ def test_repr_reports_live_pending_and_calendar():
     handles[0].cancel()
     text = repr(sim)
     assert "pending=2" in text       # live count, not raw storage
-    assert "calendar='wheel'" in text
+    assert "stored=3" in text        # calendar occupancy, tombstone included

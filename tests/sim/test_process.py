@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.sim.engine import Simulator
 from repro.sim.process import PeriodicProcess
+from tests.sim.heap_oracle import HeapSimulator
 
 
 def test_ticks_at_fixed_interval():
@@ -76,11 +77,12 @@ def test_ticks_reuse_one_event_handle():
 
 
 def test_periodic_ticks_identical_across_calendars():
-    traces = {}
-    for calendar in ("wheel", "heap"):
-        sim = Simulator(calendar=calendar)
+    """The rearm fast path ticks exactly like the reference heap loop."""
+
+    def ticks_on(sim):
         ticks = []
         PeriodicProcess(sim, 0.05, ticks.append)
         sim.run(until=1.0)
-        traces[calendar] = (ticks, sim.events_executed)
-    assert traces["wheel"] == traces["heap"]
+        return ticks, sim.events_executed
+
+    assert ticks_on(Simulator()) == ticks_on(HeapSimulator())

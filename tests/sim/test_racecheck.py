@@ -3,22 +3,22 @@
 Engine level: events sharing (time, priority) are *concurrent* — the
 ``reverse`` tie order executes each such batch backwards, so any
 observable that depends on intra-batch order diverges between the two
-orders, while priority-separated events stay put. Runner level:
-:func:`repro.experiments.racecheck.run_race_check` runs a spec under
-both orders and raises :class:`TieOrderRaceError` on divergence; at
-HEAD the check must be clean, and a deliberately broken tie-break (the
-VM sampler demoted into the controller's concurrency batch) must be
-caught.
+orders, while priority-separated events stay put. Runner level: the
+``race`` twin check (:func:`repro.experiments.twincheck.run_twin_check`)
+runs a spec under both orders and raises :class:`TwinDivergenceError`
+on divergence; at HEAD the check must be clean, and a deliberately
+broken tie-break (the VM sampler demoted into the controller's
+concurrency batch) must be caught.
 """
 
 import pytest
 
 import repro.experiments.runner as runner_mod
-from repro.errors import ConfigurationError, TieOrderRaceError
+from repro.errors import ConfigurationError, TwinDivergenceError
 from repro.experiments.artifact import RunSpec
-from repro.experiments.racecheck import RaceCheckReport, run_race_check
 from repro.experiments.runner import execute_spec
 from repro.experiments.scenarios import ScenarioConfig
+from repro.experiments.twincheck import TwinCheckReport, run_twin_check
 from repro.sim.engine import (
     PRIORITY_CONTROLLER,
     PRIORITY_SAMPLER,
@@ -123,14 +123,17 @@ def test_execute_spec_rejects_a_used_simulator():
 
 
 def test_race_check_clean_at_head():
-    report = run_race_check(_spec())
-    assert isinstance(report, RaceCheckReport)
+    report = run_twin_check(_spec(), "race")
+    assert isinstance(report, TwinCheckReport)
+    assert report.check == "race"
     # The check is vacuous unless the run actually exercised
     # same-(time, priority) batches.
     assert report.tie_batches > 0
     assert report.tie_events >= 2 * report.tie_batches
     assert report.spec_digest == _spec().digest()
-    assert "no observable divergence" in report.describe()
+    text = report.describe()
+    assert text.startswith("race twin check clean")
+    assert "no observable divergence" in text
 
 
 def test_broken_tie_break_is_caught(monkeypatch):
@@ -139,9 +142,10 @@ def test_broken_tie_break_is_caught(monkeypatch):
     which concurrent event pops first — the observer race the priority
     layering exists to prevent."""
     monkeypatch.setattr(runner_mod, "PRIORITY_SAMPLER", PRIORITY_CONTROLLER)
-    with pytest.raises(TieOrderRaceError) as excinfo:
-        run_race_check(_spec())
+    with pytest.raises(TwinDivergenceError) as excinfo:
+        run_twin_check(_spec(), "race")
     message = str(excinfo.value)
+    assert message.startswith(f"race twin check diverged on {_spec().label}")
     assert "vm timeline" in message
     assert "concurrent batch" in message
 
@@ -152,9 +156,3 @@ def test_head_priorities_are_actually_layered():
     assert PRIORITY_SAMPLER not in (0, PRIORITY_CONTROLLER)
     assert runner_mod.PRIORITY_SAMPLER == PRIORITY_SAMPLER
 
-
-def test_race_check_clean_on_heap_calendar():
-    """The tie-order contract must hold under both event calendars."""
-    report = run_race_check(_spec(), calendar="heap")
-    assert isinstance(report, RaceCheckReport)
-    assert report.tie_batches > 0
