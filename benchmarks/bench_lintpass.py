@@ -1,16 +1,15 @@
 """repro-lint throughput: the gate must be cheap enough to run always.
 
 A determinism linter only holds the line if it sits in CI and
-pre-commit hooks without anyone noticing it. Two budgets:
+pre-commit hooks without anyone noticing it. One budget: the whole
+pass (parse, the per-file rules, the call graph and dataflow index,
+and the interprocedural analyses on top) over the entire ``repro``
+package in under twenty seconds.
 
-* the shallow pass (parse + six per-file rules) over the entire
-  ``repro`` package in under five seconds;
-* the deep pass (call graph, dataflow index, and the four
-  interprocedural analyses on top) in under twenty.
-
-Both benchmarks also check the pass is doing real work (every source
-file parsed, every expected rule loaded) so a silently-skipping linter
-cannot pass on speed alone.
+The benchmark also checks the pass is doing real work (every source
+file parsed, all seven rules run, the digested-spec schema
+fingerprinted) so a silently-skipping linter cannot pass on speed
+alone.
 """
 
 import os
@@ -18,8 +17,7 @@ import os
 from benchmarks.conftest import run_once
 from repro.lintpass import all_rules, run_lint
 
-MAX_SECONDS = 5.0
-MAX_DEEP_SECONDS = 20.0
+MAX_SECONDS = 20.0
 
 
 def _package_dir() -> str:
@@ -44,36 +42,14 @@ def test_full_package_lint_under_budget(benchmark):
     seconds = benchmark.stats.stats.max
     print()
     print(
-        f"linted {report.files_checked} files with {len(all_rules())} rules "
-        f"in {seconds:.2f}s"
-    )
-    assert report.files_checked == _source_file_count(package_dir)
-    assert report.clean, "\n".join(v.render() for v in report.violations)
-    assert seconds < MAX_SECONDS, (
-        f"full-package lint took {seconds:.2f}s (budget {MAX_SECONDS:.0f}s)"
-    )
-
-
-def test_full_package_deep_lint_under_budget(benchmark):
-    package_dir = _package_dir()
-    report = run_once(benchmark, run_lint, [package_dir], deep=True)
-
-    seconds = benchmark.stats.stats.max
-    print()
-    print(
-        f"deep-linted {report.files_checked} files with "
+        f"linted {report.files_checked} files with "
         f"{len(report.rules_run)} rules in {seconds:.2f}s"
     )
     assert report.files_checked == _source_file_count(package_dir)
-    assert report.deep
-    # The interprocedural layer actually ran: every deep rule selected,
-    # and the digested-spec schema got fingerprinted.
-    assert {"deep-digest-provenance", "deep-bus-vocabulary",
-            "deep-priority-layers", "deep-frozen-flow"} <= set(
-        report.rules_run
-    )
+    assert set(report.rules_run) == set(all_rules())
+    assert len(report.rules_run) == 7
     assert report.schema_fingerprint is not None
     assert report.clean, "\n".join(v.render() for v in report.violations)
-    assert seconds < MAX_DEEP_SECONDS, (
-        f"deep lint took {seconds:.2f}s (budget {MAX_DEEP_SECONDS:.0f}s)"
+    assert seconds < MAX_SECONDS, (
+        f"full-package lint took {seconds:.2f}s (budget {MAX_SECONDS:.0f}s)"
     )

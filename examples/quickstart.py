@@ -17,8 +17,8 @@ slowly_varying, big_spike, dual_phase, steep_tri_phase.
 import sys
 
 from repro import ScenarioConfig, run_experiment
+from repro.control.trace import DecisionTrace
 from repro.experiments.report import format_table
-from repro.scaling.actions import ActionLog
 
 
 def main() -> None:
@@ -64,7 +64,7 @@ def main() -> None:
     print("\nConScale's soft-resource adaptions:")
     soft = [a for a in results["conscale"].actions
             if a.kind.startswith("soft")]
-    print(ActionLog.render(soft[:15]) or "  (none)")
+    print(DecisionTrace.render(soft[:15]) or "  (none)")
 
 
 if __name__ == "__main__":

@@ -691,17 +691,11 @@ def _list_rules() -> int:
     """Render the rule registry (``repro lint --rules`` with no ids)."""
     from repro.lintpass import all_rules
 
-    rows = []
-    for rule_id, cls in sorted(all_rules().items()):
-        rows.append((
-            rule_id,
-            "yes" if cls.deep else "",
-            cls.supersedes or "",
-            cls.summary,
-        ))
-    print(format_table(["rule", "deep", "supersedes", "summary"], rows))
-    print("\nselect with --rules ID,ID; deselect with --rules -ID; "
-          "deep rules run under --deep")
+    rows = [
+        (rule_id, cls.summary) for rule_id, cls in sorted(all_rules().items())
+    ]
+    print(format_table(["rule", "summary"], rows))
+    print("\nselect with --rules ID,ID; deselect with --rules=-ID")
     return 0
 
 
@@ -729,7 +723,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
         if args.rules
         else None
     )
-    report = run_lint(paths, rules=rules, deep=args.deep)
+    report = run_lint(paths, rules=rules)
     delta = None
     if args.update_baseline:
         write_baseline(args.update_baseline, report)
@@ -986,13 +980,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="ID,ID",
         help="comma-separated rule ids to run (--rules=-ID deselects; "
         "attach with '=' so the dash is not read as a flag); with no "
-        "value, list every rule with its deep/supersedes columns",
-    )
-    p_lint.add_argument(
-        "--deep", action="store_true",
-        help="enable the whole-program interprocedural analyses "
-        "(digest provenance, bus vocabulary, priority layers, frozen "
-        "flow)",
+        "value, list every rule with its summary",
     )
     p_lint.add_argument(
         "--baseline", default=None, metavar="FILE",

@@ -11,8 +11,8 @@ one typed path for those decisions:
 * :mod:`repro.control.bus` — :class:`ControlBus`, the synchronous
   type-keyed publish/subscribe hub;
 * :mod:`repro.control.trace` — :class:`DecisionTrace`, the recorded
-  event stream that replaces the old ``ActionLog``, serialises as
-  plain numpy columns, and powers ``repro diff``.
+  event stream; serialises as plain numpy columns and powers
+  ``repro diff``.
 """
 
 from repro.control.bus import ControlBus

@@ -143,8 +143,8 @@ def declared_kinds() -> frozenset[str]:
 
     The controller registry validates every registered controller's
     declared decision kinds against this set, closing the loop with the
-    ``event-kinds`` lint rule (which checks literal kinds at emission
-    sites against the same module-level declarations).
+    ``deep-bus-vocabulary`` lint rule (which checks every kind reaching
+    a ``DecisionEvent`` against the same module-level declarations).
     """
     return frozenset(
         POLICY_KINDS

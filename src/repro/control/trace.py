@@ -2,9 +2,8 @@
 
 A :class:`DecisionTrace` subscribes to a
 :class:`~repro.control.bus.ControlBus` (or is appended to directly) and
-keeps every :class:`~repro.control.events.DecisionEvent` in time order.
-It subsumes the old ``ActionLog``: all of its query helpers survive,
-plus the event fields the old log had no room for (source, reason, the
+keeps every :class:`~repro.control.events.DecisionEvent` in time order,
+with the fields that explain each decision (source, reason, the
 justifying SCT estimate, and explicit no-op ticks).
 
 Serialisation is columnar: pickling a trace stores plain numpy arrays
@@ -61,13 +60,13 @@ class DecisionTrace:
         reason: str = "",
         estimate: float | None = None,
     ) -> None:
-        """Append one event from fields (the old ``ActionLog.record``)."""
+        """Append one event from fields."""
         self._events.append(
             DecisionEvent(time, kind, tier, value, detail, source, reason, estimate)
         )
 
     # ------------------------------------------------------------------
-    # queries (the ActionLog surface, extended)
+    # queries
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._events)

@@ -260,7 +260,7 @@ class RunSpec:
             digest = content_digest(("runspec", SCHEMA_VERSION, self))
             # Write-once memo of a pure function of the frozen fields —
             # not a mutation of spec state, so the digest stays honest.
-            object.__setattr__(self, "_digest", digest)  # repro-lint: ignore[frozen-mutate]
+            object.__setattr__(self, "_digest", digest)  # repro-lint: ignore[deep-frozen-flow]
         return digest
 
     def __hash__(self) -> int:
@@ -364,8 +364,9 @@ class RunArtifact:
         Two runs of the same spec must produce the same signature —
         this is the determinism contract the engine tests pin down
         (sequential vs parallel, in-memory vs cache round-trip).
-        Every field of the artifact is covered (the digest-coverage
-        lint rule cross-checks this against the dataclass).
+        Every field of the artifact is covered (the
+        deep-digest-provenance lint rule cross-checks this against the
+        dataclass).
         """
         return content_digest(
             (

@@ -1,9 +1,11 @@
 """repro-lint: the determinism & invariant static-analysis pass.
 
-Six per-file AST rules plus four whole-program (``--deep``) analyses
-encode the invariants the repository's bit-reproducibility contract
-rests on — the properties that, when violated, produce runs that *look*
-fine but cannot be reproduced, cached, or diffed:
+Seven rules — three per-file AST checks and four whole-program
+analyses over a shared call graph and dataflow index — encode the
+invariants the repository's bit-reproducibility contract rests on: the
+properties that, when violated, produce runs that *look* fine but
+cannot be reproduced, cached, or diffed. Every ``repro lint`` runs all
+of them:
 
 ==========================  ==========================================
 rule id                     invariant
@@ -15,27 +17,22 @@ rule id                     invariant
                             clock
 ``unordered-iter``          no set/dict-order-dependent values feed
                             the scheduler, digests, or the control bus
-``digest-coverage``         every field of a digested dataclass
-                            appears in its digest/signature method
-``event-kinds``             every literal event kind emitted is
-                            declared in :mod:`repro.control.events`
-``frozen-mutate``           no ``object.__setattr__`` on frozen
-                            dataclasses outside ``__post_init__``
-``deep-digest-provenance``  digest coverage traced through helper
-                            methods and inheritance; dead CLI flags;
-                            schema-fingerprint drift (supersedes
-                            ``digest-coverage``)
-``deep-bus-vocabulary``     publisher/subscriber closure: helper-
-                            forwarded kinds, dead vocabulary,
-                            publisher-less handlers, and
+``deep-digest-provenance``  every field of a digested dataclass (own
+                            and inherited) is reachable from its
+                            digest method through helper calls; dead
+                            CLI flags; schema-fingerprint drift
+``deep-bus-vocabulary``     every kind reaching a ``DecisionEvent``
+                            (literal or helper-forwarded) is declared
+                            in :mod:`repro.control.events`; dead
+                            vocabulary, publisher-less handlers, and
                             ``ControllerSpec.decision_kinds``
                             divergence
 ``deep-priority-layers``    schedule call sites pass named
                             ``PRIORITY_*`` constants; no two layers
                             share one priority value
-``deep-frozen-flow``        frozen instances tracked through aliases
-                            and helper calls (supersedes
-                            ``frozen-mutate``)
+``deep-frozen-flow``        no ``object.__setattr__`` on frozen
+                            dataclasses outside ``__post_init__``,
+                            tracked through aliases and helper calls
 ==========================  ==========================================
 
 A violation can be silenced on its line with a justification comment::
@@ -43,10 +40,10 @@ A violation can be silenced on its line with a justification comment::
     risky_call()  # repro-lint: ignore[wall-clock]
 
 (On a multi-line statement the comment may sit on any line of the
-statement's span.) Run it as ``python -m repro lint [--deep] [--json]
-[--baseline FILE] [paths...]``; pre-existing deep findings live in
-``results/lint-baseline.json`` with burn-down semantics — the gate
-fails on *new* findings only. The dynamic complement (the
+statement's span.) Run it as ``python -m repro lint [--json]
+[--rules ID,-ID] [--baseline FILE] [paths...]``; pre-existing findings
+live in ``results/lint-baseline.json`` with burn-down semantics — the
+gate fails on *new* findings only. The dynamic complement (the
 same-timestamp ``race`` twin check) lives in
 :mod:`repro.experiments.twincheck`.
 """

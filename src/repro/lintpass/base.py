@@ -63,13 +63,6 @@ class Rule:
 
     id: str = ""
     summary: str = ""
-    #: Deep rules need the whole-program layer (call graph, dataflow)
-    #: and only run under ``repro lint --deep``.
-    deep: bool = False
-    #: Rule id this one subsumes: when both are selected in a deep run,
-    #: the superseded (shallow) rule is dropped so the interprocedural
-    #: analysis — strictly more precise — is the only reporter.
-    supersedes: str | None = None
 
     def check(self, index: "ProjectIndex") -> Iterator[Violation]:
         raise NotImplementedError
@@ -101,8 +94,6 @@ def all_rules() -> dict[str, type[Rule]]:
     from repro.lintpass import rules_deep_events  # noqa: F401
     from repro.lintpass import rules_deep_frozen  # noqa: F401
     from repro.lintpass import rules_deep_priority  # noqa: F401
-    from repro.lintpass import rules_digest  # noqa: F401
-    from repro.lintpass import rules_events  # noqa: F401
     from repro.lintpass import rules_order  # noqa: F401
     from repro.lintpass import rules_purity  # noqa: F401
 

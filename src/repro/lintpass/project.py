@@ -5,14 +5,14 @@ indices the rules need:
 
 * per-file **import alias maps** so ``np.random.default_rng`` resolves
   to ``numpy.random.default_rng`` whatever the local spelling;
-* a **class index** (simple name -> definitions) so digest-coverage can
-  collect inherited dataclass fields and inherited digest methods;
+* a **class index** (simple name -> definitions) so digest provenance
+  can collect inherited dataclass fields and inherited digest methods;
 * **module names** derived from the path's ``repro`` component, so a
   fixture tree ``fixtures/case/repro/sim/x.py`` is linted under the
   same package-scoped rules as the real ``src/repro/sim/x.py``.
 
-The deep (``--deep``) analyses additionally use the whole-program
-layer built lazily on top of the parsed files:
+The ``deep-*`` analyses additionally use the whole-program layer
+built lazily on top of the parsed files:
 
 * a **function index** (:class:`FunctionInfo`, qualified-name keyed)
   covering every function and method in the tree;
@@ -332,8 +332,8 @@ class ProjectIndex:
                 if isinstance(node, ast.ClassDef):
                     info = _class_info(file, node)
                     self.classes.setdefault(info.name, []).append(info)
-        # Deep-analysis layers, built lazily so per-file (shallow) runs
-        # never pay for them.
+        # Deep-analysis layers, built lazily so a --rules subset of
+        # per-file rules never pays for them.
         self._functions: dict[str, FunctionInfo] | None = None
         self._functions_by_name: dict[str, list[FunctionInfo]] | None = None
         self._flows: dict[str, FunctionFlow] = {}

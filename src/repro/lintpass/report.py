@@ -1,12 +1,11 @@
 """Rendering of lint results: human text and machine-readable JSON.
 
-The JSON schema (version 2)::
+The JSON schema (version 3)::
 
     {
-      "version": 2,
+      "version": 3,
       "root": ["src/repro"],
       "files_checked": 58,
-      "deep": true,
       "rules": ["deep-bus-vocabulary", "..."],
       "violations": [
         {"rule": "wall-clock", "path": "src/repro/sim/x.py",
@@ -14,7 +13,7 @@ The JSON schema (version 2)::
       ],
       "counts": {"wall-clock": 1},
       "suppressed": 2,
-      "schema": {"fingerprint": "...", "version": 7},        # deep only
+      "schema": {"fingerprint": "...", "version": 7},  # trees with RunSpec
       "baseline": {"new": 0, "matched": 3, "retired": 1,
                    "schema_note": null,
                    "schema_refresh": null}                   # with --baseline
@@ -23,8 +22,8 @@ The JSON schema (version 2)::
 ``violations`` is sorted by (path, line, col, rule) and ``counts``
 key-sorted, so the output is byte-stable for a given tree — it can be
 diffed, cached, and digested like everything else in this repo.
-Version 1 lacked ``deep``/``rules``/``suppressed``/``schema``/
-``baseline``; consumers keying on ``version`` can accept both.
+Version 2 also carried a boolean ``deep`` key; version 1 lacked
+``rules``/``suppressed``/``schema``/``baseline``.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ if TYPE_CHECKING:
 
 __all__ = ["JSON_SCHEMA_VERSION", "render_text", "render_json"]
 
-JSON_SCHEMA_VERSION = 2
+JSON_SCHEMA_VERSION = 3
 
 
 def render_text(
@@ -85,7 +84,6 @@ def render_json(
         "version": JSON_SCHEMA_VERSION,
         "root": list(report.roots),
         "files_checked": report.files_checked,
-        "deep": report.deep,
         "rules": list(report.rules_run),
         "violations": [
             {"rule": v.rule, "path": v.path, "line": v.line, "col": v.col,

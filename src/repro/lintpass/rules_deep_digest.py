@@ -1,12 +1,15 @@
 """Deep digest provenance: fields, helpers, CLI flags, schema bumps.
 
-The shallow ``digest-coverage`` rule demands every field of a digested
-dataclass appear *textually* in its digest method — which both misses
-helper indirection and false-positives on it. This analysis follows
-``self``-method calls through the class chain, so a digest method that
-delegates to ``self._digest_parts()`` is credited with every field the
-helper touches, and a field reached by *no* path from the digest is a
-real finding (the deep rule therefore supersedes the shallow one).
+The content-addressed cache assumes a spec's digest covers everything
+that changes a run's outcome. The classic way that assumption rots: a
+field is added to the dataclass (or to a subclass inheriting the
+digest), the digest keeps enumerating the old fields, and two
+semantically different specs alias to one cache entry. This analysis
+cross-references each dataclass's field list (own *and* inherited)
+against its digest method, following ``self``-method calls through the
+class chain — so a digest method that delegates to
+``self._digest_parts()`` is credited with every field the helper
+touches, and a field reached by *no* path from the digest is a finding.
 
 Two companion checks ride the same closure:
 
@@ -26,14 +29,12 @@ import hashlib
 from typing import Iterator
 
 from repro.lintpass.base import Rule, Violation, register
-from repro.lintpass.project import ClassInfo, ProjectIndex, SourceFile
-from repro.lintpass.rules_digest import (
-    _DIGEST_METHODS,
-    _passes_whole_self,
-    _self_attrs,
-)
+from repro.lintpass.project import ClassInfo, ProjectIndex
 
 __all__ = ["DeepDigestProvenanceRule", "schema_snapshot"]
+
+#: Method names treated as digest/signature definitions.
+_DIGEST_METHODS = ("digest", "signature", "signature_key", "canonical_key")
 
 #: Traversal bound for helper-method chains under a digest method.
 _MAX_HELPER_DEPTH = 6
@@ -43,6 +44,33 @@ _SCHEMA_ROOT = "RunSpec"
 
 #: Module holding the schema version constant.
 _SCHEMA_MODULE = "repro.experiments.artifact"
+
+
+def _passes_whole_self(method: ast.FunctionDef) -> bool:
+    """True when the method hands bare ``self`` to some call — the
+    pass-the-whole-object style (``content_digest((..., self))``) that
+    covers every field via ``dataclasses.fields`` automatically."""
+    attribute_bases = {
+        id(node.value)
+        for node in ast.walk(method)
+        if isinstance(node, ast.Attribute)
+    }
+    return any(
+        isinstance(node, ast.Name)
+        and node.id == "self"
+        and id(node) not in attribute_bases
+        for node in ast.walk(method)
+    )
+
+
+def _self_attrs(method: ast.FunctionDef) -> set[str]:
+    return {
+        node.attr
+        for node in ast.walk(method)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    }
 
 
 def _self_calls(method: ast.FunctionDef) -> set[str]:
@@ -95,8 +123,6 @@ class DeepDigestProvenanceRule(Rule):
     id = "deep-digest-provenance"
     summary = ("digested-dataclass field unreachable from its digest "
                "method (helper chains followed); dead CLI flags")
-    deep = True
-    supersedes = "digest-coverage"
 
     def check(self, index: ProjectIndex) -> Iterator[Violation]:
         for infos in index.classes.values():

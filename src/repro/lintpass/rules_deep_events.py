@@ -1,17 +1,20 @@
 """Deep bus-vocabulary closure over the control-plane event graph.
 
-The shallow ``event-kinds`` rule checks *literal* kind strings at known
-emission sites. This analysis closes the remaining gaps with the
-whole-program layer: it seeds at every ``DecisionEvent`` construction,
-resolves the kind expression through local dataflow and module
-constants, and runs a forwarder fixpoint backwards through the call
-graph — so emission helpers (``emit``/``_emit``/``_resize_tier_threads``
-or anything else that forwards a ``kind`` parameter) are discovered
-automatically instead of by name. On top of the resolved
-publisher/subscriber graph it checks four closure properties:
+The control plane's contract is that :mod:`repro.control.events` is the
+complete vocabulary of decision kinds — figure code, the trace differ,
+and the resilience analyzer all dispatch on those constants, and an
+event emitted with an ad-hoc kind silently falls through every
+``of_kind`` query. This analysis seeds at every ``DecisionEvent``
+construction, resolves the kind expression through local dataflow and
+module constants, and runs a forwarder fixpoint backwards through the
+call graph — so emission helpers (``emit``/``_emit``/
+``_resize_tier_threads`` or anything else that forwards a ``kind``
+parameter) are discovered automatically instead of by name. On top of
+the resolved publisher/subscriber graph it checks four closure
+properties:
 
-1. kinds emitted (through any helper chain) but undeclared in
-   :mod:`repro.control.events`;
+1. kinds reaching a ``DecisionEvent`` (as a literal or through any
+   helper chain) but undeclared in :mod:`repro.control.events`;
 2. declared kinds that are never emitted and never consumed (dead
    vocabulary);
 3. handler subscriptions — ``event.kind == X`` comparisons on
@@ -51,10 +54,6 @@ __all__ = [
 #: module whose top-level string constants define the vocabulary
 _EVENTS_MODULE = "repro.control.events"
 
-#: emitter names the shallow ``event-kinds`` rule already inspects —
-#: a literal kind at one of these sites is that rule's report, not ours.
-_SHALLOW_EMITTERS = frozenset({"emit", "_emit", "record", "DecisionEvent"})
-
 #: vocabulary subsets every controller inherits from the shared loop.
 _EXEMPT_GROUPS = ("POLICY_KINDS", "RECOVERY_KINDS")
 
@@ -73,9 +72,6 @@ class EmissionRecord:
     #: enclosing class at the proving site (kind attribution for the
     #: per-controller divergence check)
     cls: str | None
-    #: a literal kind at a shallow-visible emitter — the shallow
-    #: ``event-kinds`` rule reports these, the deep rule must not.
-    shallow_covered: bool
 
 
 @dataclass(frozen=True)
@@ -164,15 +160,6 @@ def _param_default(
     return None
 
 
-def _is_literal_kind(expr: ast.expr) -> bool:
-    """Literal (or conditional-literal) — shallow-rule territory."""
-    if isinstance(expr, ast.Constant) and isinstance(expr.value, str):
-        return True
-    if isinstance(expr, ast.IfExp):
-        return _is_literal_kind(expr.body) and _is_literal_kind(expr.orelse)
-    return False
-
-
 def bus_graph(index: ProjectIndex) -> BusGraph:
     """Resolve every DecisionEvent emission and kind consumption."""
     callers = index.callers()
@@ -183,7 +170,6 @@ def bus_graph(index: ProjectIndex) -> BusGraph:
         expr: ast.expr,
         file: SourceFile,
         func: FunctionInfo | None,
-        shallow: bool,
         visited: frozenset[tuple[str, str]],
         depth: int,
         owner: str | None = None,
@@ -205,7 +191,6 @@ def bus_graph(index: ProjectIndex) -> BusGraph:
                         line=expr.lineno,
                         col=expr.col_offset,
                         cls=cls,
-                        shallow_covered=shallow and _is_literal_kind(expr),
                     )
                 )
         for param in resolved.params:
@@ -231,14 +216,10 @@ def bus_graph(index: ProjectIndex) -> BusGraph:
                 if argument is None:
                     default_applies = True
                     continue
-                shallow_here = (
-                    _call_simple_name(call) in _SHALLOW_EMITTERS
-                )
                 resolve_kind(
                     argument,
                     caller_file,
                     caller_func,
-                    shallow_here,
                     visited | {key},
                     depth - 1,
                 )
@@ -251,7 +232,7 @@ def bus_graph(index: ProjectIndex) -> BusGraph:
                     # no enclosing flow so same-named locals can't leak,
                     # but attribute the kind to the helper's class.
                     resolve_kind(
-                        default, func.file, None, shallow=False,
+                        default, func.file, None,
                         visited=visited | {key}, depth=depth - 1,
                         owner=func.cls,
                     )
@@ -281,7 +262,7 @@ def bus_graph(index: ProjectIndex) -> BusGraph:
                 complete = False
                 continue
             resolve_kind(
-                kind_expr, file, enclosing, shallow=True,
+                kind_expr, file, enclosing,
                 visited=frozenset(), depth=_MAX_FORWARD_DEPTH,
             )
 
@@ -395,9 +376,8 @@ class DeepBusVocabularyRule(Rule):
     """Whole-program closure of the decision-event vocabulary."""
 
     id = "deep-bus-vocabulary"
-    summary = ("event vocabulary closure: helper-forwarded kinds, dead "
+    summary = ("event vocabulary closure: undeclared emitted kinds, dead "
                "kinds, publisher-less handlers, decision_kinds divergence")
-    deep = True
 
     def check(self, index: ProjectIndex) -> Iterator[Violation]:
         events_file, declared = _declared_vocabulary(index)
@@ -407,10 +387,10 @@ class DeepBusVocabularyRule(Rule):
         emitted = graph.emitted_kinds()
         consumed = graph.consumed_kinds()
 
-        # 1. emitted (via helpers) but undeclared.
+        # 1. emitted (literally or via helpers) but undeclared.
         reported: set[tuple[str, str, int]] = set()
         for record in graph.emissions:
-            if record.kind in declared or record.shallow_covered:
+            if record.kind in declared:
                 continue
             key = (record.file.path, record.kind, record.line)
             if key in reported:
@@ -418,10 +398,9 @@ class DeepBusVocabularyRule(Rule):
             reported.add(key)
             yield self.violation(
                 record.file.path, record.line, record.col,
-                f"event kind {record.kind!r} reaches a DecisionEvent "
-                "through a helper chain but is not declared in "
-                "repro.control.events; of_kind() queries will never see "
-                "it",
+                f"event kind {record.kind!r} reaches a DecisionEvent but "
+                "is not declared in repro.control.events; of_kind() "
+                "queries will never see it",
             )
 
         # 2. declared but never emitted nor consumed: dead vocabulary.

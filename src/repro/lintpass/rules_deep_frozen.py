@@ -1,21 +1,22 @@
-"""Interprocedural frozen-mutate tracking.
+"""Interprocedural frozen-instance mutation tracking.
 
-The shallow ``frozen-mutate`` rule flags every ``object.__setattr__``
-outside ``__post_init__`` — which misses two escapes and false-positives
-on one pattern, all fixed here (the deep rule supersedes the shallow
-one):
+Frozen dataclasses carry the repo's identity guarantees (spec digests,
+event records). Bypassing the freeze after construction mutates a value
+other code has already hashed or cached; the one legitimate site is
+``__post_init__`` normalisation, before the object escapes. This rule
+flags every ``object.__setattr__`` outside that site, and follows the
+flow a per-line scan cannot:
 
 * **aliases** — ``mut = object.__setattr__; mut(spec, ...)`` spells the
-  bypass without the dotted name the shallow rule greps for;
+  bypass without the dotted name;
 * **setattr on provably frozen values** — ``setattr(spec, ...)`` where
   ``spec`` was constructed from a frozen dataclass, flows through a
   local alias, or arrives as a parameter annotated with a frozen class
   (at runtime this raises ``FrozenInstanceError``; statically it marks
   a mutation the author believed legal);
 * **``__post_init__`` helpers** — a normalisation helper whose only
-  call sites are ``__post_init__`` methods is the legitimate pattern
-  the shallow rule cannot distinguish; the deep rule resolves the
-  callers and stays quiet.
+  call sites are ``__post_init__`` methods is the legitimate pattern;
+  the rule resolves the callers and stays quiet.
 """
 
 from __future__ import annotations
@@ -48,8 +49,6 @@ class DeepFrozenFlowRule(Rule):
     summary = ("frozen-instance mutation via aliased object.__setattr__, "
                "setattr on a provably frozen value, or a helper not "
                "rooted in __post_init__")
-    deep = True
-    supersedes = "frozen-mutate"
 
     def check(self, index: ProjectIndex) -> Iterator[Violation]:
         for file in index.files:

@@ -53,7 +53,6 @@ class DeepPriorityLayersRule(Rule):
     id = "deep-priority-layers"
     summary = ("schedule call passes a raw integer priority, or two "
                "PRIORITY_* layers share one value")
-    deep = True
 
     def check(self, index: ProjectIndex) -> Iterator[Violation]:
         for file in index.files:

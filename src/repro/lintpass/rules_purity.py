@@ -1,6 +1,6 @@
-"""Purity rules: randomness, wall clocks, and frozen-state mutation.
+"""Purity rules: randomness and wall clocks.
 
-These three rules share a shape — resolve every call's dotted path via
+These two rules share a shape — resolve every call's dotted path via
 the file's import aliases and match it against a denylist — so they
 live together.
 """
@@ -13,7 +13,7 @@ from typing import Iterator
 from repro.lintpass.base import Rule, Violation, register
 from repro.lintpass.project import ProjectIndex, SourceFile, dotted_name
 
-__all__ = ["RngDirectRule", "WallClockRule", "FrozenMutateRule"]
+__all__ = ["RngDirectRule", "WallClockRule"]
 
 
 def _calls(file: SourceFile) -> Iterator[tuple[ast.Call, str]]:
@@ -93,40 +93,3 @@ class WallClockRule(Rule):
                         f"{file.module!r}; the only clock here is sim.now",
                     )
 
-
-@register
-class FrozenMutateRule(Rule):
-    """``object.__setattr__`` belongs only in ``__post_init__``.
-
-    Frozen dataclasses carry the repo's identity guarantees (spec
-    digests, event records). Bypassing the freeze after construction
-    mutates a value other code has already hashed or cached. The one
-    legitimate site is ``__post_init__`` normalisation, before the
-    object escapes.
-    """
-
-    id = "frozen-mutate"
-    summary = "object.__setattr__ outside __post_init__"
-
-    def check(self, index: ProjectIndex) -> Iterator[Violation]:
-        for file in index.files:
-            yield from self._walk(file, file.tree, inside_post_init=False)
-
-    def _walk(
-        self, file: SourceFile, node: ast.AST, inside_post_init: bool
-    ) -> Iterator[Violation]:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from self._walk(
-                    file, child, inside_post_init=child.name == "__post_init__"
-                )
-                continue
-            if isinstance(child, ast.Call) and not inside_post_init:
-                resolved = dotted_name(child.func, file.aliases)
-                if resolved == "object.__setattr__":
-                    yield self.violation(
-                        file.path, child.lineno, child.col_offset,
-                        "object.__setattr__ on a frozen object outside "
-                        "__post_init__ mutates already-hashed state",
-                    )
-            yield from self._walk(file, child, inside_post_init)

@@ -8,6 +8,7 @@ from typing import Iterable, Sequence
 from repro.errors import LintError
 from repro.lintpass.base import SUPPRESS_ALL, Rule, Violation, all_rules
 from repro.lintpass.project import ProjectIndex
+from repro.lintpass.rules_deep_digest import schema_snapshot
 
 __all__ = ["LintReport", "run_lint", "select_rules"]
 
@@ -21,11 +22,9 @@ class LintReport:
     violations: tuple[Violation, ...]
     #: violations silenced by per-line ignore comments
     suppressed: tuple[Violation, ...]
-    #: rule ids that actually ran, after deep selection and supersedes
+    #: rule ids that actually ran, after --rules selection
     rules_run: tuple[str, ...] = ()
-    #: whether the whole-program (deep) layer was enabled
-    deep: bool = False
-    #: digested-spec schema snapshot (deep runs over trees with RunSpec)
+    #: digested-spec schema snapshot (trees with RunSpec only)
     schema_fingerprint: str | None = None
     schema_version: int | None = None
 
@@ -49,58 +48,40 @@ def _validate_suppressions(index: ProjectIndex, known: Iterable[str]) -> None:
 def select_rules(
     registry: dict[str, type[Rule]],
     rules: Sequence[str] | None,
-    deep: bool,
 ) -> list[str]:
     """Resolve the rule selection for one run.
 
-    The base set is every shallow rule, plus every deep rule when
-    ``deep`` is on. ``rules`` modifies it: plain ids replace the base
-    set outright (naming a deep rule implies running it), while
-    ``-id`` entries subtract from the base set. After selection, a
-    deep rule that supersedes a selected shallow rule drops the shallow
-    one — the interprocedural analysis is strictly more precise, and
-    double-reporting the same defect would poison baseline counts.
+    The default is every registered rule. ``rules`` modifies it: plain
+    ids replace the default set outright, while ``-id`` entries
+    subtract from it.
     """
-    base = {
-        rule_id
-        for rule_id, cls in registry.items()
-        if deep or not cls.deep
-    }
-    if rules:
-        positive = [r for r in rules if not r.startswith("-")]
-        negative = [r[1:] for r in rules if r.startswith("-")]
-        unknown = sorted((set(positive) | set(negative)) - set(registry))
-        if unknown:
-            raise LintError(
-                f"unknown rule id(s): {', '.join(unknown)} "
-                f"(known: {', '.join(sorted(registry))})"
-            )
-        selected = set(positive) if positive else set(base)
-        selected -= set(negative)
-    else:
-        selected = set(base)
-    for rule_id in sorted(selected):
-        superseded = registry[rule_id].supersedes
-        if superseded and superseded in selected:
-            selected.discard(superseded)
-    return sorted(selected)
+    if not rules:
+        return sorted(registry)
+    positive = [r for r in rules if not r.startswith("-")]
+    negative = [r[1:] for r in rules if r.startswith("-")]
+    unknown = sorted((set(positive) | set(negative)) - set(registry))
+    if unknown:
+        raise LintError(
+            f"unknown rule id(s): {', '.join(unknown)} "
+            f"(known: {', '.join(sorted(registry))})"
+        )
+    selected = set(positive) if positive else set(registry)
+    return sorted(selected - set(negative))
 
 
 def run_lint(
     paths: Sequence[str],
     rules: Sequence[str] | None = None,
-    deep: bool = False,
 ) -> LintReport:
     """Lint every ``.py`` file under ``paths``.
 
-    ``rules`` selects a subset by id (default: every shallow rule, plus
-    the deep analyses when ``deep`` is on; ``-id`` deselects). An
-    unknown id raises :class:`~repro.errors.LintError`. Suppression
+    ``rules`` selects a subset by id (default: every rule; ``-id``
+    deselects). An unknown id raises :class:`~repro.errors.LintError`. Suppression
     comments are validated against the *full* registry even when only a
     subset runs, so a typoed slug never silently suppresses nothing.
     """
     registry = all_rules()
-    selected = select_rules(registry, rules, deep)
+    selected = select_rules(registry, rules)
     index = ProjectIndex.build(list(paths))
     _validate_suppressions(index, registry)
     by_path = {file.path: file for file in index.files}
@@ -110,30 +91,21 @@ def run_lint(
         rule = registry[rule_id]()
         for violation in rule.check(index):
             file = by_path[violation.path]
-            silenced = file.is_suppressed(violation.line, violation.rule)
-            if not silenced and rule.supersedes:
-                # A suppression written against the superseded shallow
-                # rule keeps silencing the deep rule that replaced it.
-                silenced = file.is_suppressed(violation.line, rule.supersedes)
-            if silenced:
+            if file.is_suppressed(violation.line, violation.rule):
                 suppressed.append(violation)
             else:
                 active.append(violation)
     fingerprint: str | None = None
     version: int | None = None
-    if deep:
-        from repro.lintpass.rules_deep_digest import schema_snapshot
-
-        snapshot = schema_snapshot(index)
-        if snapshot is not None:
-            fingerprint, version = snapshot
+    snapshot = schema_snapshot(index)
+    if snapshot is not None:
+        fingerprint, version = snapshot
     return LintReport(
         roots=tuple(paths),
         files_checked=len(index.files),
         violations=tuple(sorted(active)),
         suppressed=tuple(sorted(suppressed)),
         rules_run=tuple(selected),
-        deep=deep,
         schema_fingerprint=fingerprint,
         schema_version=version,
     )

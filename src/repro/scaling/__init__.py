@@ -27,7 +27,6 @@ space, parameter schemas, and construction live.
 from repro.control.bus import ControlBus
 from repro.control.events import DecisionEvent, TelemetryEvent
 from repro.control.trace import DecisionTrace
-from repro.scaling.actions import ActionLog, ScalingAction
 from repro.scaling.actuator import Actuator
 from repro.scaling.conscale import ConScaleController
 from repro.scaling.controller import BaseController
@@ -56,8 +55,6 @@ from repro.scaling.registry import (
 )
 
 __all__ = [
-    "ActionLog",
-    "ScalingAction",
     "ControlBus",
     "DecisionEvent",
     "DecisionTrace",

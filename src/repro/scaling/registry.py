@@ -295,7 +295,8 @@ def register_controller(spec: ControllerSpec) -> ControllerSpec:
     Duplicate names are an error (re-registering a tweaked spec under
     an existing name would silently change what cached digests mean),
     as are decision kinds missing from the events vocabulary — the
-    registry is the runtime complement of the ``event-kinds`` lint rule.
+    registry is the runtime complement of the ``deep-bus-vocabulary``
+    lint rule.
     """
     if spec.name in _REGISTRY:
         raise ConfigurationError(
@@ -323,7 +324,8 @@ def register_controller(spec: ControllerSpec) -> ControllerSpec:
         raise ConfigurationError(
             f"controller {spec.name!r} declares decision kind(s) "
             f"{unknown} not in repro.control.events; declare them there "
-            "so of_kind() queries and the event-kinds lint rule see them"
+            "so of_kind() queries and the deep-bus-vocabulary lint rule "
+            "see them"
         )
     _REGISTRY[spec.name] = spec
     return spec

@@ -1,5 +1,5 @@
 """Unit tests for the decision trace: queries, columnar round-trips,
-signatures, and the ActionLog alias."""
+and signatures."""
 
 import pickle
 
@@ -8,7 +8,6 @@ import numpy as np
 from repro.control.bus import ControlBus
 from repro.control.events import NOOP, THRESHOLD_TRIP, DecisionEvent
 from repro.control.trace import DecisionTrace
-from repro.scaling.actions import ActionLog
 
 
 def sample_events():
@@ -98,13 +97,6 @@ def test_signature_key_ignores_reason_but_not_decisions():
 
     assert sig(base) == sig(reworded)
     assert sig(base) != sig(changed)
-
-
-def test_actionlog_is_a_decision_trace():
-    log = ActionLog()
-    log.record(1.0, "scale_out_started", "app", detail="vm-2")
-    assert isinstance(log, DecisionTrace)
-    assert len(log) == 1
 
 
 def test_render_shows_value_and_reason():

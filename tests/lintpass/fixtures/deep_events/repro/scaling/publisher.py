@@ -1,4 +1,4 @@
-"""Fixture publisher: emits through a helper the shallow rule cannot see."""
+"""Fixture publisher: emits through helpers and one literal kind."""
 
 from repro.control.events import DEFAULTED_KIND, THRESHOLD_TRIP, DecisionEvent
 
@@ -19,3 +19,5 @@ class BusClient:
         self._publish("mystery_kind")
         # No argument: the *default* kind must count as emitted.
         self.nudge()
+        # Literal and undeclared, straight into the constructor.
+        self.outbox.append(DecisionEvent(0.0, "scale_sideways"))

@@ -12,8 +12,8 @@ class Plan:
         self._normalise()
 
     def _normalise(self) -> None:
-        # Only ever called from __post_init__: the deep rule must stay
-        # quiet here even though the shallow one would fire.
+        # Only ever called from __post_init__: the rule must stay quiet
+        # here although the call sits outside __post_init__ itself.
         object.__setattr__(self, "label", self.label.strip())
 
 

@@ -24,7 +24,7 @@ def report(violations, fingerprint=None, version=None):
     return LintReport(
         roots=("src/repro",), files_checked=1,
         violations=tuple(violations), suppressed=(),
-        rules_run=("wall-clock",), deep=True,
+        rules_run=("wall-clock",),
         schema_fingerprint=fingerprint, schema_version=version,
     )
 

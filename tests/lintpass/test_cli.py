@@ -3,7 +3,10 @@
 import json
 import os
 
+import pytest
+
 from repro.cli import main
+from repro.lintpass import all_rules
 from repro.lintpass.report import JSON_SCHEMA_VERSION
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -41,30 +44,35 @@ def test_json_schema(capsys):
     assert payload["root"] == [target]
     assert payload["files_checked"] >= 1
     assert payload["counts"] == {"wall-clock": 1}
-    assert payload["deep"] is False
+    assert "deep" not in payload
     assert "wall-clock" in payload["rules"]
+    assert "deep-frozen-flow" in payload["rules"]
     assert payload["suppressed"] == 0
-    assert "schema" not in payload  # shallow runs record no fingerprint
+    assert "schema" not in payload  # no RunSpec in the tree, no fingerprint
     (violation,) = payload["violations"]
     assert set(violation) == {"rule", "path", "line", "col", "message"}
     assert violation["rule"] == "wall-clock"
     assert violation["path"].endswith("timing.py")
 
 
-def test_deep_flag_runs_the_deep_rules(capsys):
+def test_plain_lint_runs_the_deep_rules(capsys):
     target = os.path.join(FIXTURES, "deep_priority")
-    assert main(["lint", target]) == 0  # shallow pass sees nothing
-    capsys.readouterr()
-    rc = main(["lint", "--deep", "--json", target])
+    rc = main(["lint", "--json", target])
     payload = json.loads(capsys.readouterr().out)
     assert rc == 1
-    assert payload["deep"] is True
     assert "deep-priority-layers" in payload["rules"]
     assert payload["counts"] == {"deep-priority-layers": 3}
 
 
+def test_deep_flag_is_rejected(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["lint", "--deep"])
+    assert excinfo.value.code == 2
+    assert "--deep" in capsys.readouterr().err
+
+
 def test_deep_json_over_package_carries_schema_fingerprint(capsys):
-    rc = main(["lint", "--deep", "--json"])
+    rc = main(["lint", "--json"])
     payload = json.loads(capsys.readouterr().out)
     assert rc == 0, payload["violations"]
     assert payload["violations"] == []
@@ -77,12 +85,11 @@ def test_bare_rules_flag_lists_the_registry(capsys):
     rc = main(["lint", "--rules"])
     out = capsys.readouterr().out
     assert rc == 0
-    header, *rows = [line for line in out.splitlines() if line.strip()]
-    assert {"rule", "deep", "supersedes", "summary"} <= set(header.split())
-    assert any("deep-bus-vocabulary" in row and "yes" in row for row in rows)
-    assert any(
-        "deep-frozen-flow" in row and "frozen-mutate" in row for row in rows
-    )
+    header, _, *rows = [line for line in out.splitlines() if line.strip()]
+    assert header.split() == ["rule", "summary"]
+    listed = {row.split()[0] for row in rows if not row.startswith("select")}
+    assert listed == set(all_rules())
+    assert len(listed) == 7
     assert "deselect" in out
 
 
@@ -92,6 +99,7 @@ def test_rules_flag_selects_a_deep_rule_without_deep(capsys):
     out = capsys.readouterr().out
     assert rc == 1
     assert "[deep-frozen-flow]" in out
+    assert "2 violations" in out
 
 
 def test_rules_flag_deselects(capsys):
@@ -104,24 +112,24 @@ def test_baseline_round_trip_gates_on_growth(tmp_path, capsys):
     target = os.path.join(FIXTURES, "deep_priority")
     baseline = str(tmp_path / "baseline.json")
     # Record the three pre-existing findings as the accepted backlog...
-    rc = main(["lint", "--deep", "--update-baseline", baseline, target])
+    rc = main(["lint", "--update-baseline", baseline, target])
     captured = capsys.readouterr()
     assert rc == 0
     assert "baseline written" in captured.err
     payload = json.loads(open(baseline).read())
     assert sum(payload["findings"].values()) == 3
     # ...after which the same tree passes the gate.
-    rc = main(["lint", "--deep", "--baseline", baseline, target])
+    rc = main(["lint", "--baseline", baseline, target])
     out = capsys.readouterr().out
     assert rc == 0
     assert "baseline: 0 new, 3 known, 0 retired" in out
     # A different fixture's findings are growth: the gate fails.
     other = os.path.join(FIXTURES, "deep_frozen")
-    rc = main(["lint", "--deep", "--baseline", baseline, other])
+    rc = main(["lint", "--baseline", baseline, other])
     out = capsys.readouterr().out
     assert rc == 1
     assert "baseline: 2 new" in out
-    rc = main(["lint", "--deep", "--json", "--baseline", baseline, other])
+    rc = main(["lint", "--json", "--baseline", baseline, other])
     payload = json.loads(capsys.readouterr().out)
     assert rc == 1
     assert payload["baseline"]["new"] == 2

@@ -14,29 +14,23 @@ from repro.lintpass import all_rules, run_lint, select_rules
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
-SHALLOW_RULES = {
-    "rng-direct", "wall-clock", "unordered-iter", "digest-coverage",
-    "event-kinds", "frozen-mutate",
-}
-DEEP_RULES = {
+ALL_RULES = {
+    "rng-direct", "wall-clock", "unordered-iter",
     "deep-digest-provenance", "deep-bus-vocabulary",
     "deep-priority-layers", "deep-frozen-flow",
 }
 
 
-def lint(case: str, rules=None, deep: bool = False):
-    return run_lint([os.path.join(FIXTURES, case)], rules=rules, deep=deep)
+def lint(case: str, rules=None):
+    return run_lint([os.path.join(FIXTURES, case)], rules=rules)
 
 
 def rules_fired(report) -> set[str]:
     return {v.rule for v in report.violations}
 
 
-def test_registry_has_all_ten_rules():
-    assert set(all_rules()) == SHALLOW_RULES | DEEP_RULES
-    registry = all_rules()
-    assert all(registry[rule_id].deep for rule_id in DEEP_RULES)
-    assert not any(registry[rule_id].deep for rule_id in SHALLOW_RULES)
+def test_registry_has_all_seven_rules():
+    assert set(all_rules()) == ALL_RULES
 
 
 def test_rng_direct_fixture():
@@ -72,7 +66,7 @@ def test_unordered_iter_fixture():
 
 def test_digest_coverage_fixture_catches_missing_and_inherited_fields():
     report = lint("digest_coverage")
-    assert rules_fired(report) == {"digest-coverage"}
+    assert rules_fired(report) == {"deep-digest-provenance"}
     by_class = {
         "MiniSpec": [v for v in report.violations if "'MiniSpec'" in v.message],
         "WideSpec": [v for v in report.violations if "'WideSpec'" in v.message],
@@ -81,28 +75,16 @@ def test_digest_coverage_fixture_catches_missing_and_inherited_fields():
     assert len(by_class["MiniSpec"]) == 1
     assert "scale" in by_class["MiniSpec"][0].message
     # ...and the subclass that added `duration` while inheriting the
-    # stale digest is caught too (the regression this rule exists for).
+    # stale digest is caught too (the regression digest provenance
+    # exists for).
     assert len(by_class["WideSpec"]) == 1
     assert "duration" in by_class["WideSpec"][0].message
     assert "inherited" in by_class["WideSpec"][0].message
 
 
-def test_event_kinds_fixture():
-    report = lint("event_kinds")
-    assert rules_fired(report) == {"event-kinds"}
-    assert len(report.violations) == 1
-    assert "'scale_sideways'" in report.violations[0].message
-
-
-def test_event_kinds_without_events_module_flags_every_kind():
-    report = lint("event_kinds_missing")
-    assert rules_fired(report) == {"event-kinds"}
-    assert len(report.violations) == 2  # both literals, declared one included
-
-
 def test_frozen_mutate_fixture_allows_post_init():
     report = lint("frozen_mutate")
-    assert rules_fired(report) == {"frozen-mutate"}
+    assert rules_fired(report) == {"deep-frozen-flow"}
     assert len(report.violations) == 1  # bump() only, not __post_init__
     assert report.violations[0].line > 10
 
@@ -146,16 +128,10 @@ def test_suppression_does_not_blanket_enclosing_block(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# deep (whole-program) rules
+# whole-program rules
 # ----------------------------------------------------------------------
-def test_deep_rules_do_not_run_without_the_flag():
-    report = lint("deep_priority")
-    assert report.clean
-    assert set(report.rules_run) == SHALLOW_RULES
-
-
 def test_deep_digest_provenance_fixture():
-    report = lint("deep_digest", deep=True)
+    report = lint("deep_digest")
     assert rules_fired(report) == {"deep-digest-provenance"}
     messages = sorted(v.message for v in report.violations)
     assert len(messages) == 2
@@ -169,12 +145,15 @@ def test_deep_digest_provenance_fixture():
 
 
 def test_deep_bus_vocabulary_fixture():
-    report = lint("deep_events", deep=True)
+    report = lint("deep_events")
     assert rules_fired(report) == {"deep-bus-vocabulary"}
     messages = [v.message for v in report.violations]
-    assert len(messages) == 5
-    # Helper-forwarded kind the shallow literal scan cannot see.
-    assert any("'mystery_kind'" in m and "helper chain" in m
+    assert len(messages) == 6
+    # Undeclared kinds, whether forwarded through a helper or passed
+    # literally to the DecisionEvent constructor.
+    assert any("'mystery_kind'" in m and "not declared" in m
+               for m in messages)
+    assert any("'scale_sideways'" in m and "not declared" in m
                for m in messages)
     # Declared but never emitted nor consumed.
     assert any("'dead_kind'" in m and "never emitted" in m
@@ -202,12 +181,12 @@ def test_deep_bus_dynamic_binding_disables_absence_proofs():
     case = os.path.join(FIXTURES, "deep_events_dynamic")
     index = ProjectIndex.build([case])
     assert bus_graph(index).complete is False
-    report = lint("deep_events_dynamic", deep=True)
+    report = lint("deep_events_dynamic")
     assert report.clean, [v.render() for v in report.violations]
 
 
 def test_deep_priority_layers_fixture():
-    report = lint("deep_priority", deep=True)
+    report = lint("deep_priority")
     assert rules_fired(report) == {"deep-priority-layers"}
     messages = [v.message for v in report.violations]
     assert len(messages) == 3
@@ -221,39 +200,28 @@ def test_deep_priority_layers_fixture():
 
 
 def test_deep_frozen_flow_fixture():
-    report = lint("deep_frozen", deep=True)
+    report = lint("deep_frozen")
     assert rules_fired(report) == {"deep-frozen-flow"}
     messages = [v.message for v in report.violations]
     assert len(messages) == 2
     assert any("aliases object.__setattr__" in m for m in messages)
     assert any("frozen dataclass 'Plan'" in m for m in messages)
-    # The __post_init__-rooted helper is the shallow rule's false
-    # positive; the deep rule resolves the callers and stays quiet.
+    # A helper called only from __post_init__ is the legitimate
+    # normalisation pattern; the rule resolves the callers and stays
+    # quiet.
     assert not any(v.line == 17 for v in report.violations)
 
 
-def test_deep_supersedes_drops_the_shallow_rule():
-    report = lint("deep_frozen", deep=True)
-    assert "frozen-mutate" not in report.rules_run
-    assert "digest-coverage" not in report.rules_run
-    assert "deep-frozen-flow" in report.rules_run
-    # Non-superseded shallow rules still run alongside the deep set.
-    assert "wall-clock" in report.rules_run
-
-
-def test_select_rules_deselection_and_supersedes():
+def test_select_rules_deselection():
     registry = all_rules()
-    assert set(select_rules(registry, None, deep=False)) == SHALLOW_RULES
-    deep = set(select_rules(registry, None, deep=True))
-    assert "digest-coverage" not in deep and "frozen-mutate" not in deep
-    assert DEEP_RULES <= deep
-    minus = select_rules(registry, ["-wall-clock"], deep=False)
+    assert set(select_rules(registry, None)) == ALL_RULES
+    minus = select_rules(registry, ["-wall-clock"])
     assert "wall-clock" not in minus and "rng-direct" in minus
-    # Naming a deep rule explicitly selects it even without --deep.
-    only = select_rules(registry, ["deep-priority-layers"], deep=False)
+    assert set(minus) == ALL_RULES - {"wall-clock"}
+    only = select_rules(registry, ["deep-priority-layers"])
     assert only == ["deep-priority-layers"]
     with pytest.raises(LintError, match="unknown rule id"):
-        select_rules(registry, ["-bogus"], deep=False)
+        select_rules(registry, ["-bogus"])
 
 
 def test_rule_subset_selection():
@@ -284,28 +252,32 @@ def test_missing_path_raises():
 
 
 def test_source_tree_is_clean():
-    """The repo's own package must pass its own gate."""
+    """The repo's own package must pass its own gate, every rule on."""
     import repro
 
     package_dir = os.path.dirname(os.path.abspath(repro.__file__))
     report = run_lint([package_dir])
+    assert set(report.rules_run) == ALL_RULES
     assert report.violations == (), "\n".join(
         v.render() for v in report.violations
     )
     # The one known justified suppression: the RunSpec digest memo.
-    assert any(v.rule == "frozen-mutate" for v in report.suppressed)
+    assert [(v.rule, os.path.basename(v.path)) for v in report.suppressed] \
+        == [("deep-frozen-flow", "artifact.py")]
 
 
 def test_source_tree_is_deep_clean():
-    """The whole-program analyses must pass over the shipped tree too,
-    and the digest-memo suppression written against frozen-mutate must
-    keep silencing the deep rule that supersedes it."""
+    """The whole-program analyses pass over the shipped tree on a plain
+    lint, and the digest-memo suppression silences deep-frozen-flow."""
     import repro
 
     package_dir = os.path.dirname(os.path.abspath(repro.__file__))
-    report = run_lint([package_dir], deep=True)
-    assert report.violations == (), "\n".join(
-        v.render() for v in report.violations
+    report = run_lint([package_dir])
+    deep = {rule for rule in ALL_RULES if rule.startswith("deep-")}
+    assert deep <= set(report.rules_run)
+    deep_violations = [v for v in report.violations if v.rule in deep]
+    assert deep_violations == [], "\n".join(
+        v.render() for v in deep_violations
     )
     assert any(v.rule == "deep-frozen-flow" for v in report.suppressed)
     assert report.schema_fingerprint is not None

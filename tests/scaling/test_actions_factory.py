@@ -1,9 +1,9 @@
-"""Tests for the action log and the server factory."""
+"""Tests for the decision trace's record surface and the server factory."""
 
 import pytest
 
+from repro.control.trace import DecisionTrace
 from repro.errors import ConfigurationError
-from repro.scaling.actions import ActionLog
 from repro.scaling.factory import ServerFactory
 from repro.sim.engine import Simulator
 
@@ -11,11 +11,11 @@ from tests.conftest import simple_capacity
 
 
 # ----------------------------------------------------------------------
-# ActionLog
+# DecisionTrace.record
 # ----------------------------------------------------------------------
 
 def test_record_and_query():
-    log = ActionLog()
+    log = DecisionTrace()
     log.record(1.0, "scale_out_started", "db", detail="db-vm1")
     log.record(16.0, "scale_out_ready", "db", detail="db-2")
     log.record(20.0, "soft_db_connections", "app", value=12)
@@ -26,15 +26,15 @@ def test_record_and_query():
 
 
 def test_render_contains_values():
-    log = ActionLog()
+    log = DecisionTrace()
     log.record(2.5, "soft_app_threads", "app", value=30)
-    text = ActionLog.render(log.all())
+    text = DecisionTrace.render(log.all())
     assert "soft_app_threads" in text
     assert "30" in text
 
 
 def test_iteration_order_is_insertion():
-    log = ActionLog()
+    log = DecisionTrace()
     for t in (3.0, 1.0, 2.0):  # log is append-only, keeps call order
         log.record(t, "x", "db")
     assert [a.time for a in log] == [3.0, 1.0, 2.0]

@@ -3,11 +3,11 @@
 import pytest
 
 from repro.cloud.hypervisor import Hypervisor
+from repro.control.trace import DecisionTrace
 from repro.errors import ScalingError
 from repro.monitoring.warehouse import MetricWarehouse
 from repro.ntier.app import APP, DB, WEB, NTierApplication, SoftResourceAllocation
 from repro.ntier.request import Request
-from repro.scaling.actions import ActionLog
 from repro.scaling.actuator import Actuator
 from repro.scaling.factory import ServerFactory
 from repro.sim.engine import Simulator
@@ -24,7 +24,7 @@ def make_stack(prep=15.0, soft=None):
         factory.set_template(tier, simple_capacity(1000), soft.for_tier(tier))
     hv = Hypervisor(sim, prep_period=prep)
     wh = MetricWarehouse(sim)
-    actuator = Actuator(sim, app, hv, factory, wh, ActionLog())
+    actuator = Actuator(sim, app, hv, factory, wh, DecisionTrace())
     return sim, app, actuator
 
 
