@@ -34,7 +34,7 @@ from repro.errors import ReproError
 from repro.experiments.artifact import RunArtifact, RunOverrides, RunSpec
 from repro.experiments.diff import ArtifactDiff, diff_artifacts
 from repro.experiments.engine import ExperimentEngine
-from repro.experiments.runner import ExperimentResult, execute_spec, run_experiment
+from repro.experiments.runner import execute_spec, run_experiment
 from repro.experiments.scenarios import ScenarioConfig
 from repro.ntier.app import NTierApplication, SoftResourceAllocation
 from repro.rng import RngRegistry
@@ -65,7 +65,6 @@ __all__ = [
     "DecisionTrace",
     "ArtifactDiff",
     "diff_artifacts",
-    "ExperimentResult",
     "ExperimentEngine",
     "RunSpec",
     "RunOverrides",

@@ -27,9 +27,10 @@ Commands:
 * ``lint`` — the repro-lint determinism/invariant static-analysis pass
   (exit 0 clean, 1 with violations; ``--json`` for machine output).
 
-``run --mode {discrete,fluid,hybrid}`` selects the flow model: classic
-per-request discrete events, the aggregate fluid integrator, or
-governor-switched hybrid (see :mod:`repro.sim.flowmodel`). ``--arrivals
+``run --mode {discrete,fluid,hybrid}`` selects the simulation mode:
+classic per-request discrete events, the aggregate fluid integrator
+(:mod:`repro.sim.fluid`), or hybrid, where the governor
+(:mod:`repro.sim.governor`) switches between the two. ``--arrivals
 closed`` swaps the open trace-driven stream for a closed population of
 synchronous users; ``--demand-dist lognormal`` draws heavy-tailed
 service demands at the calibrated mean/CV.
@@ -91,7 +92,7 @@ from repro.experiments.resilience import (
     storyline_rows,
     storyline_suite,
 )
-from repro.experiments.scenarios import ARRIVAL_MODELS, ScenarioConfig
+from repro.experiments.scenarios import ARRIVAL_MODELS, SIM_MODES, ScenarioConfig
 from repro.ntier.demand import DEMAND_DISTRIBUTIONS
 from repro.scaling.registry import (
     controller_specs,
@@ -102,7 +103,6 @@ from repro.experiments.sweep import concurrency_sweep
 from repro.experiments.twincheck import CHECKS, run_twin_check
 from repro.faults.plan import FaultPlan, parse_faults
 from repro.faults.storyline import parse_storyline, storyline_names
-from repro.sim.flowmodel import SIM_MODES
 from repro.workload.mixes import browse_only_mix, read_write_mix
 from repro.workload.shapes import TRACE_NAMES, make_trace
 

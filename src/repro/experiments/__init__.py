@@ -24,11 +24,7 @@ from repro.experiments.backends import (
 )
 from repro.experiments.diff import ArtifactDiff, diff_artifacts
 from repro.experiments.engine import ExperimentEngine, ResultCache
-from repro.experiments.runner import (
-    ExperimentResult,
-    execute_spec,
-    run_experiment,
-)
+from repro.experiments.runner import execute_spec, run_experiment
 from repro.experiments.scenarios import ScenarioConfig
 
 __all__ = [
@@ -52,7 +48,6 @@ __all__ = [
     "RunOverrides",
     "RunArtifact",
     "FineSeries",
-    "ExperimentResult",
     "run_experiment",
     "execute_spec",
     "ScenarioConfig",

@@ -9,10 +9,9 @@ Two halves of the experiment engine's data model live here:
   sessions, which keys the on-disk result cache.
 * :class:`RunArtifact` — the outcome of one run with every series
   extracted into plain numpy arrays (request log arrays, fine-grained
-  interval samples, VM/CPU timelines, SCT estimate histories). Unlike
-  the old ``ExperimentResult`` it holds **no live simulator handles**,
-  so it pickles, caches, and feeds figure code without re-touching
-  simulator objects.
+  interval samples, VM/CPU timelines, SCT estimate histories). It
+  holds **no live simulator handles**, so it pickles, caches, and
+  feeds figure code without re-touching simulator objects.
 
 The digest is versioned (:data:`SCHEMA_VERSION`): bump it whenever the
 artifact layout or the simulation semantics behind a spec change, and
@@ -353,11 +352,6 @@ class RunArtifact:
         """Servers with retained fine-grained series (end-of-run set)."""
         return sorted(self.fine_series)
 
-    @property
-    def trace(self) -> DecisionTrace:
-        """The run's decision trace (alias for :attr:`actions`)."""
-        return self.actions
-
     def signature(self) -> str:
         """Content digest of the artifact's recorded series.
 
@@ -401,7 +395,7 @@ class RunArtifact:
         )
 
     # ------------------------------------------------------------------
-    # derived metrics (the old ExperimentResult interface)
+    # derived metrics
     # ------------------------------------------------------------------
     def vm_seconds(self) -> float:
         """Total billable VM-seconds over the run (the cost metric)."""
@@ -410,21 +404,21 @@ class RunArtifact:
         dt = np.diff(self.vm_times)
         return float(np.sum(self.vm_counts[:-1] * dt))
 
-    def tail(self, after: float | None = None) -> TailSummary:
-        """Tail-latency summary, optionally skipping a warm-up period."""
-        cutoff = self.config.warmup if after is None else after
+    def _latencies_after(self, cutoff: float) -> np.ndarray:
         lat = self.latencies[self.completion_times >= cutoff]
         if lat.size == 0:
             raise ExperimentError("no completed requests after the warm-up cutoff")
-        return tail_summary(lat)
+        return lat
+
+    def tail(self, after: float | None = None) -> TailSummary:
+        """Tail-latency summary, optionally skipping a warm-up period."""
+        cutoff = self.config.warmup if after is None else after
+        return tail_summary(self._latencies_after(cutoff))
 
     def percentile(self, q: float) -> float:
-        """Latency percentile over the post-warm-up window (seconds)."""
-        return getattr(self.tail(), f"p{int(q)}") if q in (50, 95, 99) else float(
-            np.percentile(
-                self.latencies[self.completion_times >= self.config.warmup], q
-            )
-        )
+        """Latency percentile ``q`` (0-100) over the post-warm-up window
+        (seconds)."""
+        return float(np.percentile(self._latencies_after(self.config.warmup), q))
 
     def by_interaction(self, after: float = 0.0) -> dict[str, np.ndarray]:
         """Base-scale latencies grouped by RUBBoS interaction type."""

@@ -22,10 +22,9 @@ from repro.experiments.calibration import (
     db_capacity_cpu,
     db_capacity_io,
 )
-from repro.experiments.artifact import RunSpec
+from repro.experiments.artifact import RunArtifact, RunSpec
 from repro.experiments.engine import ExperimentEngine, inline_engine
 from repro.experiments.report import ascii_chart, format_table, write_csv
-from repro.experiments.runner import ExperimentResult
 from repro.experiments.scenarios import ScenarioConfig
 from repro.experiments.sweep import SweepResult, concurrency_sweep
 from repro.monitoring.percentiles import TailSummary
@@ -63,7 +62,7 @@ __all__ = [
 # shared helpers
 # ----------------------------------------------------------------------
 
-def _timeline_arrays(result: ExperimentResult, bin_width: float = 5.0):
+def _timeline_arrays(result: RunArtifact, bin_width: float = 5.0):
     bins = result.timeline(bin_width)
     t = np.array([b.t_start for b in bins])
     rt = np.array([b.mean_rt for b in bins])
@@ -89,7 +88,7 @@ class FrameworkTimeline:
     vm_seconds: float = 0.0
 
     @classmethod
-    def from_result(cls, result: ExperimentResult, bin_width: float = 5.0):
+    def from_result(cls, result: RunArtifact, bin_width: float = 5.0):
         t, rt, p95, tp = _timeline_arrays(result, bin_width)
         return cls(
             framework=result.framework,
@@ -442,7 +441,7 @@ class Fig6Data:
         ]
 
 
-def _pick_db_server(result: ExperimentResult) -> str:
+def _pick_db_server(result: RunArtifact) -> str:
     candidates = [n for n in result.monitored_servers if n.startswith("db")]
     if not candidates:
         raise ExperimentError("no monitored DB server in the run")

@@ -26,7 +26,6 @@ from repro.experiments.artifact import (
     SCHEMA_VERSION,
     RunArtifact,
 )
-from repro.experiments.runner import ExperimentResult
 
 __all__ = [
     "result_summary",
@@ -43,7 +42,7 @@ def _clean(value: float) -> float | None:
     return None if isinstance(value, float) and math.isnan(value) else value
 
 
-def result_summary(result: ExperimentResult, bin_width: float | None = None) -> dict:
+def result_summary(result: RunArtifact, bin_width: float | None = None) -> dict:
     """Build the JSON-serialisable summary of one run."""
     tail = result.tail()
     config = result.config
@@ -120,7 +119,7 @@ def result_summary(result: ExperimentResult, bin_width: float | None = None) -> 
 
 
 def save_result(
-    result: ExperimentResult, path: str, bin_width: float | None = None
+    result: RunArtifact, path: str, bin_width: float | None = None
 ) -> str:
     """Write the summary JSON; returns the path."""
     parent = os.path.dirname(path)

@@ -43,12 +43,6 @@ from repro.scaling.factory import ServerFactory
 from repro.scaling.policy import TierPolicyConfig
 from repro.scaling.registry import ControllerContext, get_controller
 from repro.sim.engine import PRIORITY_SAMPLER, Simulator
-from repro.sim.flowmodel import (
-    DiscreteFlowModel,
-    FlowModel,
-    FluidFlowModel,
-    HybridFlowModel,
-)
 from repro.sim.fluid import FluidStepper
 from repro.sim.governor import ModeGovernor
 from repro.workload.generator import (
@@ -61,17 +55,9 @@ from repro.workload.shapes import make_trace
 from repro.workload.trace import Trace
 
 __all__ = [
-    "ExperimentResult",
     "run_experiment",
     "execute_spec",
 ]
-
-# The serializable artifact replaced the old live-handle result; the
-# alias keeps existing imports working.
-ExperimentResult = RunArtifact
-
-# Re-exported for callers that sized windows off the runner constant.
-_DRAIN_GRACE = DRAIN_GRACE
 
 
 def _build_mix(config: ScenarioConfig) -> WorkloadMix:
@@ -80,60 +66,6 @@ def _build_mix(config: ScenarioConfig) -> WorkloadMix:
     if config.workload_mode == "browse":
         return browse_only_mix(base, distribution=dist)
     return read_write_mix(base, distribution=dist)
-
-
-def _build_flow_model(
-    config: ScenarioConfig,
-    *,
-    sim: Simulator,
-    app: NTierApplication,
-    generator: "OpenLoopGenerator | ClosedLoopGenerator",
-    mix: WorkloadMix,
-    trace: Trace,
-    req_factory: RequestFactory,
-    rng: RngRegistry,
-    bus: ControlBus,
-    faults,
-) -> FlowModel:
-    """Wrap the request path in the configured flow model.
-
-    ``discrete`` is a pure pass-through around the generator (event-for-
-    event identical to the pre-flow-model runner). ``fluid`` and
-    ``hybrid`` build a :class:`FluidStepper` over the same calibration;
-    hybrid additionally wires the :class:`ModeGovernor` with the trace
-    and the declarative fault plan so switches anticipate bursts and
-    fault windows.
-    """
-    if config.mode == "discrete":
-        return DiscreteFlowModel(generator)
-    cal = config.calibration
-    closed = config.arrivals == "closed"
-    stepper = FluidStepper(
-        sim,
-        app,
-        mix,
-        rng.stream("fluid"),
-        think_time=cal.think_time,
-        arrivals=config.arrivals,
-        trace=None if closed else trace,
-        population=max(1, int(round(config.scaled_users))) if closed else None,
-        dataset_scale=cal.dataset_scale,
-        demand_scale=config.demand_scale,
-    )
-    if config.mode == "fluid":
-        return FluidFlowModel(stepper, req_factory)
-    assert isinstance(generator, OpenLoopGenerator)  # enforced by config
-    governor = ModeGovernor(
-        sim,
-        app,
-        generator,
-        stepper,
-        req_factory,
-        bus,
-        trace=trace,
-        faults=faults,
-    )
-    return HybridFlowModel(governor)
 
 
 def run_experiment(
@@ -244,18 +176,40 @@ def execute_spec(spec: RunSpec, *, sim: Simulator | None = None) -> RunArtifact:
         generator = OpenLoopGenerator(
             sim, app, trace, req_factory, rng.stream("arrivals"), cal.think_time
         )
-    flow = _build_flow_model(
-        config,
-        sim=sim,
-        app=app,
-        generator=generator,
-        mix=mix,
-        trace=trace,
-        req_factory=req_factory,
-        rng=rng,
-        bus=bus,
-        faults=spec.faults,
-    )
+
+    # --- simulation mode --------------------------------------------------
+    # Fluid and hybrid runs add a FluidStepper over the same calibration.
+    # Hybrid adds a ModeGovernor that switches between the generator and
+    # the stepper; it is told the trace and the fault plan so it stays
+    # discrete through bursts and fault windows.
+    stepper: FluidStepper | None = None
+    governor: ModeGovernor | None = None
+    if config.mode != "discrete":
+        closed = config.arrivals == "closed"
+        stepper = FluidStepper(
+            sim,
+            app,
+            mix,
+            rng.stream("fluid"),
+            think_time=cal.think_time,
+            arrivals=config.arrivals,
+            trace=None if closed else trace,
+            population=max(1, int(round(config.scaled_users))) if closed else None,
+            dataset_scale=cal.dataset_scale,
+            demand_scale=config.demand_scale,
+        )
+        if config.mode == "hybrid":
+            assert isinstance(generator, OpenLoopGenerator)  # enforced by config
+            governor = ModeGovernor(
+                sim,
+                app,
+                generator,
+                stepper,
+                req_factory,
+                bus,
+                trace=trace,
+                faults=spec.faults,
+            )
 
     # --- controller -----------------------------------------------------
     tier_configs = spec.overrides.policy_dict() or {
@@ -286,7 +240,7 @@ def execute_spec(spec: RunSpec, *, sim: Simulator | None = None) -> RunArtifact:
     injector: FaultInjector | None = None
     if spec.faults is not None:
         injector = FaultInjector(
-            sim, app, actuator, hypervisor, warehouse, flow, bus
+            sim, app, actuator, hypervisor, warehouse, generator, bus
         )
         injector.schedule(spec.faults)
 
@@ -309,9 +263,20 @@ def execute_spec(spec: RunSpec, *, sim: Simulator | None = None) -> RunArtifact:
     vm_sampler = warehouse.register_sampler(_sample_vms, priority=PRIORITY_SAMPLER)
 
     # --- run --------------------------------------------------------------
-    flow.start()
+    # Pinned fluid never starts the generator, so it issues nothing and
+    # its counters stay zero; stop() on it only sets a flag.
+    if stepper is not None and governor is None:
+        stepper.start()
+    else:
+        generator.start()
+        if governor is not None:
+            governor.start()
     sim.run(until=config.duration)
-    flow.stop()
+    generator.stop()
+    if governor is not None:
+        governor.finish()
+    elif stepper is not None:
+        stepper.hand_back(req_factory)
     controller.stop()
     sim.run(until=config.duration + DRAIN_GRACE)
     vm_sampler.stop()
@@ -347,9 +312,9 @@ def execute_spec(spec: RunSpec, *, sim: Simulator | None = None) -> RunArtifact:
         resilience = build_resilience_summary(
             injector.episodes,
             failed=app.failed,
-            retried=flow.retried,
-            timeouts=flow.timeouts,
-            abandoned=flow.abandoned,
+            retried=generator.retried,
+            timeouts=generator.timeouts,
+            abandoned=generator.abandoned,
             latencies=latencies,
             completion_times=log.completion_times,
             horizon=config.duration + DRAIN_GRACE,
@@ -363,7 +328,7 @@ def execute_spec(spec: RunSpec, *, sim: Simulator | None = None) -> RunArtifact:
         completion_times=log.completion_times,
         arrival_times=log.arrival_times,
         interactions=np.array(log.interactions, dtype=str),
-        generated=flow.generated,
+        generated=generator.generated + (stepper.generated if stepper else 0),
         completed=len(log),
         actions=actions,
         vm_times=np.asarray(vm_times),
@@ -373,6 +338,6 @@ def execute_spec(spec: RunSpec, *, sim: Simulator | None = None) -> RunArtifact:
         estimates=estimates,
         fine_series=fine_series,
         failed=app.failed,
-        retried=flow.retried,
+        retried=generator.retried,
         resilience=resilience,
     )

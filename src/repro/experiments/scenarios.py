@@ -18,13 +18,19 @@ from repro.experiments.calibration import Calibration, default_calibration
 from repro.ntier.app import SoftResourceAllocation
 from repro.ntier.demand import DEMAND_DISTRIBUTIONS
 from repro.scaling.policy import TierPolicyConfig
-from repro.sim.flowmodel import SIM_MODES
+from repro.sim.fluid import FLUID_ARRIVALS
 
-__all__ = ["ScenarioConfig", "ARRIVAL_MODELS"]
+__all__ = ["ScenarioConfig", "ARRIVAL_MODELS", "SIM_MODES"]
 
 #: How requests enter the system: an open trace-driven arrival process,
 #: or a closed population of synchronous users (submit → wait → think).
-ARRIVAL_MODELS = ("open", "closed")
+#: The fluid integrator models both, so the two vocabularies are one.
+ARRIVAL_MODELS = FLUID_ARRIVALS
+
+#: Simulation modes: per-request discrete events, the aggregate fluid
+#: integrator, or governor-switched hybrid (wired in
+#: :func:`repro.experiments.runner.execute_spec`).
+SIM_MODES = ("discrete", "fluid", "hybrid")
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,8 +50,7 @@ class ScenarioConfig:
     calibration: Calibration = field(default_factory=default_calibration)
     workload_mode: str = "browse"  # "browse" | "readwrite"
     balancing: str = "leastconn"  # HAProxy policy: "leastconn" | "roundrobin"
-    # Simulation mode: per-request discrete events, the aggregate fluid
-    # integrator, or governor-switched hybrid (repro.sim.flowmodel).
+    # Simulation mode, one of SIM_MODES.
     mode: str = "discrete"
     # Arrival model: "open" (trace-driven Poisson) or "closed" (a fixed
     # population of synchronous users sized from the trace peak).

@@ -41,7 +41,7 @@ if TYPE_CHECKING:
     from repro.ntier.app import NTierApplication
     from repro.scaling.actuator import Actuator
     from repro.sim.engine import Simulator
-    from repro.workload.generator import OpenLoopGenerator
+    from repro.workload.generator import ClosedLoopGenerator, OpenLoopGenerator
 
 __all__ = ["FaultInjector", "apply_slowdown", "remove_slowdown"]
 
@@ -83,7 +83,7 @@ class FaultInjector:
         actuator: Actuator,
         hypervisor: Hypervisor,
         warehouse: MetricWarehouse,
-        generator: OpenLoopGenerator | None = None,
+        generator: OpenLoopGenerator | ClosedLoopGenerator | None = None,
         bus: ControlBus | None = None,
     ) -> None:
         self.sim = sim

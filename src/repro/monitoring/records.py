@@ -1,9 +1,12 @@
-"""End-to-end request logs and timeline binning.
+"""End-to-end request logs and timeline bins.
 
 The evaluation figures (Fig. 1, 10, 11) plot system response time and
 throughput over the experiment timeline, and Table I reports tail
-percentiles; :class:`RequestLog` captures completed requests compactly
-and provides both views.
+percentiles. :class:`RequestLog` captures completed requests compactly
+during a run; the runner copies its arrays into the
+:class:`~repro.experiments.artifact.RunArtifact`, whose ``timeline``
+(in :class:`TimelineBin` rows), ``percentile`` and ``by_interaction``
+give both views.
 """
 
 from __future__ import annotations
@@ -78,67 +81,3 @@ class RequestLog:
     def interactions(self) -> list[str]:
         """RUBBoS interaction name of each completed request."""
         return list(self._interactions)
-
-    # ------------------------------------------------------------------
-    def percentile(self, q: float, after: float = 0.0) -> float:
-        """Latency percentile ``q`` (0-100) over requests completing
-        after time ``after`` (to skip warm-up)."""
-        rts = self.response_times
-        if after > 0.0:
-            rts = rts[self.completion_times >= after]
-        if rts.size == 0:
-            raise MonitoringError("no completed requests in the requested window")
-        return float(np.percentile(rts, q))
-
-    def by_interaction(self, after: float = 0.0) -> dict[str, np.ndarray]:
-        """Latencies grouped by RUBBoS interaction type.
-
-        Lets the analysis pinpoint which servlets dominate the tail
-        (e.g. the Search* interactions under DB congestion). ``after``
-        skips a warm-up window.
-        """
-        comp = self.completion_times
-        rts = self.response_times
-        out: dict[str, list[float]] = {}
-        for i, name in enumerate(self._interactions):
-            if comp[i] >= after:
-                out.setdefault(name, []).append(float(rts[i]))
-        return {name: np.asarray(vals) for name, vals in out.items()}
-
-    def timeline(self, bin_width: float, duration: float | None = None) -> list[TimelineBin]:
-        """Bin completions into fixed-width timeline bins.
-
-        Bins with zero completions report zero throughput and NaN
-        latencies, so plots show gaps rather than interpolated values.
-        """
-        if bin_width <= 0:
-            raise MonitoringError(f"bin_width must be > 0, got {bin_width!r}")
-        comp = self.completion_times
-        rts = self.response_times
-        if duration is None:
-            duration = float(comp.max()) if comp.size else 0.0
-        n_bins = max(1, int(np.ceil(duration / bin_width)))
-        idx = np.minimum((comp / bin_width).astype(int), n_bins - 1)
-        bins: list[TimelineBin] = []
-        for b in range(n_bins):
-            mask = idx == b
-            n = int(mask.sum())
-            if n > 0:
-                r = rts[mask]
-                mean_rt = float(r.mean())
-                p95 = float(np.percentile(r, 95))
-                mx = float(r.max())
-            else:
-                mean_rt = p95 = mx = float("nan")
-            bins.append(
-                TimelineBin(
-                    t_start=b * bin_width,
-                    t_end=(b + 1) * bin_width,
-                    completions=n,
-                    throughput=n / bin_width,
-                    mean_rt=mean_rt,
-                    p95_rt=p95,
-                    max_rt=mx,
-                )
-            )
-        return bins

@@ -186,7 +186,7 @@ class NTierApplication:
         )
 
     def tier_flow_state(self, tier: str) -> TierFlowState:
-        """Snapshot one tier's aggregate occupancy for the flow model."""
+        """Snapshot one tier's aggregate occupancy for the fluid integrator."""
         t = self.tiers.get(tier)
         if t is None:
             raise ConfigurationError(f"unknown tier {tier!r}")

@@ -18,10 +18,12 @@ a single lazy-deletion heap; the test suite fuzzes it against a
 reference heap event loop. The twin checks in
 :mod:`repro.experiments.twincheck` gate whole runs: tie-order
 independence (``race``) and fluid/discrete equivalence (``fluid``).
-"""
 
-from importlib import import_module
-from typing import Any
+The package also holds the hybrid-mode pieces, imported by module path
+because they build on :mod:`repro.ntier`, which itself imports the
+engine: :mod:`repro.sim.fluid` (the aggregate integrator) and
+:mod:`repro.sim.governor` (the discrete/fluid switch).
+"""
 
 from repro.sim.calendar import WheelCalendar
 from repro.sim.engine import Simulator
@@ -33,34 +35,4 @@ __all__ = [
     "EventHandle",
     "PeriodicProcess",
     "WheelCalendar",
-    "FlowModel",
-    "DiscreteFlowModel",
-    "FluidFlowModel",
-    "HybridFlowModel",
-    "FluidStepper",
-    "ModeGovernor",
-    "GovernorConfig",
-    "SIM_MODES",
 ]
-
-# The flow-model layer sits above the n-tier model (the fluid stepper
-# integrates repro.ntier state), while the n-tier servers import the
-# engine from this package — so these symbols are re-exported lazily to
-# keep the package import acyclic.
-_FLOW_EXPORTS = {
-    "FlowModel": "repro.sim.flowmodel",
-    "DiscreteFlowModel": "repro.sim.flowmodel",
-    "FluidFlowModel": "repro.sim.flowmodel",
-    "HybridFlowModel": "repro.sim.flowmodel",
-    "SIM_MODES": "repro.sim.flowmodel",
-    "FluidStepper": "repro.sim.fluid",
-    "ModeGovernor": "repro.sim.governor",
-    "GovernorConfig": "repro.sim.governor",
-}
-
-
-def __getattr__(name: str) -> Any:
-    module = _FLOW_EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(module), name)

@@ -2,7 +2,7 @@
 
 Instead of one calendar event per request hop, the
 :class:`FluidStepper` advances per-tier *continuous occupancy* state in
-coarse fixed steps (default 250 ms), using the same
+coarse fixed steps (:data:`FLUID_STEP`, 250 ms), using the same
 :class:`~repro.ntier.capacity.CapacityModel` USL curves that drive the
 discrete PS servers:
 
@@ -22,7 +22,8 @@ discrete PS servers:
   *exact*: fractional flow accumulates, whole requests are emitted as
   synthetic completion records (heading into the request log and the
   application counters), and whatever is outstanding when a fluid phase
-  ends is handed back to the discrete machinery by the mode governor;
+  ends is handed back to the discrete machinery
+  (:meth:`FluidStepper.hand_back`);
 * per-step occupancy, utilisation, completions, and latency mass are
   deposited into the live servers' monotone monitoring accumulators
   (:meth:`~repro.ntier.server.Server.absorb_flow`), so the 50 ms
@@ -62,7 +63,7 @@ __all__ = [
     "open_occupancy",
 ]
 
-#: Default integration step (seconds). Coarse relative to per-request
+#: Integration step (seconds). Coarse relative to per-request
 #: events (a busy tier turns over hundreds of requests per step) but
 #: fine relative to the 1 s warehouse tick and the trace knot spacing.
 FLUID_STEP = 0.25
@@ -161,7 +162,6 @@ class FluidStepper:
         population: int | None = None,
         dataset_scale: float = 1.0,
         demand_scale: float = 1.0,
-        step: float = FLUID_STEP,
     ) -> None:
         if arrivals not in FLUID_ARRIVALS:
             raise ConfigurationError(
@@ -178,8 +178,6 @@ class FluidStepper:
             raise ConfigurationError(
                 f"fluid mode needs think_time > 0, got {think_time!r}"
             )
-        if step <= 0:
-            raise ConfigurationError(f"fluid step must be > 0, got {step!r}")
         if app.cache_active:
             raise ConfigurationError(
                 "fluid mode does not model the optional cache tier; "
@@ -195,7 +193,6 @@ class FluidStepper:
         self.population = int(population) if population is not None else 0
         self.dataset_scale = float(dataset_scale)
         self.demand_scale = float(demand_scale)
-        self.step = float(step)
 
         #: Integer ledger, cumulative across fluid phases.
         self.generated = 0
@@ -243,7 +240,7 @@ class FluidStepper:
         self._arr_acc = 0.0
         self._comp_acc = 0.0
         self._proc = PeriodicProcess(
-            self.sim, self.step, self._tick, priority=PRIORITY_FLUID
+            self.sim, FLUID_STEP, self._tick, priority=PRIORITY_FLUID
         )
 
     def materialise_requests(
@@ -274,8 +271,8 @@ class FluidStepper:
 
         The final partial step is integrated first so no flow mass is
         lost, then the continuous state is zeroed and the integer
-        outstanding count is transferred to the caller (the governor),
-        which re-materialises that many discrete requests.
+        outstanding count is returned; :meth:`hand_back` re-materialises
+        that many discrete requests.
         """
         if self._proc is None:
             raise SimulationError("fluid stepper is not running")
@@ -287,6 +284,20 @@ class FluidStepper:
         self._n = {t: 0.0 for t in _TIERS}
         self._arr_acc = 0.0
         self._comp_acc = 0.0
+        return handover
+
+    def hand_back(self, factory: "RequestFactory") -> int:
+        """End the fluid phase and resubmit its mass as discrete requests.
+
+        The one fluid-to-discrete hand-back: :meth:`halt`, then
+        :meth:`materialise_requests` for the outstanding count, each
+        submitted to the application at the current instant, so the
+        requests finish through the normal discrete machinery and the
+        run's conservation law closes exactly. Returns the count.
+        """
+        handover = self.halt()
+        for request in self.materialise_requests(factory, handover):
+            self.app.submit(request)
         return handover
 
     def _tick(self, now: float) -> None:

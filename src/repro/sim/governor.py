@@ -31,7 +31,6 @@ like any other control-plane action.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.control.events import (
@@ -53,7 +52,7 @@ if TYPE_CHECKING:
     from repro.workload.generator import OpenLoopGenerator, RequestFactory
     from repro.workload.trace import Trace
 
-__all__ = ["GovernorConfig", "ModeGovernor", "MODE_DISCRETE", "MODE_FLUID"]
+__all__ = ["ModeGovernor", "MODE_DISCRETE", "MODE_FLUID"]
 
 MODE_DISCRETE = "discrete"
 MODE_FLUID = "fluid"
@@ -61,39 +60,22 @@ MODE_FLUID = "fluid"
 _FLUID_ENTERED, _DISCRETE_ENTERED = MODE_KINDS
 
 
-@dataclass(frozen=True, slots=True)
-class GovernorConfig:
-    """Switching thresholds of the mode governor."""
-
-    #: Governor tick interval (seconds).
-    tick: float = 1.0
-    #: Relative trace variation over the inspection window above which
-    #: the run stays discrete: ``(max - min) / mean``.
-    deriv_threshold: float = 0.10
-    #: Seconds of trace inspected behind and ahead of now.
-    lookback: float = 5.0
-    lookahead: float = 10.0
-    #: Guard band of discrete simulation around every fault window.
-    fault_guard: float = 10.0
-    #: Seconds the run stays discrete after a material control-plane
-    #: decision (scale actions, cap changes, fault reactions).
-    settle: float = 8.0
-    #: Minimum seconds between mode switches.
-    min_dwell: float = 5.0
-
-    def __post_init__(self) -> None:
-        for name in (
-            "tick",
-            "lookback",
-            "lookahead",
-            "fault_guard",
-            "settle",
-            "min_dwell",
-        ):
-            if float(getattr(self, name)) < 0 or (name == "tick" and self.tick <= 0):
-                raise ConfigurationError(f"governor {name} must be positive")
-        if self.deriv_threshold <= 0:
-            raise ConfigurationError("deriv_threshold must be > 0")
+# Switching thresholds.
+#: Governor tick interval (seconds), also the trace sampling step.
+TICK = 1.0
+#: Relative trace variation over the inspection window above which
+#: the run stays discrete: ``(max - min) / mean``.
+DERIV_THRESHOLD = 0.10
+#: Seconds of trace inspected behind and ahead of now.
+LOOKBACK = 5.0
+LOOKAHEAD = 10.0
+#: Guard band of discrete simulation around every fault window.
+FAULT_GUARD = 10.0
+#: Seconds the run stays discrete after a material control-plane
+#: decision (scale actions, cap changes, fault reactions).
+SETTLE = 8.0
+#: Minimum seconds between mode switches.
+MIN_DWELL = 5.0
 
 
 class ModeGovernor:
@@ -110,7 +92,6 @@ class ModeGovernor:
         *,
         trace: "Trace",
         faults: "FaultPlan | None" = None,
-        config: GovernorConfig | None = None,
     ) -> None:
         self.sim = sim
         self.app = app
@@ -120,11 +101,8 @@ class ModeGovernor:
         self.bus = bus
         self.trace = trace
         self.faults = faults
-        self.config = config or GovernorConfig()
         self.mode = MODE_DISCRETE
         self.fluid_entries = 0
-        self.discrete_entries = 0
-        self.materialised_total = 0
         self._proc: PeriodicProcess | None = None
         self._last_switch = -float("inf")
         self._last_material = -float("inf")
@@ -140,7 +118,7 @@ class ModeGovernor:
         if self.bus is not None:
             self.bus.subscribe(DecisionEvent, self._on_decision)
         self._proc = PeriodicProcess(
-            self.sim, self.config.tick, self._tick, priority=PRIORITY_GOVERNOR
+            self.sim, TICK, self._tick, priority=PRIORITY_GOVERNOR
         )
 
     def finish(self) -> None:
@@ -172,9 +150,8 @@ class ModeGovernor:
 
     def _trace_variation(self, now: float) -> float:
         """Relative user variation over the inspection window."""
-        cfg = self.config
-        t0 = max(0.0, now - cfg.lookback)
-        t1 = now + cfg.lookahead
+        t0 = max(0.0, now - LOOKBACK)
+        t1 = now + LOOKAHEAD
         lo = float("inf")
         hi = 0.0
         total = 0.0
@@ -186,7 +163,7 @@ class ModeGovernor:
             hi = max(hi, users)
             total += users
             count += 1
-            t += cfg.tick
+            t += TICK
         mean = total / count if count else 0.0
         if mean <= 1e-9:
             return 0.0
@@ -195,21 +172,20 @@ class ModeGovernor:
     def _fault_near(self, now: float) -> bool:
         if self.faults is None:
             return False
-        guard = self.config.fault_guard
         for spec in self.faults:
             start, end = spec.window
-            if start - guard <= now <= end + guard:
+            if start - FAULT_GUARD <= now <= end + FAULT_GUARD:
                 return True
         return False
 
     def discrete_trigger(self, now: float) -> str | None:
         """The reason the run must be discrete right now, if any."""
         variation = self._trace_variation(now)
-        if variation > self.config.deriv_threshold:
+        if variation > DERIV_THRESHOLD:
             return f"trace variation {variation:.2f}"
         if self._fault_near(now):
             return "fault window guard"
-        if now - self._last_material < self.config.settle:
+        if now - self._last_material < SETTLE:
             return "controller activity settle"
         return None
 
@@ -221,7 +197,7 @@ class ModeGovernor:
             return
         trigger = self.discrete_trigger(now)
         if self.mode == MODE_DISCRETE:
-            if trigger is None and now - self._last_switch >= self.config.min_dwell:
+            if trigger is None and now - self._last_switch >= MIN_DWELL:
                 self._to_fluid()
         elif trigger is not None:
             # Dropping back to discrete is safety-critical (a burst or
@@ -239,14 +215,10 @@ class ModeGovernor:
 
     def _to_discrete(self, reason: str) -> None:
         now = self.sim.now
-        handover = self.stepper.halt()
-        self.materialised_total += handover
-        for request in self.stepper.materialise_requests(self.factory, handover):
-            self.app.submit(request)
+        handover = self.stepper.hand_back(self.factory)
         if not self._finished:
             self.generator.resume()
         self.mode = MODE_DISCRETE
-        self.discrete_entries += 1
         self._last_switch = now
         self._emit(_DISCRETE_ENTERED, handover, reason)
 

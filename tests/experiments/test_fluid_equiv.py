@@ -1,4 +1,6 @@
-"""Tests for the ``fluid`` twin check and the flow-model wiring."""
+"""Tests for the ``fluid`` twin check and the runner's mode wiring."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from repro.experiments.twincheck import (
     run_twin_check,
     run_twin_suite,
 )
+from repro.faults.plan import parse_faults
 from repro.workload.shapes import steady_trace_csv
 
 
@@ -206,6 +209,29 @@ def test_fluid_mode_end_to_end():
     assert artifact.generated >= artifact.completed
     entered, _ = _mode_accounting(artifact)
     assert entered == 0  # pinned fluid: no governor, no mode events
+
+
+def test_client_timeout_fault_in_fluid_and_hybrid():
+    """A client-timeout fault in the two modes that run the stepper.
+
+    Pinned fluid never starts the generator, so no client is watched
+    and nothing retries, yet the fault window is still recorded. Hybrid
+    keeps the fault window discrete, so impatient clients do retry.
+    """
+    plan = parse_faults("timeout:40:30:1.0")
+    by_mode = {
+        mode: execute_spec(
+            dataclasses.replace(_steady_spec(mode=mode), faults=plan)
+        )
+        for mode in ("fluid", "hybrid")
+    }
+    for artifact in by_mode.values():
+        assert artifact.completed > 0
+        assert artifact.generated == artifact.completed + artifact.failed
+        kinds = [e.kind for e in artifact.actions.faults()]
+        assert kinds == ["fault_injected", "fault_recovered"]
+    assert by_mode["fluid"].retried == 0
+    assert by_mode["hybrid"].retried > 0
 
 
 def test_closed_arrivals_end_to_end():

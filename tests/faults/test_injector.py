@@ -1,9 +1,12 @@
 """FaultInjector: each fault class against a live mini-stack."""
 
+import numpy as np
+import pytest
+
 from repro.cloud.hypervisor import Hypervisor
 from repro.control.bus import ControlBus
 from repro.control.trace import DecisionTrace
-from repro.faults.injector import FaultInjector, apply_slowdown
+from repro.faults.injector import FaultInjector, apply_slowdown, remove_slowdown
 from repro.faults.plan import (
     ClientTimeoutSpec,
     FaultPlan,
@@ -14,6 +17,7 @@ from repro.faults.plan import (
 )
 from repro.monitoring.warehouse import MetricWarehouse
 from repro.ntier.app import APP, DB, WEB, NTierApplication, SoftResourceAllocation
+from repro.ntier.server import Server, ServerConfig
 from repro.rng import RngRegistry
 from repro.scaling.actuator import Actuator
 from repro.scaling.factory import ServerFactory
@@ -26,7 +30,7 @@ from repro.workload.generator import (
 )
 from repro.workload.trace import Trace
 
-from tests.conftest import simple_capacity, tiny_mix
+from tests.conftest import build_app, simple_capacity, tiny_mix
 
 
 def build_stack(topology=(1, 2, 2)):
@@ -143,6 +147,66 @@ def test_slow_node_target_gone_before_recovery():
     assert "fault_recovered" in kinds  # recovery fired as a no-op
     assert "server_ejected" in kinds
     assert app.completed + app.failed == app.submitted
+
+
+def slow_window(sim, server, at, duration, slowdown):
+    """Degrade ``server`` by ``slowdown`` over ``[at, at + duration)``."""
+    sim.schedule(at, apply_slowdown, server, slowdown)
+    sim.schedule(at + duration, remove_slowdown, server, slowdown)
+
+
+def test_slow_node_raises_latency_then_recovers():
+    sim = Simulator()
+    app = build_app(sim, db_a_sat=10.0)
+    rng = RngRegistry(3)
+    latencies: list[tuple[float, float]] = []
+    app.on_complete(lambda r: latencies.append((r.completion, r.response_time)))
+    ClosedLoopGenerator(
+        sim, app, 8, RequestFactory(tiny_mix(cv=0.0), rng.stream("d")),
+        rng.stream("u"), think_time=0.0,
+    ).start()
+    slow_window(sim, app.tiers[DB].servers[0], at=10.0, duration=10.0, slowdown=8.0)
+    sim.run(until=35.0)
+
+    def mean_rt(t0, t1):
+        vals = [rt for (t, rt) in latencies if t0 <= t < t1]
+        return float(np.mean(vals))
+
+    before = mean_rt(2.0, 10.0)
+    during = mean_rt(12.0, 20.0)
+    after = mean_rt(25.0, 35.0)
+    assert during > 3.0 * before
+    assert after == pytest.approx(before, rel=0.2)
+
+
+def test_leastconn_sheds_load_from_slow_replica():
+    """With two DB replicas and leastconn, the degraded one serves a
+    much smaller share of the completions during the fault window."""
+    sim = Simulator()
+    soft = SoftResourceAllocation(10_000, 10_000, 10_000)
+    app = NTierApplication(sim, soft)
+    for name, tier, a_sat in [
+        ("web-1", "web", 1000), ("app-1", "app", 1000),
+        ("db-1", "db", 10), ("db-2", "db", 10),
+    ]:
+        app.attach_server(
+            Server(sim, ServerConfig(name, tier, simple_capacity(a_sat), 100_000))
+        )
+    rng = RngRegistry(5)
+    ClosedLoopGenerator(
+        sim, app, 16, RequestFactory(tiny_mix(cv=0.0), rng.stream("d")),
+        rng.stream("u"), think_time=0.0,
+    ).start()
+    db1, db2 = app.tiers[DB].servers
+    slow_window(sim, db1, at=10.0, duration=20.0, slowdown=8.0)
+    sim.run(until=10.0)
+    c1_start, c2_start = db1.completions, db2.completions
+    sim.run(until=30.0)
+    slow_share = (db1.completions - c1_start) / max(
+        1, (db1.completions - c1_start) + (db2.completions - c2_start)
+    )
+    assert slow_share < 0.35, f"slow replica still served {slow_share:.0%}"
+    assert db_units(app) == 1.0  # restored at t=30
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,19 @@
-"""Tests for request logs, timelines, and tail-latency helpers."""
+"""Tests for request logs, timelines, and tail-latency helpers.
+
+The request-analysis views (percentile, timeline, per-interaction
+latencies) live on :class:`RunArtifact`; their tests build one from
+plain arrays.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.errors import MonitoringError
+from repro.control.trace import DecisionTrace
+from repro.errors import ExperimentError, MonitoringError
+from repro.experiments.artifact import DRAIN_GRACE, RunArtifact, RunSpec
+from repro.experiments.scenarios import ScenarioConfig
 from repro.monitoring.percentiles import percentile, tail_summary
 from repro.monitoring.records import RequestLog
 from repro.ntier.request import Request
@@ -33,49 +41,71 @@ def test_record_and_arrays():
     assert list(log.arrival_times) == [0.0, 1.0]
 
 
+def run_artifact(rows, *, warmup=0.0, duration=10.0):
+    """A RunArtifact over ``(interaction, arrival, completion)`` rows, at
+    load scale 1 so latencies and throughputs are reported unscaled."""
+    names = [name for name, _, _ in rows]
+    arrivals = np.array([a for _, a, _ in rows], dtype=float)
+    completions = np.array([c for _, _, c in rows], dtype=float)
+    config = ScenarioConfig(
+        name="records", load_scale=1.0, duration=duration, warmup=warmup
+    )
+    return RunArtifact(
+        spec=RunSpec("conscale", config),
+        latencies=completions - arrivals,
+        completion_times=completions,
+        arrival_times=arrivals,
+        interactions=np.array(names, dtype=str),
+        generated=len(rows),
+        completed=len(rows),
+        actions=DecisionTrace(),
+        vm_times=np.zeros(0),
+        vm_counts=np.zeros(0, dtype=int),
+        vm_counts_by_tier={},
+        cpu_series={},
+    )
+
+
 def test_percentile_with_warmup_cutoff():
-    log = RequestLog()
-    log.record(completed_request(0, 0.0, 10.0))  # rt 10, completes at 10
-    for i in range(1, 11):
-        log.record(completed_request(i, 20.0, 20.0 + 0.1 * i))
+    rows = [("X", 0.0, 10.0)]  # rt 10, completes at 10
+    rows += [("X", 20.0, 20.0 + 0.1 * i) for i in range(1, 11)]
     # including warm-up, p99 is dominated by the 10 s outlier
-    assert log.percentile(99) > 5.0
+    assert run_artifact(rows).percentile(99) > 5.0
     # excluding it, all latencies <= 1.0
-    assert log.percentile(99, after=15.0) <= 1.0
+    assert run_artifact(rows, warmup=15.0).percentile(99) <= 1.0
 
 
 def test_percentile_empty_window_raises():
-    log = RequestLog()
-    with pytest.raises(MonitoringError):
-        log.percentile(95)
-    log.record(completed_request(0, 0.0, 1.0))
-    with pytest.raises(MonitoringError):
-        log.percentile(95, after=100.0)
+    # p95 is a tail-summary field and p90 is not; both take the same
+    # checked path.
+    for q in (95, 90):
+        with pytest.raises(ExperimentError):
+            run_artifact([]).percentile(q)
+        with pytest.raises(ExperimentError):
+            run_artifact([("X", 0.0, 1.0)], warmup=100.0).percentile(q)
 
 
 def test_timeline_bins():
-    log = RequestLog()
-    for i in range(10):
-        log.record(completed_request(i, 0.0, 0.5 + i))  # completes 0.5..9.5
-    bins = log.timeline(bin_width=5.0, duration=10.0)
-    assert len(bins) == 2
+    # completes 0.5..9.5; bins run over duration + drain grace
+    artifact = run_artifact([("X", 0.0, 0.5 + i) for i in range(10)])
+    bins = artifact.timeline(bin_width=5.0)
+    assert len(bins) == math.ceil((10.0 + DRAIN_GRACE) / 5.0)
     assert bins[0].completions == 5
     assert bins[0].throughput == pytest.approx(1.0)
     assert bins[1].completions == 5
+    assert sum(b.completions for b in bins[2:]) == 0
 
 
 def test_timeline_empty_bins_are_nan():
-    log = RequestLog()
-    log.record(completed_request(0, 0.0, 0.5))
-    bins = log.timeline(bin_width=1.0, duration=3.0)
+    bins = run_artifact([("X", 0.0, 0.5)]).timeline(bin_width=1.0)
     assert bins[0].completions == 1
     assert math.isnan(bins[1].mean_rt)
     assert bins[1].throughput == 0.0
 
 
 def test_timeline_validation():
-    with pytest.raises(MonitoringError):
-        RequestLog().timeline(bin_width=0.0)
+    with pytest.raises(ExperimentError):
+        run_artifact([]).timeline(bin_width=0.0)
 
 
 # ----------------------------------------------------------------------
@@ -113,26 +143,20 @@ def test_tail_summary_ordering_invariant():
 
 
 def test_by_interaction_groups_latencies():
-    log = RequestLog()
-    for i, (name, rt) in enumerate(
-        [("ViewStory", 0.1), ("ViewStory", 0.2), ("SearchInStories", 0.9)]
-    ):
-        req = Request(i, name, 0.0, {})
-        req.completion = rt
-        log.record(req)
-    groups = log.by_interaction()
+    artifact = run_artifact(
+        [
+            ("ViewStory", 0.0, 0.1),
+            ("ViewStory", 0.0, 0.2),
+            ("SearchInStories", 0.0, 0.9),
+        ]
+    )
+    groups = artifact.by_interaction()
     assert set(groups) == {"ViewStory", "SearchInStories"}
     assert list(groups["ViewStory"]) == pytest.approx([0.1, 0.2])
     assert list(groups["SearchInStories"]) == pytest.approx([0.9])
 
 
 def test_by_interaction_respects_warmup():
-    log = RequestLog()
-    early = Request(0, "ViewStory", 0.0, {})
-    early.completion = 1.0
-    late = Request(1, "ViewStory", 50.0, {})
-    late.completion = 51.0
-    log.record(early)
-    log.record(late)
-    groups = log.by_interaction(after=10.0)
+    artifact = run_artifact([("ViewStory", 0.0, 1.0), ("ViewStory", 50.0, 51.0)])
+    groups = artifact.by_interaction(after=10.0)
     assert len(groups["ViewStory"]) == 1

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.sim.fluid import FLUID_ARRIVALS, FluidStepper, open_occupancy
+from repro.sim.fluid import FluidStepper, open_occupancy
 from repro.workload.generator import RequestFactory
 from repro.workload.trace import Trace
 
@@ -67,11 +67,11 @@ def test_open_occupancy_edge_cases():
 # ----------------------------------------------------------------------
 
 def make_stepper(sim, rng, app, *, arrivals="open", trace=None,
-                 population=None, think_time=1.0, cv=0.0, **kw):
+                 population=None, think_time=1.0, cv=0.0):
     return FluidStepper(
         sim, app, tiny_mix(cv=cv), rng.stream("fluid"),
         think_time=think_time, arrivals=arrivals, trace=trace,
-        population=population, **kw,
+        population=population,
     )
 
 
@@ -86,9 +86,6 @@ def test_stepper_validation(sim, rng):
         make_stepper(sim, rng, app, arrivals="closed", population=0)
     with pytest.raises(ConfigurationError, match="think_time"):
         make_stepper(sim, rng, app, trace=trace, think_time=0.0)
-    with pytest.raises(ConfigurationError, match="step"):
-        make_stepper(sim, rng, app, trace=trace, step=0.0)
-    assert FLUID_ARRIVALS == ("open", "closed")
 
 
 def test_stepper_phase_lifecycle_guards(sim, rng):
@@ -163,6 +160,25 @@ def test_integer_ledger_conserves_requests(sim, rng):
     assert stepper.generated == stepper.completed + stepper.materialised
     # Synthetic completions flowed through the application counters.
     assert app.completed == stepper.completed
+
+
+def test_hand_back_resubmits_the_outstanding_mass(sim, rng):
+    app = build_app(sim, db_a_sat=1000)
+    trace = Trace("flat", [0.0, 10.0], [200.0, 200.0])
+    stepper = make_stepper(sim, rng, app, trace=trace)
+    factory = RequestFactory(tiny_mix(), rng.stream("demand"))
+    stepper.start()
+    sim.run(until=10.0)
+    outstanding = stepper.outstanding
+    handed = stepper.hand_back(factory)
+    assert handed == outstanding == stepper.materialised > 0
+    assert not stepper.running
+    # Every handed-back request is live in the discrete machinery ...
+    assert app.in_flight == handed
+    sim.run(until=20.0)
+    # ... and drains through it, closing the ledger exactly.
+    assert app.in_flight == 0
+    assert app.completed == stepper.completed + handed
 
 
 def test_ledger_spans_multiple_phases(sim, rng):

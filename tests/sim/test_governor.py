@@ -12,19 +12,14 @@ from repro.control.events import (
 from repro.errors import ConfigurationError
 from repro.faults.plan import FaultPlan, ServerCrashSpec
 from repro.sim.fluid import FluidStepper
-from repro.sim.governor import (
-    MODE_DISCRETE,
-    MODE_FLUID,
-    GovernorConfig,
-    ModeGovernor,
-)
+from repro.sim.governor import MIN_DWELL, MODE_DISCRETE, MODE_FLUID, ModeGovernor
 from repro.workload.generator import OpenLoopGenerator, RequestFactory
 from repro.workload.trace import Trace
 
 from tests.conftest import build_app, tiny_mix
 
 
-def make_rig(sim, rng, trace, *, faults=None, config=None, bus=None):
+def make_rig(sim, rng, trace, *, faults=None, bus=None):
     """A full hybrid wiring: app, open-loop generator, stepper, governor."""
     app = build_app(sim, db_a_sat=1000)
     factory = RequestFactory(tiny_mix(), rng.stream("demand"))
@@ -37,18 +32,9 @@ def make_rig(sim, rng, trace, *, faults=None, config=None, bus=None):
     )
     governor = ModeGovernor(
         sim, app, generator, stepper, factory, bus,
-        trace=trace, faults=faults, config=config,
+        trace=trace, faults=faults,
     )
     return app, generator, stepper, governor
-
-
-def test_config_validation():
-    with pytest.raises(ConfigurationError):
-        GovernorConfig(tick=0.0)
-    with pytest.raises(ConfigurationError):
-        GovernorConfig(settle=-1.0)
-    with pytest.raises(ConfigurationError):
-        GovernorConfig(deriv_threshold=0.0)
 
 
 def test_flat_trace_enters_fluid_and_conserves(sim, rng):
@@ -65,7 +51,6 @@ def test_flat_trace_enters_fluid_and_conserves(sim, rng):
     # The stepper's ledger closed exactly: everything it generated
     # either completed in fluid or was handed back as discrete requests.
     assert stepper.generated == stepper.completed + stepper.materialised
-    assert governor.materialised_total == stepper.materialised
     assert app.in_flight == 0
 
 
@@ -124,14 +109,12 @@ def test_noop_and_mode_events_do_not_reset_settle(sim, rng):
 
 def test_min_dwell_gates_entry_into_fluid(sim, rng):
     trace = Trace("flat", [0.0, 120.0], [100.0, 100.0])
-    _, generator, _, governor = make_rig(
-        sim, rng, trace, config=GovernorConfig(min_dwell=5.0)
-    )
+    _, generator, _, governor = make_rig(sim, rng, trace)
     generator.start()
     governor._last_switch = 2.0
-    governor._tick(4.0)  # inside the dwell window: stays discrete
+    governor._tick(2.0 + MIN_DWELL - 1.0)  # inside the dwell window: stays discrete
     assert governor.mode == MODE_DISCRETE
-    governor._tick(8.0)  # dwell expired, trace quiet: switch
+    governor._tick(2.0 + MIN_DWELL + 1.0)  # dwell expired, trace quiet: switch
     assert governor.mode == MODE_FLUID
 
 
@@ -140,7 +123,7 @@ def test_switches_publish_mode_decision_events(sim, rng):
     bus = ControlBus()
     seen: list[DecisionEvent] = []
     bus.subscribe(DecisionEvent, seen.append)
-    _, generator, _, governor = make_rig(sim, rng, trace, bus=bus)
+    _, generator, stepper, governor = make_rig(sim, rng, trace, bus=bus)
     generator.start()
     governor.start()
     sim.run(until=60.0)
@@ -158,7 +141,7 @@ def test_switches_publish_mode_decision_events(sim, rng):
     handed_back = sum(
         int(e.value or 0) for e in mode_events if e.kind == MODE_KINDS[1]
     )
-    assert handed_back == governor.materialised_total
+    assert handed_back == stepper.materialised
 
 
 def test_double_start_rejected(sim, rng):
