@@ -28,7 +28,7 @@ Quickstart::
 """
 
 from repro.control.bus import ControlBus
-from repro.control.events import DecisionEvent, TelemetryEvent
+from repro.control.events import DecisionEvent
 from repro.control.trace import DecisionTrace
 from repro.errors import ReproError
 from repro.experiments.artifact import RunArtifact, RunOverrides, RunSpec
@@ -61,7 +61,6 @@ __all__ = [
     "ReproError",
     "ControlBus",
     "DecisionEvent",
-    "TelemetryEvent",
     "DecisionTrace",
     "ArtifactDiff",
     "diff_artifacts",

@@ -1,15 +1,10 @@
-"""Result analysis: time-series helpers, fluctuation metrics, comparisons."""
+"""Result analysis: time-series helpers and fluctuation metrics."""
 
-from repro.analysis.compare import FrameworkResult, compare_frameworks, improvement
-from repro.analysis.series import coefficient_of_variation, moving_average
+from repro.analysis.series import coefficient_of_variation
 from repro.analysis.stats import fluctuation_summary, spike_episodes, time_above
 
 __all__ = [
-    "FrameworkResult",
-    "compare_frameworks",
-    "improvement",
     "coefficient_of_variation",
-    "moving_average",
     "fluctuation_summary",
     "spike_episodes",
     "time_above",

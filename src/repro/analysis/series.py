@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.errors import ReproError
 
-__all__ = ["moving_average", "coefficient_of_variation", "group_mean_by_time"]
+__all__ = ["coefficient_of_variation", "group_mean_by_time"]
 
 
 def group_mean_by_time(times, values) -> tuple[np.ndarray, np.ndarray]:
@@ -27,29 +27,6 @@ def group_mean_by_time(times, values) -> tuple[np.ndarray, np.ndarray]:
     sums = np.bincount(inverse, weights=v, minlength=unique_t.size)
     counts = np.bincount(inverse, minlength=unique_t.size)
     return unique_t, sums / counts
-
-
-def moving_average(values, window: int) -> np.ndarray:
-    """Centered moving average, NaN-tolerant, same length as input.
-
-    Edge windows shrink symmetrically rather than padding, so the ends
-    of the series are not biased toward zero.
-    """
-    arr = np.asarray(values, dtype=float)
-    if window < 1:
-        raise ReproError(f"window must be >= 1, got {window!r}")
-    if arr.ndim != 1:
-        raise ReproError("moving_average expects a 1-D series")
-    n = arr.size
-    out = np.empty(n)
-    half = window // 2
-    for i in range(n):
-        lo = max(0, i - half)
-        hi = min(n, i + half + 1)
-        seg = arr[lo:hi]
-        valid = seg[~np.isnan(seg)]
-        out[i] = valid.mean() if valid.size else np.nan
-    return out
 
 
 def coefficient_of_variation(values) -> float:

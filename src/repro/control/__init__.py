@@ -5,9 +5,9 @@ framework scaled hardware, when it re-allocated soft resources, and
 what evidence justified each move. This package gives every controller
 one typed path for those decisions:
 
-* :mod:`repro.control.events` — :class:`TelemetryEvent` (warehouse
-  samples) and :class:`DecisionEvent` (threshold trips, hardware
-  actions, cap changes with their SCT estimates, no-op ticks);
+* :mod:`repro.control.events` — :class:`DecisionEvent` (threshold
+  trips, hardware actions, cap changes with their SCT estimates, no-op
+  ticks) and the decision-kind vocabulary;
 * :mod:`repro.control.bus` — :class:`ControlBus`, the synchronous
   type-keyed publish/subscribe hub;
 * :mod:`repro.control.trace` — :class:`DecisionTrace`, the recorded
@@ -23,14 +23,12 @@ from repro.control.events import (
     SOFT_KINDS,
     THRESHOLD_TRIP,
     DecisionEvent,
-    TelemetryEvent,
 )
 from repro.control.trace import DecisionTrace
 
 __all__ = [
     "ControlBus",
     "DecisionEvent",
-    "TelemetryEvent",
     "DecisionTrace",
     "THRESHOLD_TRIP",
     "NOOP",

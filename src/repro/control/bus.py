@@ -1,8 +1,7 @@
 """The control-plane event bus.
 
 A tiny synchronous publish/subscribe hub keyed by event *type*. The
-metric warehouse publishes :class:`~repro.control.events.TelemetryEvent`
-samples; the policy, actuator and every controller publish
+policy, actuator and every controller publish
 :class:`~repro.control.events.DecisionEvent`\\ s; the
 :class:`~repro.control.trace.DecisionTrace` subscribes and records them.
 
@@ -37,14 +36,6 @@ class ControlBus:
         handlers = self._handlers.get(event_type)
         if handlers and handler in handlers:
             handlers.remove(handler)
-
-    def has_subscribers(self, event_type: type) -> bool:
-        """Whether anyone listens for ``event_type``.
-
-        Publishers on hot paths (the warehouse's per-server telemetry)
-        check this before constructing an event at all.
-        """
-        return bool(self._handlers.get(event_type))
 
     def publish(self, event: object) -> None:
         """Deliver ``event`` to every subscriber of its exact type."""

@@ -1,16 +1,10 @@
 """Typed events flowing over the control-plane bus.
 
-Two event families cover everything the control plane does:
-
-* :class:`TelemetryEvent` — one monitored server's system metrics over
-  one warehouse tick. Published by the
-  :class:`~repro.monitoring.warehouse.MetricWarehouse` so any component
-  (controllers, recorders, tests) can observe the same signal the
-  Decision Controller acts on without polling.
-* :class:`DecisionEvent` — one control-plane decision or its execution:
-  threshold trips, hardware scale-out/up/in (start and completion),
-  soft-resource cap changes (with the SCT estimate that justified
-  them), and explicit no-op ticks with the reason nothing happened.
+One event type covers everything the control plane does. A
+:class:`DecisionEvent` is one control-plane decision or its execution:
+a threshold trip, a hardware scale-out/up/in (start and completion), a
+soft-resource cap change (with the SCT estimate that justified it), or
+an explicit no-op tick with the reason nothing happened.
 
 Every decision a controller takes flows through these events, so the
 recorded :class:`~repro.control.trace.DecisionTrace` is the complete,
@@ -23,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 __all__ = [
-    "TelemetryEvent",
     "DecisionEvent",
     "THRESHOLD_TRIP",
     "NOOP",
@@ -155,18 +148,6 @@ def declared_kinds() -> frozenset[str]:
         + RECOVERY_KINDS
         + MODE_KINDS
     )
-
-
-@dataclass(frozen=True, slots=True)
-class TelemetryEvent:
-    """One server's system-level metrics over one warehouse tick."""
-
-    time: float
-    server: str
-    tier: str
-    cpu: float
-    concurrency: float
-    throughput: float
 
 
 @dataclass(frozen=True, slots=True)

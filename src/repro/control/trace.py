@@ -211,7 +211,4 @@ class DecisionTrace:
         return {"columns": self.to_columns()}
 
     def __setstate__(self, state: dict) -> None:
-        if "columns" in state:
-            self._events = DecisionTrace.from_columns(state["columns"])._events
-        else:  # a raw event list (old in-memory copy)
-            self._events = list(state.get("_events", ()))
+        self._events = DecisionTrace.from_columns(state["columns"])._events

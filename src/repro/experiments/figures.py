@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import ExperimentError
+from repro.errors import EstimationError, ExperimentError
 from repro.experiments.calibration import (
     Calibration,
     ample_capacity,
@@ -29,6 +29,7 @@ from repro.experiments.scenarios import ScenarioConfig
 from repro.experiments.sweep import SweepResult, concurrency_sweep
 from repro.monitoring.percentiles import TailSummary
 from repro.ntier.app import APP, DB
+from repro.sct.bootstrap import bootstrap_q_lower
 from repro.sct.model import SCTEstimate, SCTModel
 from repro.sct.tuples import MetricTuple, tuples_from_samples
 from repro.workload.mixes import browse_only_mix, read_write_mix
@@ -422,13 +423,12 @@ class Fig6Data:
         b = ascii_chart(qs, rts, label=f"Fig.6b {self.server} response time [ms] vs concurrency")
         lines = [a, "", b, "", f"SCT estimate: {self.estimate.describe()}"]
         try:
-            from repro.sct.bootstrap import bootstrap_q_lower
-
             ci = bootstrap_q_lower(self.tuples, SCTModel(bucket_width=2),
                                    n_resamples=100)
+        except EstimationError:
+            pass  # the window is too thin for an interval; omit the line
+        else:
             lines.append(f"bootstrap 90% CI: {ci.describe()}")
-        except Exception:  # noqa: BLE001 - the CI is best-effort decoration
-            pass
         return "\n".join(lines)
 
     def to_csv(self, directory: str) -> list[str]:

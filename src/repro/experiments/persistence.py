@@ -2,10 +2,11 @@
 
 Two serialisation levels:
 
-* **JSON summaries** (:func:`save_result` / :func:`load_summary`) — a
-  compact, language-neutral digest of one run: scenario key fields,
-  tail latencies, the binned timeline, VM counts, scaling actions and
-  the SCT estimate history. For archiving and external plotting.
+* **JSON summaries** (:func:`save_result`) — a compact,
+  language-neutral digest of one run: scenario key fields, tail
+  latencies, the binned timeline, VM counts, scaling actions and the
+  SCT estimate history. Write-only: for archiving and external
+  plotting.
 * **Full artifacts** (:func:`save_artifact` / :func:`load_artifact`) —
   the complete :class:`~repro.experiments.artifact.RunArtifact` as a
   pickle, lossless down to the fine-grained interval series. The
@@ -30,7 +31,6 @@ from repro.experiments.artifact import (
 __all__ = [
     "result_summary",
     "save_result",
-    "load_summary",
     "save_artifact",
     "load_artifact",
     "trace_jsonl",
@@ -128,21 +128,6 @@ def save_result(
     with open(path, "w") as fh:
         json.dump(result_summary(result, bin_width), fh, indent=1)
     return path
-
-
-def load_summary(path: str) -> dict:
-    """Load a summary written by :func:`save_result`."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ExperimentError(f"cannot load result summary {path!r}: {exc}") from exc
-    for key in ("framework", "scenario", "tail_ms"):
-        if key not in data:
-            raise ExperimentError(
-                f"{path!r} is not a result summary (missing {key!r})"
-            )
-    return data
 
 
 def save_artifact(artifact: RunArtifact, path: str) -> str:

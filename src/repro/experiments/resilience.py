@@ -19,6 +19,8 @@ actions taken mid-incident).
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from repro.experiments.artifact import RunOverrides, RunSpec
@@ -223,15 +225,13 @@ def storyline_ttr(artifact, baseline=None) -> float:
         return float("nan")
     if baseline is None:
         return summary.compound_ttr
-    t0 = min(ep.start for ep in summary.episodes)
     horizon = (
         float(artifact.completion_times.max())
         if artifact.completion_times.size
         else float(artifact.config.duration)
     )
-    last = 0.0
-    for ep in summary.episodes:
-        rec = recovery_vs_twin(
+    twin_recovery = tuple(
+        recovery_vs_twin(
             artifact.latencies,
             artifact.completion_times,
             baseline.latencies,
@@ -239,12 +239,9 @@ def storyline_ttr(artifact, baseline=None) -> float:
             ep,
             horizon,
         )
-        if np.isnan(rec):
-            return float("nan")
-        last = max(last, ep.end + rec)
-    if np.isnan(summary.restore_s):
-        return float("nan")
-    return max(last - t0, summary.restore_s)
+        for ep in summary.episodes
+    )
+    return dataclasses.replace(summary, recovery_s=twin_recovery).compound_ttr
 
 
 def _fmt_ttr(artifact, baseline=None) -> str:

@@ -124,16 +124,15 @@ def execute_spec(spec: RunSpec, *, sim: Simulator | None = None) -> RunArtifact:
     for tier in (WEB, APP, DB):
         factory.set_template(tier, cal.capacity(tier), config.soft.for_tier(tier))
     hypervisor = Hypervisor(sim, prep_period=config.prep_period)
-    # One control bus per run: the warehouse publishes telemetry onto
-    # it, every controller/actuator decision flows through it, and the
-    # trace that ends up in the artifact is simply a bus subscriber.
+    # One control bus per run: every controller/actuator decision flows
+    # through it, and the trace that ends up in the artifact is simply a
+    # bus subscriber.
     bus = ControlBus()
     warehouse = MetricWarehouse(
         sim,
         tick=1.0,
         fine_interval=config.effective_fine_interval(),
         history_seconds=config.duration + DRAIN_GRACE + 60.0,
-        bus=bus,
     )
     actions = DecisionTrace()
     actuator = Actuator(sim, app, hypervisor, factory, warehouse, actions, bus)

@@ -106,6 +106,15 @@ class ScenarioConfig:
                 f"demand_distribution must be one of {DEMAND_DISTRIBUTIONS}, "
                 f"got {self.demand_distribution!r}"
             )
+        if self.mode != "discrete" and self.demand_distribution != "gamma":
+            # The fluid integrator synthesises completions from gamma
+            # service times plus an M/M/k wait, so any other demand
+            # distribution would be run (and cached) with the wrong tails.
+            raise ConfigurationError(
+                f"{self.mode} mode models gamma service demand only; use "
+                f"mode='discrete' with demand_distribution="
+                f"{self.demand_distribution!r}"
+            )
 
     # ------------------------------------------------------------------
     @property

@@ -42,10 +42,7 @@ Built-in storylines:
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass, fields
-from typing import Any
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -203,26 +200,6 @@ class Storyline:
             raise ConfigurationError(
                 f"jitter_frac must be >= 0, got {self.jitter_frac!r}"
             )
-
-    def canonical(self) -> dict[str, Any]:
-        """Stable, JSON-serializable form (digest input)."""
-        return {
-            "name": self.name,
-            "summary": self.summary,
-            "atoms": [
-                {f.name: getattr(a, f.name) for f in fields(a)}
-                for a in self.atoms
-            ],
-            "repeat": self.repeat,
-            "period_frac": self.period_frac,
-            "jitter_frac": self.jitter_frac,
-        }
-
-    @property
-    def content_digest(self) -> str:
-        """SHA-256 over the canonical form."""
-        blob = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     def instantiate(
         self,

@@ -21,7 +21,7 @@ until the *last* phase's tail recovered.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -92,14 +92,6 @@ class ResilienceSummary:
     restore_s: float = 0.0
 
     @property
-    def recovery_p95(self) -> float:
-        """p95 of the computable per-episode recovery times (NaN if none)."""
-        times = [t for t in self.recovery_s if not np.isnan(t)]
-        if not times:
-            return float("nan")
-        return float(np.percentile(times, 95))
-
-    @property
     def compound_ttr(self) -> float:
         """Seconds from incident open until the last phase recovered
         *and* the fleet was whole again.
@@ -120,6 +112,22 @@ class ResilienceSummary:
         if np.isnan(self.restore_s):
             return float("nan")
         return max(last - t0, self.restore_s)
+
+
+def _window_ends(t0: float, horizon: float) -> Iterator[float]:
+    """Ends of the probe windows sliding forward from ``t0``.
+
+    The first window is ``[t0, t0 + PROBE_WINDOW)``; each next one is
+    half a window later, and none ends past ``horizon``. Integer
+    stepping keeps every scan over these windows bit-exact.
+    """
+    step = PROBE_WINDOW / 2.0
+    n_steps = int(max(0.0, horizon - t0) / step) + 1
+    for k in range(n_steps):
+        t1 = t0 + PROBE_WINDOW + k * step
+        if t1 > horizon + 1e-9:
+            return
+        yield t1
 
 
 def _window_p95(
@@ -143,14 +151,8 @@ def _recovery_time(
     if np.isnan(baseline) or baseline <= 0:
         return float("nan")
     target = RECOVERY_FACTOR * baseline
-    # Slide a probe window forward in half-window steps until the tail
-    # is back under target. Integer stepping keeps this bit-exact.
-    step = PROBE_WINDOW / 2.0
-    n_steps = int(max(0.0, horizon - episode.end) / step) + 1
-    for k in range(n_steps):
-        t1 = episode.end + PROBE_WINDOW + k * step
-        if t1 > horizon + 1e-9:
-            break
+    # Slide the probe window forward until the tail is back under target.
+    for t1 in _window_ends(episode.end, horizon):
         p95 = _window_p95(latencies, completions, t1 - PROBE_WINDOW, t1)
         if not np.isnan(p95) and p95 <= target:
             return max(0.0, t1 - episode.end)
@@ -163,18 +165,9 @@ def _worst_window_p99(
     t0: float,
     horizon: float,
 ) -> float:
-    """Max sliding-window p99 from ``t0`` to the horizon (NaN if empty).
-
-    Half-window integer stepping, like :func:`_recovery_time`, keeps
-    the scan bit-exact.
-    """
+    """Max sliding-window p99 from ``t0`` to the horizon (NaN if empty)."""
     worst = float("nan")
-    step = PROBE_WINDOW / 2.0
-    n_steps = int(max(0.0, horizon - t0) / step) + 1
-    for k in range(n_steps):
-        t1 = t0 + PROBE_WINDOW + k * step
-        if t1 > horizon + 1e-9:
-            break
+    for t1 in _window_ends(t0, horizon):
         mask = (completions >= t1 - PROBE_WINDOW) & (completions < t1)
         if not mask.any():
             continue
@@ -202,12 +195,7 @@ def recovery_vs_twin(
     *additional* damage is gone — the drift is present in both runs
     and cancels.
     """
-    step = PROBE_WINDOW / 2.0
-    n_steps = int(max(0.0, horizon - episode.end) / step) + 1
-    for k in range(n_steps):
-        t1 = episode.end + PROBE_WINDOW + k * step
-        if t1 > horizon + 1e-9:
-            break
+    for t1 in _window_ends(episode.end, horizon):
         own = _window_p95(latencies, completions, t1 - PROBE_WINDOW, t1)
         ref = _window_p95(
             twin_latencies, twin_completions, t1 - PROBE_WINDOW, t1

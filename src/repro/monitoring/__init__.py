@@ -11,14 +11,13 @@
 """
 
 from repro.monitoring.interval import IntervalMonitor, IntervalSample
-from repro.monitoring.percentiles import percentile, tail_summary
+from repro.monitoring.percentiles import tail_summary
 from repro.monitoring.records import RequestLog, TimelineBin
 from repro.monitoring.warehouse import MetricWarehouse, VmSample
 
 __all__ = [
     "IntervalMonitor",
     "IntervalSample",
-    "percentile",
     "tail_summary",
     "RequestLog",
     "TimelineBin",

@@ -92,10 +92,6 @@ class IntervalMonitor:
         """End a telemetry dropout; sampling restarts from now."""
         self._suspended = False
 
-    @property
-    def suspended(self) -> bool:
-        return self._suspended
-
     def _tick(self, now: float) -> None:
         server = self.server
         server.sync_monitors()

@@ -8,17 +8,7 @@ import numpy as np
 
 from repro.errors import MonitoringError
 
-__all__ = ["percentile", "tail_summary", "TailSummary"]
-
-
-def percentile(values, q: float) -> float:
-    """Percentile with validation (q in [0, 100], non-empty input)."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise MonitoringError("percentile of an empty sample")
-    if not 0.0 <= q <= 100.0:
-        raise MonitoringError(f"percentile q must be in [0, 100], got {q!r}")
-    return float(np.percentile(arr, q))
+__all__ = ["tail_summary", "TailSummary"]
 
 
 @dataclass(frozen=True, slots=True)

@@ -20,8 +20,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro.control.bus import ControlBus
-from repro.control.events import TelemetryEvent
 from repro.errors import MonitoringError
 from repro.monitoring.interval import IntervalMonitor, IntervalSample
 from repro.ntier.server import Server
@@ -73,15 +71,10 @@ class MetricWarehouse:
         fine_interval: float = 0.050,
         history_seconds: float = 900.0,
         fine_history: int | None = None,
-        bus: ControlBus | None = None,
     ) -> None:
         self.sim = sim
         self.tick = float(tick)
         self.fine_interval = float(fine_interval)
-        # When a control bus is attached, every 1 s VM sample is also
-        # published as a TelemetryEvent so controllers/recorders can
-        # observe the exact signal the threshold policy acts on.
-        self.bus = bus
         self._states: dict[str, _VmState] = {}
         # Name-sorted registry plus the differencing baselines, kept as
         # parallel numpy arrays: _prev[i] = (cpu busy integral,
@@ -252,28 +245,16 @@ class MetricWarehouse:
             rates = np.zeros_like(cur)
             np.divide(cur - self._prev, dt[:, None], out=rates,
                       where=fresh[:, None])
-            bus = self.bus
-            publish = bus is not None and bus.has_subscribers(TelemetryEvent)
             for i in np.nonzero(fresh & ~blackout)[0].tolist():
-                name = order[i]
                 tier = tiers[i]
-                cpu = float(rates[i, 0])
-                conc = float(rates[i, 1])
-                tp = float(rates[i, 2])
                 self._history.append(
                     VmSample(
-                        t_end=now, server=name, tier=tier,
-                        cpu=cpu, concurrency=conc, throughput=tp,
+                        t_end=now, server=order[i], tier=tier,
+                        cpu=float(rates[i, 0]),
+                        concurrency=float(rates[i, 1]),
+                        throughput=float(rates[i, 2]),
                     )
                 )
-                if publish:
-                    assert bus is not None
-                    bus.publish(
-                        TelemetryEvent(
-                            time=now, server=name, tier=tier,
-                            cpu=cpu, concurrency=conc, throughput=tp,
-                        )
-                    )
                 self._last_sample_t[tier] = now
             # Blacked-out servers roll forward without recording, so no
             # bogus catch-up sample appears when the blackout ends.

@@ -41,12 +41,6 @@ class ClosedLoopPrediction:
     bottleneck: str
     peak_throughput: float
 
-    def throughput_at(self, n: int) -> float:
-        return self.result.at(n)[0]
-
-    def response_time_at(self, n: int) -> float:
-        return self.result.at(n)[1]
-
 
 def predict_closed_loop(
     capacities: dict[str, CapacityModel],

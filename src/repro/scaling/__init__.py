@@ -25,7 +25,7 @@ space, parameter schemas, and construction live.
 """
 
 from repro.control.bus import ControlBus
-from repro.control.events import DecisionEvent, TelemetryEvent
+from repro.control.events import DecisionEvent
 from repro.control.trace import DecisionTrace
 from repro.scaling.actuator import Actuator
 from repro.scaling.conscale import ConScaleController
@@ -58,7 +58,6 @@ __all__ = [
     "ControlBus",
     "DecisionEvent",
     "DecisionTrace",
-    "TelemetryEvent",
     "PolicyDecision",
     "Actuator",
     "ConScaleController",

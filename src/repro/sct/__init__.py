@@ -18,7 +18,6 @@ from repro.sct.drift import DriftReport, detect_drift
 from repro.sct.grouping import ConcurrencyBucket, band_representative, bucketize
 from repro.sct.intervention import plateau_pvalues, welch_t_pvalue
 from repro.sct.model import SCTEstimate, SCTModel
-from repro.sct.smoothing import trend_line
 from repro.sct.tuples import MetricTuple, tuples_from_samples
 
 __all__ = [
@@ -33,7 +32,6 @@ __all__ = [
     "welch_t_pvalue",
     "SCTEstimate",
     "SCTModel",
-    "trend_line",
     "MetricTuple",
     "tuples_from_samples",
 ]

@@ -11,7 +11,7 @@ observations, locate the throughput plateau and report
 
 A concurrency level is *on the plateau* when its mean throughput is
 within ``tolerance`` of the peak **or** statistically indistinguishable
-from the peak (Welch p ≥ ``alpha``). The range is grown outward from
+from the peak (Welch p ≥ :data:`ALPHA`). The range is grown outward from
 the peak bucket and stops at the first bucket that is confidently off
 the plateau, so isolated noisy buckets inside the plateau do not split
 it.
@@ -19,16 +19,26 @@ it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from repro.errors import EstimationError
 from repro.monitoring.interval import IntervalSample
-from repro.sct.grouping import ConcurrencyBucket, bucketize
+from repro.sct.grouping import bucketize
 from repro.sct.intervention import plateau_pvalues
 from repro.sct.tuples import MetricTuple, tuples_from_samples
 
 __all__ = ["SCTEstimate", "SCTModel"]
+
+#: Significance level of the Welch test; buckets whose throughput cannot
+#: be distinguished from the peak at this level stay in the plateau even
+#: if their mean dips below the tolerance band.
+ALPHA = 0.05
+#: Minimum distinct concurrency levels needed to estimate at all.
+MIN_BUCKETS = 3
+#: Minimum mean busy utilisation of the critical resource across the
+#: plateau for the estimate to be flagged ``hardware_limited``.
+UTIL_THRESHOLD = 0.7
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,7 +69,6 @@ class SCTEstimate:
     # setting can satisfy the SLA — hardware must scale.
     sla_met: bool
     n_tuples: int
-    buckets: dict[int, ConcurrencyBucket] = field(repr=False, default_factory=dict)
 
     @property
     def confident(self) -> bool:
@@ -88,51 +97,30 @@ class SCTModel:
     tolerance:
         Relative throughput slack defining the plateau (``0.05`` means
         buckets within 95 % of the peak are plateau members).
-    alpha:
-        Significance level of the Welch test; buckets whose throughput
-        cannot be distinguished from the peak at this level stay in the
-        plateau even if their mean dips below the tolerance band.
     min_samples:
         Minimum observations per concurrency bucket.
-    min_buckets:
-        Minimum distinct concurrency levels needed to estimate at all.
     bucket_width:
         Concurrency band width for grouping (None = adaptive; see
         :func:`repro.sct.grouping.bucketize`).
-    util_threshold:
-        Minimum mean busy utilisation of the critical resource across
-        the plateau for the estimate to be flagged ``hardware_limited``.
     """
 
     def __init__(
         self,
         tolerance: float = 0.05,
-        alpha: float = 0.05,
         min_samples: int = 4,
-        min_buckets: int = 3,
-        util_threshold: float = 0.7,
         bucket_width: int | None = None,
         latency_threshold: float | None = None,
     ) -> None:
         if not 0.0 < tolerance < 1.0:
             raise EstimationError(f"tolerance must be in (0, 1), got {tolerance!r}")
-        if not 0.0 < alpha < 1.0:
-            raise EstimationError(f"alpha must be in (0, 1), got {alpha!r}")
-        if min_samples < 1 or min_buckets < 2:
-            raise EstimationError("min_samples >= 1 and min_buckets >= 2 required")
-        if not 0.0 < util_threshold <= 1.0:
-            raise EstimationError(
-                f"util_threshold must be in (0, 1], got {util_threshold!r}"
-            )
+        if min_samples < 1:
+            raise EstimationError(f"min_samples must be >= 1, got {min_samples!r}")
         if latency_threshold is not None and latency_threshold <= 0.0:
             raise EstimationError(
                 f"latency_threshold must be > 0, got {latency_threshold!r}"
             )
         self.tolerance = float(tolerance)
-        self.alpha = float(alpha)
         self.min_samples = int(min_samples)
-        self.min_buckets = int(min_buckets)
-        self.util_threshold = float(util_threshold)
         self.bucket_width = bucket_width
         # The paper's Fig. 6(b) draws an SLA line on the RT-vs-Q scatter:
         # the optimal setting is Q_lower *and* must keep the server-level
@@ -155,9 +143,9 @@ class SCTModel:
         estimator loop) treats that as "keep the current setting".
         """
         buckets = bucketize(tuples, self.min_samples, self.bucket_width)
-        if len(buckets) < self.min_buckets:
+        if len(buckets) < MIN_BUCKETS:
             raise EstimationError(
-                f"need >= {self.min_buckets} concurrency levels with >= "
+                f"need >= {MIN_BUCKETS} concurrency levels with >= "
                 f"{self.min_samples} samples, got {len(buckets)}"
             )
         qs = sorted(buckets)
@@ -180,7 +168,7 @@ class SCTModel:
                 return True
             return (
                 mean >= (1.0 - 3.0 * self.tolerance) * tp_max
-                and pvals[q] >= self.alpha
+                and pvals[q] >= ALPHA
             )
 
         peak_idx = qs.index(peak_q)
@@ -223,8 +211,7 @@ class SCTModel:
             ascending_observed=ascending_observed,
             saturation_observed=saturation_observed,
             plateau_util=plateau_util,
-            hardware_limited=plateau_util >= self.util_threshold,
+            hardware_limited=plateau_util >= UTIL_THRESHOLD,
             sla_met=sla_met,
             n_tuples=len(tuples),
-            buckets=buckets,
         )

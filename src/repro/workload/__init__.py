@@ -13,11 +13,6 @@
 from repro.workload.generator import ClosedLoopGenerator, OpenLoopGenerator, RequestFactory
 from repro.workload.mixes import WorkloadMix, browse_only_mix, read_write_mix
 from repro.workload.rubbos import CATALOG, Interaction
-from repro.workload.sessions import (
-    SessionRequestFactory,
-    TransitionMatrix,
-    browse_session_matrix,
-)
 from repro.workload.shapes import (
     TRACE_NAMES,
     big_spike,
@@ -39,9 +34,6 @@ __all__ = [
     "read_write_mix",
     "CATALOG",
     "Interaction",
-    "SessionRequestFactory",
-    "TransitionMatrix",
-    "browse_session_matrix",
     "Trace",
     "TRACE_NAMES",
     "make_trace",

@@ -5,12 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.analysis.compare import FrameworkResult, compare_frameworks, improvement
-from repro.analysis.series import (
-    coefficient_of_variation,
-    group_mean_by_time,
-    moving_average,
-)
+from repro.analysis.series import coefficient_of_variation, group_mean_by_time
 from repro.analysis.stats import fluctuation_summary, spike_episodes, time_above
 from repro.errors import ReproError
 
@@ -18,28 +13,6 @@ from repro.errors import ReproError
 # ----------------------------------------------------------------------
 # series
 # ----------------------------------------------------------------------
-
-def test_moving_average_flat_series():
-    out = moving_average([5.0] * 10, window=3)
-    assert np.allclose(out, 5.0)
-
-
-def test_moving_average_skips_nan():
-    out = moving_average([1.0, math.nan, 3.0], window=3)
-    assert out[1] == pytest.approx(2.0)
-
-
-def test_moving_average_edges_unbiased():
-    out = moving_average([10.0, 10.0, 10.0, 10.0], window=5)
-    assert np.allclose(out, 10.0)  # shrinking edge windows, no zero-pad
-
-
-def test_moving_average_validation():
-    with pytest.raises(ReproError):
-        moving_average([1.0], window=0)
-    with pytest.raises(ReproError):
-        moving_average(np.zeros((2, 2)), window=3)
-
 
 def _naive_group_mean(times, values):
     by_time = {}
@@ -113,26 +86,3 @@ def test_fluctuation_summary():
     assert s.worst_value == 2.0
     assert s.time_above_sla == pytest.approx(1.0)
     assert s.cov > 1.0
-
-
-# ----------------------------------------------------------------------
-# comparisons
-# ----------------------------------------------------------------------
-
-def test_improvement():
-    assert improvement(200.0, 100.0) == 2.0
-    with pytest.raises(ReproError):
-        improvement(1.0, 0.0)
-
-
-def test_compare_frameworks():
-    lat_bad = np.linspace(0.01, 2.0, 100)
-    lat_good = np.linspace(0.01, 0.5, 100)
-    results = [
-        FrameworkResult.from_latencies("ec2", "big_spike", lat_bad),
-        FrameworkResult.from_latencies("conscale", "big_spike", lat_good),
-    ]
-    table = compare_frameworks(results, baseline="ec2")
-    row = table[("conscale", "big_spike")]
-    assert row["p99_improvement"] == pytest.approx(4.0, rel=0.05)
-    assert "p99_improvement" not in table[("ec2", "big_spike")]

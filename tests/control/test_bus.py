@@ -3,7 +3,7 @@
 import pytest
 
 from repro.control.bus import ControlBus
-from repro.control.events import DecisionEvent, TelemetryEvent
+from repro.control.events import DecisionEvent
 
 
 def decision(t=1.0, kind="noop", tier="app", **kw):
@@ -13,36 +13,42 @@ def decision(t=1.0, kind="noop", tier="app", **kw):
 def test_publish_reaches_subscribers_in_order():
     bus = ControlBus()
     seen = []
-    bus.subscribe(DecisionEvent, lambda e: seen.append(("first", e)))
+
+    def first(e):
+        seen.append(("first", e))
+
+    bus.subscribe(DecisionEvent, first)
     bus.subscribe(DecisionEvent, lambda e: seen.append(("second", e)))
     event = decision()
     bus.publish(event)
     assert seen == [("first", event), ("second", event)]
+    bus.unsubscribe(DecisionEvent, first)
+    bus.publish(event)
+    assert seen[2:] == [("second", event)]
+
+
+class OtherEvent:
+    pass
+
+
+class DecisionSubclass(DecisionEvent):
+    __slots__ = ()
 
 
 def test_dispatch_is_keyed_by_exact_type():
     bus = ControlBus()
-    decisions, telemetry = [], []
+    decisions, others = [], []
     bus.subscribe(DecisionEvent, decisions.append)
-    bus.subscribe(TelemetryEvent, telemetry.append)
+    bus.subscribe(OtherEvent, others.append)
     bus.publish(decision())
-    bus.publish(TelemetryEvent(1.0, "db-1", "db", 0.5, 3.0, 100.0))
-    assert len(decisions) == 1 and len(telemetry) == 1
+    bus.publish(OtherEvent())
+    # A subclass instance is a different key: no DecisionEvent handler.
+    bus.publish(DecisionSubclass(time=1.0, kind="noop", tier="app"))
+    assert len(decisions) == 1 and len(others) == 1
 
 
 def test_publish_without_subscribers_is_a_noop():
     ControlBus().publish(decision())  # must not raise
-
-
-def test_has_subscribers():
-    bus = ControlBus()
-    assert not bus.has_subscribers(TelemetryEvent)
-    handler = lambda e: None  # noqa: E731
-    bus.subscribe(TelemetryEvent, handler)
-    assert bus.has_subscribers(TelemetryEvent)
-    assert not bus.has_subscribers(DecisionEvent)
-    bus.unsubscribe(TelemetryEvent, handler)
-    assert not bus.has_subscribers(TelemetryEvent)
 
 
 def test_unsubscribe_unknown_handler_is_a_noop():

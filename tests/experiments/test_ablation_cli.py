@@ -1,5 +1,7 @@
 """Tests for the ablation helpers and the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -90,7 +92,7 @@ def test_cli_rejects_unknown_framework():
 # ----------------------------------------------------------------------
 
 def test_result_summary_roundtrip(tmp_path):
-    from repro.experiments.persistence import load_summary, save_result
+    from repro.experiments.persistence import save_result
     from repro.experiments.runner import run_experiment
     from repro.experiments.scenarios import ScenarioConfig
 
@@ -100,7 +102,8 @@ def test_result_summary_roundtrip(tmp_path):
     )
     result = run_experiment("ec2", config)
     path = save_result(result, str(tmp_path / "runs" / "ec2.json"))
-    summary = load_summary(path)
+    with open(path) as fh:
+        summary = json.load(fh)
     assert summary["framework"] == "ec2"
     assert summary["scenario"]["trace"] == "dual_phase"
     assert summary["requests"]["completed"] == result.completed
@@ -109,18 +112,6 @@ def test_result_summary_roundtrip(tmp_path):
     )
     assert len(summary["timeline"]) > 5
     assert summary["vms"]["count"][0] == 3
-
-
-def test_load_summary_rejects_garbage(tmp_path):
-    from repro.errors import ExperimentError
-    from repro.experiments.persistence import load_summary
-
-    bad = tmp_path / "bad.json"
-    bad.write_text("{\"hello\": 1}")
-    with pytest.raises(ExperimentError):
-        load_summary(str(bad))
-    with pytest.raises(ExperimentError):
-        load_summary(str(tmp_path / "missing.json"))
 
 
 def test_vm_seconds_cost_metric():

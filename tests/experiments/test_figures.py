@@ -7,7 +7,10 @@ regeneration lives in ``benchmarks/``.
 import numpy as np
 import pytest
 
+from repro.errors import EstimationError
 from repro.experiments import figures as F
+from repro.sct.model import SCTEstimate
+from repro.sct.tuples import MetricTuple
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +59,27 @@ def test_figure6_sct_scatter():
     assert data.estimate.saturation_observed
     assert len(data.tuples) > 200
     assert "SCT estimate" in data.render()
+
+
+@pytest.mark.parametrize("exc", [TypeError, EstimationError])
+def test_figure6_render_hides_only_estimation_errors(monkeypatch, exc):
+    def bootstrap(*args, **kwargs):
+        raise exc("bootstrap failed")
+
+    monkeypatch.setattr(F, "bootstrap_q_lower", bootstrap)
+    estimate = SCTEstimate(
+        q_lower=10, q_upper=15, tp_max=150.0, optimal=10,
+        ascending_observed=True, saturation_observed=True,
+        plateau_util=0.9, hardware_limited=True, sla_met=True, n_tuples=3,
+    )
+    tuples = [MetricTuple(q=q, tp=10.0 * q, rt=0.01, util=0.5) for q in (5, 10, 15)]
+    data = F.Fig6Data(server="db-1", tuples=tuples, estimate=estimate)
+    if exc is EstimationError:
+        text = data.render()
+        assert "SCT estimate" in text and "bootstrap" not in text
+    else:
+        with pytest.raises(TypeError):
+            data.render()
 
 
 def test_figure5_window_around_scale_out(fig10_small):

@@ -52,6 +52,17 @@ def test_new_fields_validated():
         )
 
 
+@pytest.mark.parametrize("mode", ["fluid", "hybrid"])
+def test_fluid_modes_refuse_non_gamma_demand(mode):
+    # The fluid integrator draws gamma service times whatever the
+    # configured distribution, so a lognormal run would get wrong tails.
+    with pytest.raises(ConfigurationError, match="gamma service demand only"):
+        ScenarioConfig(
+            name="x", trace_name="dual_phase", mode=mode,
+            demand_distribution="lognormal",
+        )
+
+
 def test_explicit_defaults_keep_spec_digest():
     """mode/arrivals/distribution defaults must not perturb existing
     spec digests — the cache and the byte-identity contract depend on

@@ -43,7 +43,7 @@ def build_stack(topology=(1, 2, 2)):
     factory.set_template(DB, simple_capacity(10), 100_000)
     hv = Hypervisor(sim, prep_period=2.0)
     bus = ControlBus()
-    wh = MetricWarehouse(sim, fine_interval=0.5, bus=bus)
+    wh = MetricWarehouse(sim, fine_interval=0.5)
     trace = DecisionTrace()
     actuator = Actuator(sim, app, hv, factory, wh, trace, bus)
     for tier, n in zip((WEB, APP, DB), topology):

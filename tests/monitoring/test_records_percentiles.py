@@ -14,7 +14,7 @@ from repro.control.trace import DecisionTrace
 from repro.errors import ExperimentError, MonitoringError
 from repro.experiments.artifact import DRAIN_GRACE, RunArtifact, RunSpec
 from repro.experiments.scenarios import ScenarioConfig
-from repro.monitoring.percentiles import percentile, tail_summary
+from repro.monitoring.percentiles import tail_summary
 from repro.monitoring.records import RequestLog
 from repro.ntier.request import Request
 
@@ -111,14 +111,6 @@ def test_timeline_validation():
 # ----------------------------------------------------------------------
 # percentiles helpers
 # ----------------------------------------------------------------------
-
-def test_percentile_helper():
-    assert percentile([1, 2, 3, 4, 5], 50) == 3.0
-    with pytest.raises(MonitoringError):
-        percentile([], 50)
-    with pytest.raises(MonitoringError):
-        percentile([1.0], 150)
-
 
 def test_tail_summary_fields():
     values = np.arange(1, 101, dtype=float)  # 1..100

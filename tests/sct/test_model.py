@@ -104,13 +104,7 @@ def test_parameter_validation():
     with pytest.raises(EstimationError):
         SCTModel(tolerance=0.0)
     with pytest.raises(EstimationError):
-        SCTModel(alpha=1.5)
-    with pytest.raises(EstimationError):
         SCTModel(min_samples=0)
-    with pytest.raises(EstimationError):
-        SCTModel(min_buckets=1)
-    with pytest.raises(EstimationError):
-        SCTModel(util_threshold=0.0)
 
 
 def test_noise_does_not_create_false_plateau_split():

@@ -1,9 +1,8 @@
-"""Tests for the error hierarchy and time-unit helpers."""
+"""Tests for the error hierarchy."""
 
 import pytest
 
 from repro import errors
-from repro.units import MINUTE, SECOND, minutes, ms, seconds
 
 
 @pytest.mark.parametrize(
@@ -30,16 +29,3 @@ def test_all_errors_derive_from_repro_error(cls):
 
 def test_schedule_error_is_simulation_error():
     assert issubclass(errors.ScheduleError, errors.SimulationError)
-
-
-def test_ms_converts_to_seconds():
-    assert ms(50) == 0.05
-    assert ms(1000) == 1.0
-
-
-def test_seconds_is_identity():
-    assert seconds(2.5) == 2.5 * SECOND == 2.5
-
-
-def test_minutes():
-    assert minutes(12) == 12 * MINUTE == 720.0
