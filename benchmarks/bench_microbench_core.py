@@ -26,7 +26,7 @@ from repro.ntier.capacity import CapacityModel, ContentionModel, Resource
 from repro.ntier.request import Request
 from repro.ntier.server import Server, ServerConfig
 from repro.sct.model import SCTModel
-from repro.sct.tuples import MetricTuple
+from repro.sct.scatter import Scatter
 from repro.sim.engine import Simulator
 
 #: Timed rounds per calendar bench (best-of is what gets recorded).
@@ -125,14 +125,15 @@ def test_wheel_beats_legacy():
 def test_sct_estimation_cost(benchmark):
     """One SCT estimate over a realistic window of tuples."""
     rng = np.random.default_rng(0)
-    tuples = []
-    for q in range(1, 60):
-        tp = 100.0 * min(q, 10) / 10 / (1 + 2e-4 * q * (q - 1))
-        for _ in range(12):
-            tuples.append(
-                MetricTuple(q, tp * (1 + rng.normal(0, 0.05)), 0.01, min(1.0, q / 10))
-            )
+    q = np.repeat(np.arange(1.0, 60.0), 12)
+    tp = 100.0 * np.minimum(q, 10) / 10 / (1 + 2e-4 * q * (q - 1))
+    scatter = Scatter(
+        q=q,
+        tp=tp * (1 + rng.normal(0, 0.05, q.size)),
+        rt=np.full(q.size, 0.01),
+        util=np.minimum(1.0, q / 10),
+    )
     model = SCTModel()
 
-    est = benchmark(model.estimate, tuples)
+    est = benchmark(model.estimate, scatter)
     assert 8 <= est.q_lower <= 13

@@ -20,7 +20,7 @@ from repro.errors import EstimationError
 from repro.experiments.calibration import Calibration, db_capacity_cpu
 from repro.experiments.sweep import cap_ramp_scatter
 from repro.sct.model import SCTModel
-from repro.sct.tuples import tuples_from_samples
+from repro.sct.scatter import Scatter
 from repro.workload.mixes import browse_only_mix
 
 
@@ -42,17 +42,18 @@ def main() -> None:
     step = 10.0
     while True:
         horizon += step
-        window = [s for s in samples if s.t_end <= horizon]
+        # the samples collected by `horizon` (t_end only grows)
+        window = samples[: int((samples.t_end <= horizon).sum())]
         if len(window) == len(samples):
             break
-        tuples = tuples_from_samples(window)
+        scatter = Scatter.from_window(window)
         try:
-            est = model.estimate(tuples)
-            print(f"{horizon:8.0f}s  {len(tuples):7d}  {est.describe()}")
+            est = model.estimate(scatter)
+            print(f"{horizon:8.0f}s  {len(scatter):7d}  {est.describe()}")
         except EstimationError as exc:
-            print(f"{horizon:8.0f}s  {len(tuples):7d}  (no estimate: {exc})")
+            print(f"{horizon:8.0f}s  {len(scatter):7d}  (no estimate: {exc})")
 
-    final = model.estimate(tuples_from_samples(samples))
+    final = model.estimate(Scatter.from_window(samples))
     print("-" * 64)
     print(f"final estimate on {server}: {final.describe()}")
     print(f"recommended soft-resource allocation: {final.optimal} "

@@ -26,7 +26,7 @@ from repro.experiments.engine import ExperimentEngine, inline_engine
 from repro.experiments.scenarios import ScenarioConfig
 from repro.experiments.sweep import cap_ramp_scatter
 from repro.sct.model import SCTModel
-from repro.sct.tuples import tuples_from_samples
+from repro.sct.scatter import Scatter
 from repro.workload.mixes import browse_only_mix
 
 __all__ = [
@@ -57,7 +57,7 @@ def _scatter(interval: float, dwell: float, q_max: int, seed: int):
         db_capacity_cpu(1.0), mix, q_max=q_max, q_step=2, dwell=dwell,
         fine_interval=interval, seed=seed,
     )
-    return tuples_from_samples(samples)
+    return Scatter.from_window(samples)
 
 
 def sct_interval_ablation(
@@ -74,9 +74,9 @@ def sct_interval_ablation(
     """
     out = []
     for interval in intervals:
-        tuples = _scatter(interval, dwell, q_max, seed)
+        scatter = _scatter(interval, dwell, q_max, seed)
         try:
-            est = SCTModel(bucket_width=2).estimate(tuples)
+            est = SCTModel(bucket_width=2).estimate(scatter)
             out.append(
                 AblationPoint(knob=interval, q_lower=est.q_lower, q_upper=est.q_upper)
             )
@@ -98,10 +98,10 @@ def sct_window_ablation(
     must be reported as unsaturated rather than producing a bogus
     optimum.
     """
-    tuples = _scatter(0.050, dwell, q_max, seed)
+    scatter = _scatter(0.050, dwell, q_max, seed)
     out = []
     for fraction in fractions:
-        subset = tuples[: max(1, int(len(tuples) * fraction))]
+        subset = scatter[: max(1, int(len(scatter) * fraction))]
         try:
             est = SCTModel(bucket_width=2).estimate(subset)
             note = "" if est.saturation_observed else "unsaturated"
@@ -122,10 +122,10 @@ def sct_tolerance_ablation(
     seed: int = 7,
 ) -> list[AblationPoint]:
     """Rational-range width versus the plateau tolerance delta."""
-    tuples = _scatter(0.050, dwell, q_max, seed)
+    scatter = _scatter(0.050, dwell, q_max, seed)
     out = []
     for tol in tolerances:
-        est = SCTModel(tolerance=tol, bucket_width=2).estimate(tuples)
+        est = SCTModel(tolerance=tol, bucket_width=2).estimate(scatter)
         out.append(AblationPoint(knob=tol, q_lower=est.q_lower, q_upper=est.q_upper))
     return out
 

@@ -31,7 +31,7 @@ from repro.monitoring.percentiles import TailSummary
 from repro.ntier.app import APP, DB
 from repro.sct.bootstrap import bootstrap_q_lower
 from repro.sct.model import SCTEstimate, SCTModel
-from repro.sct.tuples import MetricTuple, tuples_from_samples
+from repro.sct.scatter import Scatter
 from repro.workload.mixes import browse_only_mix, read_write_mix
 from repro.workload.shapes import TRACE_NAMES, make_trace
 
@@ -403,28 +403,34 @@ class Fig5Data:
 
 @dataclass
 class Fig6Data:
-    """The SCT scatter (TP vs Q, RT vs Q) and the estimated range."""
+    """The SCT scatter (TP vs Q, RT vs Q) and the estimated range.
+
+    ``model`` is the one that made ``estimate``; the bootstrap interval
+    under it re-estimates with the same banding.
+    """
 
     server: str
-    tuples: list[MetricTuple]
+    scatter: Scatter
     estimate: SCTEstimate
+    model: SCTModel
 
     def scatter_rows(self):
         return [
-            (round(t.q, 2), round(t.tp, 1), round(t.rt * 1000, 2) if not math.isnan(t.rt) else float("nan"))
-            for t in self.tuples
+            (round(q, 2), round(tp, 1), round(rt * 1000, 2) if not math.isnan(rt) else float("nan"))
+            for q, tp, rt in zip(self.scatter.q.tolist(), self.scatter.tp.tolist(),
+                                 self.scatter.rt.tolist())
         ]
 
     def render(self) -> str:
-        qs = [t.q for t in self.tuples]
-        tps = [t.tp for t in self.tuples]
-        rts = [t.rt * 1000 if not math.isnan(t.rt) else math.nan for t in self.tuples]
+        qs = self.scatter.q.tolist()
+        tps = self.scatter.tp.tolist()
+        rts = [rt * 1000 if not math.isnan(rt) else math.nan
+               for rt in self.scatter.rt.tolist()]
         a = ascii_chart(qs, tps, label=f"Fig.6a {self.server} throughput vs concurrency")
         b = ascii_chart(qs, rts, label=f"Fig.6b {self.server} response time [ms] vs concurrency")
         lines = [a, "", b, "", f"SCT estimate: {self.estimate.describe()}"]
         try:
-            ci = bootstrap_q_lower(self.tuples, SCTModel(bucket_width=2),
-                                   n_resamples=100)
+            ci = bootstrap_q_lower(self.scatter, self.model, n_resamples=100)
         except EstimationError:
             pass  # the window is too thin for an interval; omit the line
         else:
@@ -505,9 +511,10 @@ def figure6(
         db_capacity_cpu(1.0), mix, q_max=q_max, q_step=q_step, dwell=dwell,
         seed=seed,
     )
-    tuples = tuples_from_samples(samples)
-    estimate = SCTModel(bucket_width=q_step).estimate(tuples)
-    return Fig6Data(server=server_name, tuples=tuples, estimate=estimate)
+    scatter = Scatter.from_window(samples)
+    model = SCTModel(bucket_width=q_step)
+    return Fig6Data(server=server_name, scatter=scatter,
+                    estimate=model.estimate(scatter), model=model)
 
 
 # ----------------------------------------------------------------------

@@ -290,15 +290,15 @@ def execute_spec(spec: RunSpec, *, sim: Simulator | None = None) -> RunArtifact:
         )
 
     fine_series: dict[str, FineSeries] = {}
-    for name, (tier, samples) in sorted(warehouse.all_fine_samples(window).items()):
+    for name, (tier, fine) in sorted(warehouse.all_fine_samples(window).items()):
         fine_series[name] = FineSeries(
             server=name,
             tier=tier,
-            t_end=np.array([s.t_end for s in samples]),
-            concurrency=np.array([s.concurrency for s in samples]),
-            throughput=np.array([s.throughput for s in samples]),
-            response_time=np.array([s.response_time for s in samples]),
-            completions=np.array([s.completions for s in samples], dtype=int),
+            t_end=fine.t_end.copy(),
+            concurrency=fine.concurrency.copy(),
+            throughput=fine.throughput.copy(),
+            response_time=fine.response_time.copy(),
+            completions=fine.completions.astype(int),
         )
 
     estimates: dict[str, list[TierEstimate]] = {}

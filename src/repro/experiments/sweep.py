@@ -287,8 +287,8 @@ def cap_ramp_scatter(
     saturated closed-loop population keeps the cap pinned while the cap
     sweeps the concurrency range, so the 50 ms interval monitor records
     the full three-stage curve in one run. Returns ``(samples,
-    server_name)`` where ``samples`` are
-    :class:`~repro.monitoring.interval.IntervalSample` records.
+    server_name)`` where ``samples`` is the monitor's
+    :class:`~repro.monitoring.interval.IntervalWindow`.
 
     Used by the Fig. 6 harness and the SCT ablation benches.
     """
@@ -321,4 +321,4 @@ def cap_ramp_scatter(
         sim.schedule(i * dwell, pool.resize, level)
     generator.start()
     sim.run(until=len(levels) * dwell)
-    return list(monitor.samples), db_server.name
+    return monitor.samples, db_server.name

@@ -13,58 +13,114 @@ derives per-50 ms-interval metrics:
 :class:`IntervalMonitor` produces exactly those tuples by differencing
 the server's monotone accumulators at a fixed period, which is
 equivalent to (but far cheaper than) post-processing the full log.
+
+The samples are stored as columns: one float64 block with a row per
+field and a column per interval. Readers get an :class:`IntervalWindow`
+of named column views and never see the layout.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.ntier.server import Server
 from repro.sim.engine import PRIORITY_FINE_MONITOR, Simulator
 from repro.sim.process import PeriodicProcess
 
-__all__ = ["IntervalSample", "IntervalMonitor"]
+__all__ = ["IntervalWindow", "IntervalMonitor"]
+
+#: The block's rows, in order. ``response_time`` is NaN where no
+#: request completed; ``completions`` holds whole counts; ``util`` is
+#: the busy utilisation of the server's most-utilised resource (1.0 for
+#: a server without resources).
+_FIELDS = ("t_end", "concurrency", "throughput", "response_time",
+           "completions", "util")
+#: Columns of a fresh block.
+_INITIAL_COLUMNS = 256
 
 
-@dataclass(frozen=True, slots=True)
-class IntervalSample:
-    """Metrics of one server over one monitoring interval.
+class IntervalWindow:
+    """Consecutive interval samples of one server, as named columns.
 
-    ``response_time`` is NaN when no request completed in the interval.
+    Each field is a read-only float64 array with one entry per interval,
+    oldest first. ``len()`` counts the intervals and slicing
+    (``window[a:b]``) selects a run of them.
     """
 
-    t_end: float
-    concurrency: float
-    throughput: float
-    response_time: float
-    completions: int
-    utilization: dict[str, float]
+    __slots__ = ("_block",) + _FIELDS
 
-    @property
-    def has_completions(self) -> bool:
-        """True when at least one request finished in this interval."""
-        return self.completions > 0
+    t_end: np.ndarray
+    concurrency: np.ndarray
+    throughput: np.ndarray
+    response_time: np.ndarray
+    completions: np.ndarray
+    util: np.ndarray
+
+    def __init__(self, block: np.ndarray) -> None:
+        """View ``block``, one row per field in ``_FIELDS`` order.
+
+        Outside this module, build a window with :meth:`from_columns`.
+        """
+        block = block.view()
+        block.flags.writeable = False
+        self._block = block
+        for name, column in zip(_FIELDS, block):
+            setattr(self, name, column)
+
+    @classmethod
+    def from_columns(
+        cls,
+        *,
+        t_end: np.ndarray,
+        concurrency: np.ndarray,
+        throughput: np.ndarray,
+        response_time: np.ndarray,
+        completions: np.ndarray,
+        util: np.ndarray,
+    ) -> IntervalWindow:
+        """A window over copies of the given equal-length columns."""
+        return cls(np.array(
+            [t_end, concurrency, throughput, response_time, completions, util],
+            dtype=np.float64,
+        ))
+
+    def __len__(self) -> int:
+        return self._block.shape[1]
+
+    def __getitem__(self, index: slice) -> IntervalWindow:
+        if not isinstance(index, slice):
+            raise TypeError("an IntervalWindow only slices; index its columns")
+        return IntervalWindow(self._block[:, index])
 
 
 class IntervalMonitor:
-    """Collects :class:`IntervalSample` tuples for one server."""
+    """Collects one server's interval samples, one block column per tick.
+
+    :meth:`recent` and :attr:`samples` hand out :class:`IntervalWindow`
+    views; :meth:`clear` and :meth:`trim` drop samples from the front.
+    """
 
     def __init__(
         self,
         sim: Simulator,
         server: Server,
         interval: float = 0.050,
-        history: int | None = None,
     ) -> None:
         if interval <= 0:
             raise ConfigurationError(f"interval must be > 0, got {interval!r}")
         self.sim = sim
         self.server = server
         self.interval = float(interval)
-        self.samples: deque[IntervalSample] = deque(maxlen=history)
+        # Live samples are the block's columns [_start, _end). Nothing
+        # already written is ever overwritten: growth copies the live
+        # columns into a new block, and dropping samples only moves
+        # _start, so a window handed out earlier stays valid.
+        self._block = np.empty((len(_FIELDS), _INITIAL_COLUMNS))
+        self._start = 0
+        self._end = 0
         self._prev_conc = server.concurrency_integral
         self._prev_completions = server.completions
         self._prev_latency = server.latency_total
@@ -104,20 +160,30 @@ class IntervalMonitor:
         d_conc = server.concurrency_integral - self._prev_conc
         d_comp = server.completions - self._prev_completions
         d_lat = server.latency_total - self._prev_latency
-        util = {
-            name: (server.util_integral[name] - prev) / dt
-            for name, prev in self._prev_util.items()
-        }
-        sample = IntervalSample(
-            t_end=now,
-            concurrency=d_conc / dt,
-            throughput=d_comp / dt,
-            response_time=(d_lat / d_comp) if d_comp > 0 else math.nan,
-            completions=d_comp,
-            utilization=util,
+        util = max(
+            ((server.util_integral[name] - prev) / dt
+             for name, prev in self._prev_util.items()),
+            default=1.0,
         )
-        self.samples.append(sample)
+        if self._end == self._block.shape[1]:
+            self._grow()
+        self._block[:, self._end] = (
+            now,
+            d_conc / dt,
+            d_comp / dt,
+            (d_lat / d_comp) if d_comp > 0 else math.nan,
+            d_comp,
+            util,
+        )
+        self._end += 1
         self._roll_forward(now)
+
+    def _grow(self) -> None:
+        live = self._end - self._start
+        block = np.empty((len(_FIELDS), max(_INITIAL_COLUMNS, 2 * live)))
+        block[:, :live] = self._block[:, self._start:self._end]
+        self._block = block
+        self._start, self._end = 0, live
 
     def _roll_forward(self, now: float) -> None:
         server = self.server
@@ -128,13 +194,35 @@ class IntervalMonitor:
         self._prev_t = now
 
     # ------------------------------------------------------------------
-    def recent(self, window: float) -> list[IntervalSample]:
+    @property
+    def samples(self) -> IntervalWindow:
+        """Every retained sample."""
+        return IntervalWindow(self._block[:, self._start:self._end])
+
+    def recent(self, window: float) -> IntervalWindow:
         """Samples whose interval ended within the last ``window`` seconds."""
-        cutoff = self.sim.now - window
-        return [s for s in self.samples if s.t_end >= cutoff]
+        t_end = self._block[0, self._start:self._end]
+        first = self._start + int(
+            np.searchsorted(t_end, self.sim.now - window, side="left")
+        )
+        return IntervalWindow(self._block[:, first:self._end])
+
+    def clear(self) -> None:
+        """Drop every retained sample; sampling carries on."""
+        self._start = self._end
+
+    def trim(self, keep_after: float) -> int:
+        """Drop the samples that ended before ``keep_after``.
+
+        Returns the number of samples dropped.
+        """
+        t_end = self._block[0, self._start:self._end]
+        removed = int(np.searchsorted(t_end, keep_after, side="left"))
+        self._start += removed
+        return removed
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"IntervalMonitor({self.server.name!r}, interval={self.interval}, "
-            f"samples={len(self.samples)})"
+            f"samples={self._end - self._start})"
         )

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from repro.errors import MonitoringError
-from repro.monitoring.interval import IntervalMonitor, IntervalSample
+from repro.monitoring.interval import IntervalMonitor, IntervalWindow
 from repro.ntier.server import Server
 from repro.sim.engine import PRIORITY_SAMPLER, PRIORITY_WAREHOUSE, Simulator
 from repro.sim.process import PeriodicProcess
@@ -70,7 +70,6 @@ class MetricWarehouse:
         tick: float = 1.0,
         fine_interval: float = 0.050,
         history_seconds: float = 900.0,
-        fine_history: int | None = None,
     ) -> None:
         self.sim = sim
         self.tick = float(tick)
@@ -85,7 +84,6 @@ class MetricWarehouse:
         self._prev_t = np.zeros(0, dtype=np.float64)
         self._history: deque[VmSample] = deque()
         self._history_seconds = float(history_seconds)
-        self._fine_history = fine_history
         # Tiers currently in a telemetry blackout ("*" = every tier).
         self._blackout: set[str] = set()
         self._last_sample_t: dict[str, float] = {}  # tier -> newest t_end
@@ -100,9 +98,7 @@ class MetricWarehouse:
         """Install the monitoring agent on a (new) server."""
         if server.name in self._states:
             raise MonitoringError(f"server {server.name!r} is already monitored")
-        fine = IntervalMonitor(
-            self.sim, server, self.fine_interval, history=self._fine_history
-        )
+        fine = IntervalMonitor(self.sim, server, self.fine_interval)
         if self._in_blackout(server.tier):
             fine.suspend()
         state = _VmState(server, fine)
@@ -118,7 +114,12 @@ class MetricWarehouse:
         self._prev_t = np.insert(self._prev_t, pos, self.sim.now)
 
     def deregister_server(self, name: str) -> None:
-        """Remove a retired server's agent (its history stays queryable)."""
+        """Remove a retired server's agent and its monitoring history.
+
+        Its fine samples go with it: afterwards :meth:`fine_samples`
+        raises :class:`MonitoringError` for the name, and only the 1 s
+        VM samples it already contributed remain in :meth:`samples`.
+        """
         state = self._states.pop(name, None)
         if state is None:
             raise MonitoringError(f"server {name!r} is not monitored")
@@ -133,8 +134,8 @@ class MetricWarehouse:
         """Names of currently monitored servers."""
         return list(self._order)
 
-    def reset_fine_history(self, name: str) -> None:
-        """Drop one server's fine-grained history.
+    def clear_fine_samples(self, name: str) -> None:
+        """Drop one server's fine-grained samples.
 
         Called after a vertical scaling action: the server's capacity
         curve changed, so scatter collected under the old hardware
@@ -144,9 +145,9 @@ class MetricWarehouse:
         state = self._states.get(name)
         if state is None:
             raise MonitoringError(f"server {name!r} is not monitored")
-        state.fine.samples.clear()
+        state.fine.clear()
 
-    def trim_fine_history(self, name: str, keep_after: float) -> int:
+    def trim_fine_samples(self, name: str, keep_after: float) -> int:
         """Drop one server's fine samples older than ``keep_after``.
 
         Used by the drift detector: when the capacity curve is found to
@@ -156,12 +157,7 @@ class MetricWarehouse:
         state = self._states.get(name)
         if state is None:
             raise MonitoringError(f"server {name!r} is not monitored")
-        removed = 0
-        samples = state.fine.samples
-        while samples and samples[0].t_end < keep_after:
-            samples.popleft()
-            removed += 1
-        return removed
+        return state.fine.trim(keep_after)
 
     # ------------------------------------------------------------------
     # telemetry blackout (fault injection)
@@ -284,13 +280,20 @@ class MetricWarehouse:
     # queries
     # ------------------------------------------------------------------
     def samples(self, window: float, tier: str | None = None) -> list[VmSample]:
-        """VM samples from the last ``window`` seconds, optionally by tier."""
+        """VM samples from the last ``window`` seconds, optionally by tier.
+
+        The history is appended in ``t_end`` order, so the walk starts
+        at the newest sample and stops at the first one too old.
+        """
         cutoff = self.sim.now - window
-        return [
-            s
-            for s in self._history
-            if s.t_end >= cutoff and (tier is None or s.tier == tier)
-        ]
+        out = []
+        for s in reversed(self._history):
+            if s.t_end < cutoff:
+                break
+            if tier is None or s.tier == tier:
+                out.append(s)
+        out.reverse()
+        return out
 
     def tier_cpu(self, tier: str, window: float = 10.0) -> float:
         """Mean CPU utilisation of a tier over the recent window.
@@ -304,10 +307,8 @@ class MetricWarehouse:
             return 0.0
         return sum(s.cpu for s in samples) / len(samples)
 
-    def fine_samples(
-        self, server_name: str, window: float
-    ) -> list[IntervalSample]:
-        """Fine-grained (50 ms) tuples of one server over the window.
+    def fine_samples(self, server_name: str, window: float) -> IntervalWindow:
+        """Fine-grained (50 ms) samples of one server over the window.
 
         This is the asynchronous pull path of the Optimal Concurrency
         Estimator (step 2 in Fig. 8).
@@ -319,8 +320,8 @@ class MetricWarehouse:
 
     def fine_samples_for_tier(
         self, tier: str, window: float
-    ) -> dict[str, list[IntervalSample]]:
-        """Fine-grained tuples of every monitored server in a tier."""
+    ) -> dict[str, IntervalWindow]:
+        """Fine-grained samples of every monitored server in a tier."""
         return {
             name: self._states[name].fine.recent(window)
             for name in sorted(self._states)
@@ -329,7 +330,7 @@ class MetricWarehouse:
 
     def all_fine_samples(
         self, window: float
-    ) -> dict[str, tuple[str, list[IntervalSample]]]:
+    ) -> dict[str, tuple[str, IntervalWindow]]:
         """Every monitored server's ``(tier, samples)`` over the window.
 
         The end-of-run export the experiment engine uses to build

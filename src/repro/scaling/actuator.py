@@ -238,7 +238,7 @@ class Actuator:
             # Scatter collected under the old core count describes the
             # old capacity curve; drop it so the SCT model re-learns
             # the new optimum quickly.
-            self.warehouse.reset_fine_history(server.name)
+            self.warehouse.clear_fine_samples(server.name)
             self._emit(
                 "scale_up_done", tier, value=int(new_vcpus), detail=server.name,
             )

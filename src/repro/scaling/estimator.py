@@ -13,8 +13,11 @@ import statistics
 from dataclasses import dataclass
 
 from repro.errors import EstimationError
+from repro.monitoring.interval import IntervalWindow
 from repro.monitoring.warehouse import MetricWarehouse
+from repro.sct.drift import detect_drift
 from repro.sct.model import SCTEstimate, SCTModel
+from repro.sct.scatter import Scatter
 
 __all__ = ["TierEstimate", "OptimalConcurrencyEstimator"]
 
@@ -99,11 +102,11 @@ class OptimalConcurrencyEstimator:
         """
         fine = self.warehouse.fine_samples_for_tier(tier, self.window)
         per_server: dict[str, SCTEstimate] = {}
-        for name, samples in fine.items():
-            if self.drift_check and len(samples) >= self.drift_min_samples:
-                samples = self._drop_pre_drift(name, samples)
+        for name, window in fine.items():
+            if self.drift_check and len(window) >= self.drift_min_samples:
+                window = self._drop_pre_drift(name, window)
             try:
-                per_server[name] = self.model.estimate_from_samples(samples)
+                per_server[name] = self.model.estimate(Scatter.from_window(window))
             except EstimationError:
                 continue
         if not per_server:
@@ -120,7 +123,7 @@ class OptimalConcurrencyEstimator:
         optima = [e.optimal for e in basis.values()]
         uppers = [e.q_upper for e in basis.values()]
         newest = max(
-            (samples[-1].t_end for samples in fine.values() if samples),
+            (float(window.t_end[-1]) for window in fine.values() if len(window)),
             default=float("-inf"),
         )
         stale = (self.warehouse.sim.now - newest) > self.stale_after
@@ -139,22 +142,19 @@ class OptimalConcurrencyEstimator:
         self._history.setdefault(tier, []).append(estimate)
         return estimate
 
-    def _drop_pre_drift(self, name: str, samples: list) -> list:
+    def _drop_pre_drift(self, name: str, window: IntervalWindow) -> IntervalWindow:
         """Trim the pre-shift half of a drifted window (see drift_check)."""
-        from repro.sct.drift import detect_drift
-        from repro.sct.tuples import tuples_from_samples
-
-        mid = len(samples) // 2
+        mid = len(window) // 2
         report = detect_drift(
-            tuples_from_samples(samples[:mid]),
-            tuples_from_samples(samples[mid:]),
+            Scatter.from_window(window[:mid]),
+            Scatter.from_window(window[mid:]),
         )
         if not report.drifted:
-            return samples
+            return window
         self.drift_events += 1
-        cutoff = samples[mid].t_end
-        self.warehouse.trim_fine_history(name, keep_after=cutoff)
-        return samples[mid:]
+        cutoff = float(window.t_end[mid])
+        self.warehouse.trim_fine_samples(name, keep_after=cutoff)
+        return window[mid:]
 
     def last(self, tier: str) -> TierEstimate | None:
         """Latest cached estimate for a tier (the Historical Result)."""

@@ -29,7 +29,7 @@ thing across load scales.
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
 from repro.control.events import QOS_CONSTRAINT
 from repro.monitoring.warehouse import MetricWarehouse
@@ -88,13 +88,12 @@ class QoSRobustController(BaseController):
         total = 0
         breached = 0
         fine = self.warehouse.fine_samples_for_tier(tier, self.window)
-        for _name, intervals in sorted(fine.items()):
-            for s in intervals:
-                if s.completions <= 0 or math.isnan(s.response_time):
-                    continue
-                total += s.completions
-                if s.response_time > slo:
-                    breached += s.completions
+        for _name, window in sorted(fine.items()):
+            rt = window.response_time
+            completed = (window.completions > 0) & ~np.isnan(rt)
+            counts = window.completions.astype(np.int64)
+            total += int(counts[completed].sum())
+            breached += int(counts[completed & (rt > slo)].sum())
         if total < self.min_completions:
             return None
         return breached / total

@@ -2,7 +2,7 @@
 
 The point estimate ``Q_lower`` hides how much it would wobble under a
 different draw of the same window. A nonparametric bootstrap —
-resample the metric tuples with replacement, re-estimate, take
+resample the scatter's points with replacement, re-estimate, take
 percentiles — quantifies that: a controller (or an operator reading
 Fig. 6) can distinguish "the optimum is 10 ± 1" from "somewhere in
 8–16, keep collecting".
@@ -17,7 +17,7 @@ import numpy as np
 from repro.errors import EstimationError
 from repro.rng import RngRegistry
 from repro.sct.model import SCTModel
-from repro.sct.tuples import MetricTuple
+from repro.sct.scatter import Scatter
 
 __all__ = ["QLowerInterval", "bootstrap_q_lower"]
 
@@ -46,7 +46,7 @@ class QLowerInterval:
 
 
 def bootstrap_q_lower(
-    tuples: list[MetricTuple],
+    scatter: Scatter,
     model: SCTModel | None = None,
     n_resamples: int = 200,
     level: float = 0.90,
@@ -67,16 +67,15 @@ def bootstrap_q_lower(
     # stochastic draw, so resampling noise is pinned by the same
     # seed-derivation scheme as the rest of an experiment.
     rng = rng if rng is not None else RngRegistry(0).stream("sct.bootstrap")
-    point = model.estimate(tuples).q_lower  # raises if impossible
+    point = model.estimate(scatter).q_lower  # raises if impossible
 
-    n = len(tuples)
+    n = len(scatter)
     estimates: list[int] = []
     failed = 0
     for _ in range(n_resamples):
         idx = rng.integers(0, n, size=n)
-        sample = [tuples[i] for i in idx]
         try:
-            estimates.append(model.estimate(sample).q_lower)
+            estimates.append(model.estimate(scatter[idx]).q_lower)
         except EstimationError:
             failed += 1
     if failed > n_resamples // 2:

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 from repro.errors import EstimationError
 from repro.sct.grouping import bucketize
-from repro.sct.intervention import welch_t_pvalue
-from repro.sct.tuples import MetricTuple
+from repro.sct.intervention import welch_moments_pvalue
+from repro.sct.scatter import Scatter
 
 __all__ = ["DriftReport", "detect_drift"]
 
@@ -52,8 +52,8 @@ class DriftReport:
 
 
 def detect_drift(
-    old: list[MetricTuple],
-    new: list[MetricTuple],
+    old: Scatter,
+    new: Scatter,
     alpha: float = 0.01,
     min_shift: float = 0.10,
     min_fraction: float = 0.25,
@@ -80,9 +80,14 @@ def detect_drift(
         raise EstimationError(f"alpha must be in (0, 1), got {alpha!r}")
     if min_shift <= 0.0:
         raise EstimationError(f"min_shift must be > 0, got {min_shift!r}")
-    old_buckets = bucketize(old, min_samples, bucket_width)
-    new_buckets = bucketize(new, min_samples, bucket_width)
-    shared = sorted(set(old_buckets) & set(new_buckets))
+    old_bands = bucketize(old, min_samples, bucket_width)
+    new_bands = bucketize(new, min_samples, bucket_width)
+    # Band levels are ascending in both, so walking the old bands in
+    # order visits the shared levels in ascending order.
+    new_index = {q: i for i, q in enumerate(new_bands.q)}
+    shared = [
+        (i, new_index[q]) for i, q in enumerate(old_bands.q) if q in new_index
+    ]
     if not shared:
         return DriftReport(
             drifted=False, direction="none", shifted_bands=0,
@@ -90,17 +95,19 @@ def detect_drift(
         )
     ups = downs = 0
     rel_shifts: list[float] = []
-    for q in shared:
-        a = old_buckets[q]
-        b = new_buckets[q]
-        base = max(a.mean_tp, 1e-12)
-        rel = (b.mean_tp - a.mean_tp) / base
+    for i, j in shared:
+        old_tp = old_bands.mean_tp[i]
+        new_tp = new_bands.mean_tp[j]
+        base = max(old_tp, 1e-12)
+        rel = (new_tp - old_tp) / base
         rel_shifts.append(rel)
         if abs(rel) < min_shift:
             continue
         # two-sided: min of the two one-sided p-values, doubled
-        p_less = welch_t_pvalue(b.tp_array(), a.tp_array())
-        p_greater = welch_t_pvalue(a.tp_array(), b.tp_array())
+        a = old_bands.tp_moments(i)
+        b = new_bands.tp_moments(j)
+        p_less = welch_moments_pvalue(b, a)
+        p_greater = welch_moments_pvalue(a, b)
         p_two = min(1.0, 2.0 * min(p_less, p_greater))
         if p_two >= alpha:
             continue

@@ -5,11 +5,11 @@ detects bottlenecks by testing whether a metric's distribution differs
 significantly between operating regions. The SCT model applies the
 same idea to the throughput-vs-concurrency curve: a concurrency level
 belongs to the maximum-throughput plateau iff its throughput sample is
-*not* significantly below the best bucket's sample.
+*not* significantly below the best band's sample.
 
-We use Welch's unequal-variance t-test (one-sided: "is this bucket's
+We use Welch's unequal-variance t-test (one-sided: "is this band's
 mean lower than the peak's?"). A small implementation note: with the
-50 ms intervals the per-bucket samples are plentiful but heteroscedastic
+50 ms intervals the per-band samples are plentiful but heteroscedastic
 — idle-ish intervals mix with busy ones — which is exactly the case
 Welch's test is built for.
 """
@@ -21,7 +21,7 @@ import math
 import numpy as np
 from scipy import special
 
-__all__ = ["welch_t_pvalue", "plateau_pvalues"]
+__all__ = ["welch_t_pvalue", "welch_moments_pvalue"]
 
 
 def welch_t_pvalue(sample_a, sample_b) -> float:
@@ -29,24 +29,41 @@ def welch_t_pvalue(sample_a, sample_b) -> float:
 
     Returns the probability of observing a difference at least this
     large if the true means were equal; small values mean *a is
-    significantly below b*. Degenerate inputs (fewer than two
-    observations on either side, or zero variance everywhere) fall back
-    to a deterministic comparison: p = 1.0 when the means are equal or
-    ``a`` is higher, 0.0 when strictly lower.
+    significantly below b*. See :func:`welch_moments_pvalue` for the
+    degenerate cases.
+    """
+    return welch_moments_pvalue(_moments(sample_a), _moments(sample_b))
+
+
+def _moments(sample) -> tuple[float, float, int]:
+    x = np.asarray(sample, dtype=float)
+    mean = float(x.mean())
+    if x.size < 2:
+        return mean, 0.0, x.size
+    return mean, float(x.var(ddof=1)), x.size
+
+
+def welch_moments_pvalue(
+    a: tuple[float, float, int], b: tuple[float, float, int]
+) -> float:
+    """:func:`welch_t_pvalue` from each sample's ``(mean, var, n)``.
+
+    ``var`` is the ddof=1 sample variance; it is not read when ``n`` is
+    below two. Degenerate inputs (fewer than two observations on either
+    side, or zero variance everywhere) fall back to a deterministic
+    comparison: p = 1.0 when the means are equal or ``a`` is higher,
+    0.0 when strictly lower.
 
     Implemented directly on the Welch statistic and the Student-t CDF
     (``scipy.special.stdtr``) rather than ``scipy.stats.ttest_ind`` —
-    the estimator calls this for every concurrency bucket on every
-    adaption tick, and the dedicated-path cost matters.
+    the estimator calls this on every adaption tick, and the
+    dedicated-path cost matters. Taking moments lets the estimator
+    reuse the per-band statistics it already has.
     """
-    a = np.asarray(sample_a, dtype=float)
-    b = np.asarray(sample_b, dtype=float)
-    na, nb = a.size, b.size
-    ma, mb = float(a.mean()), float(b.mean())
+    ma, va, na = a
+    mb, vb, nb = b
     if na < 2 or nb < 2:
         return 1.0 if ma >= mb else 0.0
-    va = float(a.var(ddof=1))
-    vb = float(b.var(ddof=1))
     # Near-constant samples would hit catastrophic cancellation inside
     # the t statistic; decide deterministically instead.
     scale = max(abs(ma), abs(mb), 1e-30)
@@ -62,18 +79,3 @@ def welch_t_pvalue(sample_a, sample_b) -> float:
     if math.isnan(p):  # pragma: no cover - defensive
         return 1.0
     return p
-
-
-def plateau_pvalues(
-    buckets: dict[int, "ConcurrencyBucket"],  # noqa: F821 - doc-only forward ref
-    peak_q: int,
-) -> dict[int, float]:
-    """p-value of "bucket q is below the peak bucket", for every bucket.
-
-    The peak bucket itself gets p = 1.0 by construction.
-    """
-    peak = buckets[peak_q].tp_array()
-    out: dict[int, float] = {}
-    for q, bucket in buckets.items():
-        out[q] = 1.0 if q == peak_q else welch_t_pvalue(bucket.tp_array(), peak)
-    return out

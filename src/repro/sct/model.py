@@ -1,7 +1,8 @@
 """The SCT estimator: rational concurrency range and optimal setting.
 
-Implements the Estimation Phase of Fig. 4: given bucketed ``{Q, TP, RT}``
-observations, locate the throughput plateau and report
+Implements the Estimation Phase of Fig. 4: given a scatter of
+``{Q, TP, RT}`` observations grouped into concurrency bands, locate the
+throughput plateau and report
 
 * ``q_lower`` — minimum concurrency sustaining maximum throughput: the
   **optimal soft-resource allocation** (lowest response time within the
@@ -12,25 +13,23 @@ observations, locate the throughput plateau and report
 A concurrency level is *on the plateau* when its mean throughput is
 within ``tolerance`` of the peak **or** statistically indistinguishable
 from the peak (Welch p ≥ :data:`ALPHA`). The range is grown outward from
-the peak bucket and stops at the first bucket that is confidently off
-the plateau, so isolated noisy buckets inside the plateau do not split
-it.
+the peak band and stops at the first band that is confidently off the
+plateau, so isolated noisy bands inside the plateau do not split it.
+Only the bands that walk consults are tested.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from repro.errors import EstimationError
-from repro.monitoring.interval import IntervalSample
 from repro.sct.grouping import bucketize
-from repro.sct.intervention import plateau_pvalues
-from repro.sct.tuples import MetricTuple, tuples_from_samples
+from repro.sct.intervention import welch_moments_pvalue
+from repro.sct.scatter import Scatter
 
 __all__ = ["SCTEstimate", "SCTModel"]
 
-#: Significance level of the Welch test; buckets whose throughput cannot
+#: Significance level of the Welch test; bands whose throughput cannot
 #: be distinguished from the peak at this level stay in the plateau even
 #: if their mean dips below the tolerance band.
 ALPHA = 0.05
@@ -58,7 +57,7 @@ class SCTEstimate:
     # optimum may be above q_upper).
     saturation_observed: bool
     # Mean busy utilisation of the server's critical resource across
-    # the plateau buckets, and whether it is high enough that the
+    # the plateau bands, and whether it is high enough that the
     # plateau is the server's *own* hardware limit (as opposed to a
     # stall on a congested downstream tier — cross-tier contamination).
     plateau_util: float
@@ -96,9 +95,9 @@ class SCTModel:
     ----------
     tolerance:
         Relative throughput slack defining the plateau (``0.05`` means
-        buckets within 95 % of the peak are plateau members).
+        bands within 95 % of the peak are plateau members).
     min_samples:
-        Minimum observations per concurrency bucket.
+        Minimum observations per concurrency band.
     bucket_width:
         Concurrency band width for grouping (None = adaptive; see
         :func:`repro.sct.grouping.bucketize`).
@@ -131,56 +130,52 @@ class SCTModel:
         self.latency_threshold = latency_threshold
 
     # ------------------------------------------------------------------
-    def estimate_from_samples(self, samples: Iterable[IntervalSample]) -> SCTEstimate:
-        """Estimate from raw monitoring samples (the online path)."""
-        return self.estimate(tuples_from_samples(samples))
-
-    def estimate(self, tuples: list[MetricTuple]) -> SCTEstimate:
-        """Estimate the rational concurrency range from metric tuples.
+    def estimate(self, scatter: Scatter) -> SCTEstimate:
+        """Estimate the rational concurrency range from a scatter.
 
         Raises :class:`EstimationError` when the window does not contain
         enough distinct concurrency levels — the caller (the ConScale
         estimator loop) treats that as "keep the current setting".
         """
-        buckets = bucketize(tuples, self.min_samples, self.bucket_width)
-        if len(buckets) < MIN_BUCKETS:
+        bands = bucketize(scatter, self.min_samples, self.bucket_width)
+        if len(bands) < MIN_BUCKETS:
             raise EstimationError(
                 f"need >= {MIN_BUCKETS} concurrency levels with >= "
-                f"{self.min_samples} samples, got {len(buckets)}"
+                f"{self.min_samples} samples, got {len(bands)}"
             )
-        qs = sorted(buckets)
-        peak_q = max(qs, key=lambda q: buckets[q].mean_tp)
-        tp_max = buckets[peak_q].mean_tp
+        mean_tp = bands.mean_tp
+        peak = max(range(len(bands)), key=mean_tp.__getitem__)
+        tp_max = mean_tp[peak]
         if tp_max <= 0.0:
             raise EstimationError("window contains no completed requests")
-        pvals = plateau_pvalues(buckets, peak_q)
+        peak_moments = bands.tp_moments(peak)
 
-        def on_plateau(q: int) -> bool:
+        def on_plateau(i: int) -> bool:
             # Primary criterion: within the tolerance band of the peak.
-            # The Welch test may *rescue* a borderline bucket whose dip
+            # The Welch test may *rescue* a borderline band whose dip
             # is statistically indistinguishable from the peak, but only
             # within a bounded band (3x tolerance): with small per-
-            # bucket samples the test has low power, and an unbounded
+            # band samples the test has low power, and an unbounded
             # "cannot reject" rule would stretch the plateau over
-            # arbitrarily bad buckets.
-            mean = buckets[q].mean_tp
+            # arbitrarily bad bands.
+            mean = mean_tp[i]
             if mean >= (1.0 - self.tolerance) * tp_max:
                 return True
             return (
                 mean >= (1.0 - 3.0 * self.tolerance) * tp_max
-                and pvals[q] >= ALPHA
+                and welch_moments_pvalue(bands.tp_moments(i), peak_moments)
+                >= ALPHA
             )
 
-        peak_idx = qs.index(peak_q)
-        lo_idx = peak_idx
-        while lo_idx > 0 and on_plateau(qs[lo_idx - 1]):
+        lo_idx = peak
+        while lo_idx > 0 and on_plateau(lo_idx - 1):
             lo_idx -= 1
-        hi_idx = peak_idx
-        while hi_idx < len(qs) - 1 and on_plateau(qs[hi_idx + 1]):
+        hi_idx = peak
+        while hi_idx < len(bands) - 1 and on_plateau(hi_idx + 1):
             hi_idx += 1
 
-        q_lower = qs[lo_idx]
-        q_upper = qs[hi_idx]
+        q_lower = bands.q[lo_idx]
+        q_upper = bands.q[hi_idx]
         ascending_observed = lo_idx > 0
         # Saturation requires positive evidence that throughput stops
         # growing: at least one observed concurrency level ABOVE the
@@ -188,10 +183,10 @@ class SCTModel:
         # plateau extends to the largest concurrency seen is still in
         # the ascending stage as far as we can tell, and its "optimum"
         # is only a lower-bound artefact of limited load.
-        saturation_observed = hi_idx < len(qs) - 1
-        plateau_buckets = [buckets[qs[i]] for i in range(lo_idx, hi_idx + 1)]
+        saturation_observed = hi_idx < len(bands) - 1
         plateau_util = float(
-            sum(b.mean_util for b in plateau_buckets) / len(plateau_buckets)
+            sum(bands.mean_util(i) for i in range(lo_idx, hi_idx + 1))
+            / (hi_idx - lo_idx + 1)
         )
         optimal = q_lower
         sla_met = True
@@ -201,7 +196,7 @@ class SCTModel:
             # so Q_lower is the best candidate and anything above it is
             # only acceptable while under the line. If even Q_lower
             # breaks the SLA, report it with sla_met=False.
-            rt_lower = buckets[q_lower].mean_rt
+            rt_lower = bands.mean_rt(lo_idx)
             sla_met = not (rt_lower > self.latency_threshold)
         return SCTEstimate(
             q_lower=q_lower,
@@ -213,5 +208,5 @@ class SCTModel:
             plateau_util=plateau_util,
             hardware_limited=plateau_util >= UTIL_THRESHOLD,
             sla_met=sla_met,
-            n_tuples=len(tuples),
+            n_tuples=len(scatter),
         )

@@ -9,8 +9,8 @@ import pytest
 
 from repro.errors import EstimationError
 from repro.experiments import figures as F
-from repro.sct.model import SCTEstimate
-from repro.sct.tuples import MetricTuple
+from repro.sct.model import SCTEstimate, SCTModel
+from repro.sct.scatter import Scatter
 
 
 @pytest.fixture(scope="module")
@@ -57,8 +57,24 @@ def test_figure6_sct_scatter():
     data = F.figure6(q_max=40, dwell=1.5)
     assert 8 <= data.estimate.q_lower <= 13
     assert data.estimate.saturation_observed
-    assert len(data.tuples) > 200
+    assert len(data.scatter) > 200
     assert "SCT estimate" in data.render()
+
+
+def test_figure6_bootstraps_with_the_estimate_banding(monkeypatch):
+    """The interval printed under the estimate re-estimates with the
+    estimate's own band width, not a fixed one."""
+    data = F.figure6(q_max=24, q_step=4, dwell=1.0)
+    assert data.model.bucket_width == 4
+    seen = []
+
+    def bootstrap(scatter, model=None, **kwargs):
+        seen.append(model)
+        raise EstimationError("interval skipped")
+
+    monkeypatch.setattr(F, "bootstrap_q_lower", bootstrap)
+    data.render()
+    assert [model.bucket_width for model in seen] == [4]
 
 
 @pytest.mark.parametrize("exc", [TypeError, EstimationError])
@@ -72,8 +88,10 @@ def test_figure6_render_hides_only_estimation_errors(monkeypatch, exc):
         ascending_observed=True, saturation_observed=True,
         plateau_util=0.9, hardware_limited=True, sla_met=True, n_tuples=3,
     )
-    tuples = [MetricTuple(q=q, tp=10.0 * q, rt=0.01, util=0.5) for q in (5, 10, 15)]
-    data = F.Fig6Data(server="db-1", tuples=tuples, estimate=estimate)
+    qs = np.array([5.0, 10.0, 15.0])
+    scatter = Scatter(q=qs, tp=10.0 * qs, rt=np.full(3, 0.01), util=np.full(3, 0.5))
+    data = F.Fig6Data(server="db-1", scatter=scatter, estimate=estimate,
+                      model=SCTModel(bucket_width=2))
     if exc is EstimationError:
         text = data.render()
         assert "SCT estimate" in text and "bootstrap" not in text

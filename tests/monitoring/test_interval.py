@@ -2,15 +2,18 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.monitoring.interval import IntervalMonitor
+from repro.monitoring.interval import IntervalMonitor, IntervalWindow
+from repro.ntier.capacity import CapacityModel, ContentionModel, Resource
 from repro.ntier.request import Request
 from repro.ntier.server import Server, ServerConfig
 from repro.sim.engine import Simulator
 
 from tests.conftest import simple_capacity
+from tests.monitoring.reference_monitor import RecordMonitor
 
 
 def make_server(sim, a_sat=10.0):
@@ -35,12 +38,12 @@ def test_idle_intervals_report_zero():
     server = make_server(sim)
     mon = IntervalMonitor(sim, server, interval=0.1)
     sim.run(until=0.35)
-    assert len(mon.samples) == 3
-    for s in mon.samples:
-        assert s.concurrency == 0.0
-        assert s.throughput == 0.0
-        assert math.isnan(s.response_time)
-        assert not s.has_completions
+    samples = mon.samples
+    assert len(samples) == 3
+    assert (samples.concurrency == 0.0).all()
+    assert (samples.throughput == 0.0).all()
+    assert np.isnan(samples.response_time).all()
+    assert (samples.completions == 0).all()
 
 
 def test_throughput_counts_completions_per_interval():
@@ -52,10 +55,10 @@ def test_throughput_counts_completions_per_interval():
         sim.schedule(i * 0.011, server.admit,
                      Request(i, "X", 0.0, {"db": 0.01}), flow(server, 0.01))
     sim.run(until=0.25)
-    first = mon.samples[0]
-    assert first.completions == 5
-    assert first.throughput == pytest.approx(50.0)
-    assert first.response_time == pytest.approx(0.01, rel=0.05)
+    samples = mon.samples
+    assert samples.completions[0] == 5
+    assert samples.throughput[0] == pytest.approx(50.0)
+    assert samples.response_time[0] == pytest.approx(0.01, rel=0.05)
 
 
 def test_concurrency_is_time_weighted():
@@ -66,7 +69,7 @@ def test_concurrency_is_time_weighted():
     sim.schedule(0.0, server.admit, Request(0, "X", 0.0, {"db": 1.0}),
                  flow(server, 0.05))
     sim.run(until=0.15)
-    assert mon.samples[0].concurrency == pytest.approx(0.5)
+    assert mon.samples.concurrency[0] == pytest.approx(0.5)
 
 
 def test_utilization_reported():
@@ -77,15 +80,8 @@ def test_utilization_reported():
                  flow(server, 0.1))
     sim.run(until=0.12)
     # one active request on a_sat=10 -> util 0.1 for the whole interval
-    assert mon.samples[0].utilization["cpu"] == pytest.approx(0.1)
-
-
-def test_history_bound():
-    sim = Simulator()
-    server = make_server(sim)
-    mon = IntervalMonitor(sim, server, interval=0.1, history=5)
-    sim.run(until=2.0)
-    assert len(mon.samples) == 5
+    # (the util column is the busiest resource's; "cpu" is the only one)
+    assert mon.samples.util[0] == pytest.approx(0.1)
 
 
 def test_recent_window():
@@ -95,7 +91,7 @@ def test_recent_window():
     sim.run(until=1.05)
     recent = mon.recent(0.35)
     assert len(recent) == 3
-    assert all(s.t_end >= 0.7 for s in recent)
+    assert (recent.t_end >= 0.7).all()
 
 
 def test_stop_halts_sampling():
@@ -105,3 +101,87 @@ def test_stop_halts_sampling():
     sim.schedule(0.25, mon.stop)
     sim.run(until=1.0)
     assert len(mon.samples) == 2
+
+
+def test_window_is_a_read_only_slice():
+    sim = Simulator()
+    mon = IntervalMonitor(sim, make_server(sim), interval=0.1)
+    sim.run(until=1.05)
+    window = mon.recent(10.0)
+    part = window[2:5]
+    assert len(part) == 3
+    assert part.t_end.tolist() == window.t_end[2:5].tolist()
+    with pytest.raises(ValueError):
+        part.util[0] = 1.0
+    with pytest.raises(TypeError):
+        window[0]
+
+
+def _assert_same(window: IntervalWindow, records) -> None:
+    assert len(window) == len(records)
+    assert window.t_end.tolist() == [s.t_end for s in records]
+    assert window.concurrency.tolist() == [s.concurrency for s in records]
+    assert window.throughput.tolist() == [s.throughput for s in records]
+    assert np.array_equal(window.response_time,
+                          [s.response_time for s in records], equal_nan=True)
+    assert window.completions.tolist() == [s.completions for s in records]
+    # the util column is the busiest resource's rate, the one reduction
+    # of the per-resource utilisation anything reads
+    assert window.util.tolist() == [max(s.utilization.values()) for s in records]
+
+
+def test_window_matches_record_monitor():
+    """Driven by the same two-resource server, the columns hold exactly
+    what one-record-per-interval monitoring held, through a dropout,
+    clear, trim (with its count) and block growth: the 20 s run records
+    380 samples, more than a fresh block's 256 columns."""
+    sim = Simulator()
+    capacity = CapacityModel(
+        [Resource("cpu", 1.0, 0.04), Resource("disk", 1.0, 0.2)],
+        ContentionModel(sigma=8e-3, kappa=4e-4),
+    )
+    server = Server(sim, ServerConfig("db-1", "db", capacity, 1000))
+    mon = IntervalMonitor(sim, server, interval=0.05)
+    twin = RecordMonitor(sim, server, interval=0.05)
+    rng = np.random.default_rng(3)
+    t = 0.0
+    for i in range(2000):
+        t += rng.exponential(0.009)
+        sim.schedule(t, server.admit, Request(i, "X", 0.0, {"db": 1.0}),
+                     flow(server, rng.exponential(0.02)))
+
+    trimmed: list[tuple[int, int]] = []
+    snapshots: list[tuple[IntervalWindow, list]] = []
+
+    def both(action, *args):
+        def run():
+            ours = getattr(mon, action)(*args)
+            theirs = getattr(twin, action)(*args)
+            if action == "trim":
+                trimmed.append((ours, theirs))
+        return run
+
+    def compare():
+        for window in (0.5, 3.0, math.inf):
+            _assert_same(mon.recent(window), twin.recent(window))
+        snapshots.append((mon.recent(math.inf), list(twin.samples)))
+
+    sim.schedule(2.0, both("suspend"))
+    sim.schedule(3.0, both("resume"))
+    sim.schedule(5.0, compare)
+    sim.schedule(5.5, both("trim", 3.5))
+    sim.schedule(6.0, compare)
+    sim.schedule(8.0, both("clear"))
+    sim.schedule(8.0, compare)
+    sim.schedule(12.0, compare)
+    sim.schedule(16.0, both("trim", 15.0))
+    sim.schedule(19.0, both("trim", 0.0))
+    sim.run(until=20.0)
+    compare()
+
+    assert trimmed[0][0] == trimmed[0][1] > 0
+    assert trimmed[1][0] == trimmed[1][1] > 0
+    assert trimmed[2] == (0, 0)
+    # a window handed out earlier is unchanged by later growth and drops
+    for window, records in snapshots:
+        _assert_same(window, records)

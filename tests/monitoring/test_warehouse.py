@@ -86,6 +86,54 @@ def test_fine_samples_for_tier_grouping():
     assert set(by_server) == {"db-1", "db-2"}
 
 
+def test_deregistered_server_takes_its_fine_samples():
+    sim = Simulator()
+    wh = MetricWarehouse(sim, tick=1.0, fine_interval=0.1)
+    wh.register_server(make_server(sim))
+    sim.run(until=2.5)
+    wh.deregister_server("db-1")
+    with pytest.raises(MonitoringError):
+        wh.fine_samples("db-1", window=10.0)
+    # the 1 s VM samples it already contributed stay
+    assert [s.server for s in wh.samples(window=10.0)] == ["db-1", "db-1"]
+
+
+def test_clear_and_trim_fine_samples():
+    sim = Simulator()
+    wh = MetricWarehouse(sim, fine_interval=0.1)
+    wh.register_server(make_server(sim))
+    sim.run(until=2.05)
+    assert wh.trim_fine_samples("db-1", keep_after=0.95) == 9
+    assert wh.fine_samples("db-1", window=10.0).t_end[0] == pytest.approx(1.0)
+    assert wh.trim_fine_samples("db-1", keep_after=0.5) == 0
+    wh.clear_fine_samples("db-1")
+    assert len(wh.fine_samples("db-1", window=10.0)) == 0
+    sim.run(until=2.55)
+    assert len(wh.fine_samples("db-1", window=10.0)) == 5
+    with pytest.raises(MonitoringError):
+        wh.trim_fine_samples("ghost", keep_after=1.0)
+    with pytest.raises(MonitoringError):
+        wh.clear_fine_samples("ghost")
+
+
+def test_samples_window_matches_full_scan():
+    """The newest-first walk returns what filtering the whole history
+    returns, in the same order."""
+    sim = Simulator()
+    wh = MetricWarehouse(sim, tick=1.0, history_seconds=30.0)
+    for name, tier in [("app-1", "app"), ("db-1", "db"), ("db-2", "db")]:
+        wh.register_server(make_server(sim, name, tier))
+    sim.run(until=45.5)
+    history = wh.samples(window=1e9)
+    assert history[0].t_end == 15.0
+    for window in (0.0, 1.0, 7.5, 29.0, 100.0):
+        for tier in (None, "app", "db", "web"):
+            cutoff = sim.now - window
+            expected = [s for s in history if s.t_end >= cutoff
+                        and (tier is None or s.tier == tier)]
+            assert wh.samples(window, tier) == expected
+
+
 def test_history_trimming():
     sim = Simulator()
     wh = MetricWarehouse(sim, tick=1.0, history_seconds=5.0)
@@ -102,7 +150,7 @@ def test_late_registered_server_monitored_from_join():
     sim.schedule(5.0, wh.register_server, server)
     sim.run(until=8.0)
     fine = wh.fine_samples("db-1", window=100.0)
-    assert fine and all(s.t_end > 5.0 for s in fine)
+    assert len(fine) and (fine.t_end > 5.0).all()
 
 
 def test_register_sampler_ticks_on_warehouse_cadence():

@@ -13,6 +13,7 @@ Runs use the reduced scale of ``test_engine`` (load_scale 300, 60 s).
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.experiments.artifact import RunOverrides, RunSpec
@@ -75,6 +76,34 @@ def test_qos_emits_chance_constraint_breaches(qos_artifact):
         "scale_out_started", "scale_up_started"
     )
     assert acted, "sustained breaches never triggered scaling"
+
+
+def test_qos_violation_probability_weights_by_completions():
+    """Whole completion counts summed over every server's window; an
+    interval without completions (NaN response time) weighs nothing."""
+    from types import SimpleNamespace
+
+    from repro.monitoring.interval import IntervalWindow
+    from repro.scaling.qos import QoSRobustController
+
+    def window(rts, completions):
+        n = len(rts)
+        return IntervalWindow.from_columns(
+            t_end=np.arange(n, dtype=float), concurrency=np.ones(n),
+            throughput=np.ones(n), response_time=rts,
+            completions=completions, util=np.ones(n),
+        )
+
+    fine = {"db-1": window([0.2], [13]),
+            "db-2": window([0.5, float("nan"), 0.05], [3, 0, 4])}
+    controller = SimpleNamespace(
+        slo=0.1, window=60.0, min_completions=20,
+        warehouse=SimpleNamespace(fine_samples_for_tier=lambda tier, w: fine),
+    )
+    prob = QoSRobustController.violation_probability(controller, "db")
+    assert prob == (13 + 3) / 20
+    controller.min_completions = 21
+    assert QoSRobustController.violation_probability(controller, "db") is None
 
 
 def test_qos_default_slo_mostly_quiet():

@@ -15,8 +15,8 @@ def model():
 
 
 def test_clean_curve_gives_tight_interval():
-    tuples = synthetic_curve(range(1, 31), kappa=2e-3, noise=0.02, n_per_q=30)
-    interval = bootstrap_q_lower(tuples, model(), n_resamples=100,
+    scatter = synthetic_curve(range(1, 31), kappa=2e-3, noise=0.02, n_per_q=30)
+    interval = bootstrap_q_lower(scatter, model(), n_resamples=100,
                                  rng=np.random.default_rng(1))
     assert interval.lower <= interval.point <= interval.upper
     assert 9 <= interval.point <= 11
@@ -38,26 +38,26 @@ def test_noisy_curve_gives_wider_interval():
 def test_interval_contains_truth_most_of_the_time():
     hits = 0
     for seed in range(8):
-        tuples = synthetic_curve(range(1, 26), kappa=2e-3, noise=0.05,
+        scatter = synthetic_curve(range(1, 26), kappa=2e-3, noise=0.05,
                                  n_per_q=15, seed=seed)
-        ci = bootstrap_q_lower(tuples, model(), n_resamples=60,
+        ci = bootstrap_q_lower(scatter, model(), n_resamples=60,
                                rng=np.random.default_rng(seed))
         hits += ci.lower <= 10 <= ci.upper
     assert hits >= 6  # ~90% nominal coverage, allow slack
 
 
 def test_deterministic_given_rng():
-    tuples = synthetic_curve(range(1, 26), kappa=2e-3)
-    a = bootstrap_q_lower(tuples, model(), rng=np.random.default_rng(7))
-    b = bootstrap_q_lower(tuples, model(), rng=np.random.default_rng(7))
+    scatter = synthetic_curve(range(1, 26), kappa=2e-3)
+    a = bootstrap_q_lower(scatter, model(), rng=np.random.default_rng(7))
+    b = bootstrap_q_lower(scatter, model(), rng=np.random.default_rng(7))
     assert (a.lower, a.upper) == (b.lower, b.upper)
 
 
 def test_validation():
-    tuples = synthetic_curve(range(1, 26), kappa=2e-3)
+    scatter = synthetic_curve(range(1, 26), kappa=2e-3)
     with pytest.raises(EstimationError):
-        bootstrap_q_lower(tuples, model(), level=0.4)
+        bootstrap_q_lower(scatter, model(), level=0.4)
     with pytest.raises(EstimationError):
-        bootstrap_q_lower(tuples, model(), n_resamples=5)
+        bootstrap_q_lower(scatter, model(), n_resamples=5)
     with pytest.raises(EstimationError):
-        bootstrap_q_lower(tuples[:10], model())  # too thin to estimate
+        bootstrap_q_lower(scatter[:10], model())  # too thin to estimate

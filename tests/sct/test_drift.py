@@ -5,20 +5,20 @@ import pytest
 
 from repro.errors import EstimationError
 from repro.sct.drift import detect_drift
-from repro.sct.tuples import MetricTuple
+from repro.sct.scatter import Scatter
+
+from tests.sct.test_model import scatter_of
 
 
 def curve(qs, tp_scale=1.0, a_sat=10.0, noise=0.03, n=20, seed=0):
     rng = np.random.default_rng(seed)
-    out = []
+    points = []
     for q in qs:
         tp = 100.0 * tp_scale * min(q, a_sat) / a_sat
         for _ in range(n):
-            out.append(
-                MetricTuple(q, float(tp * (1 + rng.normal(0, noise))), 0.01,
-                            min(1.0, q / a_sat))
-            )
-    return out
+            points.append((q, float(tp * (1 + rng.normal(0, noise))), 0.01,
+                           min(1.0, q / a_sat)))
+    return scatter_of(points)
 
 
 def test_stationary_window_not_flagged():
@@ -68,10 +68,11 @@ def test_disjoint_concurrency_ranges_are_inconclusive():
 
 
 def test_validation():
+    empty = scatter_of([])
     with pytest.raises(EstimationError):
-        detect_drift([], [], alpha=0.0)
+        detect_drift(empty, empty, alpha=0.0)
     with pytest.raises(EstimationError):
-        detect_drift([], [], min_shift=0.0)
+        detect_drift(empty, empty, min_shift=0.0)
 
 
 def test_simulated_vertical_scale_is_detected():
@@ -79,7 +80,6 @@ def test_simulated_vertical_scale_is_detected():
     double must register as upward drift."""
     from repro.experiments.calibration import db_capacity_cpu
     from repro.experiments.sweep import cap_ramp_scatter
-    from repro.sct.tuples import tuples_from_samples
     from repro.workload.mixes import browse_only_mix
     from repro.experiments.calibration import Calibration
 
@@ -91,8 +91,6 @@ def test_simulated_vertical_scale_is_detected():
     after, _ = cap_ramp_scatter(
         db_capacity_cpu(2.0), mix, q_max=30, q_step=2, dwell=1.5, seed=8
     )
-    report = detect_drift(
-        tuples_from_samples(before), tuples_from_samples(after)
-    )
+    report = detect_drift(Scatter.from_window(before), Scatter.from_window(after))
     assert report.drifted
     assert report.direction == "up"

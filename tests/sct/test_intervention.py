@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.sct.grouping import bucketize
-from repro.sct.intervention import plateau_pvalues, welch_t_pvalue
-from repro.sct.tuples import MetricTuple
+from repro.sct.intervention import welch_moments_pvalue, welch_t_pvalue
+from repro.sct.scatter import Scatter
 
 
 def test_clearly_lower_sample_is_significant():
@@ -50,16 +50,30 @@ def test_matches_scipy_reference():
     assert ours == pytest.approx(float(ref), abs=1e-12)
 
 
+def test_moments_match_samples():
+    rng = np.random.default_rng(5)
+    a = rng.normal(10, 2, 25)
+    b = rng.normal(11, 3, 18)
+    moments = [(float(x.mean()), float(x.var(ddof=1)), x.size) for x in (a, b)]
+    assert welch_moments_pvalue(*moments) == welch_t_pvalue(a, b)
+    # a single observation's variance is never read
+    assert welch_moments_pvalue((5.0, float("nan"), 1), moments[1]) == 0.0
+
+
 def test_plateau_pvalues_shape():
+    """Welch p-values of each band against the peak band, from the
+    per-band moments the estimator reads."""
     rng = np.random.default_rng(4)
-    tuples = []
-    for q, mean in [(2, 20.0), (5, 50.0), (10, 100.0), (20, 99.0)]:
-        tuples.extend(
-            MetricTuple(q, float(v), 0.01, 1.0)
-            for v in rng.normal(mean, 5, 30)
-        )
-    buckets = bucketize(tuples, min_samples=5, width=1)
-    pvals = plateau_pvalues(buckets, peak_q=10)
-    assert pvals[10] == 1.0
+    means = [(2, 20.0), (5, 50.0), (10, 100.0), (20, 99.0)]
+    q = np.repeat([float(level) for level, _ in means], 30)
+    tp = np.concatenate([rng.normal(mean, 5, 30) for _, mean in means])
+    bands = bucketize(Scatter(q, tp, np.full(q.size, 0.01), np.ones(q.size)),
+                      min_samples=5, width=1)
+    peak = bands.q.index(10)
+    pvals = {
+        level: welch_moments_pvalue(bands.tp_moments(i), bands.tp_moments(peak))
+        for i, level in enumerate(bands.q)
+    }
+    assert pvals[10] > 0.49  # the peak against itself
     assert pvals[2] < 0.001  # clearly below peak
     assert pvals[20] > 0.05  # statistically at the peak

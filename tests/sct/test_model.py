@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.errors import EstimationError
+from repro.monitoring.interval import IntervalWindow
 from repro.sct.model import SCTModel
-from repro.sct.tuples import MetricTuple
+from repro.sct.scatter import Scatter
 
 
 def synthetic_curve(
@@ -18,23 +19,27 @@ def synthetic_curve(
     util_fn=None,
     seed=0,
 ):
-    """Tuples following the three-stage curve with utilisation."""
+    """A scatter following the three-stage curve with utilisation."""
     rng = np.random.default_rng(seed)
-    tuples = []
+    points = []
     for q in qs:
         penalty = 1.0 / (1.0 + kappa * q * max(0.0, q - 1.0))
         tp = tp_max * min(q, a_sat) / a_sat * penalty
         util = util_fn(q) if util_fn else min(1.0, q / a_sat)
         for _ in range(n_per_q):
-            tuples.append(
-                MetricTuple(
-                    q=q,
-                    tp=float(tp * (1 + rng.normal(0, noise))),
-                    rt=q / tp if tp > 0 else float("nan"),
-                    util=util,
-                )
-            )
-    return tuples
+            points.append((
+                q,
+                float(tp * (1 + rng.normal(0, noise))),
+                q / tp if tp > 0 else float("nan"),
+                util,
+            ))
+    return scatter_of(points)
+
+
+def scatter_of(points):
+    """A scatter from ``(q, tp, rt, util)`` points."""
+    q, tp, rt, util = np.array(points, dtype=float).reshape(-1, 4).T
+    return Scatter(q=q, tp=tp, rt=rt, util=util)
 
 
 def model(**kw):
@@ -95,7 +100,7 @@ def test_too_few_buckets_raises():
 
 
 def test_all_zero_throughput_raises():
-    tuples = [MetricTuple(q, 0.0, float("nan"), 1.0) for q in (2, 4, 6) for _ in range(6)]
+    tuples = scatter_of([(q, 0.0, float("nan"), 1.0) for q in (2, 4, 6) for _ in range(6)])
     with pytest.raises(EstimationError):
         model().estimate(tuples)
 
@@ -112,26 +117,21 @@ def test_noise_does_not_create_false_plateau_split():
     tuples = synthetic_curve(range(1, 31), kappa=2e-4, noise=0.01, seed=1)
     # poison the bucket at q=12 with a few low samples (still above the
     # 3*tolerance rescue band to keep them from passing on their own)
-    tuples = [
-        t if not (t.q == 12 and i % 7 == 0) else MetricTuple(12, t.tp * 0.93, t.rt, t.util)
-        for i, t in enumerate(tuples)
-    ]
-    est = model().estimate(tuples)
+    poisoned = (tuples.q == 12) & (np.arange(len(tuples)) % 7 == 0)
+    tp = np.where(poisoned, tuples.tp * 0.93, tuples.tp)
+    est = model().estimate(Scatter(tuples.q, tp, tuples.rt, tuples.util))
     assert est.q_upper > 12
 
 
 def test_estimate_from_samples_roundtrip():
-    from repro.monitoring.interval import IntervalSample
-
-    samples = [
-        IntervalSample(
-            t_end=float(i), concurrency=q, throughput=100.0 * min(q, 10) / 10,
-            response_time=0.01, completions=5, utilization={"cpu": min(1.0, q / 10)},
-        )
-        for q in range(1, 21)
-        for i in range(6)
-    ]
-    est = model().estimate_from_samples(samples)
+    """The online path: a monitoring window, its scatter, the estimate."""
+    q = np.repeat(np.arange(1.0, 21.0), 6)
+    window = IntervalWindow.from_columns(
+        t_end=np.arange(q.size, dtype=float), concurrency=q,
+        throughput=100.0 * np.minimum(q, 10) / 10, response_time=np.full(q.size, 0.01),
+        completions=np.full(q.size, 5.0), util=np.minimum(1.0, q / 10),
+    )
+    est = model().estimate(Scatter.from_window(window))
     assert 9 <= est.q_lower <= 11
 
 

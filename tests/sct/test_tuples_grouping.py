@@ -1,45 +1,69 @@
-"""Tests for SCT metric tuples and concurrency grouping."""
+"""Tests for the SCT scatter and concurrency grouping."""
 
 import math
 
+import numpy as np
 import pytest
 
-from repro.monitoring.interval import IntervalSample
+from repro.monitoring.interval import IntervalMonitor, IntervalWindow
+from repro.ntier.capacity import CapacityModel, ContentionModel, Resource
+from repro.ntier.request import Request
+from repro.ntier.server import Server, ServerConfig
 from repro.sct.grouping import band_representative, bucketize
-from repro.sct.tuples import MetricTuple, tuples_from_samples
+from repro.sct.scatter import Scatter
+from repro.sim.engine import Simulator
 
 
-def sample(q, tp, rt=0.01, util=1.0, t=1.0):
-    return IntervalSample(
-        t_end=t, concurrency=q, throughput=tp, response_time=rt,
-        completions=int(tp > 0), utilization={"cpu": util},
+def window(qs, tps, rts=None, utils=None):
+    n = len(qs)
+    return IntervalWindow.from_columns(
+        t_end=np.arange(1.0, n + 1.0),
+        concurrency=qs,
+        throughput=tps,
+        response_time=rts if rts is not None else [0.01] * n,
+        completions=[float(tp > 0) for tp in tps],
+        util=utils if utils is not None else [1.0] * n,
     )
 
 
 # ----------------------------------------------------------------------
-# tuples
+# scatter
 # ----------------------------------------------------------------------
 
 def test_idle_intervals_dropped():
-    out = tuples_from_samples([sample(0.0, 0.0), sample(2.0, 10.0)])
+    out = Scatter.from_window(window([0.0, 2.0], [0.0, 10.0]))
     assert len(out) == 1
-    assert out[0].q == 2.0
+    assert out.q[0] == 2.0
 
 
 def test_zero_tp_with_concurrency_kept():
     """Stalled-server evidence must not be discarded."""
-    out = tuples_from_samples([sample(5.0, 0.0, rt=math.nan)])
+    out = Scatter.from_window(window([5.0], [0.0], rts=[math.nan]))
     assert len(out) == 1
-    assert out[0].tp == 0.0
+    assert out.tp[0] == 0.0
+    assert math.isnan(out.rt[0])
 
 
 def test_util_takes_max_resource():
-    s = IntervalSample(
-        t_end=1.0, concurrency=3.0, throughput=5.0, response_time=0.01,
-        completions=5, utilization={"cpu": 0.4, "disk": 0.9},
+    """A two-resource server's util column is its busiest resource's."""
+    sim = Simulator()
+    capacity = CapacityModel(
+        [Resource("cpu", 1.0, 0.4), Resource("disk", 1.0, 0.9)], ContentionModel()
     )
-    (t,) = tuples_from_samples([s])
-    assert t.util == 0.9
+    server = Server(sim, ServerConfig("db-1", "db", capacity, 10))
+    mon = IntervalMonitor(sim, server, interval=0.1)
+    request = Request(0, "X", 0.0, {"db": 1.0})
+    sim.schedule(0.0, server.admit, request,
+                 lambda r: server.work(r, 1.0, server.release))
+    sim.run(until=0.15)
+    (util,) = Scatter.from_window(mon.samples).util.tolist()
+    assert util == pytest.approx(0.9)
+
+
+def test_scatter_indexing():
+    s = Scatter.from_window(window([1.0, 2.0, 3.0], [10.0, 20.0, 30.0]))
+    assert s[1:].q.tolist() == [2.0, 3.0]
+    assert s[np.array([2, 0, 2])].tp.tolist() == [30.0, 10.0, 30.0]
 
 
 # ----------------------------------------------------------------------
@@ -67,63 +91,98 @@ def test_band_representative_within_band():
         assert abs(rep - q) / q < 0.15  # representative stays close
 
 
+def test_geometric_bands_use_the_scalar_mapping():
+    """Through the first cached table and a larger one, every level's
+    band is the scalar function's."""
+    small = [1.0, 16.0, 17.0, 40.0, 399.0, 16.0, 1000.0]
+    for qs in (np.array(small), np.array(small + [1023.0, 1024.0, 5000.0])):
+        ones = np.ones(qs.size)
+        bands = bucketize(Scatter(qs, ones, ones, ones), min_samples=1)
+        assert bands.q == sorted({band_representative(int(q)) for q in qs})
+
+
 # ----------------------------------------------------------------------
 # bucketize
 # ----------------------------------------------------------------------
 
-def tuples_at(q, n, tp=10.0, util=1.0):
-    return [MetricTuple(q=q, tp=tp, rt=0.01, util=util) for _ in range(n)]
+def scatter_at(*groups):
+    """A scatter of ``(q, n)`` groups: n points at concurrency q."""
+    q = np.array([float(level) for level, n in groups for _ in range(n)])
+    return Scatter(q=q, tp=np.full(q.size, 10.0), rt=np.full(q.size, 0.01),
+                   util=np.ones(q.size))
 
 
 def test_min_samples_filter():
-    tup = tuples_at(3, 2) + tuples_at(5, 4)
-    buckets = bucketize(tup, min_samples=3, width=1)
-    assert list(buckets) == [5]
+    bands = bucketize(scatter_at((3, 2), (5, 4)), min_samples=3, width=1)
+    assert bands.q == [5]
 
 
 def test_width_one_exact_levels():
-    tup = tuples_at(3, 3) + tuples_at(4, 3)
-    buckets = bucketize(tup, min_samples=3, width=1)
-    assert sorted(buckets) == [3, 4]
+    bands = bucketize(scatter_at((3, 3), (4, 3)), min_samples=3, width=1)
+    assert bands.q == [3, 4]
 
 
 def test_uniform_width_merges():
-    tup = tuples_at(3, 2) + tuples_at(4, 2)
-    buckets = bucketize(tup, min_samples=3, width=2)
-    assert len(buckets) == 1
-    (bucket,) = buckets.values()
-    assert bucket.count == 4
+    bands = bucketize(scatter_at((3, 2), (4, 2)), min_samples=3, width=2)
+    assert len(bands) == 1
+    assert bands.tp_moments(0)[2] == 4
 
 
 def test_invalid_width():
     with pytest.raises(ValueError):
-        bucketize([], width=0)
+        bucketize(scatter_at(), width=0)
+
+
+def test_empty_scatter_has_no_bands():
+    assert len(bucketize(scatter_at(), min_samples=1)) == 0
 
 
 def test_bucket_statistics():
-    tup = [MetricTuple(5, 10.0, 0.01, 1.0), MetricTuple(5, 14.0, 0.02, 0.8),
-           MetricTuple(5, 12.0, math.nan, 0.9)]
-    buckets = bucketize(tup, min_samples=3, width=1)
-    b = buckets[5]
-    assert b.mean_tp == pytest.approx(12.0)
-    assert b.std_tp == pytest.approx(2.0)
-    assert b.mean_rt == pytest.approx(0.015)  # NaN RT excluded
-    assert b.mean_util == pytest.approx(0.9)
+    s = Scatter(q=np.full(3, 5.0), tp=np.array([10.0, 14.0, 12.0]),
+                rt=np.array([0.01, 0.02, math.nan]),
+                util=np.array([1.0, 0.8, 0.9]))
+    bands = bucketize(s, min_samples=3, width=1)
+    mean, var, n = bands.tp_moments(0)
+    assert bands.mean_tp[0] == mean == pytest.approx(12.0)
+    assert math.sqrt(var) == pytest.approx(2.0)  # ddof=1
+    assert n == 3
+    assert bands.mean_rt(0) == pytest.approx(0.015)  # NaN RT excluded
+    assert bands.mean_util(0) == pytest.approx(0.9)
+
+
+def test_single_point_band_has_zero_variance():
+    bands = bucketize(scatter_at((5, 1)), min_samples=1)
+    assert bands.tp_moments(0) == (10.0, 0.0, 1)
 
 
 def test_bucket_mean_rt_all_nan():
-    tup = [MetricTuple(5, 10.0, math.nan, 1.0)] * 3
-    buckets = bucketize(tup, min_samples=3, width=1)
-    assert math.isnan(buckets[5].mean_rt)
+    s = Scatter(q=np.full(3, 5.0), tp=np.full(3, 10.0),
+                rt=np.full(3, math.nan), util=np.ones(3))
+    bands = bucketize(s, min_samples=3, width=1)
+    assert math.isnan(bands.mean_rt(0))
+
+
+def test_bands_keep_scatter_order():
+    """Each band's points stay in scatter order (the summation order)."""
+    s = Scatter(q=np.array([7.0, 3.0, 7.0, 3.0]),
+                tp=np.array([1.0, 2.0, 3.0, 4.0]),
+                rt=np.zeros(4), util=np.ones(4))
+    bands = bucketize(s, min_samples=1, width=1)
+    assert bands.q == [3, 7]
+    assert [bands.tp[a:b].tolist() for a, b in zip(bands.start, bands.stop)] \
+        == [[2.0, 4.0], [1.0, 3.0]]
 
 
 def test_fractional_concurrency_rounds():
-    tup = tuples_at(4.6, 3)
-    buckets = bucketize(tup, min_samples=3, width=1)
-    assert list(buckets) == [5]
+    bands = bucketize(scatter_at((4.6, 3)), min_samples=3, width=1)
+    assert bands.q == [5]
+
+
+def test_half_levels_round_to_even():
+    bands = bucketize(scatter_at((2.5, 1), (3.5, 1)), min_samples=1, width=1)
+    assert bands.q == [2, 4]
 
 
 def test_sub_one_concurrency_clamps_to_one():
-    tup = tuples_at(0.4, 3)
-    buckets = bucketize(tup, min_samples=3, width=1)
-    assert list(buckets) == [1]
+    bands = bucketize(scatter_at((0.4, 3)), min_samples=3, width=1)
+    assert bands.q == [1]

@@ -11,7 +11,7 @@ from repro.ntier.pools import FifoPool
 from repro.rng import RngRegistry
 from repro.sct.grouping import band_representative, bucketize
 from repro.sct.intervention import welch_t_pvalue
-from repro.sct.tuples import MetricTuple
+from repro.sct.scatter import Scatter
 from repro.sim.engine import Simulator
 from repro.workload.trace import Trace
 
@@ -121,9 +121,9 @@ def test_band_representative_stable(q):
 
 @given(st.lists(st.floats(0.5, 200.0), min_size=1, max_size=200))
 def test_bucketize_conserves_samples(qs):
-    tuples = [MetricTuple(q, 1.0, 0.01, 1.0) for q in qs]
-    buckets = bucketize(tuples, min_samples=1)
-    assert sum(b.count for b in buckets.values()) == len(tuples)
+    ones = np.ones(len(qs))
+    bands = bucketize(Scatter(np.array(qs), ones, ones, ones), min_samples=1)
+    assert sum(b - a for a, b in zip(bands.start, bands.stop)) == len(qs)
 
 
 # ----------------------------------------------------------------------
