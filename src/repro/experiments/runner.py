@@ -176,6 +176,12 @@ def execute_spec(spec: RunSpec, *, sim: Simulator | None = None) -> RunArtifact:
             sim, app, trace, req_factory, rng.stream("arrivals"), cal.think_time
         )
 
+    # --- request log ------------------------------------------------------
+    # Discrete completions arrive through the listener; a FluidStepper
+    # appends its synthetic completions in one batch per step.
+    log = RequestLog()
+    app.on_complete(log.record)
+
     # --- simulation mode --------------------------------------------------
     # Fluid and hybrid runs add a FluidStepper over the same calibration.
     # Hybrid adds a ModeGovernor that switches between the generator and
@@ -190,6 +196,7 @@ def execute_spec(spec: RunSpec, *, sim: Simulator | None = None) -> RunArtifact:
             app,
             mix,
             rng.stream("fluid"),
+            log,
             think_time=cal.think_time,
             arrivals=config.arrivals,
             trace=None if closed else trace,
@@ -244,8 +251,6 @@ def execute_spec(spec: RunSpec, *, sim: Simulator | None = None) -> RunArtifact:
         injector.schedule(spec.faults)
 
     # --- result sampling --------------------------------------------------
-    log = RequestLog()
-    app.on_complete(log.record)
     vm_times: list[float] = []
     vm_counts: list[int] = []
     vm_by_tier: dict[str, list[int]] = {APP: [], DB: []}
@@ -326,7 +331,7 @@ def execute_spec(spec: RunSpec, *, sim: Simulator | None = None) -> RunArtifact:
         latencies=latencies,
         completion_times=log.completion_times,
         arrival_times=log.arrival_times,
-        interactions=np.array(log.interactions, dtype=str),
+        interactions=log.interactions,
         generated=generator.generated + (stepper.generated if stepper else 0),
         completed=len(log),
         actions=actions,

@@ -11,6 +11,8 @@ give both views.
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +21,9 @@ from repro.errors import MonitoringError
 from repro.ntier.request import Request
 
 __all__ = ["RequestLog", "TimelineBin"]
+
+#: Interaction codes are uint16 indices into the log's name table.
+_MAX_NAMES = 1 << 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -35,17 +40,27 @@ class TimelineBin:
 
 
 class RequestLog:
-    """Append-only log of completed requests.
+    """Append-only columnar log of completed requests.
 
-    Register :meth:`record` as an application completion listener; the
-    arrays grow in amortised O(1) and convert to numpy on demand.
+    Register :meth:`record` as an application completion listener for
+    discrete requests; the fluid integrator appends each step's
+    synthetic completions in one :meth:`record_batch`. Arrival,
+    completion and response time are float64 columns, and each
+    request's interaction is a uint16 code into a table of the names
+    logged so far, so a record costs 26 bytes. The properties return
+    copies: a live view of a column would make its next append raise
+    ``BufferError``.
     """
 
     def __init__(self) -> None:
-        self._arrivals: list[float] = []
-        self._completions: list[float] = []
-        self._rts: list[float] = []
-        self._interactions: list[str] = []
+        self._arrivals = array("d")
+        self._completions = array("d")
+        self._rts = array("d")
+        self._codes = array("H")
+        # Only names with at least one record, so the widest entry is
+        # the widest name present (it sets the interactions dtype).
+        self._names: list[str] = []
+        self._code_of: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     def record(self, request: Request) -> None:
@@ -54,10 +69,54 @@ class RequestLog:
             raise MonitoringError(
                 f"request {request.req_id} recorded before completion"
             )
+        code = self._code_of.get(request.interaction)
+        if code is None:
+            code = self._add_name(request.interaction)
         self._arrivals.append(request.arrival)
         self._completions.append(request.completion)
         self._rts.append(request.completion - request.arrival)
-        self._interactions.append(request.interaction)
+        self._codes.append(code)
+
+    def record_batch(
+        self,
+        arrivals: np.ndarray,
+        completion: float,
+        picks: np.ndarray,
+        names: Sequence[str],
+    ) -> None:
+        """Store requests that all completed at ``completion``.
+
+        Request ``i`` arrived at ``arrivals[i]`` and ran interaction
+        ``names[picks[i]]``. The rows are the ones :meth:`record` would
+        store for the same requests in the same order.
+        """
+        arrivals = np.asarray(arrivals, dtype=float)
+        if arrivals.shape != np.shape(picks) or arrivals.ndim != 1:
+            raise MonitoringError(
+                f"batch of {arrivals.shape} arrivals with {np.shape(picks)} picks"
+            )
+        count = arrivals.size
+        if not count:
+            return
+        # The log's code for each of ``names``, filled for picked ones.
+        pick_codes = np.zeros(len(names), dtype=np.uint16)
+        for idx in np.flatnonzero(np.bincount(picks, minlength=len(names))):
+            name = names[idx]
+            code = self._code_of.get(name)
+            pick_codes[idx] = self._add_name(name) if code is None else code
+        completions = np.full(count, completion, dtype=float)
+        self._arrivals.frombytes(arrivals.tobytes())
+        self._completions.frombytes(completions.tobytes())
+        self._rts.frombytes((completions - arrivals).tobytes())
+        self._codes.frombytes(pick_codes[picks].tobytes())
+
+    def _add_name(self, name: str) -> int:
+        code = len(self._names)
+        if code == _MAX_NAMES:
+            raise MonitoringError(f"more than {_MAX_NAMES} interaction names")
+        self._names.append(name)
+        self._code_of[name] = code
+        return code
 
     def __len__(self) -> int:
         return len(self._rts)
@@ -65,19 +124,23 @@ class RequestLog:
     @property
     def response_times(self) -> np.ndarray:
         """Latencies of all completed requests (seconds)."""
-        return np.asarray(self._rts, dtype=float)
+        return np.array(self._rts, dtype=float)
 
     @property
     def completion_times(self) -> np.ndarray:
         """Completion timestamps (seconds)."""
-        return np.asarray(self._completions, dtype=float)
+        return np.array(self._completions, dtype=float)
 
     @property
     def arrival_times(self) -> np.ndarray:
         """Arrival timestamps (seconds)."""
-        return np.asarray(self._arrivals, dtype=float)
+        return np.array(self._arrivals, dtype=float)
 
     @property
-    def interactions(self) -> list[str]:
-        """RUBBoS interaction name of each completed request."""
-        return list(self._interactions)
+    def interactions(self) -> np.ndarray:
+        """RUBBoS interaction name of each completed request.
+
+        The array the artifact stores: dtype ``<U`` the longest name
+        present, ``<U1`` with shape ``(0,)`` when the log is empty.
+        """
+        return np.array(self._names, dtype=str)[np.array(self._codes)]

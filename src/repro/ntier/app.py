@@ -215,29 +215,26 @@ class NTierApplication:
             soft_in_use=soft_in_use,
         )
 
-    def record_synthetic_completion(self, request: Request) -> None:
-        """Account one fluid-phase completion as a full request lifecycle.
+    def record_synthetic_completion(self, count: int) -> None:
+        """Account one fluid step's ``count`` completions as whole lifecycles.
 
         The fluid integrator does not route requests through the tiers;
         it deposits aggregate state into the servers directly (see
-        :meth:`~repro.ntier.server.Server.absorb_flow`) and then records
-        each integer completion here so the application-level
-        conservation law (``submitted == completed + failed +
-        in_flight``) and the completion listeners (request log,
-        generators) see the same stream they would in discrete mode.
+        :meth:`~repro.ntier.server.Server.absorb_flow`), logs the step's
+        completions in one batch into the run's request log, and counts
+        them here, so the application-level conservation law
+        (``submitted == completed + failed + in_flight``) holds across
+        mode switches. The completion listeners are not called: they
+        see discrete completions only.
         """
-        if request.completion is None:
-            raise SimulationError(
-                f"synthetic completion for request {request.req_id} "
-                "has no completion time"
-            )
-        self.submitted += 1
-        self.completed += 1
-        for listener in self._on_complete:
-            listener(request)
+        if count < 0:
+            raise SimulationError(f"negative synthetic completion count {count}")
+        self.submitted += count
+        self.completed += count
 
     def on_complete(self, listener: Callable[[Request], None]) -> None:
-        """Register a completion listener (monitoring, closed-loop users)."""
+        """Register a listener for discrete completions (monitoring,
+        closed-loop users); fluid-phase completions bypass it."""
         self._on_complete.append(listener)
 
     def on_fail(self, listener: Callable[[Request], None]) -> None:

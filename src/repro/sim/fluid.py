@@ -19,11 +19,11 @@ discrete PS servers:
   tier network (:mod:`repro.qnet.mva`), with the arrival rate driven by
   the thinking population ``(P - N_sys) / Z``;
 * an integer arrival/completion ledger keeps request conservation
-  *exact*: fractional flow accumulates, whole requests are emitted as
-  synthetic completion records (heading into the request log and the
-  application counters), and whatever is outstanding when a fluid phase
-  ends is handed back to the discrete machinery
-  (:meth:`FluidStepper.hand_back`);
+  *exact*: fractional flow accumulates, and each step's whole
+  completions go in one batch into the run's request log and the
+  application counters (no per-request objects, no completion
+  listeners); whatever is outstanding when a fluid phase ends is handed
+  back to the discrete machinery (:meth:`FluidStepper.hand_back`);
 * per-step occupancy, utilisation, completions, and latency mass are
   deposited into the live servers' monotone monitoring accumulators
   (:meth:`~repro.ntier.server.Server.absorb_flow`), so the 50 ms
@@ -50,6 +50,7 @@ from repro.sim.engine import PRIORITY_FLUID, Simulator
 from repro.sim.process import PeriodicProcess
 
 if TYPE_CHECKING:  # runtime imports are deferred to avoid package cycles
+    from repro.monitoring.records import RequestLog
     from repro.ntier.app import NTierApplication
     from repro.ntier.request import Request
     from repro.workload.generator import RequestFactory
@@ -146,7 +147,8 @@ class FluidStepper:
     integer number of in-system requests to re-materialise. The
     cumulative ``generated``/``completed`` counters span every phase,
     so run-level conservation can be asserted across any number of
-    mode switches.
+    mode switches. Synthetic completions go to ``log``, the run's
+    request log.
     """
 
     def __init__(
@@ -155,6 +157,7 @@ class FluidStepper:
         app: "NTierApplication",
         mix: "WorkloadMix",
         rng: np.random.Generator,
+        log: "RequestLog",
         *,
         think_time: float,
         arrivals: str = "open",
@@ -187,6 +190,7 @@ class FluidStepper:
         self.app = app
         self.mix = mix
         self.rng = rng
+        self.log = log
         self.think_time = float(think_time)
         self.arrivals_model = arrivals
         self.trace = trace
@@ -204,7 +208,6 @@ class FluidStepper:
         self._n: dict[str, float] = {t: 0.0 for t in _TIERS}
         self._arr_acc = 0.0
         self._comp_acc = 0.0
-        self._next_synth_id = -1
         self._tables: dict[str, _TierTable] = {}
         self._app_blocked_key = -1
         self._mva_cache: dict[tuple[object, ...], dict[str, float]] = {}
@@ -491,14 +494,12 @@ class FluidStepper:
     def _record_completions(
         self, now: float, count: int, residences: dict[str, float]
     ) -> dict[str, float]:
-        """Emit ``count`` synthetic request records; return per-tier
-        latency mass (visit semantics: a web visit spans the whole
-        request, an app visit spans the DB call)."""
+        """Log ``count`` synthetic completions at ``now`` as one batch;
+        return per-tier latency mass (visit semantics: a web visit spans
+        the whole request, an app visit spans the DB call)."""
         mass = {t: 0.0 for t in _TIERS}
         if count <= 0:
             return mass
-        from repro.ntier.request import Request
-
         # Per-tier sojourn = service + queueing wait. The service part
         # is a gamma at the mix's demand mean/CV (mirroring the discrete
         # per-request draws); the wait part — whatever of the measured
@@ -522,18 +523,9 @@ class FluidStepper:
         mass["web"] = float(total.sum())
         mass["app"] = float((draws["app"] + draws["db"]).sum())
         mass["db"] = float(draws["db"].sum())
-        names = self.mix.sample_interactions(self.rng, count)
-        for i, name in enumerate(names):
-            latency = float(total[i])
-            req = Request(
-                req_id=self._next_synth_id,
-                interaction=name,
-                arrival=now - latency,
-                demands={},
-            )
-            self._next_synth_id -= 1
-            req.completion = now
-            self.app.record_synthetic_completion(req)
+        picks = self.mix.sample_interactions(self.rng, count)
+        self.log.record_batch(now - total, now, picks, self.mix.interactions)
+        self.app.record_synthetic_completion(count)
         return mass
 
     def _deposit_telemetry(

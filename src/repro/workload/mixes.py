@@ -13,6 +13,8 @@ The paper's two workload modes map onto the catalog as:
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 
 from repro.errors import ConfigurationError
@@ -59,6 +61,13 @@ class WorkloadMix:
         self.name = name
         self._names: list[str] = sorted(weights)
         self._probs = np.array([weights[n] / total for n in self._names])
+        # The CDF that ``Generator.choice(p=probs)`` rebuilds on every
+        # call, built once with the same arithmetic: inverse-CDF picks
+        # from one ``rng.random()`` each are then the picks ``choice``
+        # would make, and leave the generator in the same state.
+        self._cdf = self._probs.cumsum()
+        self._cdf /= self._cdf[-1]
+        self._cdf_list: list[float] = self._cdf.tolist()
         self._interactions: dict[str, Interaction] = {
             n: catalog[n] for n in self._names
         }
@@ -110,20 +119,17 @@ class WorkloadMix:
         )
 
     def sample_interaction(self, rng: np.random.Generator) -> str:
-        """Draw one interaction name."""
-        idx = rng.choice(len(self._names), p=self._probs)
-        return self._names[int(idx)]
+        """Draw one interaction name (as ``rng.choice`` over the weights)."""
+        return self._names[bisect_right(self._cdf_list, rng.random())]
 
-    def sample_interactions(self, rng: np.random.Generator, size: int) -> list[str]:
-        """Draw ``size`` interaction names in one vectorized call.
+    def sample_interactions(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Draw ``size`` picks, indices into :attr:`interactions`, at once.
 
-        Used by the fluid integrator, which materialises synthetic
-        completions in per-step batches rather than one at a time.
+        The same picks and generator state as ``rng.choice(n, size=size,
+        p=probs)``. Used by the fluid integrator, which logs each step's
+        synthetic completions as one batch.
         """
-        if size <= 0:
-            return []
-        idx = rng.choice(len(self._names), size=size, p=self._probs)
-        return [self._names[int(i)] for i in idx]
+        return self._cdf.searchsorted(rng.random(size), side="right")
 
     def profile(self, name: str) -> DemandProfile:
         """Demand profile of one interaction."""

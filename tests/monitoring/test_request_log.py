@@ -1,0 +1,184 @@
+"""The columnar request log against the list-backed reference log.
+
+Both logs get the same interleaving of single records, fluid-step
+batches and reads; the reference gets each batch as the equivalent
+:class:`Request` objects. Every read must return equal arrays with
+equal dtypes, byte for byte.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from repro.errors import MonitoringError
+from repro.monitoring.records import RequestLog
+from repro.ntier.request import Request
+
+from tests.monitoring.reference_log import ListRequestLog
+
+OUTPUTS = ("arrival_times", "completion_times", "response_times", "interactions")
+
+NAMES = ("ViewStory", "StoriesOfTheDay", "SearchInComments")
+LATE_NAME = "BrowseStoriesByCategory"  # longer than every name in NAMES
+
+
+def completed(req_id, name, arrival, completion):
+    request = Request(req_id, name, arrival, {})
+    request.completion = completion
+    return request
+
+
+def assert_same(log, ref):
+    assert len(log) == len(ref)
+    for output in OUTPUTS:
+        ours, theirs = getattr(log, output), getattr(ref, output)
+        assert ours.dtype == theirs.dtype, output
+        assert ours.shape == theirs.shape, output
+        assert ours.tobytes() == theirs.tobytes(), output
+
+
+class Pair:
+    """Feeds one columnar and one reference log the same requests."""
+
+    def __init__(self):
+        self.log, self.ref = RequestLog(), ListRequestLog()
+        # Arrays read earlier, kept alive across later appends with the
+        # bytes they held when read.
+        self.held = []
+
+    def record(self, name, arrival, completion):
+        request = completed(len(self.ref), name, arrival, completion)
+        self.log.record(request)
+        self.ref.record(request)
+
+    def batch(self, completion, latencies, picks, names):
+        arrivals = completion - np.asarray(latencies, dtype=float)
+        self.log.record_batch(arrivals, completion, np.asarray(picks), names)
+        for arrival, pick in zip(arrivals, picks):
+            self.ref.record(
+                completed(-1 - len(self.ref), names[pick], float(arrival), completion)
+            )
+
+    def check(self):
+        assert_same(self.log, self.ref)
+        for array, snapshot in self.held:
+            assert array.tobytes() == snapshot
+        self.held = [
+            (array, array.tobytes())
+            for array in (getattr(self.log, output) for output in OUTPUTS)
+        ]
+
+
+def test_empty_log():
+    pair = Pair()
+    pair.check()
+    assert pair.log.interactions.dtype == np.dtype("<U1")
+    assert pair.log.interactions.shape == (0,)
+
+
+def test_zero_size_batch():
+    pair = Pair()
+    pair.batch(1.0, [], [], NAMES)
+    pair.check()
+    pair.record("ViewStory", 0.5, 1.5)
+    pair.batch(2.0, np.zeros(0), np.zeros(0, dtype=int), NAMES)
+    pair.check()
+
+
+def test_longer_name_first_appears_late():
+    pair = Pair()
+    pair.record("ViewStory", 0.0, 0.25)
+    pair.batch(1.0, [0.1, 0.2, 0.3], [0, 0, 1], NAMES)
+    pair.check()
+    assert pair.log.interactions.dtype == np.dtype(f"<U{len('StoriesOfTheDay')}")
+    pair.batch(2.0, [0.4, 0.5], [1, 0], (NAMES[0], LATE_NAME))
+    pair.check()
+    assert pair.log.interactions.dtype == np.dtype(f"<U{len(LATE_NAME)}")
+
+
+def test_unpicked_names_do_not_widen_the_dtype():
+    pair = Pair()
+    pair.batch(1.0, [0.1, 0.2], [0, 0], ("ViewStory", LATE_NAME))
+    pair.check()
+    assert pair.log.interactions.dtype == np.dtype(f"<U{len('ViewStory')}")
+
+
+def test_single_name_log():
+    pair = Pair()
+    for i in range(5):
+        pair.record("ViewStory", float(i), i + 0.3)
+    pair.batch(6.0, [0.5] * 4, [0] * 4, ("ViewStory",))
+    pair.check()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_random_interleaving_with_reads_between_appends(seed):
+    """Arrays read between appends stay valid and do not pin the
+    columns: a live buffer view would make the next append raise
+    ``BufferError``."""
+    rng = np.random.default_rng(seed)
+    names = NAMES + (LATE_NAME,)
+    pair = Pair()
+    now = 0.0
+    for _ in range(300):
+        now += float(rng.exponential(0.05))
+        op = rng.integers(4)
+        if op == 0:
+            name = names[int(rng.integers(len(names)))]
+            pair.record(name, now - float(rng.exponential(0.2)), now)
+        elif op == 1:
+            size = int(rng.integers(0, 40))
+            # The fluid integrator's own name table is the mix's.
+            table = names[:3] if now < 5.0 else names
+            pair.batch(
+                now,
+                rng.gamma(2.0, 0.1, size=size),
+                rng.integers(len(table), size=size),
+                table,
+            )
+        else:
+            pair.check()
+    pair.check()
+
+
+def test_name_table_overflow_raises_before_appending():
+    """Codes are uint16: the 65,537th name is refused, not wrapped."""
+    log = RequestLog()
+    for i in range(1 << 16):
+        log.record(completed(i, f"name{i}", 0.0, 1.0))
+    with pytest.raises(MonitoringError):
+        log.record(completed(0, "one-too-many", 0.0, 1.0))
+    with pytest.raises(MonitoringError):
+        log.record_batch(np.zeros(1), 1.0, np.zeros(1, dtype=int), ["one-too-many"])
+    assert len(log) == len(log.interactions) == 1 << 16
+
+
+def test_batch_shape_mismatch_raises():
+    log = RequestLog()
+    with pytest.raises(MonitoringError):
+        log.record_batch(np.zeros(3), 1.0, np.zeros(2, dtype=int), NAMES)
+
+
+@pytest.mark.parametrize("path", ["record", "record_batch"])
+def test_retained_memory_per_record_is_bounded(path):
+    """The one structure that grows with request count: once the
+    requests are gone, a record keeps at most 40 bytes alive."""
+    count, step = 200_000, 500
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        log = RequestLog()
+        if path == "record":
+            for i in range(count):
+                log.record(completed(i, NAMES[i % 3], i * 1e-3, i * 1e-3 + 0.25))
+        else:
+            picks = np.arange(step) % len(NAMES)
+            for i in range(0, count, step):
+                now = i * 1e-3
+                log.record_batch(now - np.full(step, 0.25), now, picks, NAMES)
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(log) == count
+    assert retained / count <= 40.0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.ntier.app import APP, DB, WEB, NTierApplication, SoftResourceAllocation
 from repro.ntier.request import Request
 from repro.sim.engine import Simulator
@@ -165,3 +165,18 @@ def test_multiple_app_servers_get_own_conn_pools():
     assert app.conn_pools["app-2"].limit == 7
     app.detach_conn_pool("app-2")
     assert set(app.conn_pools) == {"app-1"}
+
+
+def test_synthetic_completions_count_without_listeners():
+    """A fluid step's completions enter and leave the application at
+    once; the completion listeners see discrete completions only."""
+    sim = Simulator()
+    app = build_app(sim)
+    done = []
+    app.on_complete(done.append)
+    app.record_synthetic_completion(5)
+    app.record_synthetic_completion(0)
+    assert (app.submitted, app.completed, app.in_flight) == (5, 5, 0)
+    assert done == []
+    with pytest.raises(SimulationError):
+        app.record_synthetic_completion(-1)

@@ -6,11 +6,19 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
+from repro.experiments.artifact import RunSpec
+from repro.experiments.runner import execute_spec
+from repro.experiments.scenarios import ScenarioConfig
+from repro.monitoring.records import RequestLog
+from repro.ntier.request import Request
 from repro.sim.fluid import FluidStepper, open_occupancy
 from repro.workload.generator import RequestFactory
+from repro.workload.shapes import steady_trace_csv
 from repro.workload.trace import Trace
 
 from tests.conftest import build_app, tiny_mix
+
+TIERS = ("web", "app", "db")
 
 
 def mmk_mean(lam: float, k: int, demand: float) -> float:
@@ -69,7 +77,7 @@ def test_open_occupancy_edge_cases():
 def make_stepper(sim, rng, app, *, arrivals="open", trace=None,
                  population=None, think_time=1.0, cv=0.0):
     return FluidStepper(
-        sim, app, tiny_mix(cv=cv), rng.stream("fluid"),
+        sim, app, tiny_mix(cv=cv), rng.stream("fluid"), RequestLog(),
         think_time=think_time, arrivals=arrivals, trace=trace,
         population=population,
     )
@@ -158,8 +166,9 @@ def test_integer_ledger_conserves_requests(sim, rng):
     assert handover >= 0
     assert stepper.outstanding == 0
     assert stepper.generated == stepper.completed + stepper.materialised
-    # Synthetic completions flowed through the application counters.
-    assert app.completed == stepper.completed
+    # Synthetic completions flowed through the application counters and
+    # into the request log, one row each.
+    assert app.completed == stepper.completed == len(stepper.log)
 
 
 def test_hand_back_resubmits_the_outstanding_mass(sim, rng):
@@ -233,3 +242,72 @@ def test_materialise_requests_scales_demands_to_half_work(sim, rng):
     assert req.demands["web"] / 0.0005 == pytest.approx(
         req.demands["db"] / 0.005, rel=1e-9
     )
+
+
+# ----------------------------------------------------------------------
+# batched synthetic completions vs the per-request path
+# ----------------------------------------------------------------------
+
+def per_request_completions(self, now, count, residences):
+    """The per-request synthetic path the batch replaced: the same draws
+    in the same order, then one ``Request`` per completion, each stored
+    through ``RequestLog.record``."""
+    mass = {t: 0.0 for t in TIERS}
+    if count <= 0:
+        return mass
+    draws = {}
+    for tier in TIERS:
+        mean = self._tables[tier].demand
+        cv = self._cv[tier]
+        if mean > 0.0 and cv > 0.0:
+            shape = 1.0 / (cv * cv)
+            service = self.rng.gamma(shape, mean / shape, size=count)
+        else:
+            service = np.full(count, max(mean, 0.0))
+        wait = residences[tier] - mean
+        if wait > 1e-12:
+            service = service + self.rng.exponential(wait, size=count)
+        draws[tier] = service
+    total = draws["web"] + draws["app"] + draws["db"]
+    mass["web"] = float(total.sum())
+    mass["app"] = float((draws["app"] + draws["db"]).sum())
+    mass["db"] = float(draws["db"].sum())
+    names = self.mix.interactions
+    probs = np.array(self.mix.canonical_key()[2])
+    picks = self.rng.choice(len(names), size=count, p=probs)
+    for i, pick in enumerate(picks):
+        latency = float(total[i])
+        request = Request(-1 - i, names[int(pick)], now - latency, {})
+        request.completion = now
+        self.log.record(request)
+    self.app.record_synthetic_completion(count)
+    return mass
+
+
+def test_batched_completions_match_the_per_request_path(tmp_path, monkeypatch):
+    """The CI fluid smoke spec gives the same artifact whether each step
+    logs its completions as one batch or one request at a time, which
+    pins the draw order and every logged value."""
+    spec = RunSpec(
+        "conscale",
+        ScenarioConfig(
+            name="fluid-smoke",
+            trace_name=steady_trace_csv(str(tmp_path), users=4000.0, duration=120.0),
+            load_scale=300.0,
+            duration=120.0,
+            seed=11,
+            topology=(1, 2, 2),
+            mode="hybrid",
+        ),
+    )
+    batched = execute_spec(spec)
+    counts = []
+
+    def counted(self, now, count, residences):
+        counts.append(count)
+        return per_request_completions(self, now, count, residences)
+
+    monkeypatch.setattr(FluidStepper, "_record_completions", counted)
+    per_request = execute_spec(spec)
+    assert sum(counts) > 0
+    assert per_request.signature() == batched.signature()

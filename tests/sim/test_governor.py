@@ -11,6 +11,7 @@ from repro.control.events import (
 )
 from repro.errors import ConfigurationError
 from repro.faults.plan import FaultPlan, ServerCrashSpec
+from repro.monitoring.records import RequestLog
 from repro.sim.fluid import FluidStepper
 from repro.sim.governor import MIN_DWELL, MODE_DISCRETE, MODE_FLUID, ModeGovernor
 from repro.workload.generator import OpenLoopGenerator, RequestFactory
@@ -27,7 +28,7 @@ def make_rig(sim, rng, trace, *, faults=None, bus=None):
         sim, app, trace, factory, rng.stream("arrivals"), think_time=1.0
     )
     stepper = FluidStepper(
-        sim, app, tiny_mix(), rng.stream("fluid"),
+        sim, app, tiny_mix(), rng.stream("fluid"), RequestLog(),
         think_time=1.0, trace=trace,
     )
     governor = ModeGovernor(

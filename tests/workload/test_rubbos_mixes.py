@@ -78,3 +78,24 @@ def test_profile_access():
 def test_interactions_sorted():
     mix = browse_only_mix(BASE)
     assert mix.interactions == sorted(mix.interactions)
+
+
+@pytest.mark.parametrize("build", [browse_only_mix, read_write_mix])
+def test_sampling_matches_generator_choice(build):
+    """The once-built CDF makes the picks ``rng.choice(p=...)`` makes,
+    scalar and vector, and leaves the generator in the same state."""
+    mix = build(BASE)
+    names = mix.interactions
+    probs = np.array(mix.canonical_key()[2])  # the normalised weights
+    ours, theirs = np.random.default_rng(7), np.random.default_rng(7)
+    for _ in range(3000):
+        assert mix.sample_interaction(ours) == names[
+            int(theirs.choice(len(names), p=probs))
+        ]
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    for size in (0, 1, 17, 500):
+        picks = mix.sample_interactions(ours, size)
+        expected = theirs.choice(len(names), size=size, p=probs)
+        assert picks.dtype.kind == "i"
+        np.testing.assert_array_equal(picks, expected)
+    assert ours.bit_generator.state == theirs.bit_generator.state
