@@ -56,10 +56,19 @@ def test_engine_event_throughput(benchmark):
     assert benchmark(run) == 10_000
 
 
-def test_ps_server_churn(benchmark):
+#: One-resource CPU-bound DB, and the I/O-bound case with CPU and disk:
+#: every clock advance accrues busy time for each resource.
+PS_CAPACITIES = {
+    "cpu": [Resource("cpu", 1.0, 0.1)],
+    "cpu+disk": [Resource("cpu", 1.0, 0.04), Resource("disk", 1.0, 0.1)],
+}
+
+
+@pytest.mark.parametrize("resources", sorted(PS_CAPACITIES))
+def test_ps_server_churn(benchmark, resources):
     """Admit/work/release cycles through a contended PS server."""
     capacity = CapacityModel(
-        [Resource("cpu", 1.0, 0.1)], ContentionModel(3e-3, 2e-4)
+        PS_CAPACITIES[resources], ContentionModel(3e-3, 2e-4)
     )
 
     def run():

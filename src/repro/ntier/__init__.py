@@ -15,7 +15,7 @@ from repro.ntier.cache import CACHE, CachePolicy
 from repro.ntier.capacity import CapacityModel, ContentionModel, Resource
 from repro.ntier.demand import DemandProfile, TierDemand
 from repro.ntier.pools import FifoPool
-from repro.ntier.request import Request, ServerVisit
+from repro.ntier.request import Request
 from repro.ntier.server import Server, ServerConfig
 from repro.ntier.tier import Tier
 
@@ -34,7 +34,6 @@ __all__ = [
     "TierDemand",
     "FifoPool",
     "Request",
-    "ServerVisit",
     "Server",
     "ServerConfig",
     "Tier",

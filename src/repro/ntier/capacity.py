@@ -117,7 +117,7 @@ class CapacityModel:
     the single calibration point for every experiment.
     """
 
-    __slots__ = ("resources", "contention", "_a_sat", "_critical")
+    __slots__ = ("resources", "contention", "_a_sat", "_critical", "_busy_terms")
 
     def __init__(
         self,
@@ -134,12 +134,13 @@ class CapacityModel:
         critical = min(self.resources, key=lambda r: r.saturation_concurrency)
         self._critical = critical
         self._a_sat = critical.saturation_concurrency
+        self._busy_terms = tuple((r.name, r.fraction, r.units) for r in self.resources)
 
     def canonical_key(self):
         """Identity for content digesting (see repro.experiments.artifact).
 
-        The derived ``_a_sat``/``_critical`` fields are pure functions
-        of the resources, so the constructor arguments are the identity.
+        The derived fields are pure functions of the resources, so the
+        constructor arguments are the identity.
         """
         return (self.resources, self.contention)
 
@@ -210,6 +211,14 @@ class CapacityModel:
         if active <= 0:
             return 0.0
         return min(active * res.fraction, res.units) / res.units
+
+    def accrue_busy(
+        self, integral: dict[str, float], dt: float, active: float
+    ) -> None:
+        """Add ``dt * utilization(name, active, ...)`` for every resource
+        to ``integral[name]``, for ``active > 0``, without name lookups."""
+        for name, fraction, units in self._busy_terms:
+            integral[name] += dt * (min(active * fraction, units) / units)
 
     def efficiency(self, resource_name: str, active: float, admitted: float) -> float:
         """Useful-work utilisation of one resource (utilisation law):

@@ -17,6 +17,7 @@ server's optimal concurrency downward when the dataset grows
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -84,37 +85,54 @@ class DemandProfile:
                 f"expected one of {DEMAND_DISTRIBUTIONS}"
             )
 
-    def draw(
-        self,
-        rng: np.random.Generator,
-        dataset_scale: float = 1.0,
-        demand_scale: float = 1.0,
-    ) -> dict[str, float]:
-        """Sample one request's per-tier demands (seconds).
+    def sampler(
+        self, dataset_scale: float = 1.0, demand_scale: float = 1.0
+    ) -> Callable[[np.random.Generator], dict[str, float]]:
+        """A function sampling one request's per-tier demands (seconds)
+        from ``rng``, each tier's parameters computed once, here.
 
         ``demand_scale`` is the experiment-level load-scaling knob: it
         multiplies every demand so that scaled-down runs preserve
         concurrency and utilisation exactly (see DESIGN.md §5 and
         :mod:`repro.experiments`).
         """
-        out: dict[str, float] = {}
+        gen = np.random.Generator
+        variate = gen.lognormal if self.distribution == "lognormal" else gen.gamma
+        # (tier, None and the constant demand, or the two parameters)
+        terms: list[tuple[str, float | None, float]] = []
         for tier_name, td in self.tiers.items():
             mean = td.effective_mean(dataset_scale) * demand_scale
             if td.cv == 0:
-                out[tier_name] = mean
+                terms.append((tier_name, None, mean))
             elif self.distribution == "lognormal":
                 # Moment-matched lognormal: sigma^2 = ln(1 + cv^2),
                 # mu = ln(mean) - sigma^2/2 gives exactly the requested
                 # mean and CV with a heavier right tail than the gamma.
                 sigma_sq = float(np.log1p(td.cv * td.cv))
                 mu = float(np.log(mean)) - 0.5 * sigma_sq
-                out[tier_name] = float(rng.lognormal(mu, sigma_sq**0.5))
+                terms.append((tier_name, mu, sigma_sq**0.5))
             else:
                 # Gamma with shape k = 1/cv^2 has the requested CV and
                 # mean `mean` with scale = mean/k.
                 shape = 1.0 / (td.cv * td.cv)
-                out[tier_name] = float(rng.gamma(shape, mean / shape))
-        return out
+                terms.append((tier_name, shape, mean / shape))
+
+        def sample(rng: np.random.Generator) -> dict[str, float]:
+            return {
+                tier: b if a is None else float(variate(rng, a, b))
+                for tier, a, b in terms
+            }
+
+        return sample
+
+    def draw(
+        self,
+        rng: np.random.Generator,
+        dataset_scale: float = 1.0,
+        demand_scale: float = 1.0,
+    ) -> dict[str, float]:
+        """Sample one request's per-tier demands (see :meth:`sampler`)."""
+        return self.sampler(dataset_scale, demand_scale)(rng)
 
     def mean_demand(self, tier_name: str, dataset_scale: float = 1.0) -> float:
         """Mean demand this interaction places on ``tier_name``."""

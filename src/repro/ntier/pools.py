@@ -31,7 +31,7 @@ class FifoPool:
         self.name = name
         self._limit = int(limit)
         self._in_use = 0
-        self._waiters: deque[tuple[Any, Callable[[Any], None]]] = deque()
+        self._waiters: deque[tuple[Any, Callable[..., None], tuple]] = deque()
         # Lifetime counters for monitoring/diagnostics.
         self.total_acquired = 0
         self.total_queued = 0
@@ -63,20 +63,20 @@ class FifoPool:
     # ------------------------------------------------------------------
     # acquire / release
     # ------------------------------------------------------------------
-    def acquire(self, token: Any, granted: Callable[[Any], None]) -> None:
+    def acquire(self, token: Any, granted: Callable[..., None], *args: Any) -> None:
         """Request a permit for ``token``.
 
-        ``granted(token)`` is invoked synchronously if a permit is free
-        and nobody is queued ahead; otherwise the token joins the FIFO
-        queue and the callback fires on a future release/resize.
+        ``granted(token, *args)`` is invoked synchronously if a permit
+        is free and nobody is queued ahead; otherwise the token joins the
+        FIFO queue and the callback fires on a future release/resize.
         """
         if self._in_use < self._limit and not self._waiters:
             self._in_use += 1
             self.total_acquired += 1
-            granted(token)
+            granted(token, *args)
         else:
             self.total_queued += 1
-            self._waiters.append((token, granted))
+            self._waiters.append((token, granted, args))
 
     def release(self) -> None:
         """Return one permit, waking the longest-waiting token if any."""
@@ -87,14 +87,14 @@ class FifoPool:
 
     def waiting_tokens(self) -> list[Any]:
         """Tokens currently queued, in FIFO order (fault unwinding)."""
-        return [tok for tok, _cb in self._waiters]
+        return [tok for tok, _cb, _args in self._waiters]
 
     def cancel(self, token: Any) -> bool:
         """Remove a queued token (e.g. a timed-out request).
 
         Returns True if the token was found and removed.
         """
-        for i, (tok, _cb) in enumerate(self._waiters):
+        for i, (tok, _cb, _args) in enumerate(self._waiters):
             if tok is token:
                 del self._waiters[i]
                 return True
@@ -118,10 +118,10 @@ class FifoPool:
 
     def _grant_waiters(self) -> None:
         while self._waiters and self._in_use < self._limit:
-            token, callback = self._waiters.popleft()
+            token, callback, args = self._waiters.popleft()
             self._in_use += 1
             self.total_acquired += 1
-            callback(token)
+            callback(token, *args)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -8,30 +8,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.ntier.server import Server
 
-__all__ = ["Request", "ServerVisit"]
-
-
-@dataclass(slots=True)
-class ServerVisit:
-    """One request's passage through one server.
-
-    ``arrival`` is the instant the request was *admitted* into the server
-    (granted a worker thread), matching the paper's per-server request
-    processing log; time spent waiting for an upstream pool permit is
-    visible only in the end-to-end latency, exactly as a log on the real
-    server would record it.
-    """
-
-    server_name: str
-    arrival: float
-    departure: float | None = None
-
-    @property
-    def latency(self) -> float:
-        """Server-level response time; raises if the visit is still open."""
-        if self.departure is None:
-            raise ValueError(f"visit to {self.server_name} has not completed")
-        return self.departure - self.arrival
+__all__ = ["Request"]
 
 
 @dataclass(slots=True)
@@ -41,7 +18,8 @@ class Request:
     The per-tier service demands (seconds of work at concurrency 1) are
     drawn once at creation time by the workload generator from the
     RUBBoS interaction catalog; servers consume them as the request
-    progresses.
+    progresses. Per-server response times are summed by the servers
+    (``Server.latency_total``); a request keeps no visit history.
     """
 
     req_id: int
@@ -50,7 +28,6 @@ class Request:
     demands: dict[str, float]
     completion: float | None = None
     failed: bool = False
-    visits: list[ServerVisit] = field(default_factory=list)
 
     # Transient routing state, owned by the application flow.
     _servers: dict[str, "Server"] = field(default_factory=dict, repr=False)
@@ -77,9 +54,3 @@ class Request:
                 f"request {self.req_id} carries no demand for tier {tier_name!r}; "
                 f"has {sorted(self.demands)}"
             ) from None
-
-    def open_visit(self, server_name: str, now: float) -> ServerVisit:
-        """Record admission into ``server_name`` at time ``now``."""
-        visit = ServerVisit(server_name=server_name, arrival=now)
-        self.visits.append(visit)
-        return visit

@@ -18,10 +18,10 @@ completion needs a calendar event, and only that one event is cancelled
 and rescheduled when ``a`` or ``m`` changes — O(log a) per transition.
 
 The server also keeps the monotone monitoring accumulators (time-
-weighted concurrency, completions, per-server latency, resource busy
-integrals) that the 50 ms interval monitor and the 1 s metric warehouse
-difference, which is how the paper's fine-grained request-log analysis
-is reproduced without storing every event.
+weighted concurrency, completions, per-server latency since admission,
+resource busy integrals) that the 50 ms interval monitor and the 1 s
+metric warehouse difference, which is how the paper's fine-grained
+request-log analysis is reproduced without storing every event.
 """
 
 from __future__ import annotations
@@ -33,13 +33,11 @@ from typing import Callable
 from repro.errors import SimulationError
 from repro.ntier.capacity import CapacityModel
 from repro.ntier.pools import FifoPool
-from repro.ntier.request import Request, ServerVisit
+from repro.ntier.request import Request
 from repro.sim.engine import Simulator
 from repro.sim.event import EventHandle
 
 __all__ = ["Server", "ServerConfig"]
-
-_INF = float("inf")
 
 
 @dataclass(slots=True)
@@ -97,7 +95,7 @@ class Server:
         self._last_update = sim.now
         self._rate_per_job = 0.0
         self._completion_event: EventHandle | None = None
-        self._visits: dict[int, ServerVisit] = {}
+        self._admitted_at: dict[int, float] = {}
         self._requests: dict[int, Request] = {}
 
         # --- monotone monitoring accumulators --------------------------
@@ -160,17 +158,17 @@ class Server:
     def admit(self, request: Request, on_admitted: Callable[[Request], None]) -> None:
         """Ask for a worker thread; ``on_admitted`` fires once granted.
 
-        Admission (not queue entry) opens the server visit record, so
-        the measured per-server response time excludes upstream pool
-        waits — matching a request-processing log on the real server.
+        The per-server response time is measured from admission (not
+        queue entry), so it excludes upstream pool waits — matching a
+        request-processing log on the real server.
         """
-        self.threads.acquire(request, lambda req: self._granted(req, on_admitted))
+        self.threads.acquire(request, self._granted, on_admitted)
 
     def _granted(self, request: Request, on_admitted: Callable[[Request], None]) -> None:
         self._advance_clock()
         self._admitted += 1
         self.arrivals += 1
-        self._visits[request.req_id] = request.open_visit(self.name, self.sim.now)
+        self._admitted_at[request.req_id] = self.sim.now
         self._requests[request.req_id] = request
         self._reschedule()
         on_admitted(request)
@@ -188,7 +186,7 @@ class Server:
         active set; their thread still counts toward the overhead
         penalty via ``admitted``.
         """
-        if request.req_id not in self._visits:
+        if request.req_id not in self._admitted_at:
             raise SimulationError(
                 f"{self.name}: work() for request {request.req_id} "
                 "which was never admitted"
@@ -206,9 +204,10 @@ class Server:
         self._reschedule()
 
     def release(self, request: Request) -> None:
-        """Return the worker thread and close the visit record."""
-        visit = self._visits.pop(request.req_id, None)
-        if visit is None:
+        """Return the worker thread; add the time since admission to
+        ``latency_total``."""
+        admitted_at = self._admitted_at.pop(request.req_id, None)
+        if admitted_at is None:
             raise SimulationError(
                 f"{self.name}: release() for request {request.req_id} "
                 "which is not admitted"
@@ -216,23 +215,21 @@ class Server:
         self._advance_clock()
         self._admitted -= 1
         self._requests.pop(request.req_id, None)
-        visit.departure = self.sim.now
         self.completions += 1
-        self.latency_total += visit.latency
+        self.latency_total += self.sim.now - admitted_at
         self.threads.release()
         self._reschedule()
 
     def abort(self, request: Request) -> bool:
         """Forcibly evict an admitted request (server crash unwinding).
 
-        The worker thread is returned and the visit closed *without*
-        counting a completion or latency sample — the request never
-        finished here. Any live PS job is deactivated in place (its heap
-        entry is dropped lazily). Returns False when the request is not
-        admitted, so callers can fall back to a queue cancel.
+        The worker thread is returned *without* counting a completion
+        or latency sample — the request never finished here. Any live
+        PS job is deactivated in place (its heap entry is dropped
+        lazily). Returns False when the request is not admitted, so
+        callers can fall back to a queue cancel.
         """
-        visit = self._visits.pop(request.req_id, None)
-        if visit is None:
+        if self._admitted_at.pop(request.req_id, None) is None:
             return False
         self._advance_clock()
         for entry in self._heap:
@@ -243,7 +240,6 @@ class Server:
                 break
         self._admitted -= 1
         self._requests.pop(request.req_id, None)
-        visit.departure = self.sim.now
         self.threads.release()
         self._reschedule()
         return True
@@ -260,17 +256,12 @@ class Server:
         now = self.sim.now
         dt = now - self._last_update
         if dt > 0.0:
-            if self._active > 0:
+            active = self._active
+            if active > 0:
                 self._credit += dt * self._rate_per_job
+                self.capacity.accrue_busy(self.util_integral, dt, active)
             self.concurrency_integral += dt * self._admitted
-            self.active_integral += dt * self._active
-            if self._active > 0:
-                for res in self.capacity.resources:
-                    self.util_integral[res.name] += dt * self.capacity.utilization(
-                        res.name, self._active, self._admitted
-                    )
-            self._last_update = now
-        elif dt == 0.0:
+            self.active_integral += dt * active
             self._last_update = now
 
     def sync_monitors(self) -> None:
@@ -309,10 +300,7 @@ class Server:
         self.concurrency_integral += dt * admitted
         self.active_integral += dt * active
         if active > 0.0:
-            for res in self.capacity.resources:
-                self.util_integral[res.name] += dt * self.capacity.utilization(
-                    res.name, active, admitted
-                )
+            self.capacity.accrue_busy(self.util_integral, dt, active)
         self.completions += completions
         self.latency_total += latency
         self.arrivals += arrivals

@@ -33,7 +33,8 @@ _MAX_GAP = 0.5
 
 
 class RequestFactory:
-    """Creates requests with demands drawn from a workload mix."""
+    """Creates requests with demands drawn from a workload mix, through
+    per-interaction samplers bound at construction."""
 
     def __init__(
         self,
@@ -46,16 +47,16 @@ class RequestFactory:
             raise ConfigurationError("dataset_scale and demand_scale must be > 0")
         self.mix = mix
         self.rng = rng
-        self.dataset_scale = dataset_scale
-        self.demand_scale = demand_scale
+        self._samplers = {
+            name: mix.profile(name).sampler(dataset_scale, demand_scale)
+            for name in mix.interactions
+        }
         self._next_id = 0
 
     def create(self, now: float) -> Request:
         """Draw an interaction and build a request arriving at ``now``."""
         name = self.mix.sample_interaction(self.rng)
-        demands = self.mix.profile(name).draw(
-            self.rng, self.dataset_scale, self.demand_scale
-        )
+        demands = self._samplers[name](self.rng)
         req = Request(
             req_id=self._next_id, interaction=name, arrival=now, demands=demands
         )

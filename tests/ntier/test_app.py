@@ -52,11 +52,12 @@ def test_request_visits_all_three_tiers():
     req = make_request()
     sim.schedule(0.0, app.submit, req)
     sim.run()
-    assert [v.server_name for v in req.visits] == ["web-1", "app-1", "db-1"]
-    # nesting: web visit spans app visit spans db visit
-    web_v, app_v, db_v = req.visits
-    assert web_v.arrival <= app_v.arrival <= db_v.arrival
-    assert db_v.departure <= app_v.departure <= web_v.departure
+    web, app_, db = (app.tiers[t].servers[0] for t in (WEB, APP, DB))
+    assert [s.name for s in (web, app_, db)] == ["web-1", "app-1", "db-1"]
+    for server in (web, app_, db):
+        assert (server.arrivals, server.completions) == (1, 1)
+    # nesting: the web visit spans the app visit, which spans the db visit
+    assert web.latency_total >= app_.latency_total >= db.latency_total > 0.0
 
 
 def test_counters_and_in_flight():

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments.calibration import Calibration
 from repro.ntier.demand import DemandProfile, TierDemand
+from repro.workload.generator import RequestFactory
+from repro.workload.mixes import browse_only_mix, read_write_mix
+
+from tests.ntier.reference_server import reference_create, reference_draw
 
 
 def test_tier_demand_validation():
@@ -138,3 +143,63 @@ def test_mean_demand_lookup():
     assert profile.mean_demand("db", dataset_scale=3.0) == pytest.approx(0.030)
     with pytest.raises(ConfigurationError):
         profile.mean_demand("cache")
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [
+        _profile(cv=0.4),
+        DemandProfile(
+            interaction="X",
+            tiers={
+                "web": TierDemand(mean=0.001, cv=0.6),
+                "db": TierDemand(mean=0.010, cv=0.6, dataset_exponent=1.0),
+            },
+            distribution="lognormal",
+        ),
+        DemandProfile(
+            interaction="X",
+            tiers={
+                "web": TierDemand(mean=0.001, cv=0.3),
+                "app": TierDemand(mean=0.003, cv=0.0, dataset_exponent=0.6),
+                "db": TierDemand(mean=0.010, cv=0.5, dataset_exponent=1.0),
+            },
+        ),
+    ],
+    ids=["gamma", "lognormal", "cv0-tier"],
+)
+def test_sampler_matches_the_per_draw_parameters(profile):
+    """A bound sampler makes the generator calls of a draw that
+    recomputes every parameter: the same values, keys, key order and
+    generator state."""
+    sample = profile.sampler(dataset_scale=2.0, demand_scale=25.0)
+    ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in range(1000):
+        got = sample(ours)
+        want = reference_draw(profile, theirs, 2.0, 25.0)
+        assert got == want
+        assert list(got) == list(want)
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    assert profile.draw(ours, 2.0, 25.0) == reference_draw(profile, theirs, 2.0, 25.0)
+
+
+@pytest.mark.parametrize("make_mix", [browse_only_mix, read_write_mix])
+def test_factory_requests_match_the_per_draw_path(make_mix, monkeypatch):
+    mix = make_mix(Calibration().base_demands)
+    factory = RequestFactory(mix, np.random.default_rng(9), 2.0, 25.0)
+    ours = [factory.create(float(i)) for i in range(1000)]
+    monkeypatch.setattr(RequestFactory, "create", reference_create(2.0, 25.0))
+    reference = RequestFactory(mix, np.random.default_rng(9), 2.0, 25.0)
+    theirs = [reference.create(float(i)) for i in range(1000)]
+    assert [(r.req_id, r.interaction, r.demands) for r in ours] == [
+        (r.req_id, r.interaction, r.demands) for r in theirs
+    ]
+    assert len({r.interaction for r in ours}) > 5
+    assert factory.rng.bit_generator.state == reference.rng.bit_generator.state
+
+
+def test_sampler_rejects_bad_dataset_scale():
+    with pytest.raises(ConfigurationError):
+        _profile().sampler(dataset_scale=0.0)
+    with pytest.raises(ConfigurationError):
+        _profile().sampler(dataset_scale=-1.0)

@@ -132,3 +132,29 @@ def test_reentrant_release_during_grant():
     pool.acquire("b", quick)
     assert order == ["a", "b"]
     assert pool.in_use == 0
+
+
+def test_continuation_args_reach_every_grant():
+    """``acquire(token, granted, *args)`` calls ``granted(token, *args)``
+    whether the permit is free, freed by a release or freed by a grow;
+    the queue still exposes only the tokens."""
+    pool = FifoPool("p", 1)
+    calls = []
+
+    def granted(token, *args):
+        calls.append((token, args))
+
+    pool.acquire("a", granted, "on-a", 1)
+    pool.acquire("b", granted, "on-b")
+    pool.acquire("c", granted, "on-c", 3)
+    pool.acquire("d", granted)
+    assert calls == [("a", ("on-a", 1))]
+    assert pool.waiting_tokens() == ["b", "c", "d"]
+    assert pool.cancel("on-c") is False
+    assert pool.cancel("d") is True
+    assert pool.waiting_tokens() == ["b", "c"]
+    pool.release()
+    assert calls[-1] == ("b", ("on-b",))
+    pool.resize(2)
+    assert calls == [("a", ("on-a", 1)), ("b", ("on-b",)), ("c", ("on-c", 3))]
+    assert pool.waiting_tokens() == []

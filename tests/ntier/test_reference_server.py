@@ -1,0 +1,248 @@
+"""The production PS server and demand draw against the reference model.
+
+A seeded random walk applies the same operations to a production
+:class:`~repro.ntier.server.Server` and a
+:class:`~tests.ntier.reference_server.ReferenceServer` on twin
+simulators and demands equal accumulators after every step; whole runs
+with the reference model swapped in must give the same artifact.
+"""
+
+import numpy as np
+import pytest
+
+import repro.scaling.factory as server_factory
+from repro.experiments.artifact import RunSpec
+from repro.experiments.calibration import db_capacity_io
+from repro.experiments.runner import execute_spec
+from repro.experiments.scenarios import ScenarioConfig
+from repro.faults import parse_faults
+from repro.ntier.capacity import CapacityModel, ContentionModel, Resource
+from repro.ntier.request import Request
+from repro.ntier.server import Server, ServerConfig
+from repro.sim.engine import Simulator
+from repro.workload.generator import RequestFactory
+from repro.workload.shapes import steady_trace_csv
+
+from tests.ntier.reference_server import ReferenceServer, reference_create
+
+#: A contended DB with CPU and disk, the disk saturating first (at
+#: 7.5, the CPU at 42.9), so both min() branches of the busy share
+#: occur. Unit counts that are not powers of two make the division
+#: round, so a reassociated busy expression shows.
+TWO_RESOURCES = CapacityModel(
+    [Resource("cpu", 3.0, 0.07), Resource("disk", 1.5, 0.2)],
+    ContentionModel(8e-3, 4e-4),
+)
+
+_OPS = ("admit", "work", "release", "advance", "abort", "capacity",
+        "absorb", "sync", "resize")
+_WEIGHTS = np.array([6, 5, 4, 5, 1, 1, 1, 1, 1], dtype=float)
+
+
+class _Side:
+    """One server on its own simulator, plus where each request is."""
+
+    def __init__(self, server_cls) -> None:
+        self.sim = Simulator()
+        self.server = server_cls(
+            self.sim, ServerConfig("db-1", "db", TWO_RESOURCES, 3)
+        )
+        self.requests: dict[int, Request] = {}
+        self.queued: list[int] = []  # waiting for a worker thread
+        self.idle: list[int] = []  # admitted, between phases
+        self.working: list[int] = []  # in a PS phase
+
+    def admitted(self, request: Request) -> None:
+        self.queued.remove(request.req_id)
+        self.idle.append(request.req_id)
+
+    def done(self, request: Request) -> None:
+        # A zero-demand phase still completes after its request is aborted.
+        if request.req_id in self.working:
+            self.working.remove(request.req_id)
+            self.idle.append(request.req_id)
+
+    def apply(self, op: str, arg) -> None:
+        server = self.server
+        if op == "admit":
+            req = Request(arg, "X", self.sim.now, {"db": 0.0})
+            self.requests[arg] = req
+            self.queued.append(arg)
+            server.admit(req, self.admitted)
+        elif op == "work":
+            req_id, demand = arg
+            self.idle.remove(req_id)
+            self.working.append(req_id)
+            server.work(self.requests[req_id], demand, self.done)
+        elif op == "release":
+            self.idle.remove(arg)
+            server.release(self.requests[arg])
+        elif op == "advance":
+            self.sim.run(until=self.sim.now + arg)
+        elif op == "abort":
+            req = self.requests[arg]
+            if server.abort(req):
+                (self.idle if arg in self.idle else self.working).remove(arg)
+            else:
+                assert server.threads.cancel(req)
+                self.queued.remove(arg)
+        elif op == "capacity":
+            server.set_capacity(server.capacity.scaled_cores(*arg))
+        elif op == "absorb":
+            server.absorb_flow(**arg)
+        elif op == "sync":
+            server.sync_monitors()
+        else:
+            server.threads.resize(arg)
+
+    def state(self) -> tuple:
+        server = self.server
+        event = server._completion_event
+        return (
+            server.concurrency_integral,
+            server.active_integral,
+            list(server.util_integral.items()),
+            server.latency_total,
+            server.completions,
+            server.work_completions,
+            server.arrivals,
+            None if event is None else event.time,
+            self.sim.now,
+            server.admitted,
+            server.active,
+            [r.req_id for r in server.occupants()],
+            self.queued,
+            self.idle,
+            self.working,
+        )
+
+
+def _pick_arg(op: str, side: _Side, rng: np.random.Generator, next_id: int):
+    """An argument for ``op``, or None when ``op`` does not apply now."""
+    if op == "admit":
+        return next_id
+    if op in ("work", "release"):
+        if not side.idle:
+            return None
+        req_id = side.idle[rng.integers(len(side.idle))]
+        if op == "release":
+            return req_id
+        demand = 0.0 if rng.random() < 0.15 else float(rng.exponential(0.02))
+        return req_id, demand
+    if op == "advance":
+        return float(rng.choice([0.0, 1e-4, rng.exponential(0.01), 0.2]))
+    if op == "abort":
+        pool = side.queued + side.idle + side.working
+        return pool[rng.integers(len(pool))] if pool else None
+    if op == "capacity":
+        return str(rng.choice(["cpu", "disk"])), float(rng.choice([0.5, 1.5, 2.5, 3.0]))
+    if op == "absorb":
+        active = float(rng.choice([0.0, float(rng.integers(1, 20)),
+                                   rng.uniform(0.0, 30.0)]))
+        return dict(
+            dt=float(rng.uniform(0.0, 0.05)),
+            active=active,
+            admitted=active + float(rng.uniform(0.0, 5.0)),
+            completions=int(rng.integers(0, 4)),
+            latency=float(rng.uniform(0.0, 0.1)),
+            arrivals=int(rng.integers(0, 4)),
+        )
+    if op == "sync":
+        return ()
+    return int(rng.integers(1, 6))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_server_matches_reference_step_by_step(seed):
+    rng = np.random.default_rng(seed)
+    ours, ref = _Side(Server), _Side(ReferenceServer)
+    next_id = 0
+    for _ in range(600):
+        op = str(rng.choice(_OPS, p=_WEIGHTS / _WEIGHTS.sum()))
+        arg = _pick_arg(op, ours, rng, next_id)
+        if arg is None:
+            continue
+        if op == "admit":
+            next_id += 1
+        ours.apply(op, arg)
+        ref.apply(op, arg)
+        assert ours.state() == ref.state(), op
+    ours.sim.run()
+    ref.sim.run()
+    assert ours.state() == ref.state()
+    assert ours.server.completions > 10
+    assert ours.server.util_integral["disk"] > 0.0
+
+
+_ACTIVE_GRID = (
+    list(range(1, 61))
+    + np.linspace(1e-3, 60.0, 997).tolist()
+    + [0.5, 7.5, 3.0 / 0.07, 10.0, 28.5, 1e-9, 1e6]
+)
+
+
+@pytest.mark.parametrize(
+    "capacity",
+    [
+        TWO_RESOURCES,
+        TWO_RESOURCES.scaled_cores("cpu", 0.5),
+        db_capacity_io(),
+        CapacityModel([Resource("cpu", 1, 0.1)]),
+    ],
+    ids=["cpu+disk", "half-cpu", "db-io", "int-units"],
+)
+def test_accrual_matches_utilization_bit_for_bit(capacity):
+    names = [r.name for r in capacity.resources]
+    for active in _ACTIVE_GRID:
+        for dt in (1e-3, 0.05, 0.37, 1.0):
+            for start in (0.0, 0.1):
+                integral = dict.fromkeys(names, start)
+                capacity.accrue_busy(integral, dt, active)
+                assert integral == {
+                    name: start + dt * capacity.utilization(name, active, active)
+                    for name in names
+                }, (active, dt)
+
+
+def _smoke(**overrides) -> ScenarioConfig:
+    fields = dict(name="cli", trace_name="dual_phase", load_scale=300.0,
+                  duration=60.0, seed=2)
+    return ScenarioConfig(**{**fields, **overrides})
+
+
+def _discrete_smoke(tmp_path) -> RunSpec:
+    return RunSpec("conscale", _smoke())
+
+
+def _crash_smoke(tmp_path) -> RunSpec:
+    return RunSpec("conscale", _smoke(topology=(1, 2, 2)),
+                   faults=parse_faults("crash:db:24"))
+
+
+def _hybrid_smoke(tmp_path) -> RunSpec:
+    trace = steady_trace_csv(str(tmp_path), users=4000.0, duration=120.0)
+    return RunSpec("conscale", _smoke(trace_name=trace, duration=120.0, seed=11,
+                                      topology=(1, 2, 2), mode="hybrid"))
+
+
+@pytest.mark.parametrize("build", [_discrete_smoke, _crash_smoke, _hybrid_smoke],
+                         ids=["discrete", "crash", "hybrid"])
+def test_runs_match_the_reference_model(build, tmp_path, monkeypatch):
+    """The CI smoke specs give the same artifact with the reference
+    server and demand draw swapped in."""
+    spec = build(tmp_path)
+    production = execute_spec(spec).signature()
+
+    servers = []
+
+    def reference_server(sim, config):
+        servers.append(ReferenceServer(sim, config))
+        return servers[-1]
+
+    calibration = spec.config.calibration
+    monkeypatch.setattr(server_factory, "Server", reference_server)
+    monkeypatch.setattr(RequestFactory, "create", reference_create(
+        calibration.dataset_scale, spec.config.demand_scale))
+    artifact = execute_spec(spec)
+    assert servers and sum(s.completions for s in servers) > 0
+    assert artifact.signature() == production

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.ntier.request import Request, ServerVisit
+from repro.ntier.request import Request
 
 
 def test_response_time_requires_completion():
@@ -19,19 +19,3 @@ def test_demand_lookup_and_error():
     assert req.demand_at("db") == 0.01
     with pytest.raises(KeyError, match="web"):
         req.demand_at("web")
-
-
-def test_open_visit_records_arrival():
-    req = Request(0, "X", 0.0, demands={})
-    visit = req.open_visit("db-1", now=4.0)
-    assert visit.server_name == "db-1"
-    assert visit.arrival == 4.0
-    assert req.visits == [visit]
-
-
-def test_visit_latency_requires_departure():
-    visit = ServerVisit("db-1", arrival=1.0)
-    with pytest.raises(ValueError):
-        _ = visit.latency
-    visit.departure = 1.75
-    assert visit.latency == pytest.approx(0.75)
