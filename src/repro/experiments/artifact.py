@@ -14,8 +14,10 @@ Two halves of the experiment engine's data model live here:
   feeds figure code without re-touching simulator objects.
 
 The digest is versioned (:data:`SCHEMA_VERSION`): bump it whenever the
-artifact layout or the simulation semantics behind a spec change, and
-every previously cached result is invalidated at load time.
+simulation semantics behind a spec or the artifact layout change, and
+every previously cached result is invalidated at load time. A layout
+change whose older entries convert on load, with unchanged signatures,
+keeps the version (see the comment on :data:`SCHEMA_VERSION`).
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ __all__ = [
     "RunSpec",
     "FineSeries",
     "RunArtifact",
+    "decode_interactions",
 ]
 
 #: Bump to invalidate every cached artifact (layout or semantics change).
@@ -79,6 +82,13 @@ __all__ = [
 #: suspension, crash pre-warm, settle windows), so faulted runs are
 #: event-for-event different from v6. Fault-free runs are unchanged but
 #: the spec encoding moved, so all v6 digests name different content.
+#: Still v7: the artifact now stores each request's interaction as a
+#: uint16 code plus a name table, where v7 entries written before kept
+#: one ``<U`` string per request. No bump, because a bump would move
+#: every spec digest and signature while nothing they cover changed:
+#: ``signature()`` digests the decoded ``<U`` array, which equals the
+#: stored one byte for byte, and :meth:`RunArtifact.__setstate__`
+#: converts the older entries on load.
 SCHEMA_VERSION = 7
 
 # Grace period after the trace ends for in-flight requests to drain
@@ -305,20 +315,35 @@ class FineSeries:
         return int(self.t_end.size)
 
 
+def decode_interactions(codes: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
+    """The interaction name of each request: ``names[codes[i]]``.
+
+    dtype ``<U`` the longest of ``names``, ``<U1`` with shape ``(0,)``
+    when there are no requests.
+    """
+    return np.array(names, dtype=str)[codes]
+
+
 @dataclass
 class RunArtifact:
     """Serializable outcome of one scenario run.
 
     Latencies are already converted to base-scale seconds (the
     load-scaling contract); fine-grained series stay in the scaled
-    domain like the monitors that produced them.
+    domain like the monitors that produced them. Each request's RUBBoS
+    interaction is kept as a uint16 code into ``interaction_names``
+    (2 bytes a request, where one ``<U`` string costs 4 per character);
+    :attr:`interactions` decodes them on read.
     """
 
     spec: RunSpec
     latencies: np.ndarray
     completion_times: np.ndarray
     arrival_times: np.ndarray
-    interactions: np.ndarray  # RUBBoS interaction name per request
+    #: uint16, one per request: an index into ``interaction_names``.
+    interaction_codes: np.ndarray
+    #: The interaction names with at least one request, in code order.
+    interaction_names: tuple[str, ...]
     generated: int
     completed: int
     actions: DecisionTrace
@@ -336,6 +361,17 @@ class RunArtifact:
     resilience: ResilienceSummary | None = None
     schema: int = SCHEMA_VERSION
 
+    def __setstate__(self, state: dict) -> None:
+        # Entries written before the codes kept ``interactions``, the
+        # decoded ``<U`` array (the longest name present, so decoding
+        # the converted codes gives it back byte for byte).
+        if "interactions" in state and "interaction_codes" not in state:
+            state = dict(state)
+            names, codes = np.unique(state.pop("interactions"), return_inverse=True)
+            state["interaction_codes"] = codes.astype(np.uint16)
+            state["interaction_names"] = tuple(names.tolist())
+        self.__dict__.update(state)
+
     # ------------------------------------------------------------------
     # identity / convenience
     # ------------------------------------------------------------------
@@ -352,6 +388,12 @@ class RunArtifact:
         """Servers with retained fine-grained series (end-of-run set)."""
         return sorted(self.fine_series)
 
+    @property
+    def interactions(self) -> np.ndarray:
+        """RUBBoS interaction name of each request, decoded from the
+        codes on every read (see :func:`decode_interactions`)."""
+        return decode_interactions(self.interaction_codes, self.interaction_names)
+
     def signature(self) -> str:
         """Content digest of the artifact's recorded series.
 
@@ -360,7 +402,8 @@ class RunArtifact:
         (sequential vs parallel, in-memory vs cache round-trip).
         Every field of the artifact is covered (the
         deep-digest-provenance lint rule cross-checks this against the
-        dataclass).
+        dataclass). The interaction column is digested decoded, so a
+        signature does not depend on the order of the name table.
         """
         return content_digest(
             (
@@ -371,7 +414,7 @@ class RunArtifact:
                 self.latencies,
                 self.completion_times,
                 self.arrival_times,
-                self.interactions,
+                decode_interactions(self.interaction_codes, self.interaction_names),
                 self.generated,
                 self.completed,
                 self.vm_times,
@@ -421,14 +464,20 @@ class RunArtifact:
         return float(np.percentile(self._latencies_after(self.config.warmup), q))
 
     def by_interaction(self, after: float = 0.0) -> dict[str, np.ndarray]:
-        """Base-scale latencies grouped by RUBBoS interaction type."""
+        """Base-scale latencies grouped by RUBBoS interaction type.
+
+        Keys are sorted; a name with no request completing at or after
+        ``after`` has no key.
+        """
         mask = self.completion_times >= after
-        out: dict[str, np.ndarray] = {}
-        names = self.interactions[mask]
+        names = self.interaction_names
+        codes = self.interaction_codes[mask]
         lats = self.latencies[mask]
-        for name in np.unique(names):
-            out[str(name)] = lats[names == name]
-        return out
+        present = np.flatnonzero(np.bincount(codes, minlength=len(names)))
+        return {
+            names[c]: lats[codes == c]
+            for c in sorted(present, key=lambda c: names[c])
+        }
 
     def timeline(self, bin_width: float | None = None) -> list[TimelineBin]:
         """Latency/throughput timeline with base-scale values.

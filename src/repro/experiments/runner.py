@@ -331,7 +331,8 @@ def execute_spec(spec: RunSpec, *, sim: Simulator | None = None) -> RunArtifact:
         latencies=latencies,
         completion_times=log.completion_times,
         arrival_times=log.arrival_times,
-        interactions=log.interactions,
+        interaction_codes=log.interaction_codes,
+        interaction_names=log.interaction_names,
         generated=generator.generated + (stepper.generated if stepper else 0),
         completed=len(log),
         actions=actions,

@@ -3,7 +3,8 @@
 The evaluation figures (Fig. 1, 10, 11) plot system response time and
 throughput over the experiment timeline, and Table I reports tail
 percentiles. :class:`RequestLog` captures completed requests compactly
-during a run; the runner copies its arrays into the
+during a run; the runner copies its columns, interaction codes and
+name table included, into the
 :class:`~repro.experiments.artifact.RunArtifact`, whose ``timeline``
 (in :class:`TimelineBin` rows), ``percentile`` and ``by_interaction``
 give both views.
@@ -47,9 +48,10 @@ class RequestLog:
     synthetic completions in one :meth:`record_batch`. Arrival,
     completion and response time are float64 columns, and each
     request's interaction is a uint16 code into a table of the names
-    logged so far, so a record costs 26 bytes. The properties return
-    copies: a live view of a column would make its next append raise
-    ``BufferError``.
+    logged so far, so a record costs 26 bytes. The log builds no
+    strings: it hands the codes and the name table to the artifact,
+    which decodes them on read. The properties return copies: a live
+    view of a column would make its next append raise ``BufferError``.
     """
 
     def __init__(self) -> None:
@@ -58,7 +60,7 @@ class RequestLog:
         self._rts = array("d")
         self._codes = array("H")
         # Only names with at least one record, so the widest entry is
-        # the widest name present (it sets the interactions dtype).
+        # the widest name present (it sets the decoded dtype).
         self._names: list[str] = []
         self._code_of: dict[str, int] = {}
 
@@ -137,10 +139,12 @@ class RequestLog:
         return np.array(self._arrivals, dtype=float)
 
     @property
-    def interactions(self) -> np.ndarray:
-        """RUBBoS interaction name of each completed request.
+    def interaction_codes(self) -> np.ndarray:
+        """Interaction of each completed request, as uint16 codes into
+        :attr:`interaction_names`."""
+        return np.array(self._codes, dtype=np.uint16)
 
-        The array the artifact stores: dtype ``<U`` the longest name
-        present, ``<U1`` with shape ``(0,)`` when the log is empty.
-        """
-        return np.array(self._names, dtype=str)[np.array(self._codes)]
+    @property
+    def interaction_names(self) -> tuple[str, ...]:
+        """The names logged so far, in code order."""
+        return tuple(self._names)

@@ -51,5 +51,5 @@ class ListRequestLog:
 
     @property
     def interactions(self) -> np.ndarray:
-        """The array the runner stored in the artifact."""
+        """The array the artifact's ``interactions`` decodes to."""
         return np.array(self._interactions, dtype=str)

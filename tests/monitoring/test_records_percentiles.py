@@ -45,6 +45,7 @@ def run_artifact(rows, *, warmup=0.0, duration=10.0):
     """A RunArtifact over ``(interaction, arrival, completion)`` rows, at
     load scale 1 so latencies and throughputs are reported unscaled."""
     names = [name for name, _, _ in rows]
+    table = tuple(dict.fromkeys(names))  # first-seen order, like RequestLog
     arrivals = np.array([a for _, a, _ in rows], dtype=float)
     completions = np.array([c for _, _, c in rows], dtype=float)
     config = ScenarioConfig(
@@ -55,7 +56,8 @@ def run_artifact(rows, *, warmup=0.0, duration=10.0):
         latencies=completions - arrivals,
         completion_times=completions,
         arrival_times=arrivals,
-        interactions=np.array(names, dtype=str),
+        interaction_codes=np.array([table.index(n) for n in names], dtype=np.uint16),
+        interaction_names=table,
         generated=len(rows),
         completed=len(rows),
         actions=DecisionTrace(),

@@ -3,15 +3,20 @@
 Both logs get the same interleaving of single records, fluid-step
 batches and reads; the reference gets each batch as the equivalent
 :class:`Request` objects. Every read must return equal arrays with
-equal dtypes, byte for byte.
+equal dtypes, byte for byte; the log's interaction codes are compared
+decoded, as the artifact decodes them.
 """
 
+import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.control.trace import DecisionTrace
 from repro.errors import MonitoringError
+from repro.experiments.artifact import RunArtifact, RunSpec, decode_interactions
+from repro.experiments.scenarios import ScenarioConfig
 from repro.monitoring.records import RequestLog
 from repro.ntier.request import Request
 
@@ -29,13 +34,30 @@ def completed(req_id, name, arrival, completion):
     return request
 
 
+def decoded(log):
+    return decode_interactions(log.interaction_codes, log.interaction_names)
+
+
+def read(log):
+    """The log's outputs, named like the reference log's."""
+    return {
+        "arrival_times": log.arrival_times,
+        "completion_times": log.completion_times,
+        "response_times": log.response_times,
+        "interactions": decoded(log),
+        "interaction_codes": log.interaction_codes,
+    }
+
+
 def assert_same(log, ref):
     assert len(log) == len(ref)
+    ours = read(log)
     for output in OUTPUTS:
-        ours, theirs = getattr(log, output), getattr(ref, output)
-        assert ours.dtype == theirs.dtype, output
-        assert ours.shape == theirs.shape, output
-        assert ours.tobytes() == theirs.tobytes(), output
+        theirs = getattr(ref, output)
+        assert ours[output].dtype == theirs.dtype, output
+        assert ours[output].shape == theirs.shape, output
+        assert ours[output].tobytes() == theirs.tobytes(), output
+    assert ours["interaction_codes"].dtype == np.uint16
 
 
 class Pair:
@@ -43,6 +65,8 @@ class Pair:
 
     def __init__(self):
         self.log, self.ref = RequestLog(), ListRequestLog()
+        # Interaction names in the order they were first recorded.
+        self.seen = {}
         # Arrays read earlier, kept alive across later appends with the
         # bytes they held when read.
         self.held = []
@@ -51,6 +75,7 @@ class Pair:
         request = completed(len(self.ref), name, arrival, completion)
         self.log.record(request)
         self.ref.record(request)
+        self.seen.setdefault(name)
 
     def batch(self, completion, latencies, picks, names):
         arrivals = completion - np.asarray(latencies, dtype=float)
@@ -59,22 +84,22 @@ class Pair:
             self.ref.record(
                 completed(-1 - len(self.ref), names[pick], float(arrival), completion)
             )
+            self.seen.setdefault(names[pick])
 
     def check(self):
         assert_same(self.log, self.ref)
+        assert self.log.interaction_names == tuple(self.seen)
         for array, snapshot in self.held:
             assert array.tobytes() == snapshot
-        self.held = [
-            (array, array.tobytes())
-            for array in (getattr(self.log, output) for output in OUTPUTS)
-        ]
+        self.held = [(array, array.tobytes()) for array in read(self.log).values()]
 
 
 def test_empty_log():
     pair = Pair()
     pair.check()
-    assert pair.log.interactions.dtype == np.dtype("<U1")
-    assert pair.log.interactions.shape == (0,)
+    assert decoded(pair.log).dtype == np.dtype("<U1")
+    assert decoded(pair.log).shape == (0,)
+    assert pair.log.interaction_names == ()
 
 
 def test_zero_size_batch():
@@ -91,17 +116,17 @@ def test_longer_name_first_appears_late():
     pair.record("ViewStory", 0.0, 0.25)
     pair.batch(1.0, [0.1, 0.2, 0.3], [0, 0, 1], NAMES)
     pair.check()
-    assert pair.log.interactions.dtype == np.dtype(f"<U{len('StoriesOfTheDay')}")
+    assert decoded(pair.log).dtype == np.dtype(f"<U{len('StoriesOfTheDay')}")
     pair.batch(2.0, [0.4, 0.5], [1, 0], (NAMES[0], LATE_NAME))
     pair.check()
-    assert pair.log.interactions.dtype == np.dtype(f"<U{len(LATE_NAME)}")
+    assert decoded(pair.log).dtype == np.dtype(f"<U{len(LATE_NAME)}")
 
 
 def test_unpicked_names_do_not_widen_the_dtype():
     pair = Pair()
     pair.batch(1.0, [0.1, 0.2], [0, 0], ("ViewStory", LATE_NAME))
     pair.check()
-    assert pair.log.interactions.dtype == np.dtype(f"<U{len('ViewStory')}")
+    assert decoded(pair.log).dtype == np.dtype(f"<U{len('ViewStory')}")
 
 
 def test_single_name_log():
@@ -151,7 +176,7 @@ def test_name_table_overflow_raises_before_appending():
         log.record(completed(0, "one-too-many", 0.0, 1.0))
     with pytest.raises(MonitoringError):
         log.record_batch(np.zeros(1), 1.0, np.zeros(1, dtype=int), ["one-too-many"])
-    assert len(log) == len(log.interactions) == 1 << 16
+    assert len(log) == len(log.interaction_codes) == len(log.interaction_names) == 1 << 16
 
 
 def test_batch_shape_mismatch_raises():
@@ -160,25 +185,62 @@ def test_batch_shape_mismatch_raises():
         log.record_batch(np.zeros(3), 1.0, np.zeros(2, dtype=int), NAMES)
 
 
+def fill(log, path, count, step=500):
+    """Log ``count`` requests one at a time or in fluid-step batches."""
+    if path == "record":
+        for i in range(count):
+            log.record(completed(i, NAMES[i % 3], i * 1e-3, i * 1e-3 + 0.25))
+    else:
+        picks = np.arange(step) % len(NAMES)
+        for i in range(0, count, step):
+            now = i * 1e-3
+            log.record_batch(now - np.full(step, 0.25), now, picks, NAMES)
+    return log
+
+
 @pytest.mark.parametrize("path", ["record", "record_batch"])
 def test_retained_memory_per_record_is_bounded(path):
     """The one structure that grows with request count: once the
     requests are gone, a record keeps at most 40 bytes alive."""
-    count, step = 200_000, 500
+    count = 200_000
     tracemalloc.start()
     try:
         base, _ = tracemalloc.get_traced_memory()
-        log = RequestLog()
-        if path == "record":
-            for i in range(count):
-                log.record(completed(i, NAMES[i % 3], i * 1e-3, i * 1e-3 + 0.25))
-        else:
-            picks = np.arange(step) % len(NAMES)
-            for i in range(0, count, step):
-                now = i * 1e-3
-                log.record_batch(now - np.full(step, 0.25), now, picks, NAMES)
+        log = fill(RequestLog(), path, count)
         retained = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
     assert len(log) == count
     assert retained / count <= 40.0
+
+
+def pickled_artifact_bytes(log):
+    """Size of the pickled artifact the runner would build from ``log``."""
+    config = ScenarioConfig(name="log-bytes", load_scale=1.0)
+    artifact = RunArtifact(
+        spec=RunSpec("conscale", config),
+        latencies=log.response_times / config.rt_scale,
+        completion_times=log.completion_times,
+        arrival_times=log.arrival_times,
+        interaction_codes=log.interaction_codes,
+        interaction_names=log.interaction_names,
+        generated=len(log),
+        completed=len(log),
+        actions=DecisionTrace(),
+        vm_times=np.zeros(0),
+        vm_counts=np.zeros(0, dtype=int),
+        vm_counts_by_tier={},
+        cpu_series={},
+    )
+    return len(pickle.dumps(artifact, protocol=pickle.HIGHEST_PROTOCOL))
+
+
+@pytest.mark.parametrize("path", ["record", "record_batch"])
+def test_pickled_artifact_bytes_per_request_are_bounded(path):
+    """The artifact carries three float64 columns and a uint16 code per
+    request (26 bytes); one ``<U`` name per request would add 4 bytes
+    a character."""
+    count = 200_000
+    empty = pickled_artifact_bytes(RequestLog())
+    full = pickled_artifact_bytes(fill(RequestLog(), path, count))
+    assert (full - empty) / count <= 32.0
