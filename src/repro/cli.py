@@ -302,8 +302,12 @@ def _direct_run(spec: RunSpec, args: argparse.Namespace):
         profiler.disable()
         profiler.dump_stats(dump)
     stats = pstats.Stats(profiler)
+    per_request = (
+        f"{stats.total_calls / result.completed:.1f}" if result.completed else "n/a"
+    )
     print(
-        f"profile: {stats.total_calls} calls in {stats.total_tt:.2f}s, "
+        f"profile: {stats.total_calls} calls ({per_request} per completed "
+        f"request) in {stats.total_tt:.2f}s, "
         f"dump written to {dump} (inspect: python -m pstats {dump})",
         file=sys.stderr,
     )

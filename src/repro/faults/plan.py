@@ -48,7 +48,7 @@ __all__ = [
     "episode_class",
 ]
 
-_TIERS = ("web", "app", "db", "cache")
+_TIERS = ("web", "app", "db")
 #: Wildcard tier (telemetry dropout / provisioning faults on all tiers).
 ALL_TIERS = "*"
 

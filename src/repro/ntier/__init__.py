@@ -11,7 +11,6 @@ couples them (:mod:`~repro.ntier.app`).
 
 from repro.ntier.app import NTierApplication, SoftResourceAllocation
 from repro.ntier.balancer import LeastConnBalancer, RoundRobinBalancer, make_balancer
-from repro.ntier.cache import CACHE, CachePolicy
 from repro.ntier.capacity import CapacityModel, ContentionModel, Resource
 from repro.ntier.demand import DemandProfile, TierDemand
 from repro.ntier.pools import FifoPool
@@ -22,8 +21,6 @@ from repro.ntier.tier import Tier
 __all__ = [
     "NTierApplication",
     "SoftResourceAllocation",
-    "CACHE",
-    "CachePolicy",
     "LeastConnBalancer",
     "RoundRobinBalancer",
     "make_balancer",

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.ntier.cache import CACHE, CachePolicy
 from repro.ntier.pools import FifoPool
 from repro.ntier.request import Request
 from repro.ntier.server import Server
@@ -36,7 +35,6 @@ __all__ = [
     "WEB",
     "APP",
     "DB",
-    "CACHE",
 ]
 
 WEB = "web"
@@ -73,11 +71,10 @@ class SoftResourceAllocation:
             return self.web_threads
         if tier == APP:
             return self.app_threads
-        if tier in (DB, CACHE):
+        if tier == DB:
             # MySQL's max_connections is effectively unbounded in the
             # paper's setup (concurrency is capped upstream by the
-            # connection pools); Memcached likewise serves whatever
-            # arrives.
+            # connection pools).
             return 100_000
         raise ConfigurationError(f"unknown tier {tier!r}")
 
@@ -113,7 +110,6 @@ class NTierApplication:
         sim: Simulator,
         soft: SoftResourceAllocation | None = None,
         balancing: str = "leastconn",
-        cache_policy: CachePolicy | None = None,
     ) -> None:
         self.sim = sim
         self.soft = soft or SoftResourceAllocation()
@@ -121,13 +117,9 @@ class NTierApplication:
             WEB: Tier(WEB, balancing),
             APP: Tier(APP, balancing),
             DB: Tier(DB, balancing),
-            CACHE: Tier(CACHE, balancing),
         }
         # One DB connection pool per app server, keyed by server name.
         self.conn_pools: dict[str, FifoPool] = {}
-        # Optional Memcached-style tier: active once a cache policy is
-        # set AND at least one cache server is attached.
-        self.cache_policy = cache_policy
         self._on_complete: list[Callable[[Request], None]] = []
         self._on_fail: list[Callable[[Request], None]] = []
         self.submitted = 0
@@ -322,41 +314,13 @@ class NTierApplication:
             self._app_pre_done,
         )
 
-    @property
-    def cache_active(self) -> bool:
-        """Whether the optional cache tier is serving lookups."""
-        return self.cache_policy is not None and self.tiers[CACHE].size > 0
-
     def _app_pre_done(self, request: Request) -> None:
         if request.failed:
-            return
-        if self.cache_active and self.cache_policy.is_hit(request.interaction):
-            cache = self.tiers[CACHE].route()
-            request._servers[CACHE] = cache
-            cache.admit(request, self._cache_admitted)
             return
         app = request._servers[APP]
         pool = self.conn_pools[app.name]
         request._conn_pool = pool
         pool.acquire(request, self._conn_granted)
-
-    def _cache_admitted(self, request: Request) -> None:
-        if request.failed:
-            return
-        cache = request._servers[CACHE]
-        demand = self.cache_policy.lookup_demand(request.demand_at(DB))
-        cache.work(request, demand, self._cache_done)
-
-    def _cache_done(self, request: Request) -> None:
-        if request.failed:
-            return
-        request._servers[CACHE].release(request)
-        app = request._servers[APP]
-        app.work(
-            request,
-            request.demand_at(APP) * (1.0 - _APP_PRE_FRACTION),
-            self._app_post_done,
-        )
 
     def _conn_granted(self, request: Request) -> None:
         if request.failed:  # pragma: no cover - defensive

@@ -108,6 +108,21 @@ class ContentionModel:
         return f"ContentionModel(sigma={self.sigma}, kappa={self.kappa})"
 
 
+class _PenaltyTable(dict):
+    """``contention.penalty(m)`` by admitted count ``m``, each entry
+    computed by that same call on its first read."""
+
+    __slots__ = ("_contention",)
+
+    def __init__(self, contention: ContentionModel) -> None:
+        super().__init__()
+        self._contention = contention
+
+    def __missing__(self, m: int) -> float:
+        value = self[m] = self._contention.penalty(m)
+        return value
+
+
 class CapacityModel:
     """Full capacity curve of one server.
 
@@ -117,7 +132,9 @@ class CapacityModel:
     the single calibration point for every experiment.
     """
 
-    __slots__ = ("resources", "contention", "_a_sat", "_critical", "_busy_terms")
+    __slots__ = (
+        "resources", "contention", "penalties", "_a_sat", "_critical", "_busy_terms",
+    )
 
     def __init__(
         self,
@@ -135,12 +152,16 @@ class CapacityModel:
         self._critical = critical
         self._a_sat = critical.saturation_concurrency
         self._busy_terms = tuple((r.name, r.fraction, r.units) for r in self.resources)
+        #: ``contention.penalty(m)`` by admitted count ``m``: the
+        #: discrete server reads its rate's penalty here, by subscript
+        #: (see :meth:`repro.ntier.server.Server._reschedule`).
+        self.penalties: dict[int, float] = _PenaltyTable(self.contention)
 
     def canonical_key(self):
         """Identity for content digesting (see repro.experiments.artifact).
 
-        The derived fields are pure functions of the resources, so the
-        constructor arguments are the identity.
+        The derived fields (the penalty table included) are pure
+        functions of the constructor arguments, which are the identity.
         """
         return (self.resources, self.contention)
 
@@ -216,9 +237,12 @@ class CapacityModel:
         self, integral: dict[str, float], dt: float, active: float
     ) -> None:
         """Add ``dt * utilization(name, active, ...)`` for every resource
-        to ``integral[name]``, for ``active > 0``, without name lookups."""
+        to ``integral[name]``, for ``active > 0``, without name lookups.
+        The conditional picks what ``min(busy, units)`` would, without
+        the call."""
         for name, fraction, units in self._busy_terms:
-            integral[name] += dt * (min(active * fraction, units) / units)
+            busy = active * fraction
+            integral[name] += dt * ((units if units < busy else busy) / units)
 
     def efficiency(self, resource_name: str, active: float, admitted: float) -> float:
         """Useful-work utilisation of one resource (utilisation law):

@@ -14,8 +14,11 @@ PS with piecewise-constant rate is simulated exactly and cheaply with a
 shared *service-credit clock*: every active request accrues credit at
 the same instantaneous rate ``work_rate(a, m) / a``; a request finishes
 when its accrued credit reaches its drawn demand. Only the earliest
-completion needs a calendar event, and only that one event is cancelled
-and rescheduled when ``a`` or ``m`` changes — O(log a) per transition.
+completion needs a calendar event, and only that one event is moved
+when ``a`` or ``m`` changes — O(log a) per transition. The rate reads
+the contention penalty from the capacity model's table by admitted
+count, and the completion event that fired is re-armed for the next
+phase instead of allocating a new one.
 
 The server also keeps the monotone monitoring accumulators (time-
 weighted concurrency, completions, per-server latency since admission,
@@ -83,7 +86,7 @@ class Server:
         self.config = config
         self.name = config.name
         self.tier = config.tier
-        self.capacity = config.capacity
+        self._bind_capacity(config.capacity)
         self.threads = FifoPool(f"{config.name}.threads", config.thread_limit)
 
         # --- PS state -------------------------------------------------
@@ -95,6 +98,8 @@ class Server:
         self._last_update = sim.now
         self._rate_per_job = 0.0
         self._completion_event: EventHandle | None = None
+        # The completion event that last fired, kept for re-arming.
+        self._fired: EventHandle | None = None
         self._admitted_at: dict[int, float] = {}
         self._requests: dict[int, Request] = {}
 
@@ -147,10 +152,16 @@ class Server:
         models and created for new ones.
         """
         self._advance_clock()
-        self.capacity = capacity
+        self._bind_capacity(capacity)
         for res in capacity.resources:
             self.util_integral.setdefault(res.name, 0.0)
         self._reschedule()
+
+    def _bind_capacity(self, capacity: CapacityModel) -> None:
+        """Bind the model and what ``_reschedule`` reads of it."""
+        self.capacity = capacity
+        self._a_sat = capacity.saturation_concurrency
+        self._penalties = capacity.penalties
 
     # ------------------------------------------------------------------
     # request lifecycle
@@ -320,27 +331,39 @@ class Server:
         while heap and heap[0][2].done:
             heapq.heappop(heap)
         ev = self._completion_event
-        if self._active <= 0:
+        active = self._active
+        if active <= 0:
             self._rate_per_job = 0.0
             if ev is not None:
                 ev.cancel()
                 self._completion_event = None
             return
-        total_rate = self.capacity.work_rate(self._active, self._admitted)
-        self._rate_per_job = total_rate / self._active
+        # CapacityModel.work_rate(active, admitted), operation for
+        # operation, with the penalty read from the model's table.
+        admitted = self._admitted
+        m = admitted if admitted >= active else active
+        a_sat = self._a_sat
+        rate = (active if active < a_sat else a_sat) * self._penalties[m] / active
+        self._rate_per_job = rate
         if not heap:  # pragma: no cover - defensive, implies bookkeeping bug
-            raise SimulationError(f"{self.name}: active={self._active} but heap empty")
+            raise SimulationError(f"{self.name}: active={active} but heap empty")
         remaining = heap[0][0] - self._credit
         now = self.sim.now
-        target = now if remaining <= 0.0 else now + remaining / self._rate_per_job
+        target = now if remaining <= 0.0 else now + remaining / rate
         if ev is None:
-            self._completion_event = self.sim.schedule(target, self._complete)
+            fired = self._fired
+            if fired is None:
+                self._completion_event = self.sim.schedule(target, self._complete)
+            else:
+                self._fired = None
+                self._completion_event = self.sim.rearm(fired, target)
         elif ev.time != target:
             self._completion_event = self.sim.reschedule(ev, target)
 
     def _complete(self) -> None:
         """Fire every job whose credit requirement has been met."""
         self._advance_clock()
+        self._fired = self._completion_event
         self._completion_event = None
         finished: list[_ActiveJob] = []
         heap = self._heap

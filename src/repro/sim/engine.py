@@ -103,9 +103,12 @@ class Simulator:
             raise ConfigurationError(
                 f"tie_order must be one of {TIE_ORDERS}, got {tie_order!r}"
             )
-        self._now = float(start_time)
+        #: Current simulation time in seconds. A plain attribute that
+        #: only the run loops write: the server model reads it on
+        #: every transition, where a property costs a call each time.
+        self.now = float(start_time)
         self._cal = WheelCalendar(slot_width=wheel_slot, nslots=wheel_slots)
-        self._cal.cursor = self._cal.slot_of(self._now)
+        self._cal.cursor = self._cal.slot_of(self.now)
         self._seq = 0
         self._running = False
         self._stopped = False
@@ -116,13 +119,8 @@ class Simulator:
         self._tie_events = 0  # events executed inside such batches
 
     # ------------------------------------------------------------------
-    # clock
+    # counters
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
-
     @property
     def events_executed(self) -> int:
         """Number of callbacks executed so far (cancelled events excluded)."""
@@ -197,9 +195,9 @@ class Simulator:
         for the same instant. Returns a handle that may be cancelled
         before it fires.
         """
-        if time < self._now:
+        if time < self.now:
             raise ScheduleError(
-                f"cannot schedule at t={time:.6f}: clock is at t={self._now:.6f}"
+                f"cannot schedule at t={time:.6f}: clock is at t={self.now:.6f}"
             )
         seq = self._seq
         self._seq = seq + 1
@@ -218,7 +216,7 @@ class Simulator:
         """Schedule ``callback(*args)`` after a relative ``delay`` >= 0."""
         if delay < 0:
             raise ScheduleError(f"negative delay {delay!r}")
-        return self.schedule(self._now + delay, callback, *args, priority=priority)
+        return self.schedule(self.now + delay, callback, *args, priority=priority)
 
     def reschedule(self, handle: EventHandle, new_time: float) -> EventHandle:
         """Move a *pending* event to ``new_time``; returns its live handle.
@@ -243,10 +241,10 @@ class Simulator:
         if handle.done or handle.cancelled:
             state = "cancelled" if handle.cancelled else "already-fired"
             raise ScheduleError(f"cannot reschedule {state} event {handle!r}")
-        if new_time < self._now:
+        if new_time < self.now:
             raise ScheduleError(
                 f"cannot reschedule to t={new_time:.6f}: "
-                f"clock is at t={self._now:.6f}"
+                f"clock is at t={self.now:.6f}"
             )
         seq = self._seq
         self._seq = seq + 1
@@ -272,9 +270,10 @@ class Simulator:
         of the tick that just fired is reused for the next tick instead
         of allocating a fresh :class:`EventHandle` every interval —
         dense periodic traffic (warehouse ticks, 50 ms fine monitors)
-        stops churning the allocator. The re-armed event is sequenced as
-        if freshly scheduled (new schedule order), so ``rearm`` is
-        observably identical to ``schedule``.
+        stops churning the allocator. The PS server re-arms its fired
+        completion event for its next phase the same way. The re-armed
+        event is sequenced as if freshly scheduled (new schedule order),
+        so ``rearm`` is observably identical to ``schedule``.
 
         Only a fired, non-cancelled handle may be re-armed (anything
         else raises :class:`ScheduleError`); after re-arming, the handle
@@ -286,9 +285,9 @@ class Simulator:
         if not handle.done or handle.cancelled:
             state = "cancelled" if handle.cancelled else "still-pending"
             raise ScheduleError(f"cannot rearm {state} event {handle!r}")
-        if time < self._now:
+        if time < self.now:
             raise ScheduleError(
-                f"cannot rearm at t={time:.6f}: clock is at t={self._now:.6f}"
+                f"cannot rearm at t={time:.6f}: clock is at t={self.now:.6f}"
             )
         seq = self._seq
         self._seq = seq + 1
@@ -308,8 +307,11 @@ class Simulator:
 
         When ``until`` is given the clock is advanced to exactly ``until``
         on return even if the calendar drained earlier, so periodic
-        processes observe a consistent end time.
+        processes observe a consistent end time. ``max_events`` must be
+        at least 1 (:class:`ConfigurationError` otherwise).
         """
+        if max_events is not None and max_events < 1:
+            raise ConfigurationError(f"max_events must be >= 1, got {max_events!r}")
         if self._running:
             raise SimulationError("run() re-entered; the simulator is not reentrant")
         self._running = True
@@ -321,8 +323,8 @@ class Simulator:
                 self._run_fifo_wheel(self._cal, until, max_events)
         finally:
             self._running = False
-        if until is not None and self._now < until and not self._stopped:
-            self._now = until
+        if until is not None and self.now < until and not self._stopped:
+            self.now = until
 
     def _run_fifo_wheel(
         self, cal: WheelCalendar, until: float | None, max_events: int | None
@@ -354,7 +356,7 @@ class Simulator:
             heappop(cur)
             handle.done = True
             self._live -= 1
-            self._now = time
+            self.now = time
             handle.callback(*handle.args)
             self._executed += 1
             budget -= 1
@@ -399,7 +401,7 @@ class Simulator:
                 self._tie_batches += 1
                 self._tie_events += len(batch)
             batch.reverse()
-            self._now = batch_time
+            self.now = batch_time
             for pos, handle in enumerate(batch):
                 if handle.cancelled:
                     # Cancelled by an earlier batch member after the pop;
@@ -431,6 +433,6 @@ class Simulator:
         # pending counts live events; stored also counts the cancelled
         # entries lazy deletion keeps until they surface.
         return (
-            f"Simulator(now={self._now:.6f}, pending={self.pending_events}, "
+            f"Simulator(now={self.now:.6f}, pending={self.pending_events}, "
             f"stored={len(self._cal)}, executed={self._executed})"
         )

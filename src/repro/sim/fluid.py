@@ -181,11 +181,6 @@ class FluidStepper:
             raise ConfigurationError(
                 f"fluid mode needs think_time > 0, got {think_time!r}"
             )
-        if app.cache_active:
-            raise ConfigurationError(
-                "fluid mode does not model the optional cache tier; "
-                "run cache scenarios in discrete mode"
-            )
         self.sim = sim
         self.app = app
         self.mix = mix

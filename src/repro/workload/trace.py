@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import os
+from bisect import bisect_right
 
 import numpy as np
 
@@ -17,31 +18,40 @@ class Trace:
 
     Times are seconds from experiment start; user counts are
     interpolated linearly between knots, matching the shape plots in
-    the paper's Fig. 9.
+    the paper's Fig. 9. ``times`` and ``users`` are read-only copies of
+    the knots.
     """
 
     def __init__(self, name: str, times, users) -> None:
-        t = np.asarray(times, dtype=float)
-        u = np.asarray(users, dtype=float)
+        # Copies: freezing a caller's float array in place would make
+        # it read-only for the caller too.
+        t = np.array(times, dtype=float)
+        u = np.array(users, dtype=float)
         if t.ndim != 1 or u.ndim != 1 or t.size != u.size or t.size < 2:
             raise TraceError(
                 f"trace {name!r}: need equal-length 1-D times/users with >= 2 points"
             )
-        if np.any(np.diff(t) <= 0):
+        if not np.all(np.diff(t) > 0):  # a NaN knot fails too
             raise TraceError(f"trace {name!r}: times must be strictly increasing")
         if np.any(u < 0):
             raise TraceError(f"trace {name!r}: user counts must be non-negative")
         if t[0] != 0.0:
             raise TraceError(f"trace {name!r}: must start at t=0, got {t[0]!r}")
+        t.flags.writeable = False
+        u.flags.writeable = False
         self.name = name
         self.times = t
         self.users = u
+        # List copies for users_at, which the generator calls on every
+        # arrival: one point on lists is cheaper than an np.interp call.
+        self._knot_t: list[float] = t.tolist()
+        self._knot_u: list[float] = u.tolist()
 
     # ------------------------------------------------------------------
     @property
     def duration(self) -> float:
         """Trace length in seconds."""
-        return float(self.times[-1])
+        return self._knot_t[-1]
 
     @property
     def max_users(self) -> float:
@@ -49,8 +59,36 @@ class Trace:
         return float(self.users.max())
 
     def users_at(self, t: float) -> float:
-        """Interpolated population at time ``t`` (clamped to the ends)."""
-        return float(np.interp(t, self.times, self.users))
+        """Interpolated population at time ``t`` (clamped to the ends).
+
+        Bit for bit ``float(np.interp(t, self.times, self.users))``,
+        computed on the list copies with numpy's own arithmetic: the
+        same segment search, ``slope * (t - x0) + y0``, and the same
+        rules for NaN, the ends, exact knots and a NaN result (retried
+        from the segment's other end).
+        """
+        if t != t:
+            return float(t)
+        xs = self._knot_t
+        ys = self._knot_u
+        j = bisect_right(xs, t) - 1
+        if j < 0:
+            return ys[0]
+        if j >= len(xs) - 1:
+            return ys[-1]
+        x0 = xs[j]
+        y0 = ys[j]
+        if x0 == t:
+            return y0
+        x1 = xs[j + 1]
+        y1 = ys[j + 1]
+        slope = (y1 - y0) / (x1 - x0)
+        y = slope * (t - x0) + y0
+        if y != y:
+            y = slope * (t - x1) + y1
+            if y != y and y0 == y1:
+                y = y0
+        return float(y)  # a float even for a numpy scalar t
 
     def sample(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
         """Return ``(grid_times, grid_users)`` sampled every ``dt``."""

@@ -1,6 +1,7 @@
 """Tests for the ablation helpers and the command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -234,4 +235,6 @@ def test_cli_run_profile_writes_pstats(capsys, tmp_path, monkeypatch):
     assert len(dumps) == 1
     stats = pstats.Stats(str(dumps[0]))
     assert stats.total_calls > 0
-    assert "dump written to" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "dump written to" in err
+    assert re.search(r"\(\d+\.\d per completed request\)", err)

@@ -17,6 +17,7 @@ from repro.experiments.runner import execute_spec
 from repro.experiments.scenarios import ScenarioConfig
 from repro.faults import parse_faults
 from repro.ntier.capacity import CapacityModel, ContentionModel, Resource
+from repro.ntier.pools import FifoPool
 from repro.ntier.request import Request
 from repro.ntier.server import Server, ServerConfig
 from repro.sim.engine import Simulator
@@ -181,7 +182,9 @@ _ACTIVE_GRID = (
 )
 
 
-@pytest.mark.parametrize(
+#: ``half-cpu`` has a fractional saturation point and ``int-units``
+#: no contention at all (sigma = kappa = 0).
+_CAPACITIES = pytest.mark.parametrize(
     "capacity",
     [
         TWO_RESOURCES,
@@ -191,6 +194,9 @@ _ACTIVE_GRID = (
     ],
     ids=["cpu+disk", "half-cpu", "db-io", "int-units"],
 )
+
+
+@_CAPACITIES
 def test_accrual_matches_utilization_bit_for_bit(capacity):
     names = [r.name for r in capacity.resources]
     for active in _ACTIVE_GRID:
@@ -202,6 +208,40 @@ def test_accrual_matches_utilization_bit_for_bit(capacity):
                     name: start + dt * capacity.utilization(name, active, active)
                     for name in names
                 }, (active, dt)
+
+
+def _assert_table_rates(capacity: CapacityModel) -> Server:
+    """Drive a server over 1 <= active <= admitted <= 64; returns the
+    last one (64 admitted, all active)."""
+    for admitted in range(1, 65):
+        server = Server(Simulator(), ServerConfig("db-1", "db", capacity, 64))
+        requests = [Request(i, "X", 0.0, {"db": 1.0}) for i in range(admitted)]
+        for req in requests:
+            server.admit(req, lambda r: None)
+        for active, req in enumerate(requests, start=1):
+            server.work(req, 1.0, lambda r: None)
+            assert server._rate_per_job == (
+                capacity.work_rate(active, admitted) / active
+            ), (active, admitted)
+    return server
+
+
+@_CAPACITIES
+def test_table_rate_matches_work_rate_bit_for_bit(capacity):
+    """The server's rate, with the penalty read from the model's table,
+    is ``work_rate(active, admitted) / active`` bit for bit on the
+    grid, for the model and for a copy from scaled_cores() (a fresh
+    table), and set_capacity() rebinds the table."""
+    scaled = capacity.scaled_cores(capacity.critical_resource.name, 2.5)
+    server = _assert_table_rates(capacity)
+    _assert_table_rates(scaled)
+    server.set_capacity(scaled)
+    assert server._rate_per_job == scaled.work_rate(64, 64) / 64
+    for model in (capacity, scaled):
+        assert set(range(1, 65)) <= set(model.penalties)
+        assert all(
+            p == model.contention.penalty(m) for m, p in model.penalties.items()
+        )
 
 
 def _smoke(**overrides) -> ScenarioConfig:
@@ -219,17 +259,28 @@ def _crash_smoke(tmp_path) -> RunSpec:
                    faults=parse_faults("crash:db:24"))
 
 
+def _queued_crash_smoke(tmp_path) -> RunSpec:
+    # At t=50 the crashed app server has requests queued for a worker
+    # thread, so the unwinding withdraws them from its pool.
+    return RunSpec("conscale", _smoke(topology=(1, 2, 2)),
+                   faults=parse_faults("crash:app:50"))
+
+
 def _hybrid_smoke(tmp_path) -> RunSpec:
     trace = steady_trace_csv(str(tmp_path), users=4000.0, duration=120.0)
     return RunSpec("conscale", _smoke(trace_name=trace, duration=120.0, seed=11,
                                       topology=(1, 2, 2), mode="hybrid"))
 
 
-@pytest.mark.parametrize("build", [_discrete_smoke, _crash_smoke, _hybrid_smoke],
-                         ids=["discrete", "crash", "hybrid"])
+@pytest.mark.parametrize(
+    "build",
+    [_discrete_smoke, _crash_smoke, _queued_crash_smoke, _hybrid_smoke],
+    ids=["discrete", "crash", "queued-crash", "hybrid"],
+)
 def test_runs_match_the_reference_model(build, tmp_path, monkeypatch):
-    """The CI smoke specs give the same artifact with the reference
-    server and demand draw swapped in."""
+    """The CI smoke specs, and a crash that fails requests still queued
+    for a thread, give the same artifact with the reference server and
+    demand draw swapped in."""
     spec = build(tmp_path)
     production = execute_spec(spec).signature()
 
@@ -239,10 +290,22 @@ def test_runs_match_the_reference_model(build, tmp_path, monkeypatch):
         servers.append(ReferenceServer(sim, config))
         return servers[-1]
 
+    thread_cancels = []
+    cancel = FifoPool.cancel
+
+    def counting_cancel(pool, token):
+        found = cancel(pool, token)
+        if found and pool.name.endswith(".threads"):
+            thread_cancels.append(token)
+        return found
+
     calibration = spec.config.calibration
     monkeypatch.setattr(server_factory, "Server", reference_server)
     monkeypatch.setattr(RequestFactory, "create", reference_create(
         calibration.dataset_scale, spec.config.demand_scale))
+    monkeypatch.setattr(FifoPool, "cancel", counting_cancel)
     artifact = execute_spec(spec)
     assert servers and sum(s.completions for s in servers) > 0
+    if build is _queued_crash_smoke:
+        assert thread_cancels
     assert artifact.signature() == production

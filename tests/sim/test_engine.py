@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.errors import ScheduleError, SimulationError
-from repro.sim.engine import Simulator
+from repro.errors import ConfigurationError, ScheduleError, SimulationError
+from repro.sim.engine import TIE_ORDERS, Simulator
 
 
 def test_clock_starts_at_zero():
@@ -123,6 +123,23 @@ def test_max_events_budget():
         sim.schedule(float(i + 1), seen.append, i)
     sim.run(max_events=2)
     assert seen == [0, 1]
+
+
+@pytest.mark.parametrize("tie_order", TIE_ORDERS)
+@pytest.mark.parametrize("max_events", [0, -1])
+def test_max_events_below_one_is_refused(tie_order, max_events):
+    """Both run loops refuse an empty or negative budget up front
+    instead of reading it differently (one ran every event, the other
+    exactly one)."""
+    sim = Simulator(tie_order=tie_order)
+    seen = []
+    for t in (1.0, 2.0, 3.0):
+        sim.schedule(t, seen.append, t)
+    with pytest.raises(ConfigurationError, match="max_events"):
+        sim.run(max_events=max_events)
+    assert seen == [] and sim.now == 0.0 and sim.pending_events == 3
+    sim.run(max_events=1)
+    assert seen == [1.0]
 
 
 def test_events_executed_counts_only_fired():

@@ -21,6 +21,8 @@ def test_trace_validation():
         Trace("t", [0.0, 1.0], [1.0, -2.0])  # negative users
     with pytest.raises(TraceError):
         Trace("t", [1.0, 2.0], [1.0, 2.0])  # must start at 0
+    with pytest.raises(TraceError):
+        Trace("t", [0.0, np.nan, 2.0], [1.0, 2.0, 3.0])  # a NaN knot
 
 
 def test_users_at_interpolates_linearly():
@@ -28,6 +30,62 @@ def test_users_at_interpolates_linearly():
     assert tr.users_at(5.0) == pytest.approx(50.0)
     assert tr.users_at(-1.0) == 0.0  # clamped
     assert tr.users_at(20.0) == 100.0  # clamped
+
+
+def _random_trace(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Knots with tiny, ordinary and huge gaps, and user counts that
+    hold flat, drop to zero, or are infinite or NaN (which the
+    validation lets through)."""
+    gaps = rng.choice([1e-9, 1.0, 1e6, float(rng.exponential(5.0))],
+                      size=int(rng.integers(1, 12)))
+    times = np.concatenate([[0.0], np.cumsum(gaps)])
+    times = times[np.concatenate([[True], np.diff(times) > 0])]
+    users = rng.choice([0.0, 5.0, float(rng.uniform(0.0, 1e4)), np.inf, np.nan],
+                       size=times.size,
+                       p=[0.2, 0.2, 0.5, 0.05, 0.05])
+    return times, users
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_users_at_matches_np_interp_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(50):
+        times, users = _random_trace(rng)
+        if times.size < 2:
+            continue
+        trace = Trace("t", times, users)
+        points = np.concatenate([
+            times,
+            np.nextafter(times, np.inf),
+            np.nextafter(times, -np.inf),
+            (times[:-1] + times[1:]) / 2.0,
+            rng.uniform(-1.0, times[-1] * 1.1, size=200),
+            [-1.0, -0.0, times[-1] + 1.0, 2.0 * times[-1] + 1.0,
+             np.inf, -np.inf, np.nan],
+        ])
+        for t in points.tolist():
+            got = trace.users_at(t)
+            want = float(np.interp(t, times, users))
+            assert type(got) is float
+            if want != want:
+                assert got != got, (t, times, users)
+            else:
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), (
+                    t, times, users,
+                )
+
+
+def test_trace_knots_are_read_only_copies():
+    times = np.array([0.0, 5.0, 10.0])
+    users = np.array([1.0, 3.0, 2.0])
+    trace = Trace("t", times, users)
+    with pytest.raises(ValueError):
+        trace.times[1] = 6.0
+    with pytest.raises(ValueError):
+        trace.users[1] = 4.0
+    times[1] = 6.0  # the caller's arrays stay writable and apart
+    assert trace.times[1] == 5.0 and trace.users_at(5.0) == 3.0
+    assert type(trace.duration) is float
 
 
 def test_duration_and_max_users():
