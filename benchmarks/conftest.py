@@ -15,11 +15,6 @@ Environment knobs:
 * ``REPRO_BENCH_CACHE`` — set to ``0`` to bypass the on-disk result
   cache (grid benches share cached runs by spec digest by default,
   e.g. the two Fig. 10 benches reuse the same two runs).
-* ``REPRO_BENCH_BACKEND`` — execution backend for the grids
-  (``serial`` | ``process`` | ``file-queue``; default: process).
-  ``file-queue`` also needs ``REPRO_BENCH_QUEUE_DIR`` pointing at a
-  queue directory drained by ``repro worker`` processes — that is how
-  a full-scale Table I bench shards across hosts.
 """
 
 from __future__ import annotations
@@ -34,8 +29,7 @@ import pytest
 # how pytest resolves rootdir/importmode for this non-package directory.
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from repro.experiments.backends import make_backend
-from repro.experiments.engine import DEFAULT_CACHE_DIR, ExperimentEngine
+from repro.experiments.engine import ExperimentEngine
 from repro.experiments.report import ensure_results_dir
 
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "50"))
@@ -56,16 +50,7 @@ def bench_engine(grid: int = 1) -> ExperimentEngine:
     else:
         jobs = max(1, min(grid, (os.cpu_count() or 2) - 1))
     use_cache = os.environ.get("REPRO_BENCH_CACHE", "1") != "0"
-    backend = None
-    backend_name = os.environ.get("REPRO_BENCH_BACKEND", "")
-    if backend_name:
-        backend = make_backend(
-            backend_name,
-            jobs=jobs,
-            queue_dir=os.environ.get("REPRO_BENCH_QUEUE_DIR") or None,
-            cache_dir=DEFAULT_CACHE_DIR if use_cache else None,
-        )
-    return ExperimentEngine(jobs=jobs, use_cache=use_cache, backend=backend)
+    return ExperimentEngine(jobs=jobs, use_cache=use_cache)
 
 
 @pytest.fixture(scope="session")

@@ -23,7 +23,6 @@ Commands:
 * ``figure`` — regenerate one figure by number (1, 3, 5, 6, 7, 9, 10, 11);
 * ``predict`` — analytical (MVA) closed-loop throughput/latency curve;
 * ``traces`` — list the six built-in trace shapes;
-* ``worker`` — drain a file-queue backend's shared queue directory;
 * ``lint`` — the repro-lint determinism/invariant static-analysis pass
   (exit 0 clean, 1 with violations; ``--json`` for machine output).
 
@@ -53,14 +52,12 @@ artifact.
 
 Figures print their series and write CSVs under ``--results``.
 
-Experiment-running commands (``run``, ``compare``, ``sweep``,
-``table1``, ``figure``) go through the experiment engine: results are
-cached under ``results/cache/`` by spec content digest (``--no-cache``
-forces re-execution) and execution is pluggable via ``--backend``:
-``serial`` runs inline, ``process`` (implied by ``--jobs N``) fans out
-across worker processes on this host, and ``file-queue --queue-dir D``
-shards the grid across any number of ``repro worker D`` processes —
-on this or other hosts sharing the directory.
+Experiment-running commands (``run``, ``compare``, ``resilience``,
+``trace export``, ``sweep``, ``table1``, ``figure``) go through the
+experiment engine: results are cached under ``results/cache/`` by spec
+content digest (``--no-cache`` forces re-execution, ``--cached-only``
+refuses to execute), and ``--jobs N`` runs the cache misses across up
+to N worker processes.
 """
 
 from __future__ import annotations
@@ -81,7 +78,6 @@ from repro.experiments.calibration import (
     db_capacity_cpu,
     db_capacity_io,
 )
-from repro.experiments.backends import BACKEND_NAMES, FileQueueWorker, make_backend
 from repro.experiments.engine import DEFAULT_CACHE_DIR, ExperimentEngine, RunEvent
 from repro.experiments.report import ensure_results_dir, format_table
 from repro.experiments.resilience import (
@@ -158,15 +154,6 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
         "--cached-only", action="store_true",
         help="never execute: fail (exit 2) if any run is not cached",
     )
-    parser.add_argument(
-        "--backend", choices=BACKEND_NAMES, default=None,
-        help="execution backend (default: process when --jobs > 1, "
-        "else serial); file-queue shards across `repro worker` processes",
-    )
-    parser.add_argument(
-        "--queue-dir", default=None, metavar="DIR",
-        help="shared queue directory for the file-queue backend",
-    )
 
 
 def _print_event(event: RunEvent) -> None:
@@ -181,26 +168,12 @@ def _print_event(event: RunEvent) -> None:
 
 
 def _engine(args: argparse.Namespace) -> ExperimentEngine:
-    use_cache = not getattr(args, "no_cache", False)
-    cache_dir = getattr(args, "cache_dir", DEFAULT_CACHE_DIR)
-    backend = None
-    backend_name = getattr(args, "backend", None)
-    if backend_name is not None:
-        backend = make_backend(
-            backend_name,
-            jobs=getattr(args, "jobs", 1),
-            queue_dir=getattr(args, "queue_dir", None),
-            # Workers publish keyed results straight into the shared
-            # cache, so point them at the same directory the engine uses.
-            cache_dir=cache_dir if use_cache else None,
-        )
     return ExperimentEngine(
         jobs=getattr(args, "jobs", 1),
-        cache_dir=cache_dir,
-        use_cache=use_cache,
+        cache_dir=getattr(args, "cache_dir", DEFAULT_CACHE_DIR),
+        use_cache=not getattr(args, "no_cache", False),
         progress=_print_event,
         require_cached=getattr(args, "cached_only", False),
-        backend=backend,
     )
 
 
@@ -668,25 +641,6 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_worker(args: argparse.Namespace) -> int:
-    """Drain a file-queue directory: lease, execute, publish results."""
-    worker = FileQueueWorker(
-        args.queue_dir, poll=args.poll, heartbeat=args.heartbeat
-    )
-    print(f"worker {worker.worker_id} draining {worker.queue_dir}",
-          file=sys.stderr)
-    try:
-        worker.run(max_tasks=args.max_tasks, idle_exit=args.idle_exit)
-    except KeyboardInterrupt:  # a clean stop, not an error
-        pass
-    print(
-        f"worker {worker.worker_id}: {worker.processed} task(s) processed, "
-        f"{worker.failures} failure(s)",
-        file=sys.stderr,
-    )
-    return 0
-
-
 #: Sentinel for a bare ``--rules`` (list the registry instead of linting).
 _LIST_RULES = "@list"
 
@@ -950,24 +904,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_traces = sub.add_parser("traces", help="list the built-in traces")
     p_traces.set_defaults(func=cmd_traces)
-
-    p_worker = sub.add_parser(
-        "worker",
-        help="process tasks from a file-queue backend's queue directory",
-    )
-    p_worker.add_argument("queue_dir",
-                          help="queue directory shared with the coordinator")
-    p_worker.add_argument("--poll", type=float, default=0.2,
-                          help="seconds between empty-queue scans")
-    p_worker.add_argument("--heartbeat", type=float, default=1.0,
-                          help="seconds between lease heartbeats")
-    p_worker.add_argument("--max-tasks", type=int, default=0, metavar="N",
-                          help="exit after N tasks (0 = unlimited)")
-    p_worker.add_argument(
-        "--idle-exit", type=float, default=0.0, metavar="SECONDS",
-        help="exit after this long with an empty queue (0 = run forever)",
-    )
-    p_worker.set_defaults(func=cmd_worker)
 
     p_lint = sub.add_parser(
         "lint",

@@ -24,9 +24,6 @@ __all__ = [
     "CloudError",
     "ExperimentError",
     "CacheMissError",
-    "BackendError",
-    "LeaseExpiredError",
-    "RetryExhaustedError",
 ]
 
 
@@ -110,18 +107,3 @@ class CacheMissError(ExperimentError):
     Raised by cache-only paths (``repro diff``, ``--cached-only`` runs)
     instead of silently re-running a potentially expensive simulation.
     """
-
-
-class BackendError(ExperimentError):
-    """An execution backend violated its contract (unrunnable callable,
-    foreign queue envelope, missing completion)."""
-
-
-class LeaseExpiredError(BackendError):
-    """A file-queue task lost its lease more times than the cap allows —
-    every worker that claims it appears to die mid-execution."""
-
-
-class RetryExhaustedError(BackendError):
-    """A task failed on every attempt up to the per-task attempt cap;
-    the message carries the last worker's traceback."""

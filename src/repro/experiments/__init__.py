@@ -14,14 +14,6 @@ from repro.experiments.calibration import (
     default_calibration,
     web_capacity,
 )
-from repro.experiments.backends import (
-    ExecutionBackend,
-    FileQueueBackend,
-    FileQueueWorker,
-    ProcessBackend,
-    SerialBackend,
-    make_backend,
-)
 from repro.experiments.diff import ArtifactDiff, diff_artifacts
 from repro.experiments.engine import ExperimentEngine, ResultCache
 from repro.experiments.runner import execute_spec, run_experiment
@@ -36,12 +28,6 @@ __all__ = [
     "web_capacity",
     "ExperimentEngine",
     "ResultCache",
-    "ExecutionBackend",
-    "SerialBackend",
-    "ProcessBackend",
-    "FileQueueBackend",
-    "FileQueueWorker",
-    "make_backend",
     "ArtifactDiff",
     "diff_artifacts",
     "RunSpec",

@@ -145,8 +145,8 @@ def headroom_ablation(
 
     The headroom rides in the spec's :class:`RunOverrides` (rather than
     any controller monkey-patching), so each setting is a distinct,
-    cacheable run spec that any execution backend can ship to its
-    workers by content digest.
+    cacheable run spec that the engine can ship to a pool worker and
+    cache by content digest.
     """
     specs = []
     for headroom in headrooms:

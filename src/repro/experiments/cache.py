@@ -1,11 +1,9 @@
-"""The content-addressed result cache shared by engine and workers.
+"""The content-addressed result cache of the experiment engine.
 
 Payloads are pickled envelopes keyed by content digest, one file per
-key, stamped with the artifact schema version. The cache is the
-publication channel between execution backends: a run executed on any
-host (inline, in a pool worker, or by a ``repro worker`` process on a
-shared filesystem) lands under the same key, so every consumer of the
-same spec digest sees the same entry.
+key, stamped with the artifact schema version. The engine stores each
+run under its spec digest, whether it ran inline or in a pool worker,
+so every later engine asking for the same spec sees the same entry.
 
 Keys must be digest-shaped — lowercase hex, 8..64 characters — which
 rules out path traversal (``.``, ``..``, separators) and accidental

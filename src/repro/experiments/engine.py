@@ -1,48 +1,35 @@
-"""The experiment engine: cached, backend-parallel execution of specs.
+"""The experiment engine: cached, parallel execution of specs.
 
 The engine executes an iterable of :class:`~repro.experiments.artifact.
-RunSpec`s (or any content-keyed task) through a pluggable
-:class:`~repro.experiments.backends.ExecutionBackend`, with a
-content-addressed on-disk result cache under ``results/cache/``:
+RunSpec`s (or any content-keyed task) with a content-addressed on-disk
+result cache under ``results/cache/``:
 
 * cache keys are the spec's canonical digest — same spec, same key, on
   any machine and in any process (see
   :mod:`repro.experiments.cache`);
-* the engine owns grid *policy* — cache lookups and stores, results in
-  submission order, :class:`RunEvent` progress, ``require_cached`` —
-  while the backend owns only "run ``fn(payload)`` somewhere":
-  inline (:class:`~repro.experiments.backends.SerialBackend`), across
-  a single-host process pool
-  (:class:`~repro.experiments.backends.ProcessBackend`), or sharded
-  over a shared queue directory drained by ``repro worker`` processes
-  on any number of hosts
-  (:class:`~repro.experiments.backends.FileQueueBackend`);
+* cache misses run inline when ``jobs == 1`` or only one task misses,
+  and otherwise across a ``ProcessPoolExecutor`` of up to ``jobs``
+  worker processes; either way results come back in submission order,
+  with :class:`RunEvent` progress, and ``require_cached`` refuses to
+  execute at all;
 * hit/miss/invalidation counts are accounted per engine
   (:class:`CacheStats`), and ``use_cache=False`` is the escape hatch.
 
 Determinism is a tested contract: a spec's artifact is bit-identical
-on every backend and from the cache
-(``tests/experiments/test_backends.py``).
+inline, from a pool worker and from the cache
+(``tests/experiments/test_engine.py``).
 """
 
 from __future__ import annotations
 
+import time
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Iterable, Sequence
 
-from repro.errors import (
-    BackendError,
-    CacheMissError,
-    ConfigurationError,
-    ExperimentError,
-)
+from repro.errors import CacheMissError, ConfigurationError, ExperimentError
 from repro.experiments.artifact import RunArtifact, RunSpec
-from repro.experiments.backends import (
-    BackendTask,
-    ExecutionBackend,
-    ProcessBackend,
-    SerialBackend,
-)
 from repro.experiments.cache import DEFAULT_CACHE_DIR, CacheStats, ResultCache
 
 __all__ = [
@@ -64,8 +51,8 @@ class RunEvent:
     """One progress event: ``kind`` is start | hit | done | stored.
 
     ``seconds`` on a ``done`` event is the task's own execution time,
-    measured where the task ran (a pool or file-queue worker times the
-    call around ``fn`` itself, so queue wait is excluded).
+    measured where the task ran (a pool worker times the call around
+    ``fn`` itself, so queue wait and pool start-up are excluded).
     """
 
     kind: str
@@ -80,16 +67,26 @@ class RunEvent:
 # the engine
 # ----------------------------------------------------------------------
 
-class ExperimentEngine:
-    """Executes content-keyed tasks with caching and backend fan-out.
+def _timed_call(fn: Callable[[Any], Any], payload: Any) -> tuple[Any, float]:
+    """Run ``fn(payload)``, returning ``(result, wall_seconds)``.
 
-    Without an explicit ``backend``, ``jobs`` picks one: 1 runs tasks
-    inline, > 1 fans cache-missing tasks across a process pool.
-    Results are returned in submission order regardless of completion
-    order, and cache writes happen in the coordinating process (plus,
-    for the file queue, in the worker that executed the task), so
-    concurrent engines never race on entry files beyond the
-    atomic-replace guarantee.
+    Module-level so it is the pool's entry point too: the time is taken
+    in the worker, around the call alone.
+    """
+    t0 = time.perf_counter()
+    result = fn(payload)
+    return result, time.perf_counter() - t0
+
+
+class ExperimentEngine:
+    """Executes content-keyed tasks with caching and process fan-out.
+
+    ``jobs`` 1 runs cache misses inline; > 1 runs them across a process
+    pool of ``min(jobs, misses)`` workers (a single miss still runs
+    inline). Results are returned in submission order regardless of
+    completion order, and cache writes happen in the coordinating
+    process only, so concurrent engines never race on entry files
+    beyond the atomic-replace guarantee.
     """
 
     def __init__(
@@ -99,7 +96,6 @@ class ExperimentEngine:
         use_cache: bool = True,
         progress: Callable[[RunEvent], None] | None = None,
         require_cached: bool = False,
-        backend: ExecutionBackend | None = None,
     ) -> None:
         if jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs!r}")
@@ -108,9 +104,6 @@ class ExperimentEngine:
                 "require_cached=True is meaningless with use_cache=False"
             )
         self.jobs = int(jobs)
-        if backend is None:
-            backend = ProcessBackend(jobs) if jobs > 1 else SerialBackend()
-        self.backend = backend
         self.cache = ResultCache(cache_dir) if use_cache else None
         self._disabled_stats = CacheStats()
         self.progress = progress
@@ -140,10 +133,12 @@ class ExperimentEngine:
     ) -> list[Any]:
         """Run ``fn(payload)`` for every payload, in order.
 
-        ``fn`` must be a module-level callable (it crosses process —
-        and, on the file-queue backend, host — boundaries). ``keys[i]``
-        is the cache key for payload ``i`` (None disables caching for
-        that task).
+        ``fn`` must be a module-level callable (it crosses process
+        boundaries). ``keys[i]`` is the cache key for payload ``i``
+        (None disables caching for that task). The first failing task
+        aborts the grid: its error is raised with a note naming the
+        task, once the pool has cancelled the tasks no worker has taken
+        and the running ones have finished.
         """
         payloads = list(payloads)
         total = len(payloads)
@@ -171,46 +166,42 @@ class ExperimentEngine:
                 f"entry (missing or schema-stale): {missing}. "
                 "Re-run them without --cached-only first."
             )
-        if not pending:
-            return results
 
-        tasks = [
-            BackendTask(index=i, payload=payloads[i], key=keys[i], label=labels[i])
-            for i in pending
-        ]
+        def start(i: int) -> None:
+            self._emit(RunEvent("start", labels[i], i, total, keys[i]))
 
-        def on_start(task: BackendTask) -> None:
-            self._emit(RunEvent("start", task.label, task.index, total, task.key))
-
-        remaining = set(pending)
-        for completion in self.backend.run(fn, tasks, on_start=on_start):
-            i = completion.task.index
-            if completion.error is not None:
-                error = completion.error
+        def finish(i: int, outcome: Callable[[], tuple[Any, float]]) -> None:
+            try:
+                results[i], seconds = outcome()
+            except Exception as error:
                 if hasattr(error, "add_note"):  # pragma: no branch
-                    error.add_note(
-                        f"task {labels[i]!r} (index {i}) failed on the "
-                        f"{self.backend.name} backend"
-                    )
-                raise error
-            results[i] = completion.result
-            remaining.discard(i)
+                    error.add_note(f"task {labels[i]!r} (index {i}) failed")
+                raise
             self.executed += 1
-            self._emit(
-                RunEvent("done", labels[i], i, total, keys[i], completion.seconds)
-            )
-            self._store(keys[i], labels[i], results[i], i, total)
-        if remaining:
-            raise BackendError(
-                f"backend {self.backend.name!r} completed without results "
-                f"for task(s): {', '.join(labels[i] for i in sorted(remaining))}"
-            )
-        return results
+            self._emit(RunEvent("done", labels[i], i, total, keys[i], seconds))
+            if self.cache is not None and keys[i]:
+                self.cache.store(keys[i], results[i])
+                self._emit(RunEvent("stored", labels[i], i, total, keys[i]))
 
-    def _store(self, key, label, payload, index, total):
-        if self.cache is not None and key:
-            self.cache.store(key, payload)
-            self._emit(RunEvent("stored", label, index, total, key))
+        if self.jobs == 1 or len(pending) <= 1:
+            for i in pending:
+                start(i)
+                finish(i, partial(_timed_call, fn, payloads[i]))
+            return results
+        pool = ProcessPoolExecutor(max_workers=min(self.jobs, len(pending)))
+        try:
+            futures = {}
+            for i in pending:
+                start(i)
+                futures[pool.submit(_timed_call, fn, payloads[i])] = i
+            for future in as_completed(futures):
+                finish(futures[future], future.result)
+        finally:
+            # After a failure, drop the tasks no worker has taken and
+            # wait only for the running ones; wait=False would leave
+            # those workers alive after the raise.
+            pool.shutdown(wait=True, cancel_futures=True)
+        return results
 
     # ------------------------------------------------------------------
     # spec-addressed execution

@@ -767,10 +767,8 @@ def table1(
     """Table I: tail-latency comparison across the six bursty traces.
 
     The full grid (``len(traces) * len(frameworks)`` specs) is handed
-    to the engine in one batch, so its execution backend parallelises
-    across both axes — ``--jobs N`` on one host, or ``--backend
-    file-queue`` sharded over ``repro worker`` hosts — and cached
-    cells are skipped individually.
+    to the engine in one batch, so ``--jobs N`` parallelises across
+    both axes and cached cells are skipped individually.
     """
     specs = []
     for trace in traces:

@@ -93,8 +93,7 @@ class SweepTask:
     task is hashable and content-digestible; the worker rebuilds the
     dict. Independent levels are exactly the grid shape the experiment
     engine parallelises and caches; :func:`_run_sweep_task` is
-    module-level so every execution backend (pool worker or ``repro
-    worker`` on another host) can import and run it by reference.
+    module-level so a pool worker can import and run it by reference.
     """
 
     target_tier: str
@@ -147,9 +146,8 @@ def concurrency_sweep(
     tiers should be generously provisioned (the paper uses 1/4/1 for
     MySQL sweeps and 1/1/4 for Tomcat sweeps) so the target is the
     single bottleneck. Levels are independent runs keyed by content
-    digest, so the ``engine``'s execution backend fans them out —
-    across processes on one host, or across ``repro worker`` hosts on
-    the file-queue backend — and caches each level.
+    digest, so the ``engine`` fans them out across its worker
+    processes and caches each level.
     """
     if target_tier not in (WEB, APP, DB):
         raise ExperimentError(f"unknown target tier {target_tier!r}")

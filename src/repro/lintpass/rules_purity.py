@@ -63,8 +63,8 @@ class WallClockRule(Rule):
     Inside the simulated world the only clock is ``sim.now``; a
     ``time.time()`` (or friends) smuggles host-machine state into model
     behaviour, which is exactly the environment nondeterminism the
-    digest cannot see. Wall clocks are fine in the CLI, backends, and
-    benchmarks — those measure the *host*, not the model.
+    digest cannot see. Wall clocks are fine in the CLI, the experiment
+    engine, and benchmarks — those measure the *host*, not the model.
     """
 
     id = "wall-clock"

@@ -31,8 +31,8 @@ Third-party controllers plug in the same way the built-ins do::
     ))
 
 After registration the name works everywhere a built-in does: ``RunSpec``
-construction, every execution backend (specs carry only the *name*; the
-worker resolves it in its own registry), the CLI, and the suites.
+construction, the engine's pool workers (specs carry only the *name*;
+the worker resolves it in its own registry), the CLI, and the suites.
 
 Registration order is presentation order (``repro compare`` rows, CLI
 choices); built-ins register at the bottom of this module in the

@@ -33,6 +33,8 @@ class Trace:
             )
         if not np.all(np.diff(t) > 0):  # a NaN knot fails too
             raise TraceError(f"trace {name!r}: times must be strictly increasing")
+        if not np.all(np.isfinite(u)):
+            raise TraceError(f"trace {name!r}: user counts must be finite")
         if np.any(u < 0):
             raise TraceError(f"trace {name!r}: user counts must be non-negative")
         if t[0] != 0.0:

@@ -1,9 +1,6 @@
 """The experiment engine's contracts: spec identity, determinism,
-parallel equivalence, and cache round-trips.
-
-Execution-backend contracts (bit-identical artifacts on every backend,
-file-queue lease recovery, retry caps, `repro worker`) live in
-``test_backends.py``.
+parallel equivalence, cache round-trips, per-task timing, and how a
+failing task stops the grid.
 
 Runs here use a strongly reduced scale (load_scale 300, 60 s) so every
 experiment finishes in well under a second.
@@ -11,8 +8,10 @@ experiment finishes in well under a second.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
+import time
 
 import numpy as np
 import pytest
@@ -187,16 +186,93 @@ def test_cache_rejects_pathy_keys(tmp_path):
         cache.path("../escape")
 
 
-def test_worker_errors_propagate(tmp_path):
-    engine = ExperimentEngine(jobs=2, cache_dir=str(tmp_path))
-    with pytest.raises(ExperimentError):
-        engine.run_tasks(_raise_for_two, [1, 2], labels=["one", "two"])
+def test_cache_key_shape_validation(tmp_path):
+    cache = ResultCache(str(tmp_path))
+    for bad in (".", "..", "../escape", "a/b", "a\\b", "", "short",
+                "DEADBEEFCAFE", "label with spaces", "x" * 65, 7):
+        with pytest.raises(ConfigurationError):
+            cache.path(bad)
+    # digest-shaped keys pass: full SHA-256 and short hex test keys
+    cache.store("deadbeef" * 8, {"v": 1})
+    assert cache.load("deadbeef" * 8) == {"v": 1}
+    assert cache.path("cafef00d").endswith("cafef00d.pkl")
+
+
+# ----------------------------------------------------------------------
+# running tasks: failures, timing, stats
+# ----------------------------------------------------------------------
+
+# Task functions are module-level: the pool pickles them by reference.
+
+def _double(x: int) -> int:
+    return 2 * x
+
+
+def _sleep_for(seconds: float) -> float:
+    time.sleep(seconds)
+    return seconds
 
 
 def _raise_for_two(n: int) -> int:
     if n == 2:
         raise ExperimentError("boom")
     return n
+
+
+def _fail_or_mark(marker: str | None) -> None:
+    """Raise at once without a marker; else mark the start and sleep."""
+    if marker is None:
+        raise ExperimentError("first task fails")
+    with open(marker, "w"):
+        pass
+    time.sleep(0.5)
+
+
+def test_worker_errors_propagate(tmp_path):
+    engine = ExperimentEngine(jobs=2, cache_dir=str(tmp_path))
+    with pytest.raises(ExperimentError):
+        engine.run_tasks(_raise_for_two, [1, 2], labels=["one", "two"])
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failure_note_carries_task_label(tmp_path, jobs):
+    engine = ExperimentEngine(jobs=jobs, cache_dir=str(tmp_path))
+    with pytest.raises(ExperimentError, match="boom") as excinfo:
+        engine.run_tasks(_raise_for_two, [1, 2], labels=["one", "two"])
+    notes = getattr(excinfo.value, "__notes__", [])
+    assert "task 'two' (index 1) failed" in notes
+
+
+def test_first_failure_cancels_the_tasks_not_yet_started(tmp_path):
+    """The pool stops at the first error: tasks no worker has taken are
+    cancelled, and no worker process outlives the call."""
+    markers = [str(tmp_path / f"task-{i}") for i in range(10)]
+    engine = ExperimentEngine(jobs=2, use_cache=False)
+    with pytest.raises(ExperimentError, match="first task fails"):
+        engine.run_tasks(_fail_or_mark, [None, *markers])
+    assert sum(os.path.exists(m) for m in markers) < 10
+    assert multiprocessing.active_children() == []
+
+
+def test_done_event_seconds_are_per_task_not_pool_wide():
+    """A fast task's `done` event must report its own execution time,
+    not elapsed time since the pool started (which includes worker
+    spawn and the slow task's runtime)."""
+    events = []
+    engine = ExperimentEngine(jobs=2, use_cache=False, progress=events.append)
+    engine.run_tasks(_sleep_for, [0.5, 0.01], labels=["slow", "fast"])
+    seconds = {e.label: e.seconds for e in events if e.kind == "done"}
+    assert seconds["slow"] >= 0.5
+    assert seconds["fast"] < 0.25
+
+
+def test_stats_is_a_stable_instance_without_cache():
+    engine = ExperimentEngine(use_cache=False)
+    held = engine.stats
+    assert engine.stats is held
+    engine.run_tasks(_double, [1])
+    assert engine.stats is held
+    assert held.hits == held.misses == held.stores == 0
 
 
 def test_progress_events_sequence(tmp_path):
@@ -369,3 +445,17 @@ def test_cli_table1_jobs_and_cache(capsys, tmp_path, monkeypatch):
     assert main(argv + ["--no-cache"]) == 0
     third = capsys.readouterr().out
     assert "hit(s)" not in third
+
+
+@pytest.mark.parametrize("argv", [
+    ["table1", "--backend", "process"],
+    ["table1", "--queue-dir", "q"],
+    ["worker", "q"],
+], ids=["backend", "queue", "worker"])
+def test_cli_rejects_the_removed_queue_surface(capsys, argv):
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "error:" in capsys.readouterr().err

@@ -4,7 +4,7 @@ The ISSUE's acceptance criteria, end to end:
 
 * a faulted ``RunSpec`` is exactly as deterministic as a fault-free one
   — same digest, identical artifact signature across repeated runs and
-  across the serial and process backends;
+  between inline and process-pool execution;
 * a crash run diffs against its fault-free twin (``repro diff`` works
   because the fault plan rides the spec, not the scenario) and its
   trace shows the ejection + recovery decisions;

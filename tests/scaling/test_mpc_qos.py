@@ -1,8 +1,8 @@
 """Acceptance tests for the MPC-hybrid and QoS-robust baselines.
 
 The issue's bar for the two new controllers: they run every one of the
-six trace shapes deterministically (identical signatures on repeat and
-across the serial and process backends, tie-order race check clean) and
+six trace shapes deterministically (identical signatures on repeat,
+inline and in a process pool, tie-order race check clean) and
 they emit their registered advisory decision kinds — ``forecast`` /
 ``mpc_correction`` for MPC, ``qos_constraint`` for QoS — so their
 reasoning is auditable through ``repro diff`` like every other
@@ -117,7 +117,7 @@ def test_qos_default_slo_mostly_quiet():
 
 
 # ----------------------------------------------------------------------
-# determinism across repeats, backends, and tie orders
+# determinism across repeats, process pools, and tie orders
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("framework", ["mpc", "qos"])

@@ -6,7 +6,7 @@ pin the guarantees everything else leans on: registration rules
 spell out what *is* valid, digest-stable param coercion, params riding
 the cache key, and — the headline — a third-party controller registered
 at runtime working end-to-end: RunSpec construction, deterministic
-digests and signatures on both the serial and process backends, and
+digests and signatures both inline and in a process pool, and
 ``registered_frameworks()`` picking it up.
 
 Simulation runs use the reduced scale of ``test_engine`` (load_scale

@@ -23,6 +23,9 @@ def test_trace_validation():
         Trace("t", [1.0, 2.0], [1.0, 2.0])  # must start at 0
     with pytest.raises(TraceError):
         Trace("t", [0.0, np.nan, 2.0], [1.0, 2.0, 3.0])  # a NaN knot
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(TraceError, match="finite"):
+            Trace("t", [0.0, 1.0], [1.0, bad])  # a non-finite user count
 
 
 def test_users_at_interpolates_linearly():
@@ -35,7 +38,7 @@ def test_users_at_interpolates_linearly():
 def _random_trace(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Knots with tiny, ordinary and huge gaps, and user counts that
     hold flat, drop to zero, or are infinite or NaN (which the
-    validation lets through)."""
+    validation refuses)."""
     gaps = rng.choice([1e-9, 1.0, 1e6, float(rng.exponential(5.0))],
                       size=int(rng.integers(1, 12)))
     times = np.concatenate([[0.0], np.cumsum(gaps)])
@@ -53,7 +56,8 @@ def test_users_at_matches_np_interp_bit_for_bit(seed):
         times, users = _random_trace(rng)
         if times.size < 2:
             continue
-        trace = Trace("t", times, users)
+        # Drawn before the finiteness check so that every trace takes
+        # the same numbers from rng whether or not it is refused.
         points = np.concatenate([
             times,
             np.nextafter(times, np.inf),
@@ -63,6 +67,11 @@ def test_users_at_matches_np_interp_bit_for_bit(seed):
             [-1.0, -0.0, times[-1] + 1.0, 2.0 * times[-1] + 1.0,
              np.inf, -np.inf, np.nan],
         ])
+        if not np.all(np.isfinite(users)):
+            with pytest.raises(TraceError):
+                Trace("t", times, users)
+            continue
+        trace = Trace("t", times, users)
         for t in points.tolist():
             got = trace.users_at(t)
             want = float(np.interp(t, times, users))
@@ -218,6 +227,13 @@ def test_trace_from_csv_errors(tmp_path):
     empty.write_text("t_s,users\n")
     with pytest.raises(TraceError):
         Trace.from_csv(str(empty))
+
+
+def test_trace_from_csv_refuses_non_finite_users(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("t_s,users\n0,100\n5,inf\n10,nan\n")
+    with pytest.raises(TraceError, match="finite"):
+        Trace.from_csv(str(path))
 
 
 def test_runner_accepts_csv_trace(tmp_path):
