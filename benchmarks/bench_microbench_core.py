@@ -4,37 +4,22 @@ These are conventional pytest-benchmark timings (many rounds) of the
 hot paths that determine how large an evaluation run the harness can
 afford: the event calendar, the PS server, and the SCT estimation.
 
-The calendar suite (``test_calendar_*``) drives the shared
-:mod:`core_workloads` — chained dispatch and PS-style reschedule churn
-over a large standing backlog — through both engines (the wheel and
-the preserved pre-overhaul legacy loop), then
-``test_wheel_beats_legacy`` checks the measured events/sec ordering.
-Nothing here writes a baseline: ``benchmarks/BENCH_core.json`` is
-written only by ``python benchmarks/perf_smoke.py --record`` (its
-``fluid`` section by ``--record-fluid``), and the CI perf smoke guards
-against it.
+Nothing here writes or checks a baseline. The calendar's guards are the
+end-to-end workloads in ``BENCHMARK.json`` (``wall_s``, and
+``sim.calendar.self_s`` per layer) and the exact call count in
+``tests/ntier/test_call_budget.py``; ``benchmarks/BENCH_core.json``
+holds only the hybrid speed-up that ``perf_smoke.py`` guards.
 """
-
-import gc
-import os
 
 import numpy as np
 import pytest
 
-from core_workloads import ENGINES, WORKLOADS
 from repro.ntier.capacity import CapacityModel, ContentionModel, Resource
 from repro.ntier.request import Request
 from repro.ntier.server import Server, ServerConfig
 from repro.sct.model import SCTModel
 from repro.sct.scatter import Scatter
 from repro.sim.engine import Simulator
-
-#: Timed rounds per calendar bench (best-of is what gets recorded).
-CORE_ROUNDS = max(1, int(os.environ.get("REPRO_BENCH_CORE_ROUNDS", "3")))
-
-#: events/sec per (workload, engine), filled by the calendar benches and
-#: consumed by the wheel-vs-legacy check at the end of the module.
-_CORE_RATES: dict[tuple[str, str], tuple[int, float]] = {}
 
 
 def test_engine_event_throughput(benchmark):
@@ -85,50 +70,6 @@ def test_ps_server_churn(benchmark, resources):
         return server.completions
 
     assert benchmark(run) == 2_000
-
-
-@pytest.mark.parametrize("engine", ENGINES)
-@pytest.mark.parametrize("workload", sorted(WORKLOADS))
-def test_calendar_workload_throughput(benchmark, workload, engine):
-    """Events/sec of one engine on one core workload.
-
-    The staged workload runs exactly once per round: ``setup`` rebuilds
-    the backlog-loaded simulator outside the timer, the timed thunk
-    dispatches it. Covers the chained-event benchmark and the
-    calendar-churn benchmark across the wheel and legacy engines.
-    """
-    prep = WORKLOADS[workload]
-
-    def setup():
-        staged = prep(engine)
-        gc.collect()
-        return (staged,), {}
-
-    n = benchmark.pedantic(
-        lambda staged: staged(), setup=setup, rounds=CORE_ROUNDS, iterations=1
-    )
-    assert n > 0
-    rate = n / benchmark.stats.stats.min
-    _CORE_RATES[(workload, engine)] = (n, rate)
-    benchmark.extra_info["events_per_sec"] = round(rate)
-
-
-def test_wheel_beats_legacy():
-    """The wheel must beat the legacy engine on both workloads (the >= 5x
-    claim itself is recorded in ``benchmarks/BENCH_core.json`` rather
-    than asserted, so a noisy CI runner cannot turn a measurement into a
-    flake).
-    """
-    expected = len(ENGINES) * len(WORKLOADS)
-    if len(_CORE_RATES) < expected:
-        pytest.skip("calendar throughput benches did not all run")
-    for name in sorted(WORKLOADS):
-        wheel = _CORE_RATES[(name, "wheel")][1]
-        legacy = _CORE_RATES[(name, "legacy")][1]
-        speedup = wheel / legacy
-        print(f"calendar {name}: wheel={wheel:.0f}/s legacy={legacy:.0f}/s "
-              f"speedup={speedup:.2f}x")
-        assert speedup > 1.0, f"wheel slower than legacy on {name}"
 
 
 def test_sct_estimation_cost(benchmark):

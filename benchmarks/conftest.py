@@ -20,14 +20,9 @@ Environment knobs:
 from __future__ import annotations
 
 import os
-import sys
 import time
 
 import pytest
-
-# Make sibling helper modules (core_workloads) importable regardless of
-# how pytest resolves rootdir/importmode for this non-package directory.
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from repro.experiments.engine import ExperimentEngine
 from repro.experiments.report import ensure_results_dir

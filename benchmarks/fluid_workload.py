@@ -14,9 +14,9 @@ Two sizes share one definition:
 * ``FULL`` — ~1M generated sessions (900 s at load scale 1). The
   recorded baseline's headline speedup; too slow to re-measure in CI.
 * ``GUARD`` — ~60k sessions (300 s at load scale 10). Re-measured by
-  ``perf_smoke.py --fluid`` and compared against the recorded guard
-  speedup. The speedup is a same-machine ratio, so no spin-score
-  normalisation is needed.
+  ``perf_smoke.py`` and compared against the recorded guard speedup.
+  The speedup is a same-machine ratio, so slower hardware does not
+  read as a regression.
 """
 
 from __future__ import annotations

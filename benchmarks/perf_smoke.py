@@ -1,55 +1,38 @@
 #!/usr/bin/env python
-"""Perf smoke guard: fail CI when engine throughput regresses.
+"""Perf smoke guard: fail CI when the hybrid mode's speed-up regresses.
 
-Re-measures the *wheel* engine on the two core workloads (chained
-dispatch and reschedule churn, see :mod:`core_workloads`) and compares
-events/sec against the committed baseline ``benchmarks/BENCH_core.json``.
-Because CI runners and developer machines differ in raw speed, both the
-baseline and the fresh measurement carry a pure-Python *spin score*;
-the fresh rate is scaled by ``baseline_spin / current_spin`` before the
-comparison, so only relative engine slowdowns — not slow hardware —
-trip the guard.
+Re-measures the hybrid-vs-discrete wall-time speed-up on the guard-sized
+steady workload (see :mod:`fluid_workload`) and fails when it falls more
+than ``--tolerance`` (default 30%) below the ``fluid.guard`` entry of
+the committed baseline ``benchmarks/BENCH_core.json``. The speed-up is a
+same-machine wall-time ratio, so slower hardware does not trip the
+guard.
 
-Exit status 1 when any workload's normalised rate falls more than
-``--tolerance`` (default 30%) below the baseline.
+``--record-fluid`` instead re-measures both the guard and the
+~1M-session full workload and rewrites the baseline's ``fluid`` section
+(slow: the full discrete twin runs for minutes).
 
-``--record`` instead re-measures *all* engines and rewrites the
-baseline file — run it on a quiet machine when the engine legitimately
-changes speed.
-
-``--fluid`` additionally re-measures the hybrid-vs-discrete speedup on
-the guard-sized steady workload (see :mod:`fluid_workload`) and fails
-when the speedup falls more than ``--tolerance`` below the recorded
-``fluid.guard`` entry. The speedup is a same-machine wall-time ratio,
-so it needs no spin normalisation. ``--record-fluid`` re-measures both
-the guard and the ~1M-session full workload and rewrites the baseline's
-``fluid`` section (slow: the full discrete twin runs for minutes).
+The event calendar has no guard here: the end-to-end workloads in
+``BENCHMARK.json`` and the exact call count in
+``tests/ntier/test_call_budget.py`` cover it.
 
 Usage::
 
     python benchmarks/perf_smoke.py --baseline benchmarks/BENCH_core.json
-    python benchmarks/perf_smoke.py --fluid        # + hybrid speedup guard
-    python benchmarks/perf_smoke.py --record       # refresh engine baseline
     python benchmarks/perf_smoke.py --record-fluid # refresh fluid baseline
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import os
 import sys
-import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from core_workloads import (  # noqa: E402
-    WORKLOADS,
-    record_baseline,
-    spin_score,
-)
+from fluid_workload import FULL, GUARD, measure_fluid  # noqa: E402
 
 DEFAULT_BASELINE = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "BENCH_core.json"
@@ -58,8 +41,6 @@ DEFAULT_BASELINE = os.path.join(
 
 def record_fluid(path: str) -> dict:
     """Measure the fluid workloads and merge them into the baseline."""
-    from fluid_workload import FULL, GUARD, measure_fluid
-
     with open(path, encoding="utf-8") as fh:
         baseline = json.load(fh)
     print("measuring guard workload (~60k sessions)...")
@@ -79,12 +60,11 @@ def record_fluid(path: str) -> dict:
 
 def check_fluid(baseline: dict, tolerance: float) -> bool:
     """Re-measure the guard workload; True when inside tolerance."""
-    from fluid_workload import measure_fluid
-
     recorded = baseline.get("fluid", {}).get("guard")
     if not recorded:
-        print("SKIP fluid: no recorded fluid.guard baseline")
-        return True
+        # The only guard left: a missing baseline must not pass.
+        print("fluid: no recorded fluid.guard baseline -> FAILED")
+        return False
     fresh = measure_fluid(
         duration=float(recorded["duration"]),
         load_scale=float(recorded["load_scale"]),
@@ -100,34 +80,12 @@ def check_fluid(baseline: dict, tolerance: float) -> bool:
     return speedup >= floor
 
 
-def measure_wheel(workload: str, rounds: int) -> tuple[int, float]:
-    """Best-of-``rounds`` (events, events/sec) for the wheel engine."""
-    prep = WORKLOADS[workload]
-    best = float("inf")
-    events = 0
-    for _ in range(rounds):
-        staged = prep("wheel")
-        gc.collect()
-        t0 = time.perf_counter()
-        events = staged()
-        dt = time.perf_counter() - t0
-        if dt < best:
-            best = dt
-    return events, events / best
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--baseline", default=DEFAULT_BASELINE,
                         help="baseline JSON path (default: committed baseline)")
     parser.add_argument("--tolerance", type=float, default=0.30,
                         help="allowed fractional regression (default 0.30)")
-    parser.add_argument("--rounds", type=int, default=3,
-                        help="timed rounds per workload, best-of (default 3)")
-    parser.add_argument("--record", action="store_true",
-                        help="re-measure all engines and rewrite the baseline")
-    parser.add_argument("--fluid", action="store_true",
-                        help="also guard the hybrid-vs-discrete speedup")
     parser.add_argument("--record-fluid", action="store_true",
                         help="re-measure the fluid workloads and rewrite the "
                              "baseline's fluid section (slow)")
@@ -140,42 +98,10 @@ def main(argv: list[str] | None = None) -> int:
               f"{fluid['guard']['speedup_hybrid_vs_discrete']}x")
         return 0
 
-    if args.record:
-        payload = record_baseline(args.baseline, rounds=args.rounds)
-        for name, entry in payload["workloads"].items():
-            print(f"recorded {name}: {entry['rates']} "
-                  f"speedup={entry.get('speedup_wheel_vs_legacy')}x")
-        print(f"baseline written to {args.baseline}")
-        return 0
-
     with open(args.baseline, encoding="utf-8") as fh:
         baseline = json.load(fh)
-    base_spin = float(baseline["spin_score"])
-    spin = spin_score()
-    scale = base_spin / spin
-    print(f"spin: baseline {base_spin:.0f} ops/s, here {spin:.0f} ops/s "
-          f"(normalising by {scale:.2f}x)")
-
-    failed = False
-    for name, entry in sorted(baseline["workloads"].items()):
-        if name not in WORKLOADS:
-            print(f"SKIP {name}: workload no longer exists")
-            continue
-        base_rate = float(entry["rates"]["wheel"])
-        events, rate = measure_wheel(name, args.rounds)
-        normalised = rate * scale
-        floor = base_rate * (1.0 - args.tolerance)
-        verdict = "ok" if normalised >= floor else "REGRESSION"
-        print(f"{name:8s} {events} events  {rate/1000:9.1f}k ev/s raw  "
-              f"{normalised/1000:9.1f}k normalised  "
-              f"baseline {base_rate/1000:9.1f}k  floor {floor/1000:9.1f}k  "
-              f"-> {verdict}")
-        if normalised < floor:
-            failed = True
-    if args.fluid and not check_fluid(baseline, args.tolerance):
-        failed = True
-    if failed:
-        print("perf smoke FAILED: wheel engine regressed beyond tolerance")
+    if not check_fluid(baseline, args.tolerance):
+        print("perf smoke FAILED")
         return 1
     print("perf smoke ok")
     return 0

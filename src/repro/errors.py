@@ -40,7 +40,8 @@ class SimulationError(ReproError):
 
 
 class ScheduleError(SimulationError):
-    """An event was scheduled in the past or on a finished simulator."""
+    """An event was scheduled in the past, at a non-finite time, or on a
+    finished simulator."""
 
 
 class TwinDivergenceError(SimulationError):

@@ -321,10 +321,10 @@ class Server:
         """Recompute the PS rate and (re)schedule the next completion.
 
         This fires on *every* admission, departure, phase start, and
-        capacity change, so it uses the calendar's reschedule fast path:
-        the pending completion event is *moved* to the new time instead
-        of being cancelled and replaced (which left a dead tombstone per
-        transition), and is kept untouched when the time is unchanged.
+        capacity change, so the pending completion event keeps its
+        handle: it is moved with the calendar's reschedule (one sequence
+        number, no new handle), and is kept untouched when the time is
+        unchanged.
         """
         # Drop already-finished heap entries lazily.
         heap = self._heap

@@ -12,10 +12,9 @@ model schedules only a handful of event types per request, and plain
 callbacks keep the hot path allocation-light, per the profiling guidance
 in the HPC Python guides.
 
-Pending events live in a two-level slotted wheel
-(:mod:`repro.sim.calendar`) that executes exactly the event sequence of
-a single lazy-deletion heap; the test suite fuzzes it against a
-reference heap event loop. The twin checks in
+Pending events live in one lazy-deletion heap owned by the simulator;
+the test suite fuzzes it, reschedules and paused runs included, against
+a plain reference heap event loop. The twin checks in
 :mod:`repro.experiments.twincheck` gate whole runs: tie-order
 independence (``race``) and fluid/discrete equivalence (``fluid``).
 
@@ -25,7 +24,6 @@ engine: :mod:`repro.sim.fluid` (the aggregate integrator) and
 :mod:`repro.sim.governor` (the discrete/fluid switch).
 """
 
-from repro.sim.calendar import WheelCalendar
 from repro.sim.engine import Simulator
 from repro.sim.event import EventHandle
 from repro.sim.process import PeriodicProcess
@@ -34,5 +32,4 @@ __all__ = [
     "Simulator",
     "EventHandle",
     "PeriodicProcess",
-    "WheelCalendar",
 ]

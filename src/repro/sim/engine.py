@@ -1,13 +1,20 @@
-"""The simulator clock and run loop."""
+"""The simulator clock, its event calendar and the run loops.
+
+Pending events live in one binary heap of ``(time, priority, seq,
+handle)`` entries. ``heapq`` compares the tuples in C, and ``seq`` is
+unique, so a handle is never compared. Cancelling and rescheduling are
+*lazy*: the old entry stays in the heap and is dropped when it surfaces
+(see :class:`Simulator`), and the heap is compacted once dead entries
+outnumber live ones.
+"""
 
 from __future__ import annotations
 
-from heapq import heappop
-from sys import maxsize
+from heapq import heapify, heappop, heappush
+from math import isfinite
 from typing import Any, Callable
 
 from repro.errors import ConfigurationError, ScheduleError, SimulationError
-from repro.sim.calendar import COMPACT_FLOOR, WheelCalendar
 from repro.sim.event import EventHandle
 
 __all__ = [
@@ -59,6 +66,13 @@ PRIORITY_FINE_MONITOR = 40
 #: Recognised tie-break orders for same-(time, priority) event batches.
 TIE_ORDERS = ("fifo", "reverse")
 
+#: Compaction floor: never compact below this many dead entries
+#: (rebuilding a tiny heap would cost more than it saves).
+COMPACT_FLOOR = 64
+
+#: A calendar entry: ``(time, priority, seq, handle)``.
+Entry = tuple[float, int, int, EventHandle]
+
 _INF = float("inf")
 
 
@@ -72,15 +86,17 @@ class Simulator:
         sim.run(until=100.0)
 
     Callbacks run in (time, priority, schedule-order) order. The clock
-    only moves forward; scheduling in the past raises
-    :class:`ScheduleError`.
+    only moves forward; scheduling in the past or at a non-finite time
+    raises :class:`ScheduleError`.
 
-    Pending events live in a two-level slotted calendar
-    (:class:`~repro.sim.calendar.WheelCalendar`) tuned for dense
-    periodic traffic and the server model's reschedule churn;
-    ``wheel_slot`` and ``wheel_slots`` set its slot width and ring size.
-    It executes the *exact* event sequence a single lazy-deletion heap
-    would for the same schedule/cancel/reschedule calls.
+    Pending events live in one heap of ``(time, priority, seq, handle)``
+    entries. An entry is *live* while its handle is not cancelled and
+    its ``seq`` is the handle's current one: :meth:`reschedule` stamps
+    the handle with a fresh ``seq`` and pushes a new entry, which leaves
+    the old one dead. Dead entries are dropped as they surface, and the
+    heap is compacted in place once they outnumber the live ones (above
+    :data:`COMPACT_FLOOR`). The runs of the paper's evaluation keep a
+    few dozen events pending, so no cleverer structure pays for itself.
 
     ``tie_order`` selects how events sharing a (time, priority) pair are
     sequenced: ``"fifo"`` (default) preserves schedule order, while
@@ -91,29 +107,25 @@ class Simulator:
     first.
     """
 
-    def __init__(
-        self,
-        start_time: float = 0.0,
-        *,
-        tie_order: str = "fifo",
-        wheel_slot: float = 0.002,
-        wheel_slots: int = 4096,
-    ) -> None:
+    def __init__(self, start_time: float = 0.0, *, tie_order: str = "fifo") -> None:
         if tie_order not in TIE_ORDERS:
             raise ConfigurationError(
                 f"tie_order must be one of {TIE_ORDERS}, got {tie_order!r}"
             )
+        if not isfinite(start_time):
+            raise ConfigurationError(f"start_time must be finite, got {start_time!r}")
         #: Current simulation time in seconds. A plain attribute that
         #: only the run loops write: the server model reads it on
         #: every transition, where a property costs a call each time.
         self.now = float(start_time)
-        self._cal = WheelCalendar(slot_width=wheel_slot, nslots=wheel_slots)
-        self._cal.cursor = self._cal.slot_of(self.now)
+        self._heap: list[Entry] = []
         self._seq = 0
         self._running = False
         self._stopped = False
         self._executed = 0
-        self._live = 0  # non-cancelled events still in the calendar
+        self._live = 0  # pending events: scheduled, not fired or cancelled
+        self._dead = 0  # heap entries of cancelled or rescheduled events
+        self._compactions = 0
         self._tie_order = tie_order
         self._tie_batches = 0  # concurrent batches (>1 event) observed
         self._tie_events = 0  # events executed inside such batches
@@ -131,17 +143,21 @@ class Simulator:
         """Number of non-cancelled events still in the calendar.
 
         O(1): a live counter maintained on schedule/cancel/pop. The
-        server model cancels and reschedules completion events on every
-        arrival, so an O(heap) scan here turns monitoring ticks that
-        report calendar depth into a quadratic drag on long runs.
+        server model reschedules its completion event on every arrival,
+        so an O(heap) scan here turns monitoring ticks that report
+        calendar depth into a quadratic drag on long runs.
         """
         return self._live
 
     def calendar_stats(self) -> dict[str, int]:
-        """Calendar occupancy counters: stored entries, the
-        active/bucket/overflow split, lazy-deletion debt (``dead``), and
+        """Calendar occupancy counters: stored entries (dead ones
+        included), dead entries (the lazy-deletion debt), and the
         compaction count."""
-        return self._cal.stats()
+        return {
+            "stored": len(self._heap),
+            "dead": self._dead,
+            "compactions": self._compactions,
+        }
 
     @property
     def tie_order(self) -> str:
@@ -164,18 +180,52 @@ class Simulator:
         return self._tie_events
 
     def event_cancelled(self) -> None:
-        """Counter hook for :meth:`EventHandle.cancel` (lazy removal
-        keeps the entry in the calendar, so the count must drop here).
+        """Counter hook for :meth:`EventHandle.cancel`: lazy removal
+        keeps the entry in the heap, so it turns dead here.
 
-        Also the compaction trigger: once cancelled entries outnumber
-        live ones (above a small floor), the calendar is rebuilt in
-        place, so cancel-heavy phases cannot bloat it quadratically.
+        Also a compaction trigger (:meth:`reschedule` is the other):
+        once dead entries outnumber live ones (above a small floor),
+        the heap is rebuilt, so cancel- and reschedule-heavy phases
+        cannot bloat it.
         """
         self._live -= 1
-        cal = self._cal
-        cal.dead += 1
-        if cal.dead > COMPACT_FLOOR and cal.dead > self._live:
-            cal.compact()
+        dead = self._dead + 1
+        self._dead = dead
+        if dead > COMPACT_FLOOR and dead > self._live:
+            self._compact()
+
+    def _compact(self) -> None:
+        """Drop every dead entry and rebuild the heap *in place*, so a
+        run loop holding the list survives a compaction triggered
+        inside a callback."""
+        heap = self._heap
+        live: list[Entry] = []
+        for entry in heap:
+            handle = entry[3]
+            if handle.cancelled:
+                handle.done = True
+            elif entry[2] == handle.seq:
+                live.append(entry)
+        # Entries of a reverse-mode batch in flight are out of the heap,
+        # so drop only the debt of the entries removed here.
+        self._dead -= len(heap) - len(live)
+        heap[:] = live
+        heapify(heap)
+        self._compactions += 1
+
+    def _discard(self, handle: EventHandle) -> None:
+        """Account for one dead entry leaving the calendar."""
+        self._dead -= 1
+        if handle.cancelled:
+            handle.done = True
+
+    def _time_error(self, action: str, time: float) -> ScheduleError:
+        """The error for an event time in the past or not finite."""
+        if time < self.now:
+            return ScheduleError(
+                f"cannot {action} t={time:.6f}: clock is at t={self.now:.6f}"
+            )
+        return ScheduleError(f"cannot {action} non-finite t={time!r}")
 
     # ------------------------------------------------------------------
     # scheduling
@@ -195,14 +245,12 @@ class Simulator:
         for the same instant. Returns a handle that may be cancelled
         before it fires.
         """
-        if time < self.now:
-            raise ScheduleError(
-                f"cannot schedule at t={time:.6f}: clock is at t={self.now:.6f}"
-            )
+        if not self.now <= time < _INF:  # NaN fails both comparisons
+            raise self._time_error("schedule at", time)
         seq = self._seq
         self._seq = seq + 1
         handle = EventHandle(time, seq, callback, args, owner=self, priority=priority)
-        self._cal.push(handle)
+        heappush(self._heap, (time, priority, seq, handle))
         self._live += 1
         return handle
 
@@ -219,82 +267,67 @@ class Simulator:
         return self.schedule(self.now + delay, callback, *args, priority=priority)
 
     def reschedule(self, handle: EventHandle, new_time: float) -> EventHandle:
-        """Move a *pending* event to ``new_time``; returns its live handle.
+        """Move a *pending* event to ``new_time``; returns ``handle``.
 
-        The churn-free fast path for the cancel-and-repush pattern: the
-        PS server moves its next-completion event on every arrival and
-        departure, and a cancel+schedule pair leaves a dead entry behind
-        each time. When the entry sits in a wheel bucket it is moved in
-        place (no tombstone, no allocation — the returned handle *is*
-        ``handle``); otherwise the old entry is tombstoned and a fresh
-        handle returned. Callers must keep the returned handle.
+        The PS server moves its next-completion event on every arrival
+        and departure. The handle is stamped with ``new_time`` and a
+        fresh ``seq`` and pushed again; its old entry is dead from then
+        on and is dropped when it surfaces.
 
         The rescheduled event is sequenced as if freshly scheduled now
-        (new schedule order), exactly like the cancel+schedule pair it
-        replaces — so both code patterns execute the same event
-        sequence. Raises :class:`ScheduleError` for handles
-        that are not pending (already fired or cancelled), foreign
-        handles, and times in the past.
+        (new schedule order), exactly like a cancel+schedule pair, so
+        both code patterns execute the same event sequence. Raises
+        :class:`ScheduleError` for handles that are not pending (already
+        fired or cancelled), foreign handles, and times in the past or
+        not finite.
         """
         if handle.owner is not self:
             raise ScheduleError("cannot reschedule a foreign event handle")
         if handle.done or handle.cancelled:
             state = "cancelled" if handle.cancelled else "already-fired"
             raise ScheduleError(f"cannot reschedule {state} event {handle!r}")
-        if new_time < self.now:
-            raise ScheduleError(
-                f"cannot reschedule to t={new_time:.6f}: "
-                f"clock is at t={self.now:.6f}"
-            )
+        if not self.now <= new_time < _INF:
+            raise self._time_error("reschedule to", new_time)
         seq = self._seq
         self._seq = seq + 1
-        if self._cal.move(handle, new_time, seq):
-            return handle
-        # Tombstone path: the entry sits in the active or overflow heap,
-        # where in-place relocation is not possible. Identical cost and semantics to
-        # the legacy cancel+schedule pair (one dead entry, compacted
-        # away once the debt exceeds the live count).
-        fresh = EventHandle(
-            new_time, seq, handle.callback, handle.args,
-            owner=self, priority=handle.priority,
-        )
-        handle.cancel()
-        self._cal.push(fresh)
-        self._live += 1
-        return fresh
+        handle.time = new_time
+        handle.seq = seq
+        heappush(self._heap, (new_time, handle.priority, seq, handle))
+        dead = self._dead + 1
+        self._dead = dead
+        if dead > COMPACT_FLOOR and dead > self._live:
+            self._compact()
+        return handle
 
     def rearm(self, handle: EventHandle, time: float) -> EventHandle:
         """Re-arm an *already-fired* handle at ``time``; returns it.
 
         The allocation-free fast path for periodic processes: the record
         of the tick that just fired is reused for the next tick instead
-        of allocating a fresh :class:`EventHandle` every interval —
-        dense periodic traffic (warehouse ticks, 50 ms fine monitors)
-        stops churning the allocator. The PS server re-arms its fired
-        completion event for its next phase the same way. The re-armed
-        event is sequenced as if freshly scheduled (new schedule order),
-        so ``rearm`` is observably identical to ``schedule``.
+        of allocating a fresh :class:`EventHandle` every interval. The
+        PS server re-arms its fired completion event for its next phase
+        the same way. The re-armed event is sequenced as if freshly
+        scheduled (new schedule order), so ``rearm`` is observably
+        identical to ``schedule``.
 
         Only a fired, non-cancelled handle may be re-armed (anything
-        else raises :class:`ScheduleError`); after re-arming, the handle
-        is pending again and :meth:`EventHandle.cancel` cancels the new
-        occurrence.
+        else raises :class:`ScheduleError`, as does a time in the past
+        or not finite); after re-arming, the handle is pending again and
+        :meth:`EventHandle.cancel` cancels the new occurrence.
         """
         if handle.owner is not self:
             raise ScheduleError("cannot rearm a foreign event handle")
         if not handle.done or handle.cancelled:
             state = "cancelled" if handle.cancelled else "still-pending"
             raise ScheduleError(f"cannot rearm {state} event {handle!r}")
-        if time < self.now:
-            raise ScheduleError(
-                f"cannot rearm at t={time:.6f}: clock is at t={self.now:.6f}"
-            )
+        if not self.now <= time < _INF:
+            raise self._time_error("rearm at", time)
         seq = self._seq
         self._seq = seq + 1
         handle.time = time
         handle.seq = seq
         handle.done = False
-        self._cal.push(handle)
+        heappush(self._heap, (time, handle.priority, seq, handle))
         self._live += 1
         return handle
 
@@ -307,9 +340,12 @@ class Simulator:
 
         When ``until`` is given the clock is advanced to exactly ``until``
         on return even if the calendar drained earlier, so periodic
-        processes observe a consistent end time. ``max_events`` must be
-        at least 1 (:class:`ConfigurationError` otherwise).
+        processes observe a consistent end time. ``until`` must be
+        finite and ``max_events`` at least 1 (:class:`ConfigurationError`
+        otherwise).
         """
+        if until is not None and not isfinite(until):
+            raise ConfigurationError(f"until must be finite, got {until!r}")
         if max_events is not None and max_events < 1:
             raise ConfigurationError(f"max_events must be >= 1, got {max_events!r}")
         if self._running:
@@ -320,40 +356,32 @@ class Simulator:
             if self._tie_order == "reverse":
                 self._run_permuted(until, max_events)
             else:
-                self._run_fifo_wheel(self._cal, until, max_events)
+                self._run_fifo(until, max_events)
         finally:
             self._running = False
         if until is not None and self.now < until and not self._stopped:
             self.now = until
 
-    def _run_fifo_wheel(
-        self, cal: WheelCalendar, until: float | None, max_events: int | None
-    ) -> None:
-        """The wheel hot loop: drain the active slot heap, advance the
-        cursor to the next populated slot when it empties."""
+    def _run_fifo(self, until: float | None, max_events: int | None) -> None:
+        """The hot loop: pop the head entry, drop it if dead, run it.
+        (:meth:`_discard` inlined: a dead entry surfaces for nearly
+        every reschedule.)"""
         budget = max_events if max_events is not None else -1
         until_v = _INF if until is None else until
-        limit_idx = maxsize if until is None else cal.slot_of(until)
-        # Safe to hoist: the active heap is only ever mutated in place
-        # (advance/_load_slot append into it, compact slice-assigns).
-        cur = cal.cur
-        advance = cal.advance
-        while not self._stopped:
-            if not cur:
-                if not advance(limit_idx):
-                    break
-                continue
-            entry = cur[0]
+        heap = self._heap
+        while heap and not self._stopped:
+            entry = heap[0]
             handle = entry[3]
-            if handle.cancelled:
-                heappop(cur)
-                handle.done = True
-                cal.dead -= 1
+            if handle.cancelled or entry[2] != handle.seq:
+                heappop(heap)
+                self._dead -= 1
+                if handle.cancelled:
+                    handle.done = True
                 continue
             time = entry[0]
             if time > until_v:
                 break
-            heappop(cur)
+            heappop(heap)
             handle.done = True
             self._live -= 1
             self.now = time
@@ -362,6 +390,18 @@ class Simulator:
             budget -= 1
             if budget == 0:
                 break
+
+    def _live_head(self) -> Entry | None:
+        """The earliest live entry, or None; dead heads are dropped."""
+        heap = self._heap
+        while heap:
+            entry = heap[0]
+            handle = entry[3]
+            if not handle.cancelled and entry[2] == handle.seq:
+                return entry
+            heappop(heap)
+            self._discard(handle)
+        return None
 
     def _run_permuted(self, until: float | None, max_events: int | None) -> None:
         """Race-check loop: drain one concurrent batch at a time.
@@ -376,38 +416,34 @@ class Simulator:
         """
         budget = max_events if max_events is not None else -1
         until_v = _INF if until is None else until
-        cal = self._cal
-        limit_idx = maxsize if until is None else cal.slot_of(until)
+        heap = self._heap
         while not self._stopped:
-            head = cal.peek(limit_idx)
-            if head is None:
+            head = self._live_head()
+            if head is None or head[0] > until_v:
                 break
             batch_time = head[0]
-            if batch_time > until_v:
-                break
             batch_priority = head[1]
-            batch: list[EventHandle] = []
+            batch: list[Entry] = []
             while True:
-                entry = cal.peek(limit_idx)
+                entry = self._live_head()
                 if (
                     entry is None
                     or entry[0] != batch_time
                     or entry[1] != batch_priority
                 ):
                     break
-                cal.pop()
-                batch.append(entry[3])
+                batch.append(heappop(heap))
             if len(batch) > 1:
                 self._tie_batches += 1
                 self._tie_events += len(batch)
             batch.reverse()
             self.now = batch_time
-            for pos, handle in enumerate(batch):
-                if handle.cancelled:
-                    # Cancelled by an earlier batch member after the pop;
-                    # cancel() already dropped the live counter.
-                    handle.done = True
-                    cal.dead -= 1
+            for pos, entry in enumerate(batch):
+                handle = entry[3]
+                if handle.cancelled or entry[2] != handle.seq:
+                    # Cancelled or rescheduled by an earlier batch
+                    # member after the pop: the entry is dead.
+                    self._discard(handle)
                     continue
                 handle.done = True
                 self._live -= 1
@@ -416,13 +452,12 @@ class Simulator:
                 if budget > 0:
                     budget -= 1
                 if budget == 0 or self._stopped:
-                    # Put the unexecuted tail back on the calendar.
+                    # Put the live unexecuted tail back on the heap.
                     for rest in batch[pos + 1:]:
-                        if not rest.cancelled:
-                            cal.push(rest)
+                        if rest[3].cancelled or rest[2] != rest[3].seq:
+                            self._discard(rest[3])
                         else:
-                            rest.done = True
-                            cal.dead -= 1
+                            heappush(heap, rest)
                     return
 
     def stop(self) -> None:
@@ -430,9 +465,9 @@ class Simulator:
         self._stopped = True
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        # pending counts live events; stored also counts the cancelled
+        # pending counts live events; stored also counts the dead
         # entries lazy deletion keeps until they surface.
         return (
             f"Simulator(now={self.now:.6f}, pending={self.pending_events}, "
-            f"stored={len(self._cal)}, executed={self._executed})"
+            f"stored={len(self._heap)}, executed={self._executed})"
         )

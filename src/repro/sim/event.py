@@ -12,26 +12,26 @@ class EventHandle:
 
     Handles are returned by :meth:`repro.sim.engine.Simulator.schedule`.
     Cancellation is *lazy*: the calendar entry stays in the heap and is
-    discarded when popped, which is far cheaper than heap surgery — the
-    n-tier server model cancels and reschedules its next-completion event
-    on every arrival/departure.
+    discarded when popped, which is far cheaper than heap surgery.
+
+    ``time`` and ``seq`` are the handle's current place in the
+    ``(time, priority, seq)`` order; :meth:`~repro.sim.engine.Simulator.reschedule`
+    and :meth:`~repro.sim.engine.Simulator.rearm` re-stamp both. A heap
+    entry whose ``seq`` is no longer the handle's is dead. ``seq`` is
+    unique, so the heap never compares two handles.
+
+    Events sharing (time, priority) are *concurrent*: no component may
+    depend on their relative order, and the race-check run mode
+    (``Simulator(tie_order="reverse")``) permutes exactly those.
 
     ``done`` marks an event the run loop has already fired (or discarded
     after cancellation); it guards the owner's live-event counter
     against cancel-after-fire and double-cancel.
-
-    ``slot`` and ``pos`` are calendar bookkeeping (see
-    :mod:`repro.sim.calendar`): ``slot`` is the absolute wheel-slot
-    index while the entry sits in a wheel bucket, or a negative sentinel
-    (active heap / overflow heap); ``pos`` is the
-    handle's position inside that bucket. Together they make the
-    ``reschedule`` in-place move O(1) — the calendar jumps straight to
-    the entry, swap-removes it, and appends it to its new bucket.
     """
 
     __slots__ = (
         "time", "priority", "seq", "callback", "args", "cancelled", "done",
-        "owner", "slot", "pos",
+        "owner",
     )
 
     def __init__(
@@ -51,8 +51,6 @@ class EventHandle:
         self.cancelled = False
         self.done = False
         self.owner = owner
-        self.slot = -1
-        self.pos = 0
 
     def cancel(self) -> None:
         """Mark this event so the run loop skips it. Idempotent, and a
@@ -62,18 +60,6 @@ class EventHandle:
         self.cancelled = True
         if self.owner is not None:
             self.owner.event_cancelled()
-
-    # Heap ordering: by time, then priority (mutators before observers),
-    # then schedule order — so the simulation is fully deterministic.
-    # Events sharing (time, priority) are *concurrent*: no component may
-    # depend on their relative order, and the race-check run mode
-    # (``Simulator(tie_order="reverse")``) permutes exactly those.
-    def __lt__(self, other: "EventHandle") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        if self.priority != other.priority:
-            return self.priority < other.priority
-        return self.seq < other.seq
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else "pending"

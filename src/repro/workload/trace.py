@@ -31,7 +31,9 @@ class Trace:
             raise TraceError(
                 f"trace {name!r}: need equal-length 1-D times/users with >= 2 points"
             )
-        if not np.all(np.diff(t) > 0):  # a NaN knot fails too
+        if not np.all(np.isfinite(t)):
+            raise TraceError(f"trace {name!r}: knot times must be finite")
+        if not np.all(np.diff(t) > 0):
             raise TraceError(f"trace {name!r}: times must be strictly increasing")
         if not np.all(np.isfinite(u)):
             raise TraceError(f"trace {name!r}: user counts must be finite")

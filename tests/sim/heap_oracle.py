@@ -1,12 +1,15 @@
 """Reference event loop: every pending event in one lazy-deletion heap.
 
-The simulator's wheel calendar is a pure performance structure: for the
-same schedule / cancel / reschedule / rearm / run calls it must execute
-exactly the event sequence of the textbook loop below — one binary heap
-keyed ``(time, priority, seq)``, cancelled entries discarded as they
-surface, a reschedule spelled as cancel plus a fresh schedule. The loop
-is kept deliberately plain so it can serve as the oracle the calendar
-fuzz and the component tests compare ``Simulator()`` against.
+The simulator's calendar is a heap too, with its own bookkeeping: a
+reschedule re-stamps the handle's ``seq`` instead of cancelling it,
+dead entries are counted and compacted away, and a reverse tie-order
+loop batches concurrent events. For the same schedule / cancel /
+reschedule / rearm / run calls it must execute exactly the event
+sequence of the textbook loop below — one binary heap keyed
+``(time, priority, seq)``, cancelled entries discarded as they surface,
+a reschedule spelled as cancel plus a fresh schedule. The loop is kept
+deliberately plain so it can serve as the oracle the calendar fuzz and
+the component tests compare ``Simulator()`` against.
 
 It implements the slice of the simulator surface the components drive
 (``now``, ``schedule``, ``schedule_after``, ``reschedule``, ``rearm``,

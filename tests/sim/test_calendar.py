@@ -1,11 +1,13 @@
-"""Tests for the two-level wheel calendar, and a property-based fuzz
-pinning its execution order to a reference single-heap event loop."""
+"""Tests for the simulator's event heap — the liveness rule, lazy
+deletion and compaction — and a property-based fuzz pinning its
+execution order to a reference single-heap event loop."""
+
+import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.sim.calendar import SLOT_ACTIVE, SLOT_OVERFLOW, WheelCalendar
 from repro.sim.engine import (
     PRIORITY_CONTROLLER,
     PRIORITY_MODEL,
@@ -15,112 +17,40 @@ from repro.sim.engine import (
 from tests.sim.heap_oracle import HeapSimulator
 
 
-# ----------------------------------------------------------------------
-# construction
-# ----------------------------------------------------------------------
-
-@pytest.mark.parametrize("bad", [0.0, -1.0])
-def test_wheel_invalid_slot_width_raises(bad):
-    with pytest.raises(ValueError, match="slot_width"):
-        WheelCalendar(slot_width=bad)
-
-
-def test_wheel_invalid_nslots_raises():
-    with pytest.raises(ValueError, match="nslots"):
-        WheelCalendar(nslots=1)
-
-
-# ----------------------------------------------------------------------
-# wheel tier routing (exercised through the owning simulator)
-# ----------------------------------------------------------------------
-
-def _wheel_sim(slot=0.5, nslots=8):
-    return Simulator(wheel_slot=slot, wheel_slots=nslots)
-
-
 def _noop():
     return None
 
 
-def test_push_routes_by_slot_distance():
-    sim = _wheel_sim()  # horizon = 8 * 0.5 s = 4 s
-    cal = sim._cal
-    near = sim.schedule(1.2, _noop)     # slot 2: in the wheel
-    far = sim.schedule(100.0, _noop)    # slot 200: beyond the horizon
-    now = sim.schedule(0.0, _noop)      # slot 0 = cursor: active heap
-    assert near.slot == 2
-    assert far.slot == SLOT_OVERFLOW
-    assert now.slot == SLOT_ACTIVE
-    assert cal.wheel_count == 1
-    assert len(cal.overflow) == 1
-    assert len(cal) == 3
+# ----------------------------------------------------------------------
+# lazy deletion: reschedule re-stamps, cancelled heads are dropped
+# ----------------------------------------------------------------------
 
-
-def test_bucket_position_tracks_swap_remove():
-    sim = _wheel_sim()
-    a = sim.schedule(1.2, _noop)
-    b = sim.schedule(1.3, _noop)
-    c = sim.schedule(1.4, _noop)
-    assert [a.pos, b.pos, c.pos] == [0, 1, 2]
-    # Moving `a` out swap-removes it: `c` takes its position.
-    moved = sim.reschedule(a, 2.2)
-    assert moved is a  # in-place move, same handle object
-    assert a.slot == 4
-    assert c.pos == 0 and b.pos == 1
-
-
-def test_move_declined_for_active_and_overflow_entries():
-    sim = _wheel_sim()
-    cal = sim._cal
-    active = sim.schedule(0.1, _noop)   # cursor slot -> active heap
-    far = sim.schedule(100.0, _noop)    # overflow
-    assert cal.move(active, 0.2, 999) is False
-    assert cal.move(far, 101.0, 999) is False
-
-
-def test_reschedule_tombstones_heap_entries():
-    sim = _wheel_sim()
-    far = sim.schedule(100.0, _noop)
-    fresh = sim.reschedule(far, 101.0)
-    assert fresh is not far       # tombstone path: new handle
-    assert far.cancelled
-    assert not fresh.cancelled
+def test_reschedule_returns_the_same_handle():
+    """Near or far, reschedule re-stamps and returns the handle it was
+    given; the old entry is dead, so the old time never fires."""
+    sim = Simulator()
     seen = []
-    sim.schedule(0.5, seen.append, "early")
-    sim.run(until=200.0)
-    assert seen == ["early"]
-    assert fresh.done
 
+    def fire(tag):
+        seen.append((tag, sim.now))
 
-def test_wheel_horizon_rollover_reuses_ring_slots():
-    """Events more than one revolution apart share ``index % nslots``
-    but must never fire out of order: the far one waits in overflow
-    until the cursor reaches its revolution."""
-    sim = _wheel_sim(slot=0.5, nslots=8)  # horizon 4 s
-    seen = []
-    # Slot 2 and slot 10 map to the same ring position (2 % 8 == 10 % 8).
-    sim.schedule(5.2, seen.append, "second-rev")
-    sim.schedule(1.2, seen.append, "first-rev")
+    near = sim.schedule(0.5, fire, "near")
+    far = sim.schedule(100.0, fire, "far")
+    assert sim.reschedule(near, 0.7) is near
+    assert sim.reschedule(far, 101.0) is far
+    assert (near.time, far.time) == (0.7, 101.0)
+    assert not (near.cancelled or far.cancelled)
+    assert sim.calendar_stats()["dead"] == 2
     sim.run()
-    assert seen == ["first-rev", "second-rev"]
-
-
-def test_overflow_migrates_into_wheel_as_cursor_advances():
-    sim = _wheel_sim(slot=0.5, nslots=8)
-    cal = sim._cal
-    order = []
-    for t in (3.9, 4.1, 7.9, 12.3, 0.2):
-        sim.schedule(t, order.append, t)
-    assert len(cal.overflow) == 3  # 4.1, 7.9, 12.3 are beyond the horizon
-    sim.run()
-    assert order == [0.2, 3.9, 4.1, 7.9, 12.3]
-    assert len(cal) == 0
+    assert seen == [("near", 0.7), ("far", 101.0)]
+    assert near.done and far.done
+    assert sim.calendar_stats() == {"stored": 0, "dead": 0, "compactions": 0}
 
 
 def test_until_parks_cursor_without_skipping_events():
-    """A time-limited run must not drag the cursor past events that
-    were cut off by ``until``; they fire on the next run()."""
-    sim = _wheel_sim(slot=0.5, nslots=8)
+    """A time-limited run must not drop events that were cut off by
+    ``until``; they fire on the next run()."""
+    sim = Simulator()
     seen = []
     sim.schedule(6.0, seen.append, "late")
     sim.run(until=2.0)
@@ -131,64 +61,122 @@ def test_until_parks_cursor_without_skipping_events():
 
 
 def test_cancelled_overflow_heads_are_discarded_on_advance():
-    sim = _wheel_sim(slot=0.5, nslots=8)
-    cal = sim._cal
+    """A cancelled entry is dropped, and its dead count released, when
+    the run reaches it."""
+    sim = Simulator()
     doomed = sim.schedule(50.0, _noop)
     sim.schedule(60.0, _noop)
     doomed.cancel()
-    assert cal.dead == 1
+    assert sim.calendar_stats()["dead"] == 1
     sim.run()
-    assert cal.dead == 0
+    assert sim.calendar_stats()["dead"] == 0
     assert doomed.done
+
+
+# ----------------------------------------------------------------------
+# the liveness rule inside a reversed concurrent batch
+# ----------------------------------------------------------------------
+
+def _batch_of_three(sim, seen):
+    """Three concurrent events a, b, c at t=1; reversed, c runs first."""
+
+    def fire(tag):
+        seen.append((tag, sim.now))
+        if tag in actions:
+            actions.pop(tag)()
+
+    actions = {}
+    handles = {tag: sim.schedule(1.0, fire, tag) for tag in "abc"}
+    return handles, actions
+
+
+@pytest.mark.parametrize("new_time", [1.0, 2.0])
+def test_reverse_batch_member_reschedules_a_member_not_yet_run(new_time):
+    """The batch popped ``a`` before ``c`` moved it: the popped entry is
+    dead, and ``a`` fires once, at its new time, in a later batch."""
+    sim = Simulator(tie_order="reverse")
+    seen = []
+    handles, actions = _batch_of_three(sim, seen)
+    actions["c"] = lambda: sim.reschedule(handles["a"], new_time)
+    sim.run()
+    assert seen == [("c", 1.0), ("b", 1.0), ("a", new_time)]
+    assert sim.events_executed == 3 and sim.pending_events == 0
+    assert sim.calendar_stats()["dead"] == 0
+
+
+def test_reverse_batch_member_cancels_a_member_not_yet_run():
+    sim = Simulator(tie_order="reverse")
+    seen = []
+    handles, actions = _batch_of_three(sim, seen)
+    actions["c"] = handles["a"].cancel
+    sim.run()
+    assert seen == [("c", 1.0), ("b", 1.0)]
+    assert handles["a"].cancelled and handles["a"].done
+    assert sim.pending_events == 0
+    assert sim.calendar_stats()["dead"] == 0
+
+
+def test_reverse_batch_member_rearms_a_member_already_fired():
+    """``b`` re-arms ``c``, which fired first: the new occurrence lands
+    in a later batch, after the rest of this one."""
+    sim = Simulator(tie_order="reverse")
+    seen = []
+    handles, actions = _batch_of_three(sim, seen)
+    actions["b"] = lambda: sim.rearm(handles["c"], 1.0)
+    sim.run()
+    assert seen == [("c", 1.0), ("b", 1.0), ("a", 1.0), ("c", 1.0)]
+    assert sim.tie_batches == 1 and sim.tie_events == 3
+    assert sim.pending_events == 0
+
+
+def test_reverse_max_events_puts_back_only_the_live_tail():
+    """Stopping after ``c``, which moved ``a``, puts ``b`` back but not
+    the dead entry ``a`` left in the batch."""
+    sim = Simulator(tie_order="reverse")
+    seen = []
+    handles, actions = _batch_of_three(sim, seen)
+    actions["c"] = lambda: sim.reschedule(handles["a"], 2.0)
+    sim.run(max_events=1)
+    assert seen == [("c", 1.0)]
+    assert sim.pending_events == 2
+    assert sim.calendar_stats() == {"stored": 2, "dead": 0, "compactions": 0}
+    sim.run()
+    assert seen == [("c", 1.0), ("b", 1.0), ("a", 2.0)]
+    assert sim.calendar_stats()["dead"] == 0
 
 
 # ----------------------------------------------------------------------
 # compaction
 # ----------------------------------------------------------------------
 
-# Where the cancelled entries are stored: past the default 8.192 s
-# horizon they sit in the overflow heap, inside it in wheel buckets.
-_TIER_START = {"heap": 10.0, "wheel": 1.0}
-_TIER_STAT = {"heap": "overflow", "wheel": "wheel"}
-
-
-@pytest.mark.parametrize("tier", ["heap", "wheel"])
-def test_compaction_triggers_when_dead_exceed_live(tier):
+@pytest.mark.parametrize("how", ["cancel", "reschedule"])
+def test_compaction_triggers_when_dead_exceed_live(how):
+    """200 pushes leave 190 dead entries, by cancels or by reschedules;
+    compaction drops them once they outnumber the live ones."""
     sim = Simulator()
-    start = _TIER_START[tier]
-    handles = [sim.schedule(start + i * 0.001, _noop) for i in range(200)]
-    assert sim.calendar_stats()[_TIER_STAT[tier]] == 200
-    survivors = handles[:10]
-    for h in handles[10:]:
-        h.cancel()
+    if how == "cancel":
+        handles = [sim.schedule(1.0 + i * 0.001, _noop) for i in range(200)]
+        survivors = handles[:10]
+        for h in handles[10:]:
+            h.cancel()
+    else:
+        survivors = [sim.schedule(1.0 + i * 0.001, _noop) for i in range(10)]
+        for i in range(190):
+            h = survivors[i % 10]
+            sim.reschedule(h, h.time + 0.01)
     stats = sim.calendar_stats()
     assert stats["compactions"] >= 1
-    assert stats[_TIER_STAT[tier]] < 200
+    assert stats["stored"] < 200
     assert stats["dead"] < 190  # the debt was actually dropped
     sim.run()
     assert all(h.done for h in survivors)
     assert sim.events_executed == 10
-
-
-def test_wheel_compaction_rebuilds_bucket_positions():
-    sim = _wheel_sim(slot=0.5, nslots=8)
-    cal = sim._cal
-    keep = [sim.schedule(1.2, _noop) for _ in range(3)]
-    doomed = [sim.schedule(1.3, _noop) for _ in range(6)]
-    for h in doomed:
-        h.cancel()
-    cal.compact()
-    assert cal.dead == 0 and cal.wheel_count == 3
-    bucket = cal.buckets[2 % cal.nslots]
-    assert [h.pos for h in bucket] == list(range(len(bucket)))
-    # Positions must still support the O(1) move after the rebuild.
-    fresh = sim.reschedule(keep[0], 2.2)
-    assert fresh is keep[0]
+    assert sim.calendar_stats()["dead"] == 0
 
 
 def test_compaction_during_run_keeps_loop_alive():
     """A compaction triggered by a callback's cancels must not strand
-    the run loop: the active heap is rebuilt in place."""
+    the run loop: the heap is rebuilt in place."""
     sim = Simulator()
     seen = []
     victims = [sim.schedule(5.0 + i * 1e-4, _noop) for i in range(300)]
@@ -207,7 +195,7 @@ def test_compaction_during_run_keeps_loop_alive():
 
 
 # ----------------------------------------------------------------------
-# property: the wheel executes exactly the reference heap loop's sequence
+# property: the simulator executes exactly the reference heap loop's sequence
 # ----------------------------------------------------------------------
 
 _PRIORITIES = (PRIORITY_MODEL, PRIORITY_WAREHOUSE, PRIORITY_CONTROLLER)
@@ -269,16 +257,56 @@ def _execute_program(sim, program):
 
 @settings(max_examples=120, deadline=None)
 @given(program=_ops)
-# Ties the random programs rarely hit: an in-place bucket move and a
-# rearm must both sequence as fresh schedules (after a resident event
-# at the same instant and priority).
+# Ties the random programs rarely hit: a reschedule and a rearm must
+# both sequence as fresh schedules (after a resident event at the same
+# instant and priority).
 @example(program=[("schedule", 500, 0), ("schedule", 250, 0),
                   ("reschedule", 250, 0)])
 @example(program=[("schedule", 250, 0), ("schedule", 500, 0),
                   ("run_until", 300, 0), ("rearm", 500, 0)])
 def test_heap_and_wheel_execute_identically(program):
-    # ~2 s wheel horizon, so the program crosses it constantly.
-    wheel = Simulator(wheel_slot=0.016, wheel_slots=128)
-    assert _execute_program(wheel, program) == _execute_program(
+    assert _execute_program(Simulator(), program) == _execute_program(
         HeapSimulator(), program
     )
+
+
+def _reschedule_churn(sim, seed):
+    """Move 8 handles around 600 times (re-arming the ones that fired),
+    with a paused run every 50 moves; returns the trace and the number
+    of reschedules."""
+    rng = random.Random(seed)
+    trace = []
+
+    def fire(tag):
+        trace.append((round(sim.now, 6), tag))
+
+    handles = [sim.schedule(rng.uniform(0.0, 20.0), fire, i) for i in range(8)]
+    moves = 0
+    for step in range(600):
+        if step % 50 == 49:
+            if step % 100 == 49:
+                sim.run(until=sim.now + 1.0)
+            else:
+                sim.run(max_events=3)
+            trace.append(("paused", round(sim.now, 6), sim.pending_events))
+        idx = rng.randrange(8)
+        time = sim.now + rng.uniform(0.0, 20.0)
+        if handles[idx].done:
+            sim.rearm(handles[idx], time)
+        else:
+            handles[idx] = sim.reschedule(handles[idx], time)
+            moves += 1
+    sim.run()
+    trace.append(("executed", sim.events_executed))
+    return trace, moves
+
+
+def test_reschedule_churn_matches_the_oracle_and_compacts():
+    """The fuzz's programs never pile up COMPACT_FLOOR dead entries;
+    this reschedule-heavy run does, and must still match the oracle."""
+    sim = Simulator()
+    trace, moves = _reschedule_churn(sim, seed=23)
+    assert moves >= 500
+    assert (trace, moves) == _reschedule_churn(HeapSimulator(), seed=23)
+    assert sim.calendar_stats()["compactions"] >= 1
+    assert sim.calendar_stats()["dead"] == 0

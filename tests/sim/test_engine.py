@@ -70,6 +70,45 @@ def test_schedule_in_past_raises():
         sim.schedule(1.0, lambda: None)
 
 
+def _pending(sim):
+    return sim.schedule(1.0, lambda: None)
+
+
+def _fired(sim):
+    handle = sim.schedule(1.0, lambda: None)
+    sim.run()
+    return handle
+
+
+# Each method gets a handle it may act on, so only the time is at fault.
+_TIMED_CALLS = {
+    "schedule": lambda sim, t: sim.schedule(t, lambda: None),
+    "schedule_after": lambda sim, t: sim.schedule_after(t, lambda: None),
+    "reschedule": lambda sim, t: sim.reschedule(_pending(sim), t),
+    "rearm": lambda sim, t: sim.rearm(_fired(sim), t),
+}
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("method", sorted(_TIMED_CALLS))
+def test_non_finite_time_raises_before_taking_a_seq(method, bad):
+    """A NaN or infinite time would misorder the heap silently: each
+    scheduling method refuses it with ScheduleError, and the refused
+    call takes no sequence number."""
+    sim = Simulator()
+    with pytest.raises(ScheduleError, match="non-finite"):
+        _TIMED_CALLS[method](sim, bad)
+    # One seq per successful call: the helper's and this one's.
+    taken = 0 if method.startswith("schedule") else 1
+    assert sim.schedule(5.0, lambda: None).seq == taken
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_start_time_raises(bad):
+    with pytest.raises(ConfigurationError, match="start_time"):
+        Simulator(start_time=bad)
+
+
 def test_schedule_after_negative_delay_raises():
     with pytest.raises(ScheduleError):
         Simulator().schedule_after(-1.0, lambda: None)
@@ -140,6 +179,19 @@ def test_max_events_below_one_is_refused(tie_order, max_events):
     assert seen == [] and sim.now == 0.0 and sim.pending_events == 3
     sim.run(max_events=1)
     assert seen == [1.0]
+
+
+@pytest.mark.parametrize("tie_order", TIE_ORDERS)
+@pytest.mark.parametrize("until", [float("nan"), float("inf")])
+def test_non_finite_until_is_refused(tie_order, until):
+    """``until=nan`` would run every event and ``until=inf`` would park
+    the clock at infinity; both loops refuse them up front."""
+    sim = Simulator(tie_order=tie_order)
+    seen = []
+    sim.schedule(1.0, seen.append, 1.0)
+    with pytest.raises(ConfigurationError, match="until"):
+        sim.run(until=until)
+    assert seen == [] and sim.now == 0.0
 
 
 def test_events_executed_counts_only_fired():
@@ -354,13 +406,11 @@ def test_max_events_mid_batch_preserves_cancelled_tail():
 # ----------------------------------------------------------------------
 
 def test_calendar_property_and_default():
-    """One calendar, the wheel: no kind selector left to query, and the
-    occupancy counters report the wheel's tiers."""
+    """One calendar, the heap: no kind selector left to query, and the
+    occupancy counters report stored and dead entries and compactions."""
     sim = Simulator()
     assert not hasattr(sim, "calendar")
-    assert set(sim.calendar_stats()) == {
-        "stored", "active", "wheel", "overflow", "dead", "compactions",
-    }
+    assert set(sim.calendar_stats()) == {"stored", "dead", "compactions"}
 
 
 def test_unknown_calendar_raises():

@@ -23,6 +23,9 @@ def test_trace_validation():
         Trace("t", [1.0, 2.0], [1.0, 2.0])  # must start at 0
     with pytest.raises(TraceError):
         Trace("t", [0.0, np.nan, 2.0], [1.0, 2.0, 3.0])  # a NaN knot
+    for bad in (np.inf, np.nan):
+        with pytest.raises(TraceError, match="finite"):
+            Trace("t", [0.0, 5.0, bad], [10.0, 20.0, 30.0])  # a non-finite last knot
     for bad in (np.inf, -np.inf, np.nan):
         with pytest.raises(TraceError, match="finite"):
             Trace("t", [0.0, 1.0], [1.0, bad])  # a non-finite user count
@@ -232,6 +235,13 @@ def test_trace_from_csv_errors(tmp_path):
 def test_trace_from_csv_refuses_non_finite_users(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("t_s,users\n0,100\n5,inf\n10,nan\n")
+    with pytest.raises(TraceError, match="finite"):
+        Trace.from_csv(str(path))
+
+
+def test_trace_from_csv_refuses_non_finite_times(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("t_s,users\n0,10\n5,20\ninf,30\n")
     with pytest.raises(TraceError, match="finite"):
         Trace.from_csv(str(path))
 
