@@ -36,7 +36,7 @@ from repro.faults.plan import FaultPlan
 from repro.faults.summary import ResilienceSummary
 from repro.monitoring.percentiles import TailSummary, tail_summary
 from repro.monitoring.records import TimelineBin
-from repro.scaling.estimator import TierEstimate
+from repro.scaling.estimator import EstimateHistory
 from repro.scaling.policy import TierPolicyConfig
 from repro.scaling.registry import get_controller
 
@@ -89,6 +89,12 @@ __all__ = [
 #: ``signature()`` digests the decoded ``<U`` array, which equals the
 #: stored one byte for byte, and :meth:`RunArtifact.__setstate__`
 #: converts the older entries on load.
+#: Still v7: each tier's SCT estimate history is now an
+#: :class:`~repro.scaling.estimator.EstimateHistory` of numpy columns,
+#: where v7 entries written before kept a list of ``TierEstimate``
+#: objects. ``signature()`` digests the same ``(tier, time, optimal,
+#: q_upper, actionable)`` Python scalars from either form, and
+#: :meth:`RunArtifact.__setstate__` converts the lists on load.
 SCHEMA_VERSION = 7
 
 # Grace period after the trace ends for in-flight requests to drain
@@ -333,7 +339,12 @@ class RunArtifact:
     domain like the monitors that produced them. Each request's RUBBoS
     interaction is kept as a uint16 code into ``interaction_names``
     (2 bytes a request, where one ``<U`` string costs 4 per character);
-    :attr:`interactions` decodes them on read.
+    :attr:`interactions` decodes them on read. The decision trace and
+    each tier's SCT estimate history
+    (:class:`~repro.scaling.estimator.EstimateHistory`) are columns too,
+    so loading an artifact builds no ``DecisionEvent``, ``TierEstimate``
+    or ``SCTEstimate``: a query or an iteration builds the ones it
+    returns.
     """
 
     spec: RunSpec
@@ -351,7 +362,7 @@ class RunArtifact:
     vm_counts: np.ndarray
     vm_counts_by_tier: dict[str, np.ndarray]
     cpu_series: dict[str, tuple[np.ndarray, np.ndarray]]
-    estimates: dict[str, list[TierEstimate]] = field(default_factory=dict)
+    estimates: dict[str, EstimateHistory] = field(default_factory=dict)
     fine_series: dict[str, FineSeries] = field(default_factory=dict)
     # Resilience accounting (zero / None on fault-free runs): requests
     # failed by crashes, physical retries issued by impatient clients,
@@ -370,6 +381,15 @@ class RunArtifact:
             names, codes = np.unique(state.pop("interactions"), return_inverse=True)
             state["interaction_codes"] = codes.astype(np.uint16)
             state["interaction_names"] = tuple(names.tolist())
+        # Entries written before the estimate columns kept each tier's
+        # history as a list of TierEstimate objects.
+        estimates = state.get("estimates", {})
+        if any(isinstance(h, list) for h in estimates.values()):
+            state = dict(state)
+            state["estimates"] = {
+                tier: EstimateHistory.from_estimates(h) if isinstance(h, list) else h
+                for tier, h in estimates.items()
+            }
         self.__dict__.update(state)
 
     # ------------------------------------------------------------------
@@ -421,11 +441,7 @@ class RunArtifact:
                 self.vm_counts,
                 self.vm_counts_by_tier,
                 self.cpu_series,
-                [
-                    (t, e.time, e.optimal, e.q_upper, e.actionable)
-                    for t, hist in sorted(self.estimates.items())
-                    for e in hist
-                ],
+                self.estimate_keys(),
                 [
                     (s.server, s.tier, s.t_end, s.concurrency, s.throughput,
                      s.completions)
@@ -436,6 +452,15 @@ class RunArtifact:
                 self.resilience,
             )
         )
+
+    def estimate_keys(self) -> list[tuple]:
+        """``(tier, time, optimal, q_upper, actionable)`` of every SCT
+        estimate, tiers sorted: the rows the signature digests."""
+        return [
+            (tier, *key)
+            for tier, history in sorted(self.estimates.items())
+            for key in history.keys()
+        ]
 
     # ------------------------------------------------------------------
     # derived metrics

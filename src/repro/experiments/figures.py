@@ -699,11 +699,13 @@ def figure11(
     trained = next(
         (a.value for a in dcm.actions.of_kind("soft_app_threads")), 0
     )
-    estimates = [
-        (e.time, e.optimal)
-        for e in conscale.estimates.get(APP, [])
-        if e.actionable
-    ]
+    estimates: list[tuple[float, int]] = []
+    if APP in conscale.estimates:
+        history = conscale.estimates[APP]
+        chosen = history.actionable
+        estimates = list(zip(
+            history.time[chosen].tolist(), history.optimal[chosen].tolist()
+        ))
     return Fig11Data(
         dcm=FrameworkTimeline.from_result(dcm),
         conscale=FrameworkTimeline.from_result(conscale),

@@ -46,6 +46,7 @@ def result_summary(result: RunArtifact, bin_width: float | None = None) -> dict:
     """Build the JSON-serialisable summary of one run."""
     tail = result.tail()
     config = result.config
+    material = result.actions.material()
     summary: dict[str, Any] = {
         "framework": result.framework,
         "scenario": {
@@ -99,18 +100,14 @@ def result_summary(result: RunArtifact, bin_width: float | None = None) -> dict:
                 "reason": a.reason,
                 "estimate": _clean(a.estimate),
             }
-            for a in result.actions.material()
+            for a in material
         ],
-        "noop_ticks": len(result.actions.noops()),
+        "noop_ticks": len(result.actions) - len(material),
         "estimates": {
             tier: [
-                {
-                    "t": e.time,
-                    "optimal": e.optimal,
-                    "q_upper": e.q_upper,
-                    "actionable": e.actionable,
-                }
-                for e in history
+                {"t": t, "optimal": optimal, "q_upper": q_upper,
+                 "actionable": actionable}
+                for t, optimal, q_upper, actionable in history.keys()
             ]
             for tier, history in result.estimates.items()
         },

@@ -38,7 +38,7 @@ from repro.ntier.app import APP, DB, WEB, NTierApplication
 from repro.rng import RngRegistry
 from repro.scaling.actuator import Actuator
 from repro.scaling.controller import BaseController
-from repro.scaling.estimator import OptimalConcurrencyEstimator, TierEstimate
+from repro.scaling.estimator import EstimateHistory, OptimalConcurrencyEstimator
 from repro.scaling.factory import ServerFactory
 from repro.scaling.policy import TierPolicyConfig
 from repro.scaling.registry import ControllerContext, get_controller
@@ -306,9 +306,12 @@ def execute_spec(spec: RunSpec, *, sim: Simulator | None = None) -> RunArtifact:
             completions=fine.completions.astype(int),
         )
 
-    estimates: dict[str, list[TierEstimate]] = {}
+    estimates: dict[str, EstimateHistory] = {}
     if estimator is not None:
-        estimates = {APP: estimator.history(APP), DB: estimator.history(DB)}
+        estimates = {
+            tier: EstimateHistory.from_estimates(estimator.history(tier))
+            for tier in (APP, DB)
+        }
 
     latencies = log.response_times / config.rt_scale
     resilience: ResilienceSummary | None = None

@@ -11,6 +11,7 @@ demands multiplied by it, so measured latencies are reported divided by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from repro.errors import ConfigurationError
@@ -72,6 +73,11 @@ class ScenarioConfig:
     timeline_bin: float = 5.0
 
     def __post_init__(self) -> None:
+        # NaN passes every comparison below and inf the positivity ones.
+        for name in ("duration", "max_users", "load_scale"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value!r}")
         if self.load_scale < 1.0:
             raise ConfigurationError(
                 f"load_scale must be >= 1, got {self.load_scale!r}"

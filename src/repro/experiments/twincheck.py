@@ -161,13 +161,7 @@ def observable_digests(artifact: RunArtifact) -> dict[str, str]:
                 ],
             )
         ),
-        "sct estimates": content_digest(
-            [
-                (t, e.time, e.optimal, e.q_upper, e.actionable)
-                for t, hist in sorted(artifact.estimates.items())
-                for e in hist
-            ]
-        ),
+        "sct estimates": content_digest(artifact.estimate_keys()),
         "resilience summary": content_digest(artifact.resilience),
     }
 

@@ -37,7 +37,11 @@ from repro.scaling.dcm import (
     offline_profile,
 )
 from repro.scaling.ec2 import EC2AutoScaling
-from repro.scaling.estimator import OptimalConcurrencyEstimator, TierEstimate
+from repro.scaling.estimator import (
+    EstimateHistory,
+    OptimalConcurrencyEstimator,
+    TierEstimate,
+)
 from repro.scaling.factory import ServerFactory
 from repro.scaling.mpc import MPCHybridController
 from repro.scaling.policy import PolicyDecision, ThresholdPolicy, TierPolicyConfig
@@ -72,6 +76,7 @@ __all__ = [
     "QoSRobustController",
     "OptimalConcurrencyEstimator",
     "TierEstimate",
+    "EstimateHistory",
     "ServerFactory",
     "ThresholdPolicy",
     "TierPolicyConfig",

@@ -4,13 +4,19 @@ Asynchronously pulls fine-grained concurrency/throughput tuples from
 the Metric Warehouse, runs the SCT model per server, and aggregates a
 per-tier recommendation. Estimates are cached in a history (the
 "Historical Result" table of Fig. 8) so the Decision Controller can
-read the latest recommendation without re-running the analysis.
+read the latest recommendation without re-running the analysis. A run
+artifact keeps each tier's history as an :class:`EstimateHistory`,
+numpy columns that rebuild the :class:`TierEstimate` rows on iteration.
 """
 
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
+from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from repro.errors import EstimationError
 from repro.monitoring.interval import IntervalWindow
@@ -19,7 +25,10 @@ from repro.sct.drift import detect_drift
 from repro.sct.model import SCTEstimate, SCTModel
 from repro.sct.scatter import Scatter
 
-__all__ = ["TierEstimate", "OptimalConcurrencyEstimator"]
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
+
+__all__ = ["TierEstimate", "EstimateHistory", "OptimalConcurrencyEstimator"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,6 +65,133 @@ class TierEstimate:
     def n_servers(self) -> int:
         """How many servers contributed an estimate."""
         return len(self.per_server)
+
+
+#: Column dtype by field annotation (both dataclasses postpone theirs).
+_DTYPES = {"float": np.float64, "int": np.int64, "bool": np.bool_}
+#: One row per tier estimate: every :class:`TierEstimate` field but
+#: ``tier`` and ``per_server``, in field order.
+_TIER_COLUMNS = tuple(
+    (f.name, _DTYPES[f.type]) for f in fields(TierEstimate)
+    if f.name not in ("tier", "per_server")
+)
+#: One row per server estimate: the index of its tier estimate, a code
+#: into the history's server names, then every :class:`SCTEstimate`
+#: field in field order.
+_SERVER_KEYS = (("estimate", np.int64), ("server", np.int64))
+_SCT_COLUMNS = tuple((f.name, _DTYPES[f.type]) for f in fields(SCTEstimate))
+
+
+def _column(values: ArrayLike, dtype: Any) -> np.ndarray:
+    column = np.asarray(values, dtype=dtype)
+    column.flags.writeable = False
+    return column
+
+
+class EstimateHistory:
+    """One tier's :class:`TierEstimate` history as read-only columns.
+
+    The tier-level fields are attributes with one row per estimate
+    (``time``, ``optimal``, ``q_upper``, the flags, and ``actionable``
+    derived by the property's rule). ``per_server`` has one row per
+    server estimate: ``estimate`` (the row of its tier estimate),
+    ``server`` (a code into ``server_names``) and every
+    :class:`~repro.sct.model.SCTEstimate` field. Pickling and loading a
+    history builds no estimate objects; ``len()`` and iteration give
+    the :class:`TierEstimate` rows, equal to the estimator's.
+    """
+
+    tier: str
+    time: np.ndarray
+    optimal: np.ndarray
+    q_upper: np.ndarray
+    saturation_observed: np.ndarray
+    hardware_limited: np.ndarray
+    plateau_hot: np.ndarray
+    stale: np.ndarray
+    actionable: np.ndarray
+    server_names: tuple[str, ...]
+    per_server: dict[str, np.ndarray]
+
+    def __init__(
+        self,
+        tier: str,
+        columns: Mapping[str, ArrayLike],
+        server_names: Sequence[str],
+        per_server: Mapping[str, ArrayLike],
+    ) -> None:
+        self.tier = tier
+        for name, dtype in _TIER_COLUMNS:
+            setattr(self, name, _column(columns[name], dtype))
+        self.actionable = _column(
+            self.saturation_observed & self.hardware_limited & ~self.stale, np.bool_
+        )
+        self.server_names = tuple(server_names)
+        self.per_server = {
+            name: _column(per_server[name], dtype)
+            for name, dtype in _SERVER_KEYS + _SCT_COLUMNS
+        }
+
+    @classmethod
+    def from_estimates(cls, estimates: Sequence[TierEstimate]) -> "EstimateHistory":
+        """The columns of one tier's estimates (``tier`` "" when empty)."""
+        tiers = {e.tier for e in estimates}
+        if len(tiers) > 1:
+            raise EstimationError(f"a history holds one tier, got {sorted(tiers)}")
+        index: list[int] = []
+        codes: list[int] = []
+        scts: list[SCTEstimate] = []
+        names: dict[str, int] = {}
+        for i, estimate in enumerate(estimates):
+            for server, sct in estimate.per_server.items():
+                index.append(i)
+                codes.append(names.setdefault(server, len(names)))
+                scts.append(sct)
+        per_server: dict[str, list[Any]] = {"estimate": index, "server": codes}
+        for name, _ in _SCT_COLUMNS:
+            per_server[name] = list(map(attrgetter(name), scts))
+        return cls(
+            tiers.pop() if tiers else "",
+            {name: list(map(attrgetter(name), estimates)) for name, _ in _TIER_COLUMNS},
+            tuple(names),
+            per_server,
+        )
+
+    def __len__(self) -> int:
+        return len(self.time)
+
+    def __iter__(self) -> Iterator[TierEstimate]:
+        names = [name for name, _ in _TIER_COLUMNS]
+        rows = zip(*(getattr(self, name).tolist() for name in names))
+        for row, per_server in zip(rows, self._per_server_dicts()):
+            yield TierEstimate(
+                tier=self.tier, per_server=per_server, **dict(zip(names, row))
+            )
+
+    def _per_server_dicts(self) -> list[dict[str, SCTEstimate]]:
+        dicts: list[dict[str, SCTEstimate]] = [{} for _ in range(len(self))]
+        rows = self.per_server
+        values = zip(*(rows[name].tolist() for name, _ in _SCT_COLUMNS))
+        for i, code, row in zip(
+            rows["estimate"].tolist(), rows["server"].tolist(), values
+        ):
+            dicts[i][self.server_names[code]] = SCTEstimate(*row)
+        return dicts
+
+    def keys(self) -> list[tuple[float, int, int, bool]]:
+        """``(time, optimal, q_upper, actionable)`` of each estimate, as
+        Python scalars: the rows the artifact signature digests."""
+        return list(zip(
+            self.time.tolist(), self.optimal.tolist(), self.q_upper.tolist(),
+            self.actionable.tolist(),
+        ))
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        columns = {name: getattr(self, name) for name, _ in _TIER_COLUMNS}
+        return (EstimateHistory, (self.tier, columns, self.server_names, self.per_server))
+
+    def __repr__(self) -> str:
+        return f"EstimateHistory(tier={self.tier!r}, {len(self)} estimates)"
 
 
 class OptimalConcurrencyEstimator:

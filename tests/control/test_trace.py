@@ -1,13 +1,25 @@
 """Unit tests for the decision trace: queries, columnar round-trips,
-and signatures."""
+and signatures, and the trace held to the list-of-events reference in
+``reference_trace.py``."""
 
 import pickle
 
 import numpy as np
+import pytest
 
+from repro.control import trace as trace_module
 from repro.control.bus import ControlBus
-from repro.control.events import NOOP, THRESHOLD_TRIP, DecisionEvent
+from repro.control.events import (
+    NOOP,
+    SOFT_KINDS,
+    THRESHOLD_TRIP,
+    DecisionEvent,
+    declared_kinds,
+)
 from repro.control.trace import DecisionTrace
+from repro.experiments.artifact import content_digest
+
+from .reference_trace import ReferenceTrace
 
 
 def sample_events():
@@ -91,8 +103,6 @@ def test_signature_key_ignores_reason_but_not_decisions():
     changed = [DecisionEvent(1.0, "soft_app_threads", "app", 21, reason="x")]
 
     def sig(events):
-        from repro.experiments.artifact import content_digest
-
         return content_digest(DecisionTrace(events).signature_key())
 
     assert sig(base) == sig(reworded)
@@ -104,3 +114,140 @@ def test_render_shows_value_and_reason():
     assert "soft_db_connections" in text
     assert "-> 9" in text
     assert "cpu 0.92 > 0.80" in text
+
+
+# ----------------------------------------------------------------------
+# the columnar trace against the list-of-events reference
+# ----------------------------------------------------------------------
+
+TIERS = ("web", "app", "db")
+WORDS = ("", "out", "in", "cpu 0.92 > 0.80", "vm-2", "actuator", "SCT Q_lower=18")
+
+
+def random_events(seed, count=120):
+    """Time-ordered events over every declared kind, with ties, and
+    ``value`` and ``estimate`` both None and set (0 included)."""
+    rng = np.random.default_rng(seed)
+    kinds = sorted(declared_kinds())
+    times = np.sort(rng.integers(0, count // 3, size=count)) * 0.5
+    events = []
+    for i, t in enumerate(times.tolist()):
+        kind = kinds[i] if i < len(kinds) else kinds[rng.integers(len(kinds))]
+        value = None if rng.random() < 0.5 else int(rng.integers(0, 64))
+        estimate = None if rng.random() < 0.5 else float(rng.integers(0, 40)) / 2.0
+        events.append(DecisionEvent(
+            t, kind, TIERS[rng.integers(len(TIERS))], value,
+            detail=WORDS[rng.integers(len(WORDS))],
+            source=WORDS[rng.integers(len(WORDS))],
+            reason=WORDS[rng.integers(len(WORDS))],
+            estimate=estimate,
+        ))
+    return events
+
+
+def reference_pickle(reference, monkeypatch):
+    """The reference pickled under the columnar trace's class name, so
+    the two byte strings differ only if their states do."""
+    names = ReferenceTrace.__module__, ReferenceTrace.__qualname__
+    with monkeypatch.context() as patch:
+        patch.setattr(trace_module, "DecisionTrace", ReferenceTrace)
+        ReferenceTrace.__module__ = trace_module.__name__
+        ReferenceTrace.__qualname__ = "DecisionTrace"
+        try:
+            return pickle.dumps(reference, protocol=pickle.HIGHEST_PROTOCOL)
+        finally:
+            ReferenceTrace.__module__, ReferenceTrace.__qualname__ = names
+
+
+def query_results(trace, render):
+    """Every query of the trace surface, as one comparable dict."""
+    kinds = sorted(declared_kinds())
+    out = {
+        "len": len(trace),
+        "iter": list(trace),
+        "all": trace.all(),
+        "material": trace.material(),
+        "noops": trace.noops(),
+        "faults": trace.faults(),
+        "of_kind:none": trace.of_kind(),
+        "of_kind:unknown": trace.of_kind("bogus"),
+        "of_kind:several": trace.of_kind(NOOP, *SOFT_KINDS, THRESHOLD_TRIP),
+        "keys": trace.keys(),
+        "keys:material": trace.keys(include_noops=False),
+        "render": render(trace.all()),
+        "render:material": render(trace.material()),
+    }
+    for kind in kinds:
+        out[f"of_kind:{kind}"] = trace.of_kind(kind)
+    for tier in TIERS + ("bogus",):
+        out[f"for_tier:{tier}"] = trace.for_tier(tier)
+        out[f"scale_out_times:{tier}"] = trace.scale_out_times(tier)
+        for kind in SOFT_KINDS + (NOOP,):
+            out[f"cap_decisions:{tier}:{kind}"] = trace.cap_decisions(tier, kind)
+    return out
+
+
+def assert_same_columns(ours, theirs):
+    """Equal column maps (or signature keys, as pairs), byte for byte."""
+    ours, theirs = dict(ours), dict(theirs)
+    assert list(ours) == list(theirs)
+    for name in theirs:
+        a, b = ours[name], theirs[name]
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def assert_matches_reference(trace, reference):
+    ours = query_results(trace, DecisionTrace.render)
+    theirs = query_results(reference, ReferenceTrace.render)
+    assert list(ours) == list(theirs)
+    for name in theirs:
+        # repr also pins the scalar types (an int value must not come
+        # back as a float, a time must not come back as a numpy scalar).
+        assert ours[name] == theirs[name], name
+        assert repr(ours[name]) == repr(theirs[name]), name
+    assert_same_columns(trace.to_columns(), reference.to_columns())
+    assert_same_columns(trace.signature_key(), reference.signature_key())
+    assert content_digest(trace.signature_key()) == content_digest(
+        reference.signature_key()
+    )
+
+
+SEEDS = [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("seed", [None] + SEEDS, ids=["empty"] + SEEDS)
+def test_columnar_trace_matches_the_reference(seed, monkeypatch):
+    events = [] if seed is None else random_events(seed)
+    if seed is not None:
+        assert {e.kind for e in events} == declared_kinds()
+        assert any(e.value is None for e in events)
+        assert any(e.value == 0 for e in events)
+        assert any(e.estimate is None for e in events)
+        assert any(e.estimate is not None for e in events)
+    live = DecisionTrace()
+    for event in events:
+        live.append(event)
+    reference = ReferenceTrace(events)
+    assert_matches_reference(live, reference)
+    assert_matches_reference(DecisionTrace(events), reference)
+
+    data = pickle.dumps(live, protocol=pickle.HIGHEST_PROTOCOL)
+    assert data == reference_pickle(reference, monkeypatch)
+    loaded = pickle.loads(data)
+    assert_matches_reference(loaded, pickle.loads(pickle.dumps(reference)))
+    assert pickle.dumps(loaded, protocol=pickle.HIGHEST_PROTOCOL) == data
+
+    columns = reference.to_columns()
+    assert_matches_reference(
+        DecisionTrace.from_columns(columns), ReferenceTrace.from_columns(columns)
+    )
+
+
+def test_record_matches_append():
+    events = random_events(5, count=40)
+    recorded = DecisionTrace()
+    for e in events:
+        recorded.record(e.time, e.kind, e.tier, e.value, e.detail, e.source,
+                        e.reason, e.estimate)
+    assert_matches_reference(recorded, ReferenceTrace(events))

@@ -204,6 +204,14 @@ def test_cli_run_check_fluid_rejects_discrete(capsys, tmp_path, monkeypatch):
     assert "mode='discrete'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--duration", "--scale"])
+def test_cli_run_refuses_a_non_finite_number(flag, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code = main(["run", "conscale", flag, "nan", "--no-cache"])
+    assert code == 2
+    assert "must be finite, got nan" in capsys.readouterr().err
+
+
 def _assert_rejected(argv, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(argv)

@@ -1,5 +1,7 @@
 """Tests for the calibration anchors and scenario configuration."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -110,6 +112,13 @@ def test_scenario_validation():
         ScenarioConfig(workload_mode="mixed")
     with pytest.raises(ConfigurationError):
         ScenarioConfig(duration=0.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["duration", "max_users", "load_scale"])
+def test_scenario_refuses_non_finite_numbers(name, value):
+    with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
+        ScenarioConfig(**{name: value})
 
 
 def test_with_update():
