@@ -529,7 +529,7 @@ def cmd_controllers(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cal = Calibration()
+    cal = Calibration(dataset_scale=args.dataset)
     mix = (
         read_write_mix(cal.base_demands)
         if args.workload == "readwrite"

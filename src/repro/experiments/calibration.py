@@ -26,8 +26,10 @@ peak) under the 80 % CPU threshold.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
+from repro.errors import ConfigurationError
 from repro.ntier.capacity import CapacityModel, ContentionModel, Resource
 
 __all__ = [
@@ -42,6 +44,12 @@ __all__ = [
 # How the app tier's CPU-bound share grows with the dataset size
 # (DESIGN.md: Q_lower(app) = cores / (fraction * dataset_scale**gamma)).
 _APP_DATASET_GAMMA = 0.5
+
+
+def _require_positive(name: str, value: float) -> None:
+    # NaN fails every comparison and inf passes ``> 0``: test both ends.
+    if not 0 < value < math.inf:
+        raise ConfigurationError(f"{name} must be finite and > 0, got {value!r}")
 
 
 def ample_capacity() -> CapacityModel:
@@ -59,6 +67,7 @@ def ample_capacity() -> CapacityModel:
 
 def web_capacity(cores: float = 1.0) -> CapacityModel:
     """Apache: high parallelism, effectively never the bottleneck."""
+    _require_positive("cores", cores)
     return CapacityModel(
         [Resource("cpu", cores, 0.01)],
         ContentionModel(sigma=5e-4, kappa=2e-7),
@@ -73,6 +82,8 @@ def app_capacity(cores: float = 1.0, dataset_scale: float = 1.0) -> CapacityMode
     fraction and *lowering* the optimal concurrency — the paper's
     system-state effect (20 -> ~15 at 2x, -> ~30 at 0.5x).
     """
+    _require_positive("cores", cores)
+    _require_positive("dataset_scale", dataset_scale)
     fraction = 0.05 * dataset_scale**_APP_DATASET_GAMMA
     return CapacityModel(
         [Resource("cpu", cores, min(1.0, fraction))],
@@ -88,6 +99,7 @@ def db_capacity_cpu(cores: float = 1.0, cpu_fraction: float = 0.10) -> CapacityM
     ~80 (two Tomcats' worth of default connection pools) halves its
     throughput, which is the EC2-AutoScaling failure mode of Fig. 10.
     """
+    _require_positive("cores", cores)
     return CapacityModel(
         [Resource("cpu", cores, cpu_fraction)],
         ContentionModel(sigma=3e-3, kappa=3e-4),
@@ -104,6 +116,7 @@ def db_capacity_io(
     Fig. 7(f). Disk contention (seek interference) is harsher than CPU
     contention, hence the larger USL terms.
     """
+    _require_positive("cores", cores)
     return CapacityModel(
         [
             Resource("cpu", cores, 0.04),
@@ -131,6 +144,14 @@ class Calibration:
     db_cores: float = 1.0
     io_intensive: bool = False
     dataset_scale: float = 1.0
+
+    def __post_init__(self) -> None:
+        for name in ("web_cores", "app_cores", "db_cores", "dataset_scale"):
+            _require_positive(name, getattr(self, name))
+        if not 0 <= self.think_time < math.inf:
+            raise ConfigurationError(
+                f"think_time must be finite and >= 0, got {self.think_time!r}"
+            )
 
     def capacity(self, tier: str) -> CapacityModel:
         """Build the capacity model for one tier under this calibration."""

@@ -32,6 +32,7 @@ gives per-resource utilisation for the threshold-based scalers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import CapacityModelError
@@ -61,8 +62,12 @@ class Resource:
     fraction: float
 
     def __post_init__(self) -> None:
-        if self.units <= 0:
-            raise CapacityModelError(f"resource {self.name!r}: units must be > 0")
+        # NaN fails every comparison and inf passes ``> 0``.
+        if not 0 < self.units < math.inf:
+            raise CapacityModelError(
+                f"resource {self.name!r}: units must be finite and > 0, "
+                f"got {self.units!r}"
+            )
         if not 0 < self.fraction <= 1:
             raise CapacityModelError(
                 f"resource {self.name!r}: fraction must be in (0, 1], "

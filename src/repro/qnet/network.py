@@ -8,6 +8,7 @@ exactly onto a load-dependent MVA station.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -60,6 +61,11 @@ def predict_closed_loop(
         raise ConfigurationError(
             f"capacities/demands keys differ: "
             f"{sorted(capacities)} vs {sorted(demands)}"
+        )
+    # NaN fails every comparison, so ``think_time > 0`` would drop it.
+    if not 0 <= think_time < math.inf:
+        raise ConfigurationError(
+            f"think_time must be finite and >= 0, got {think_time!r}"
         )
     stations: list = [
         station_from_capacity(tier, capacities[tier], demands[tier])

@@ -43,8 +43,12 @@ class RequestFactory:
         dataset_scale: float = 1.0,
         demand_scale: float = 1.0,
     ) -> None:
-        if dataset_scale <= 0 or demand_scale <= 0:
-            raise ConfigurationError("dataset_scale and demand_scale must be > 0")
+        # NaN fails every comparison and inf passes ``> 0``.
+        if not (0 < dataset_scale < np.inf and 0 < demand_scale < np.inf):
+            raise ConfigurationError(
+                f"dataset_scale and demand_scale must be finite and > 0, "
+                f"got {dataset_scale!r} and {demand_scale!r}"
+            )
         self.mix = mix
         self.rng = rng
         self._samplers = {

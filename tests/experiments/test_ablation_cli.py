@@ -140,6 +140,27 @@ def test_cli_predict(capsys):
     assert "throughput_rps" in out
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["predict", "--think", "nan"], "think_time"),
+    (["predict", "--think", "-5"], "think_time"),
+    (["predict", "--app-cores", "nan"], "app_cores"),
+    (["predict", "--app-cores", "inf"], "app_cores"),
+    (["predict", "--dataset", "nan"], "dataset_scale"),
+    (["sweep", "app", "--dataset", "nan", "--levels", "5", "--duration", "5"],
+     "dataset_scale"),
+    (["sweep", "db", "--cores", "nan", "--levels", "5", "--duration", "5"],
+     "cores"),
+    (["sweep", "db", "--dataset", "nan", "--levels", "5", "--duration", "5"],
+     "dataset_scale"),
+])
+def test_cli_refuses_non_finite_calibration_inputs(argv, field, capsys, tmp_path,
+                                                   monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {field} must be finite" in err
+
+
 def test_cli_compare_with_html(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     html = tmp_path / "cmp.html"

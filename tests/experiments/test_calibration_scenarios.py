@@ -66,6 +66,31 @@ def test_calibration_capacity_builder():
         cal.capacity("cache")
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+def test_capacity_builders_refuse_bad_cores_and_dataset(value):
+    for build in (web_capacity, app_capacity, db_capacity_cpu, db_capacity_io):
+        with pytest.raises(ConfigurationError, match="cores must be finite and > 0"):
+            build(value)
+    with pytest.raises(ConfigurationError, match="dataset_scale must be finite"):
+        app_capacity(1.0, value)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize(
+    "name", ["web_cores", "app_cores", "db_cores", "dataset_scale"]
+)
+def test_calibration_refuses_bad_cores_and_dataset(name, value):
+    with pytest.raises(ConfigurationError, match=f"{name} must be finite and > 0"):
+        Calibration(**{name: value})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -5.0])
+def test_calibration_refuses_bad_think_time(value):
+    with pytest.raises(ConfigurationError, match="think_time must be finite and >= 0"):
+        Calibration(think_time=value)
+    assert Calibration(think_time=0.0).think_time == 0.0
+
+
 def test_default_calibration_tiers_balanced():
     """App and DB single-server peak throughputs must be within ~2x so
     both tiers scale during the evaluation runs (as in the paper)."""

@@ -18,6 +18,9 @@ def test_resource_saturation_concurrency():
 def test_resource_validation():
     with pytest.raises(CapacityModelError):
         Resource("cpu", 0.0, 0.1)
+    for units in (float("nan"), float("inf")):
+        with pytest.raises(CapacityModelError, match="units must be finite and > 0"):
+            Resource("cpu", units, 0.1)
     with pytest.raises(CapacityModelError):
         Resource("cpu", 1.0, 0.0)
     with pytest.raises(CapacityModelError):

@@ -11,6 +11,7 @@ agree.
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.ntier.capacity import CapacityModel, ContentionModel, Resource
 from repro.qnet.network import asymptotic_bounds, predict_closed_loop
 from repro.rng import RngRegistry
@@ -72,6 +73,12 @@ def test_mva_matches_simulator_with_think_time():
     x_sim, r_sim = simulate(n, think=think, duration=60.0)
     assert x_sim == pytest.approx(x_mva, rel=0.05)
     assert r_sim == pytest.approx(r_mva, rel=0.10)
+
+
+@pytest.mark.parametrize("think", [float("nan"), float("inf"), -5.0])
+def test_prediction_refuses_bad_think_time(think):
+    with pytest.raises(ConfigurationError, match="think_time must be finite and >= 0"):
+        predict_closed_loop(CAPACITIES, DEMANDS, n_max=5, think_time=think)
 
 
 def test_bottleneck_identification():

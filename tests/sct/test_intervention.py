@@ -1,10 +1,22 @@
-"""Tests for the Welch-based plateau detection."""
+"""Tests for the Welch-based plateau detection.
+
+scipy stays the reference here: the program computes the Student-t
+CDF itself, and these tests hold it to ``scipy.special.stdtr``.
+"""
+
+import math
 
 import numpy as np
 import pytest
 
+from repro.errors import EstimationError
+from repro.sct import intervention
 from repro.sct.grouping import bucketize
-from repro.sct.intervention import welch_moments_pvalue, welch_t_pvalue
+from repro.sct.intervention import (
+    _student_t_cdf,
+    welch_moments_pvalue,
+    welch_t_pvalue,
+)
 from repro.sct.scatter import Scatter
 
 
@@ -48,6 +60,56 @@ def test_matches_scipy_reference():
     ours = welch_t_pvalue(a, b)
     ref = stats.ttest_ind(a, b, equal_var=False, alternative="less").pvalue
     assert ours == pytest.approx(float(ref), abs=1e-12)
+
+
+def test_nan_variance_gives_the_not_significant_answer():
+    # a NaN variance makes t and the CDF NaN; the guard answers 1.0
+    assert welch_moments_pvalue((1.0, math.nan, 5), (2.0, 1.0, 5)) == 1.0
+
+
+def test_student_t_cdf_matches_scipy_on_a_grid():
+    """df log-uniform over [1, 1e5], |t| log-uniform over [1e-4, 1e3]."""
+    from scipy import special
+
+    rng = np.random.default_rng(25)
+    n = 4000
+    df = np.exp(rng.uniform(0.0, math.log(1e5), n))
+    t = np.exp(rng.uniform(math.log(1e-4), math.log(1e3), n))
+    t *= rng.choice([-1.0, 1.0], n)
+    ours = np.array([_student_t_cdf(v, x) for v, x in zip(df.tolist(), t.tolist())])
+    assert np.abs(ours - special.stdtr(df, t)).max() <= 1e-12
+
+
+def test_student_t_cdf_exact_values_and_symmetry():
+    for df in (1.0, 3.1, 40.0, 272.8, 1e5):
+        assert _student_t_cdf(df, 0.0) == 0.5
+        assert _student_t_cdf(df, -0.0) == 0.5
+        assert _student_t_cdf(df, math.inf) == 1.0
+        assert _student_t_cdf(df, -math.inf) == 0.0
+    rng = np.random.default_rng(26)
+    for df, t in zip(rng.uniform(1.0, 300.0, 500), rng.normal(0.0, 4.0, 500)):
+        df, t = float(df), float(t)
+        assert abs(_student_t_cdf(df, t) + _student_t_cdf(df, -t) - 1.0) <= 1e-15
+
+
+def test_student_t_cdf_limits_and_invalid_input():
+    from scipy import special
+
+    for t in (-2.5, 0.3, 4.0):
+        assert _student_t_cdf(math.inf, t) == pytest.approx(
+            float(special.stdtr(math.inf, t)), abs=1e-15
+        )
+    # NaN in, NaN out, as scipy.special.stdtr does
+    assert math.isnan(_student_t_cdf(5.0, math.nan))
+    assert math.isnan(_student_t_cdf(math.nan, 1.0))
+    assert math.isnan(_student_t_cdf(0.0, 1.0))
+    assert math.isnan(_student_t_cdf(-2.0, 1.0))
+
+
+def test_student_t_cdf_refuses_an_unconverged_fraction(monkeypatch):
+    monkeypatch.setattr(intervention, "_CF_MAX_ITER", 1)
+    with pytest.raises(EstimationError, match="did not converge"):
+        _student_t_cdf(40.0, -1.5)
 
 
 def test_moments_match_samples():

@@ -28,6 +28,11 @@ def test_factory_validation(rng):
         RequestFactory(tiny_mix(), rng.stream("d"), dataset_scale=0.0)
     with pytest.raises(ConfigurationError):
         RequestFactory(tiny_mix(), rng.stream("d"), demand_scale=-1.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError, match="must be finite and > 0"):
+            RequestFactory(tiny_mix(), rng.stream("d"), dataset_scale=bad)
+        with pytest.raises(ConfigurationError, match="must be finite and > 0"):
+            RequestFactory(tiny_mix(), rng.stream("d"), demand_scale=bad)
 
 
 def test_factory_demand_scale(rng):
