@@ -13,7 +13,7 @@ import numpy as np
 from repro.analysis.series import coefficient_of_variation
 from repro.errors import ReproError
 
-__all__ = ["spike_episodes", "time_above", "fluctuation_summary", "FluctuationSummary"]
+__all__ = ["spike_episodes", "fluctuation_summary", "FluctuationSummary"]
 
 
 def spike_episodes(times, values, threshold: float) -> list[tuple[float, float]]:
@@ -39,11 +39,6 @@ def spike_episodes(times, values, threshold: float) -> list[tuple[float, float]]
     if start is not None:
         episodes.append((start, float(t[-1])))
     return episodes
-
-
-def time_above(times, values, threshold: float) -> float:
-    """Total time (seconds) the series spends above ``threshold``."""
-    return float(sum(end - start for start, end in spike_episodes(times, values, threshold)))
 
 
 @dataclass(frozen=True, slots=True)

@@ -26,13 +26,13 @@ Commands:
 * ``lint`` — the repro-lint determinism/invariant static-analysis pass
   (exit 0 clean, 1 with violations; ``--json`` for machine output).
 
-``run --mode {discrete,fluid,hybrid}`` selects the simulation mode:
-classic per-request discrete events, the aggregate fluid integrator
-(:mod:`repro.sim.fluid`), or hybrid, where the governor
-(:mod:`repro.sim.governor`) switches between the two. ``--arrivals
+``run --mode {discrete,hybrid}`` selects the simulation mode: classic
+per-request discrete events, or hybrid, where the governor
+(:mod:`repro.sim.governor`) runs quiet stretches of the trace on the
+aggregate fluid integrator (:mod:`repro.sim.fluid`). ``--arrivals
 closed`` swaps the open trace-driven stream for a closed population of
-synchronous users; ``--demand-dist lognormal`` draws heavy-tailed
-service demands at the calibrated mean/CV.
+synchronous users (discrete mode only); ``--demand-dist lognormal``
+draws heavy-tailed service demands at the calibrated mean/CV.
 
 ``run --storyline NAME[:TIER[:T0[:DUR]]]`` injects one of the named
 correlated-incident templates (see ``repro.faults.storyline``:
@@ -45,8 +45,8 @@ diffable (``diff --storyline-a/-b``) and byte-reproducible.
 :mod:`repro.experiments.twincheck`) and fails (exit 2) on divergence:
 ``race`` replays it under a permuted same-timestamp tie-break order and
 demands every observable match — the dynamic complement of ``lint`` —
-while ``fluid`` runs a fluid/hybrid scenario against its discrete twin
-and demands equivalence within tolerance. ``run --profile`` wraps an
+while ``fluid`` runs a hybrid scenario against its discrete twin and
+demands equivalence within tolerance. ``run --profile`` wraps an
 (uncached) run in cProfile and writes a pstats dump next to the
 artifact.
 
@@ -123,12 +123,14 @@ def _add_common_run_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--mode", choices=SIM_MODES, default="discrete",
         help="simulation mode: per-request discrete events (default), "
-        "the aggregate fluid integrator, or governor-switched hybrid",
+        "or hybrid, where a governor runs quiet stretches of the trace "
+        "on the aggregate fluid integrator",
     )
     parser.add_argument(
         "--arrivals", choices=ARRIVAL_MODELS, default="open",
         help="arrival model: open trace-driven stream (default) or a "
-        "closed population of synchronous users sized from the trace peak",
+        "closed population of synchronous users sized from the trace "
+        "peak (discrete mode only)",
     )
     parser.add_argument(
         "--demand-dist", choices=DEMAND_DISTRIBUTIONS, default="gamma",
@@ -189,6 +191,15 @@ def _parse_topology(text: str) -> tuple[int, int, int]:
             f"--topology must be three integers W,A,D, got {text!r}"
         )
     return (int(parts[0]), int(parts[1]), int(parts[2]))
+
+
+def _parse_levels(text: str) -> list[int]:
+    try:
+        return sorted({int(x) for x in text.split(",")})
+    except ValueError:
+        raise ConfigurationError(
+            f"--levels must be comma-separated integers, got {text!r}"
+        ) from None
 
 
 def _config(args: argparse.Namespace) -> ScenarioConfig:
@@ -549,7 +560,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "app": app_capacity(args.cores, args.dataset),
             "db": ample,
         }
-    levels = sorted({int(x) for x in args.levels.split(",")})
+    levels = _parse_levels(args.levels)
     engine = _engine(args)
     result = concurrency_sweep(
         args.tier, caps, mix, levels, duration=args.duration,
@@ -753,8 +764,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--check", choices=sorted(CHECKS), default=None,
         help="run the scenario and a twin, and fail (exit 2) if they "
         "diverge: 'race' replays it in permuted same-timestamp order and "
-        "demands identical observables; 'fluid' (needs --mode fluid or "
-        "hybrid) runs the discrete twin and demands request conservation "
+        "demands identical observables; 'fluid' (needs --mode hybrid) "
+        "runs the discrete twin and demands request conservation "
         "and throughput/latency percentiles inside the tolerance band. "
         "Skips the cache and the normal summary output",
     )

@@ -51,7 +51,7 @@ class TwinDivergenceError(SimulationError):
     message names the check, the spec label and every diverging
     surface. Under ``race`` (canonical vs reversed same-timestamp tie
     order) any difference is a tie-order race: an observable that hangs
-    on a scheduling accident. Under ``fluid`` (a fluid/hybrid run vs its
+    on a scheduling accident. Under ``fluid`` (a hybrid run vs its
     all-discrete twin) it means broken request conservation or a
     throughput/percentile gap outside the calibrated tolerance band —
     the fluid integrator approximates by design, so that comparison is

@@ -183,14 +183,14 @@ def execute_spec(spec: RunSpec, *, sim: Simulator | None = None) -> RunArtifact:
     app.on_complete(log.record)
 
     # --- simulation mode --------------------------------------------------
-    # Fluid and hybrid runs add a FluidStepper over the same calibration.
-    # Hybrid adds a ModeGovernor that switches between the generator and
-    # the stepper; it is told the trace and the fault plan so it stays
+    # Hybrid runs add a FluidStepper over the same calibration and a
+    # ModeGovernor that switches between the generator and the stepper;
+    # the governor is told the trace and the fault plan so it stays
     # discrete through bursts and fault windows.
     stepper: FluidStepper | None = None
     governor: ModeGovernor | None = None
-    if config.mode != "discrete":
-        closed = config.arrivals == "closed"
+    if config.mode == "hybrid":
+        assert isinstance(generator, OpenLoopGenerator)  # enforced by config
         stepper = FluidStepper(
             sim,
             app,
@@ -198,24 +198,20 @@ def execute_spec(spec: RunSpec, *, sim: Simulator | None = None) -> RunArtifact:
             rng.stream("fluid"),
             log,
             think_time=cal.think_time,
-            arrivals=config.arrivals,
-            trace=None if closed else trace,
-            population=max(1, int(round(config.scaled_users))) if closed else None,
+            trace=trace,
             dataset_scale=cal.dataset_scale,
             demand_scale=config.demand_scale,
         )
-        if config.mode == "hybrid":
-            assert isinstance(generator, OpenLoopGenerator)  # enforced by config
-            governor = ModeGovernor(
-                sim,
-                app,
-                generator,
-                stepper,
-                req_factory,
-                bus,
-                trace=trace,
-                faults=spec.faults,
-            )
+        governor = ModeGovernor(
+            sim,
+            app,
+            generator,
+            stepper,
+            req_factory,
+            bus,
+            trace=trace,
+            faults=spec.faults,
+        )
 
     # --- controller -----------------------------------------------------
     tier_configs = spec.overrides.policy_dict() or {
@@ -267,20 +263,13 @@ def execute_spec(spec: RunSpec, *, sim: Simulator | None = None) -> RunArtifact:
     vm_sampler = warehouse.register_sampler(_sample_vms, priority=PRIORITY_SAMPLER)
 
     # --- run --------------------------------------------------------------
-    # Pinned fluid never starts the generator, so it issues nothing and
-    # its counters stay zero; stop() on it only sets a flag.
-    if stepper is not None and governor is None:
-        stepper.start()
-    else:
-        generator.start()
-        if governor is not None:
-            governor.start()
+    generator.start()
+    if governor is not None:
+        governor.start()
     sim.run(until=config.duration)
     generator.stop()
     if governor is not None:
         governor.finish()
-    elif stepper is not None:
-        stepper.hand_back(req_factory)
     controller.stop()
     sim.run(until=config.duration + DRAIN_GRACE)
     vm_sampler.stop()

@@ -19,19 +19,18 @@ from repro.experiments.calibration import Calibration, default_calibration
 from repro.ntier.app import SoftResourceAllocation
 from repro.ntier.demand import DEMAND_DISTRIBUTIONS
 from repro.scaling.policy import TierPolicyConfig
-from repro.sim.fluid import FLUID_ARRIVALS
 
 __all__ = ["ScenarioConfig", "ARRIVAL_MODELS", "SIM_MODES"]
 
 #: How requests enter the system: an open trace-driven arrival process,
 #: or a closed population of synchronous users (submit → wait → think).
-#: The fluid integrator models both, so the two vocabularies are one.
-ARRIVAL_MODELS = FLUID_ARRIVALS
+#: Closed populations run in discrete mode only.
+ARRIVAL_MODELS = ("open", "closed")
 
-#: Simulation modes: per-request discrete events, the aggregate fluid
-#: integrator, or governor-switched hybrid (wired in
-#: :func:`repro.experiments.runner.execute_spec`).
-SIM_MODES = ("discrete", "fluid", "hybrid")
+#: Simulation modes: per-request discrete events, or governor-switched
+#: hybrid, which runs quiet stretches on the aggregate fluid integrator
+#: (wired in :func:`repro.experiments.runner.execute_spec`).
+SIM_MODES = ("discrete", "hybrid")
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,8 +86,11 @@ class ScenarioConfig:
                 f"workload_mode must be 'browse' or 'readwrite', "
                 f"got {self.workload_mode!r}"
             )
-        if any(n < 1 for n in self.topology[:1]) or len(self.topology) != 3:
-            raise ConfigurationError(f"bad topology {self.topology!r}")
+        if len(self.topology) != 3 or any(n < 1 for n in self.topology):
+            raise ConfigurationError(
+                "topology must be three replica counts >= 1, "
+                f"got {self.topology!r}"
+            )
         if self.duration <= 0 or self.max_users <= 0:
             raise ConfigurationError("duration and max_users must be positive")
         if self.mode not in SIM_MODES:
@@ -102,22 +104,22 @@ class ScenarioConfig:
         if self.mode == "hybrid" and self.arrivals != "open":
             # The governor suspends/resumes the open-loop arrival chain;
             # a closed population has no chain to suspend, so closed
-            # runs pick a pinned mode (discrete or fluid) instead.
+            # runs are discrete.
             raise ConfigurationError(
-                "hybrid mode requires open arrivals; use mode='fluid' or "
-                "'discrete' with arrivals='closed'"
+                "hybrid mode requires open arrivals; use mode='discrete' "
+                "with arrivals='closed'"
             )
         if self.demand_distribution not in DEMAND_DISTRIBUTIONS:
             raise ConfigurationError(
                 f"demand_distribution must be one of {DEMAND_DISTRIBUTIONS}, "
                 f"got {self.demand_distribution!r}"
             )
-        if self.mode != "discrete" and self.demand_distribution != "gamma":
+        if self.mode == "hybrid" and self.demand_distribution != "gamma":
             # The fluid integrator synthesises completions from gamma
             # service times plus an M/M/k wait, so any other demand
             # distribution would be run (and cached) with the wrong tails.
             raise ConfigurationError(
-                f"{self.mode} mode models gamma service demand only; use "
+                "hybrid mode models gamma service demand only; use "
                 f"mode='discrete' with demand_distribution="
                 f"{self.demand_distribution!r}"
             )

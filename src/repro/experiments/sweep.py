@@ -10,6 +10,7 @@ concurrency-throughput curve, from which ``Q_lower`` is read.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,6 +154,10 @@ def concurrency_sweep(
         raise ExperimentError(f"unknown target tier {target_tier!r}")
     if not levels:
         raise ExperimentError("need at least one concurrency level")
+    if min(levels) < 1:
+        raise ExperimentError(f"levels must be >= 1, got {min(levels)!r}")
+    if not (math.isfinite(duration) and duration > 0):
+        raise ExperimentError(f"duration must be finite and > 0, got {duration!r}")
     caps = tuple(sorted(capacities.items()))
     tasks = [
         SweepTask(

@@ -14,7 +14,7 @@ artifacts. :data:`CHECKS` is the table of those gates:
     on a scheduling accident, exactly the environment nondeterminism the
     bit-reproducibility contract exists to exclude.
 ``fluid``
-    A ``fluid``/``hybrid`` spec versus its ``mode="discrete"`` twin.
+    A ``mode="hybrid"`` spec versus its ``mode="discrete"`` twin.
     Statistical comparator: the fluid integrator approximates by design,
     so request conservation must hold exactly, while completed-request
     throughput and the p50/p95/p99 latency tail must stay inside a
@@ -79,8 +79,7 @@ class TwinCheckReport:
     tie_batches: int
     #: Events executed inside those batches.
     tie_events: int
-    #: Fluid phases the variant's governor entered (0 for discrete and
-    #: pinned-fluid runs).
+    #: Fluid phases the variant's governor entered (0 for discrete runs).
     fluid_entries: int
     #: Requests handed back to the discrete machinery at mode switches.
     materialised: int
@@ -246,8 +245,7 @@ def _fluid_twins(spec: RunSpec) -> tuple[RunArtifact, RunArtifact, Simulator]:
     config = spec.config
     if config.mode == "discrete":
         raise ConfigurationError(
-            "the fluid twin check needs a fluid or hybrid spec; "
-            "got mode='discrete'"
+            "the fluid twin check needs a hybrid spec; got mode='discrete'"
         )
     twin = RunSpec(
         spec.framework,

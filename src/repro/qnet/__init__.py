@@ -18,7 +18,6 @@ discrete-event simulator's closed-loop steady state — a strong mutual
 validation exercised in ``tests/qnet``.
 """
 
-from repro.qnet.multiclass import MultiClassResult, solve_mva_multiclass
 from repro.qnet.mva import DelayStation, LDStation, MvaResult, QueueingStation, solve_mva
 from repro.qnet.network import (
     asymptotic_bounds,
@@ -32,8 +31,6 @@ __all__ = [
     "MvaResult",
     "QueueingStation",
     "solve_mva",
-    "MultiClassResult",
-    "solve_mva_multiclass",
     "asymptotic_bounds",
     "predict_closed_loop",
     "station_from_capacity",

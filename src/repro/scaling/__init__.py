@@ -55,7 +55,6 @@ from repro.scaling.registry import (
     get_controller,
     register_controller,
     registered_frameworks,
-    unregister_controller,
 )
 
 __all__ = [
@@ -87,5 +86,4 @@ __all__ = [
     "get_controller",
     "register_controller",
     "registered_frameworks",
-    "unregister_controller",
 ]

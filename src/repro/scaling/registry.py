@@ -42,7 +42,7 @@ qos baselines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro.control.events import (
@@ -67,7 +67,6 @@ __all__ = [
     "ControllerContext",
     "ControllerSpec",
     "register_controller",
-    "unregister_controller",
     "get_controller",
     "registered_frameworks",
     "controller_specs",
@@ -301,7 +300,7 @@ def register_controller(spec: ControllerSpec) -> ControllerSpec:
     if spec.name in _REGISTRY:
         raise ConfigurationError(
             f"controller {spec.name!r} is already registered; "
-            "unregister_controller() first if replacing it"
+            "register the changed controller under a new name"
         )
     if not any(p.name == "fault_aware" for p in spec.params):
         # Every framework rides the shared FaultAwareMixin; the param is
@@ -329,13 +328,6 @@ def register_controller(spec: ControllerSpec) -> ControllerSpec:
         )
     _REGISTRY[spec.name] = spec
     return spec
-
-
-def unregister_controller(name: str) -> None:
-    """Remove a registered framework (test support)."""
-    if name not in _REGISTRY:
-        raise ConfigurationError(f"controller {name!r} is not registered")
-    del _REGISTRY[name]
 
 
 def get_controller(name: str) -> ControllerSpec:

@@ -10,20 +10,19 @@ discrete PS servers:
   occupancy ``j`` is the sum of its servers' ``work_rate`` at an even
   occupancy split, capped by the tier's soft-resource concurrency limit
   (worker threads; summed DB connection pools for the DB tier);
-* **open** arrivals (rate ``users(t) / think_time``) relax each tier's
-  occupancy toward the stationary mean of the corresponding birth–death
-  queue — which for a penalty-free ``k``-unit resource *is* the M/M/k
-  queue, giving the analytic oracle the fluid-equivalence harness
-  checks against;
-* **closed** populations relax toward the exact MVA solution of the
-  tier network (:mod:`repro.qnet.mva`), with the arrival rate driven by
-  the thinking population ``(P - N_sys) / Z``;
+* open arrivals (rate ``users(t) / think_time``, read off the run's
+  trace) relax each tier's occupancy toward the stationary mean of the
+  corresponding birth–death queue — which for a penalty-free
+  ``k``-unit resource *is* the M/M/k queue, giving the analytic oracle
+  the fluid-equivalence harness checks against;
 * an integer arrival/completion ledger keeps request conservation
   *exact*: fractional flow accumulates, and each step's whole
   completions go in one batch into the run's request log and the
   application counters (no per-request objects, no completion
   listeners); whatever is outstanding when a fluid phase ends is handed
-  back to the discrete machinery (:meth:`FluidStepper.hand_back`);
+  back to the discrete machinery (:meth:`FluidStepper.hand_back`, which
+  only the hybrid mode's :class:`~repro.sim.governor.ModeGovernor`
+  calls);
 * per-step occupancy, utilisation, completions, and latency mass are
   deposited into the live servers' monotone monitoring accumulators
   (:meth:`~repro.ntier.server.Server.absorb_flow`), so the 50 ms
@@ -60,7 +59,6 @@ if TYPE_CHECKING:  # runtime imports are deferred to avoid package cycles
 __all__ = [
     "FluidStepper",
     "FLUID_STEP",
-    "FLUID_ARRIVALS",
     "open_occupancy",
 ]
 
@@ -68,9 +66,6 @@ __all__ = [
 #: events (a busy tier turns over hundreds of requests per step) but
 #: fine relative to the 1 s warehouse tick and the trace knot spacing.
 FLUID_STEP = 0.25
-
-#: Arrival models the stepper understands.
-FLUID_ARRIVALS = ("open", "closed")
 
 #: Tandem visit order through the application.
 _TIERS = ("web", "app", "db")
@@ -118,20 +113,18 @@ def open_occupancy(lam: float, comp_rates: np.ndarray) -> tuple[float, bool]:
 class _TierTable:
     """Work-rate table of one tier at its current topology/capacity."""
 
-    __slots__ = ("cap", "work_rates", "demand", "servers", "signature")
+    __slots__ = ("cap", "work_rates", "demand", "signature")
 
     def __init__(
         self,
         cap: int,
         work_rates: np.ndarray,
         demand: float,
-        servers: int,
         signature: tuple[object, ...],
     ) -> None:
         self.cap = cap
         self.work_rates = work_rates
         self.demand = demand
-        self.servers = servers
         self.signature = signature
 
     def comp_rates(self) -> np.ndarray:
@@ -160,23 +153,10 @@ class FluidStepper:
         log: "RequestLog",
         *,
         think_time: float,
-        arrivals: str = "open",
-        trace: "Trace | None" = None,
-        population: int | None = None,
+        trace: "Trace",
         dataset_scale: float = 1.0,
         demand_scale: float = 1.0,
     ) -> None:
-        if arrivals not in FLUID_ARRIVALS:
-            raise ConfigurationError(
-                f"unknown fluid arrival model {arrivals!r}; "
-                f"expected one of {FLUID_ARRIVALS}"
-            )
-        if arrivals == "open" and trace is None:
-            raise ConfigurationError("open-arrival fluid mode needs a trace")
-        if arrivals == "closed" and (population is None or population < 1):
-            raise ConfigurationError(
-                "closed-arrival fluid mode needs a population >= 1"
-            )
         if think_time <= 0:
             raise ConfigurationError(
                 f"fluid mode needs think_time > 0, got {think_time!r}"
@@ -187,9 +167,7 @@ class FluidStepper:
         self.rng = rng
         self.log = log
         self.think_time = float(think_time)
-        self.arrivals_model = arrivals
         self.trace = trace
-        self.population = int(population) if population is not None else 0
         self.dataset_scale = float(dataset_scale)
         self.demand_scale = float(demand_scale)
 
@@ -205,7 +183,6 @@ class FluidStepper:
         self._comp_acc = 0.0
         self._tables: dict[str, _TierTable] = {}
         self._app_blocked_key = -1
-        self._mva_cache: dict[tuple[object, ...], dict[str, float]] = {}
         # Mix-weighted demand CV per tier: synthetic service draws use a
         # gamma at this CV so fluid-phase latency spreads mirror the
         # discrete per-request gamma demands.
@@ -325,7 +302,7 @@ class FluidStepper:
             self.mix.mean_demand(tier, self.dataset_scale) * self.demand_scale
         )
         if count == 0 or state.soft_cap <= 0:
-            return _TierTable(0, np.zeros(0), demand, 0, signature)
+            return _TierTable(0, np.zeros(0), demand, signature)
         cap = int(state.soft_cap)
         per_server_cap = cap / count
         occ = np.minimum(np.arange(1, cap + 1, dtype=float) / count, per_server_cap)
@@ -338,7 +315,7 @@ class FluidStepper:
                 admitted = min(active + blocked_share, thread_cap)
                 active = min(active, admitted)
                 rates[idx] += server.capacity.work_rate(active, admitted)
-        return _TierTable(cap, rates, demand, count, signature)
+        return _TierTable(cap, rates, demand, signature)
 
     def _refresh_tables(self) -> None:
         """Rebuild any tier table whose topology/capacity/caps changed.
@@ -366,65 +343,15 @@ class FluidStepper:
                 self._tables[tier] = self._build_table(tier, signature, 0.0)
 
     # ------------------------------------------------------------------
-    # closed-network targets (exact MVA)
-    # ------------------------------------------------------------------
-    def _closed_targets(self) -> dict[str, float]:
-        """Per-tier stationary occupancy targets from the MVA solution."""
-        key: tuple[object, ...] = (
-            self.population,
-            tuple(self._tables[t].signature for t in _TIERS),
-        )
-        cached = self._mva_cache.get(key)
-        if cached is not None:
-            return cached
-        from repro.qnet.mva import DelayStation, LDStation, solve_mva
-
-        stations: list[DelayStation | LDStation] = [
-            DelayStation("think", self.think_time)
-        ]
-        for tier in _TIERS:
-            table = self._tables[tier]
-            if table.cap == 0:
-                continue
-            work = table.work_rates
-
-            def rate(j: int, _work: np.ndarray = work, _cap: int = table.cap) -> float:
-                return float(_work[min(j, _cap) - 1])
-
-            stations.append(LDStation(tier, table.demand, rate))
-        result = solve_mva(stations, self.population)
-        targets = {
-            tier: float(result.station_queue[tier][self.population - 1])
-            for tier in _TIERS
-            if tier in result.station_queue
-        }
-        for tier in _TIERS:
-            targets.setdefault(tier, 0.0)
-        # Keep only the latest key: topology changes invalidate all
-        # earlier solutions and runs rarely revisit an old topology.
-        self._mva_cache = {key: targets}
-        return targets
-
-    # ------------------------------------------------------------------
     # the integration step
     # ------------------------------------------------------------------
-    def _offered_rate(self, now: float) -> float:
-        if self.arrivals_model == "open":
-            assert self.trace is not None
-            return self.trace.users_at(now) / self.think_time
-        thinking = self.population - sum(self._n.values())
-        return max(0.0, thinking) / self.think_time
-
     def _advance(self, now: float) -> None:
         dt = now - self._last
         if dt <= 0.0:
             self._last = now
             return
         self._refresh_tables()
-        lam = self._offered_rate(now)
-        closed_targets = (
-            self._closed_targets() if self.arrivals_model == "closed" else None
-        )
+        lam = self.trace.users_at(now) / self.think_time
 
         # Cascade the flow tier by tier: each tier relaxes toward its
         # stationary occupancy target; its outflow (arrivals minus
@@ -443,11 +370,7 @@ class FluidStepper:
                 lam_in = 0.0
                 continue
             comp = table.comp_rates()
-            if closed_targets is not None:
-                target = closed_targets[tier]
-                stable = True
-            else:
-                target, stable = open_occupancy(lam_in, comp)
+            target, stable = open_occupancy(lam_in, comp)
             mu_max = float(comp[-1])
             if stable:
                 resid = target / lam_in if lam_in > 1e-12 else table.demand

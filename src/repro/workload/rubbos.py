@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["Interaction", "CATALOG", "interaction_by_name"]
+__all__ = ["Interaction", "CATALOG"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,16 +57,3 @@ CATALOG: tuple[Interaction, ...] = (
     Interaction("RegisterUserForm", 1.0, 0.4, 0.2),
     Interaction("StoreRegisterUser", 1.0, 0.9, 1.6, write=True),
 )
-
-
-_BY_NAME = {i.name: i for i in CATALOG}
-
-
-def interaction_by_name(name: str) -> Interaction:
-    """Look up a catalog entry; raises ``KeyError`` with suggestions."""
-    try:
-        return _BY_NAME[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown RUBBoS interaction {name!r}; see repro.workload.rubbos.CATALOG"
-        ) from None

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.series import coefficient_of_variation, group_mean_by_time
-from repro.analysis.stats import fluctuation_summary, spike_episodes, time_above
+from repro.analysis.stats import fluctuation_summary, spike_episodes
 from repro.errors import ReproError
 
 
@@ -73,9 +73,12 @@ def test_spike_shape_mismatch():
 
 
 def test_time_above():
+    """Time above the SLA sums every spike episode."""
     t = list(range(10))
     v = [0, 9, 9, 9, 0, 0, 9, 0, 0, 0]
-    assert time_above(t, v, 5) == pytest.approx(4.0)
+    s = fluctuation_summary(t, v, sla=5)
+    assert s.n_spikes == 2
+    assert s.time_above_sla == pytest.approx(4.0)
 
 
 def test_fluctuation_summary():

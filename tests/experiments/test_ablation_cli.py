@@ -161,6 +161,28 @@ def test_cli_refuses_non_finite_calibration_inputs(argv, field, capsys, tmp_path
     assert f"error: {field} must be finite" in err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["sweep", "db", "--levels", "abc"], "--levels"),
+    (["sweep", "db", "--levels", "0"], "levels"),
+    (["sweep", "db", "--levels", "-3"], "levels"),
+    (["sweep", "db", "--levels", "5", "--duration", "nan"], "duration"),
+    (["run", "conscale", "--topology", "1,0,1"], "topology"),
+    (["run", "conscale", "--mode", "fluid"], "--mode"),
+])
+def test_cli_refuses_bad_input_before_any_task(argv, named, capsys, tmp_path,
+                                               monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses a value outside choices
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and named in err
+    assert "running" not in err  # no task started
+    assert "Traceback" not in err
+
+
 def test_cli_compare_with_html(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     html = tmp_path / "cmp.html"

@@ -139,6 +139,14 @@ def test_scenario_validation():
         ScenarioConfig(duration=0.0)
 
 
+@pytest.mark.parametrize(
+    "topology", [(1, 0, 1), (1, 1, 0), (1, -2, 1), (0, 1, 1), (1, 1), (1, 1, 1, 1)]
+)
+def test_scenario_refuses_a_tier_without_replicas(topology):
+    with pytest.raises(ConfigurationError, match="topology must be three"):
+        ScenarioConfig(topology=topology)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("name", ["duration", "max_users", "load_scale"])
 def test_scenario_refuses_non_finite_numbers(name, value):

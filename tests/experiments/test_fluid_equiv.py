@@ -52,7 +52,15 @@ def test_new_fields_validated():
         )
 
 
-@pytest.mark.parametrize("mode", ["fluid", "hybrid"])
+def test_pinned_fluid_mode_is_refused():
+    # Fluid steps run only inside hybrid, under the governor.
+    with pytest.raises(
+        ConfigurationError, match=r"\('discrete', 'hybrid'\), got 'fluid'"
+    ):
+        ScenarioConfig(name="x", trace_name="dual_phase", mode="fluid")
+
+
+@pytest.mark.parametrize("mode", ["hybrid"])
 def test_fluid_modes_refuse_non_gamma_demand(mode):
     # The fluid integrator draws gamma service times whatever the
     # configured distribution, so a lognormal run would get wrong tails.
@@ -81,13 +89,12 @@ def test_each_new_field_changes_spec_digest():
     digests = {
         RunSpec("conscale", base).digest(),
         RunSpec("conscale", base.with_(mode="hybrid")).digest(),
-        RunSpec("conscale", base.with_(mode="fluid")).digest(),
         RunSpec("conscale", base.with_(arrivals="closed")).digest(),
         RunSpec(
             "conscale", base.with_(demand_distribution="lognormal")
         ).digest(),
     }
-    assert len(digests) == 5
+    assert len(digests) == 4
 
 
 # ----------------------------------------------------------------------
@@ -211,38 +218,19 @@ def test_race_check_clean_on_hybrid_run():
 
 
 # ----------------------------------------------------------------------
-# pinned modes through the runner
+# faults and closed arrivals through the runner
 # ----------------------------------------------------------------------
 
-def test_fluid_mode_end_to_end():
-    artifact = execute_spec(_steady_spec(duration=60.0, mode="fluid"))
-    assert artifact.completed > 0
-    assert artifact.generated >= artifact.completed
-    entered, _ = _mode_accounting(artifact)
-    assert entered == 0  # pinned fluid: no governor, no mode events
-
-
-def test_client_timeout_fault_in_fluid_and_hybrid():
-    """A client-timeout fault in the two modes that run the stepper.
-
-    Pinned fluid never starts the generator, so no client is watched
-    and nothing retries, yet the fault window is still recorded. Hybrid
-    keeps the fault window discrete, so impatient clients do retry.
-    """
+def test_client_timeout_fault_in_hybrid():
+    """Hybrid keeps a client-timeout fault window discrete, so impatient
+    clients do retry, and the fault window is recorded."""
     plan = parse_faults("timeout:40:30:1.0")
-    by_mode = {
-        mode: execute_spec(
-            dataclasses.replace(_steady_spec(mode=mode), faults=plan)
-        )
-        for mode in ("fluid", "hybrid")
-    }
-    for artifact in by_mode.values():
-        assert artifact.completed > 0
-        assert artifact.generated == artifact.completed + artifact.failed
-        kinds = [e.kind for e in artifact.actions.faults()]
-        assert kinds == ["fault_injected", "fault_recovered"]
-    assert by_mode["fluid"].retried == 0
-    assert by_mode["hybrid"].retried > 0
+    artifact = execute_spec(dataclasses.replace(_steady_spec(), faults=plan))
+    assert artifact.completed > 0
+    assert artifact.generated == artifact.completed + artifact.failed
+    kinds = [e.kind for e in artifact.actions.faults()]
+    assert kinds == ["fault_injected", "fault_recovered"]
+    assert artifact.retried > 0
 
 
 def test_closed_arrivals_end_to_end():
@@ -253,9 +241,3 @@ def test_closed_arrivals_end_to_end():
     artifact = execute_spec(RunSpec(framework="conscale", config=config))
     assert artifact.completed > 0
     assert artifact.generated >= artifact.completed
-
-
-def test_closed_fluid_end_to_end():
-    spec = _steady_spec(duration=60.0, mode="fluid", arrivals="closed")
-    artifact = execute_spec(spec)
-    assert artifact.completed > 0

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.experiments.artifact import RunOverrides, RunSpec, content_digest
+from repro.experiments.artifact import RunSpec, content_digest
 from repro.experiments.diff import diff_artifacts
 from repro.experiments.engine import ExperimentEngine
 from repro.experiments.resilience import (

@@ -1,5 +1,6 @@
 """Tests for the sweep harness and the text/CSV reporting."""
 
+import math
 import os
 
 import pytest
@@ -62,6 +63,12 @@ def test_sweep_validation():
         concurrency_sweep("cache", caps, mix, [2])
     with pytest.raises(ExperimentError):
         concurrency_sweep("db", caps, mix, [])
+    for levels in ([0], [-3, 5]):
+        with pytest.raises(ExperimentError, match="levels must be >= 1"):
+            concurrency_sweep("db", caps, mix, levels)
+    for duration in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ExperimentError, match="duration must be finite"):
+            concurrency_sweep("db", caps, mix, [2], duration=duration)
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Storyline templates: registry, lowering, digests, and DSL errors."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, ExperimentError

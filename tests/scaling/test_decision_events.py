@@ -11,7 +11,7 @@ that justified them) are asserted for the frameworks that make them.
 import pytest
 
 from repro.cloud.hypervisor import Hypervisor
-from repro.control.events import NOOP, THRESHOLD_TRIP
+from repro.control.events import THRESHOLD_TRIP
 from repro.monitoring.warehouse import MetricWarehouse
 from repro.ntier.app import APP, DB, WEB, NTierApplication, SoftResourceAllocation
 from repro.scaling.actuator import Actuator

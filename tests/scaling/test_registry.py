@@ -24,6 +24,7 @@ from repro.errors import ConfigurationError
 from repro.experiments.artifact import RunOverrides, RunSpec
 from repro.experiments.engine import ExperimentEngine
 from repro.experiments.runner import execute_spec
+from repro.scaling import registry
 from repro.scaling.controller import BaseController
 from repro.scaling.registry import (
     ControllerSpec,
@@ -33,7 +34,6 @@ from repro.scaling.registry import (
     parse_cli_params,
     register_controller,
     registered_frameworks,
-    unregister_controller,
 )
 from tests.experiments.test_engine import small_config
 
@@ -63,11 +63,6 @@ def test_unknown_framework_error_lists_registered_names():
     # RunSpec validates through the same path.
     with pytest.raises(ConfigurationError, match="conscale"):
         RunSpec("borg", small_config())
-
-
-def test_unregister_unknown_rejected():
-    with pytest.raises(ConfigurationError, match="not registered"):
-        unregister_controller("borg")
 
 
 def test_decision_kinds_validated_against_vocabulary():
@@ -231,12 +226,10 @@ PACED_SPEC = ControllerSpec(
 
 
 @pytest.fixture()
-def paced_registered():
+def paced_registered(monkeypatch):
+    # Register into a copy, so the registry is restored after the test.
+    monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
     register_controller(PACED_SPEC)
-    try:
-        yield
-    finally:
-        unregister_controller("paced")
 
 
 def test_plugin_visible_everywhere(paced_registered):

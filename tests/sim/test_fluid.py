@@ -74,24 +74,16 @@ def test_open_occupancy_edge_cases():
 # stepper construction
 # ----------------------------------------------------------------------
 
-def make_stepper(sim, rng, app, *, arrivals="open", trace=None,
-                 population=None, think_time=1.0, cv=0.0):
+def make_stepper(sim, rng, app, *, trace, think_time=1.0, cv=0.0):
     return FluidStepper(
         sim, app, tiny_mix(cv=cv), rng.stream("fluid"), RequestLog(),
-        think_time=think_time, arrivals=arrivals, trace=trace,
-        population=population,
+        think_time=think_time, trace=trace,
     )
 
 
 def test_stepper_validation(sim, rng):
     app = build_app(sim)
     trace = Trace("flat", [0.0, 10.0], [10.0, 10.0])
-    with pytest.raises(ConfigurationError, match="arrival model"):
-        make_stepper(sim, rng, app, arrivals="batch", trace=trace)
-    with pytest.raises(ConfigurationError, match="needs a trace"):
-        make_stepper(sim, rng, app, arrivals="open", trace=None)
-    with pytest.raises(ConfigurationError, match="population"):
-        make_stepper(sim, rng, app, arrivals="closed", population=0)
     with pytest.raises(ConfigurationError, match="think_time"):
         make_stepper(sim, rng, app, trace=trace, think_time=0.0)
 
@@ -134,16 +126,6 @@ def test_stepper_open_throughput_tracks_offered_load(sim, rng):
     # nearly everything completes inside the window.
     assert stepper.generated == pytest.approx(2000, rel=0.02)
     assert stepper.completed == pytest.approx(2000, rel=0.03)
-
-
-def test_stepper_closed_population_matches_cycle_time(sim, rng):
-    """Closed MVA path, no queueing: throughput = P / (Z + sum demands)."""
-    app = build_app(sim, db_a_sat=1000)
-    stepper = make_stepper(sim, rng, app, arrivals="closed", population=4)
-    stepper.start()
-    sim.run(until=20.0)
-    # tiny_mix demands sum to 7.5 ms; think time 1 s.
-    assert stepper.completed == pytest.approx(4 / 1.0075 * 20.0, rel=0.05)
 
 
 # ----------------------------------------------------------------------

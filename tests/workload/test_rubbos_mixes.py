@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.workload.mixes import WorkloadMix, browse_only_mix, read_write_mix
-from repro.workload.rubbos import CATALOG, interaction_by_name
+from repro.workload.rubbos import CATALOG
 
 BASE = {"web": (0.001, 0.1), "app": (0.002, 0.2), "db": (0.005, 0.3)}
 
@@ -22,9 +22,12 @@ def test_catalog_has_writes_and_reads():
 
 
 def test_interaction_lookup():
-    assert interaction_by_name("ViewStory").db_mult == 1.0
+    """A mix looks each servlet's multipliers up in the catalog by name."""
+    mix = WorkloadMix("two", {"ViewStory": 1.0, "SearchInStories": 1.0}, BASE)
+    assert mix.profile("ViewStory").tiers["db"].mean == pytest.approx(0.005)
+    assert mix.profile("SearchInStories").tiers["db"].mean == pytest.approx(0.010)
     with pytest.raises(KeyError):
-        interaction_by_name("NoSuchServlet")
+        mix.profile("NoSuchServlet")
 
 
 def test_browse_only_mix_has_no_writes():
