@@ -49,6 +49,7 @@ __all__ = [
     "FineSeries",
     "RunArtifact",
     "decode_interactions",
+    "DecodedInteractions",
 ]
 
 #: Bump to invalidate every cached artifact (layout or semantics change).
@@ -86,8 +87,9 @@ __all__ = [
 #: uint16 code plus a name table, where v7 entries written before kept
 #: one ``<U`` string per request. No bump, because a bump would move
 #: every spec digest and signature while nothing they cover changed:
-#: ``signature()`` digests the decoded ``<U`` array, which equals the
-#: stored one byte for byte, and :meth:`RunArtifact.__setstate__`
+#: ``signature()`` digests the interaction column as the decoded ``<U``
+#: array (:class:`DecodedInteractions`), which equals the stored one
+#: byte for byte, and :meth:`RunArtifact.__setstate__`
 #: converts the older entries on load.
 #: Still v7: each tier's SCT estimate history is now an
 #: :class:`~repro.scaling.estimator.EstimateHistory` of numpy columns,
@@ -123,12 +125,10 @@ def canonical(value):
         return canonical(value.item())
     if isinstance(value, np.ndarray):
         arr = np.ascontiguousarray(value)
-        return (
-            "nd",
-            str(arr.dtype),
-            arr.shape,
-            hashlib.sha256(arr.tobytes()).hexdigest(),
-        )
+        # sha256 reads a contiguous array's buffer in place: no copy.
+        return ("nd", str(arr.dtype), arr.shape, hashlib.sha256(arr).hexdigest())
+    if isinstance(value, DecodedInteractions):
+        return value.encode()
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         cls = type(value)
         fields = tuple(
@@ -330,6 +330,33 @@ def decode_interactions(codes: np.ndarray, names: tuple[str, ...]) -> np.ndarray
     return np.array(names, dtype=str)[codes]
 
 
+#: Codes :class:`DecodedInteractions` decodes and hashes per step.
+DECODE_CHUNK = 1 << 16
+
+
+class DecodedInteractions:
+    """``decode_interactions(codes, names)`` for digesting, never built.
+
+    :func:`canonical` encodes it to the very ``("nd", dtype, shape,
+    sha256)`` entry of the decoded array, but decodes and hashes
+    :data:`DECODE_CHUNK` codes at a time, so the whole ``<U`` column (4
+    bytes a character a request) never exists.
+    """
+
+    __slots__ = ("codes", "names")
+
+    def __init__(self, codes: np.ndarray, names: tuple[str, ...]) -> None:
+        self.codes = codes
+        self.names = names
+
+    def encode(self) -> tuple:
+        table = np.array(self.names, dtype=str)
+        digest = hashlib.sha256()
+        for start in range(0, self.codes.size, DECODE_CHUNK):
+            digest.update(table[self.codes[start:start + DECODE_CHUNK]])
+        return ("nd", str(table.dtype), self.codes.shape, digest.hexdigest())
+
+
 @dataclass
 class RunArtifact:
     """Serializable outcome of one scenario run.
@@ -422,8 +449,9 @@ class RunArtifact:
         (sequential vs parallel, in-memory vs cache round-trip).
         Every field of the artifact is covered (the
         deep-digest-provenance lint rule cross-checks this against the
-        dataclass). The interaction column is digested decoded, so a
-        signature does not depend on the order of the name table.
+        dataclass). The interaction column is digested decoded (in
+        chunks, see :class:`DecodedInteractions`), so a signature does
+        not depend on the order of the name table.
         """
         return content_digest(
             (
@@ -434,7 +462,7 @@ class RunArtifact:
                 self.latencies,
                 self.completion_times,
                 self.arrival_times,
-                decode_interactions(self.interaction_codes, self.interaction_names),
+                DecodedInteractions(self.interaction_codes, self.interaction_names),
                 self.generated,
                 self.completed,
                 self.vm_times,

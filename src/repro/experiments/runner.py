@@ -302,7 +302,13 @@ def execute_spec(spec: RunSpec, *, sim: Simulator | None = None) -> RunArtifact:
             for tier in (APP, DB)
         }
 
-    latencies = log.response_times / config.rt_scale
+    # The run is over: the log's columns pass to the artifact as views
+    # of its buffers, not copies. Only the latencies are a new column.
+    log.close()
+    completion_times = log.completion_times
+    arrival_times = log.arrival_times
+    latencies = completion_times - arrival_times
+    latencies /= config.rt_scale
     resilience: ResilienceSummary | None = None
     if injector is not None:
         resilience = build_resilience_summary(
@@ -312,7 +318,7 @@ def execute_spec(spec: RunSpec, *, sim: Simulator | None = None) -> RunArtifact:
             timeouts=generator.timeouts,
             abandoned=generator.abandoned,
             latencies=latencies,
-            completion_times=log.completion_times,
+            completion_times=completion_times,
             horizon=config.duration + DRAIN_GRACE,
             storyline=spec.faults.storyline,
             trace=actions,
@@ -321,8 +327,8 @@ def execute_spec(spec: RunSpec, *, sim: Simulator | None = None) -> RunArtifact:
     return RunArtifact(
         spec=spec,
         latencies=latencies,
-        completion_times=log.completion_times,
-        arrival_times=log.arrival_times,
+        completion_times=completion_times,
+        arrival_times=arrival_times,
         interaction_codes=log.interaction_codes,
         interaction_names=log.interaction_names,
         generated=generator.generated + (stepper.generated if stepper else 0),

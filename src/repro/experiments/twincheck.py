@@ -37,7 +37,12 @@ from typing import Callable
 from repro.control.events import MODE_KINDS
 from repro.control.trace import DecisionTrace
 from repro.errors import ConfigurationError, TwinDivergenceError
-from repro.experiments.artifact import RunArtifact, RunSpec, content_digest
+from repro.experiments.artifact import (
+    DecodedInteractions,
+    RunArtifact,
+    RunSpec,
+    content_digest,
+)
 from repro.experiments.runner import execute_spec
 from repro.experiments.scenarios import ScenarioConfig
 from repro.faults.plan import FaultPlan, ServerCrashSpec, TelemetryDropoutSpec
@@ -139,7 +144,9 @@ def observable_digests(artifact: RunArtifact) -> dict[str, str]:
                 artifact.arrival_times,
                 artifact.completion_times,
                 artifact.latencies,
-                artifact.interactions,
+                DecodedInteractions(
+                    artifact.interaction_codes, artifact.interaction_names
+                ),
                 artifact.generated,
                 artifact.completed,
                 artifact.failed,

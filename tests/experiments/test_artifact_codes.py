@@ -11,12 +11,21 @@ return what the string grouping returned.
 from __future__ import annotations
 
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.control.trace import DecisionTrace
-from repro.experiments.artifact import SCHEMA_VERSION, RunArtifact, RunSpec
+from repro.experiments.artifact import (
+    DECODE_CHUNK,
+    SCHEMA_VERSION,
+    DecodedInteractions,
+    RunArtifact,
+    RunSpec,
+    canonical,
+    decode_interactions,
+)
 from repro.experiments.cache import ResultCache
 from repro.experiments.persistence import load_artifact
 from repro.experiments.runner import execute_spec
@@ -47,6 +56,27 @@ def build(rows, seed=0):
         interaction_names=log.interaction_names,
         generated=len(log),
         completed=len(log),
+        actions=DecisionTrace(),
+        vm_times=np.zeros(0),
+        vm_counts=np.zeros(0, dtype=int),
+        vm_counts_by_tier={},
+        cpu_series={},
+    )
+
+
+def artifact_over(codes, names, completion_times):
+    """A new-layout artifact over the given columns, with no log."""
+    config = ScenarioConfig(name="codes", load_scale=1.0)
+    arrival_times = completion_times - 0.1
+    return RunArtifact(
+        spec=RunSpec("conscale", config),
+        latencies=completion_times - arrival_times,
+        completion_times=completion_times,
+        arrival_times=arrival_times,
+        interaction_codes=codes,
+        interaction_names=names,
+        generated=codes.size,
+        completed=codes.size,
         actions=DecisionTrace(),
         vm_times=np.zeros(0),
         vm_counts=np.zeros(0, dtype=int),
@@ -175,3 +205,76 @@ def test_runner_hands_over_uint16_codes():
     assert set(codes.tolist()) == set(range(len(artifact.interaction_names)))
     counts = sum(v.size for v in artifact.by_interaction().values())
     assert counts == artifact.completed
+
+
+# ----------------------------------------------------------------------
+# the signature digests the codes as the decoded column, in chunks
+# ----------------------------------------------------------------------
+
+def assert_digests_as_decoded(codes, names):
+    ours = canonical(DecodedInteractions(codes, names))
+    assert ours == canonical(decode_interactions(codes, names))
+
+
+def logged(batches):
+    """Codes and name table of a log fed ``(picks, table)`` batches."""
+    log = RequestLog()
+    for step, (picks, table) in enumerate(batches):
+        picks = np.asarray(picks, dtype=int)
+        log.record_batch(np.full(picks.size, float(step)), step + 0.5, picks, table)
+    return log.interaction_codes, log.interaction_names
+
+
+def test_chunked_digest_of_an_empty_log():
+    codes, names = logged([])
+    assert names == ()
+    assert canonical(DecodedInteractions(codes, names))[1:3] == ("<U1", (0,))
+    assert_digests_as_decoded(codes, names)
+
+
+def test_chunked_digest_of_a_single_name():
+    assert_digests_as_decoded(*logged([(np.zeros(DECODE_CHUNK + 7), POOL[:1])]))
+
+
+def test_chunked_digest_when_a_longer_name_first_appears_late():
+    """The longest name sets the dtype of every chunk, also of the
+    chunks decoded before its first request."""
+    rng = np.random.default_rng(0)
+    codes, names = logged([
+        (rng.integers(len(POOL), size=2 * DECODE_CHUNK + 11), POOL),
+        ([0, 1], (POOL[0], LONGEST)),
+    ])
+    assert names[-1] == LONGEST
+    assert canonical(DecodedInteractions(codes, names))[1] == f"<U{len(LONGEST)}"
+    assert_digests_as_decoded(codes, names)
+
+
+@pytest.mark.parametrize(
+    "count",
+    [DECODE_CHUNK - 1, DECODE_CHUNK, DECODE_CHUNK + 1, 2 * DECODE_CHUNK + 3],
+)
+def test_chunked_digest_at_chunk_boundaries(count):
+    rng = np.random.default_rng(count)
+    names = POOL + (LONGEST,)
+    codes = rng.integers(len(names), size=count).astype(np.uint16)
+    assert_digests_as_decoded(codes, names)
+
+
+def test_signature_never_decodes_the_whole_column():
+    """One ``<U23`` name a request is 92 bytes; the decoded column of a
+    million requests would be 92 MB, and its ``tobytes()`` copy as
+    much again."""
+    count = 1_000_000
+    assert len(LONGEST) == 23
+    artifact = artifact_over(
+        np.zeros(count, dtype=np.uint16), (LONGEST,), np.linspace(1.0, 700.0, count)
+    )
+    expected = artifact.signature()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert artifact.signature() == expected
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
