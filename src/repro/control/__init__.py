@@ -9,7 +9,8 @@ one typed path for those decisions:
   trips, hardware actions, cap changes with their SCT estimates, no-op
   ticks) and the decision-kind vocabulary;
 * :mod:`repro.control.bus` — :class:`ControlBus`, the synchronous
-  type-keyed publish/subscribe hub;
+  publish/subscribe hub every control-plane event travels through
+  (controllers hear completed hardware changes there too);
 * :mod:`repro.control.trace` — :class:`DecisionTrace`, the recorded
   event stream; serialises as plain numpy columns and powers
   ``repro diff``.

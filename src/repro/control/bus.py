@@ -1,9 +1,12 @@
 """The control-plane event bus.
 
-A tiny synchronous publish/subscribe hub keyed by event *type*. The
-policy, actuator and every controller publish
-:class:`~repro.control.events.DecisionEvent`\\ s; the
-:class:`~repro.control.trace.DecisionTrace` subscribes and records them.
+A tiny synchronous publish/subscribe hub for
+:class:`~repro.control.events.DecisionEvent`\\ s, the one event type of
+the control plane. The policy, actuator, fault injector, mode governor
+and every controller publish; the
+:class:`~repro.control.trace.DecisionTrace` subscribes and records them,
+and controllers hear completed hardware actions and fault lifecycle
+events through their own subscription.
 
 Delivery is synchronous and in subscription order — the bus runs inside
 the discrete-event simulator, so introducing its own asynchrony would
@@ -14,30 +17,25 @@ run, not silently drop decisions).
 
 from __future__ import annotations
 
-from typing import Callable, TypeVar
+from typing import Callable
+
+from repro.control.events import DecisionEvent
 
 __all__ = ["ControlBus"]
 
-E = TypeVar("E")
-
 
 class ControlBus:
-    """Synchronous, type-keyed publish/subscribe for control events."""
+    """Synchronous publish/subscribe for control-plane decision events."""
 
     def __init__(self) -> None:
-        self._handlers: dict[type, list[Callable]] = {}
+        self._handlers: list[Callable[[DecisionEvent], None]] = []
 
-    def subscribe(self, event_type: type[E], handler: Callable[[E], None]) -> None:
-        """Register ``handler`` for events of exactly ``event_type``."""
-        self._handlers.setdefault(event_type, []).append(handler)
+    def subscribe(self, handler: Callable[[DecisionEvent], None]) -> None:
+        """Register ``handler``; it hears every later event, after the
+        handlers registered before it."""
+        self._handlers.append(handler)
 
-    def unsubscribe(self, event_type: type[E], handler: Callable[[E], None]) -> None:
-        """Remove a previously registered handler (no-op if absent)."""
-        handlers = self._handlers.get(event_type)
-        if handlers and handler in handlers:
-            handlers.remove(handler)
-
-    def publish(self, event: object) -> None:
-        """Deliver ``event`` to every subscriber of its exact type."""
-        for handler in self._handlers.get(type(event), ()):
+    def publish(self, event: DecisionEvent) -> None:
+        """Deliver ``event`` to every subscriber in subscription order."""
+        for handler in self._handlers:
             handler(event)

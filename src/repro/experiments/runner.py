@@ -124,18 +124,19 @@ def execute_spec(spec: RunSpec, *, sim: Simulator | None = None) -> RunArtifact:
     for tier in (WEB, APP, DB):
         factory.set_template(tier, cal.capacity(tier), config.soft.for_tier(tier))
     hypervisor = Hypervisor(sim, prep_period=config.prep_period)
-    # One control bus per run: every controller/actuator decision flows
-    # through it, and the trace that ends up in the artifact is simply a
-    # bus subscriber.
+    # One control bus per run: every decision and hardware change flows
+    # through it. The trace that ends up in the artifact subscribes
+    # first, so it records each event before any handler reacts to it;
+    # the controller subscribes next, then the governor.
     bus = ControlBus()
+    actions = DecisionTrace().attach(bus)
     warehouse = MetricWarehouse(
         sim,
         tick=1.0,
         fine_interval=config.effective_fine_interval(),
         history_seconds=config.duration + DRAIN_GRACE + 60.0,
     )
-    actions = DecisionTrace()
-    actuator = Actuator(sim, app, hypervisor, factory, warehouse, actions, bus)
+    actuator = Actuator(sim, app, hypervisor, factory, warehouse, bus)
     n_web, n_app, n_db = config.topology
     actuator.bootstrap(WEB, n_web)
     actuator.bootstrap(APP, n_app)

@@ -83,8 +83,8 @@ class FaultInjector:
         actuator: Actuator,
         hypervisor: Hypervisor,
         warehouse: MetricWarehouse,
-        generator: OpenLoopGenerator | ClosedLoopGenerator | None = None,
-        bus: ControlBus | None = None,
+        generator: OpenLoopGenerator | ClosedLoopGenerator | None,
+        bus: ControlBus,
     ) -> None:
         self.sim = sim
         self.app = app
@@ -278,8 +278,6 @@ class FaultInjector:
         detail: str = "",
         reason: str = "",
     ) -> None:
-        if self.bus is None:
-            return
         self.bus.publish(
             DecisionEvent(
                 time=self.sim.now,

@@ -110,6 +110,19 @@ def _call_simple_name(call: ast.Call) -> str:
     return ""
 
 
+def _is_row_replay(call: ast.Call) -> bool:
+    """``DecisionEvent(*row)``: a stored event rebuilt from its fields.
+
+    Its kind was proven where the event was first built; the replay
+    publishes nothing, so it is no emission site.
+    """
+    return (
+        not call.keywords
+        and len(call.args) == 1
+        and isinstance(call.args[0], ast.Starred)
+    )
+
+
 class _DynamicBinding:
     """Sentinel: the call site binds ``param`` through ``*args`` or
     ``**kwargs``, so the bound value is statically unknowable — distinct
@@ -250,7 +263,7 @@ def bus_graph(index: ProjectIndex) -> BusGraph:
                 target is None
                 and _call_simple_name(node) == "DecisionEvent"
             )
-            if not is_ctor:
+            if not is_ctor or _is_row_replay(node):
                 continue
             kind_expr: ast.expr | None = None
             for keyword in node.keywords:

@@ -96,7 +96,10 @@ class RequestLog:
 
         Request ``i`` arrived at ``arrivals[i]`` and ran interaction
         ``names[picks[i]]``. The rows are the ones :meth:`record` would
-        store for the same requests in the same order.
+        store for the same requests in the same order. Names new to the
+        log get their codes in the order of ``names`` (ascending picked
+        index), not in the order the picks first name them; the codes
+        are part of the cached artifact's bytes.
         """
         if self._closed:
             self._refuse()

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.errors import ConfigurationError, ScalingError
 from repro.ntier.balancer import Balancer, make_balancer
 from repro.ntier.server import Server
@@ -25,7 +23,6 @@ class Tier:
         self._balancer: Balancer = make_balancer(balancing)
         self._servers: list[Server] = []
         self._draining: list[Server] = []
-        self._listeners: list[Callable[[str], None]] = []
 
     # ------------------------------------------------------------------
     # membership
@@ -55,7 +52,6 @@ class Tier:
         if any(s.name == server.name for s in self._servers):
             raise ScalingError(f"tier {self.name!r} already has {server.name!r}")
         self._servers.append(server)
-        self._notify("add")
 
     def begin_drain(self, server: Server | None = None) -> Server:
         """Stop routing to one server (default: the most recently added).
@@ -76,7 +72,6 @@ class Tier:
                 f"server {server.name!r} is not live in tier {self.name!r}"
             ) from None
         self._draining.append(server)
-        self._notify("drain")
         return server
 
     def eject(self, server: Server) -> None:
@@ -95,15 +90,12 @@ class Tier:
             raise ScalingError(
                 f"server {server.name!r} is not part of tier {self.name!r}"
             )
-        self._notify("eject")
 
     def collect_drained(self) -> list[Server]:
         """Retire and return every draining server that has gone idle."""
         done = [s for s in self._draining if s.is_idle]
         for server in done:
             self._draining.remove(server)
-        if done:
-            self._notify("retire")
         return done
 
     # ------------------------------------------------------------------
@@ -116,27 +108,6 @@ class Tier:
     def all_instances(self) -> list[Server]:
         """Live plus draining servers (for monitoring)."""
         return self._servers + self._draining
-
-    def total_admitted(self) -> int:
-        """Aggregate concurrency across live servers."""
-        return sum(s.admitted for s in self._servers)
-
-    def mean_utilization(self, resource: str = "cpu") -> float:
-        """Mean instantaneous utilisation across live servers."""
-        if not self._servers:
-            return 0.0
-        return sum(s.utilization(resource) for s in self._servers) / len(self._servers)
-
-    # ------------------------------------------------------------------
-    # change notification (used by controllers / monitors)
-    # ------------------------------------------------------------------
-    def on_change(self, listener: Callable[[str], None]) -> None:
-        """Register a callback invoked with "add"/"drain"/"retire"."""
-        self._listeners.append(listener)
-
-    def _notify(self, what: str) -> None:
-        for listener in self._listeners:
-            listener(what)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

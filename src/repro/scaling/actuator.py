@@ -13,17 +13,21 @@ the mechanics and timing:
 * **soft-resource reallocation** — resize the thread pools of every
   live server of a tier (and the per-app-server DB connection pools),
   and update the defaults used for servers added later.
+
+The actuator reports to no one directly: every action it starts or
+completes is a :class:`~repro.control.events.DecisionEvent` on the
+run's :class:`~repro.control.bus.ControlBus`. The trace records them
+there, and controllers hear completed hardware changes
+(``bootstrap_ready``, ``scale_out_ready``, ``scale_up_done``,
+``scale_in_done``, ``server_ejected``) through their own subscription.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 from repro.cloud.hypervisor import Hypervisor
 from repro.cloud.vm import VM
 from repro.control.bus import ControlBus
 from repro.control.events import DecisionEvent
-from repro.control.trace import DecisionTrace
 from repro.errors import FaultError, ScalingError
 from repro.monitoring.warehouse import MetricWarehouse
 from repro.ntier.app import APP, WEB, NTierApplication
@@ -44,7 +48,11 @@ _RETRY_CAP = 30.0
 
 
 class Actuator:
-    """Executes scaling actions against the simulated cloud and app."""
+    """Executes scaling actions against the simulated cloud and app,
+    and publishes each one on ``bus``."""
+
+    #: The ``source`` of every event the actuator publishes.
+    source = "actuator"
 
     def __init__(
         self,
@@ -53,19 +61,14 @@ class Actuator:
         hypervisor: Hypervisor,
         factory: ServerFactory,
         warehouse: MetricWarehouse,
-        log: DecisionTrace | None = None,
-        bus: ControlBus | None = None,
+        bus: ControlBus,
     ) -> None:
         self.sim = sim
         self.app = app
         self.hypervisor = hypervisor
         self.factory = factory
         self.warehouse = warehouse
-        # Every executed action is published as a DecisionEvent on the
-        # control bus; the trace subscribes and records. ``log`` stays
-        # the name of the recorded trace for API continuity.
-        self.bus = bus if bus is not None else ControlBus()
-        self.log = (log if log is not None else DecisionTrace()).attach(self.bus)
+        self.bus = bus
         self._vm_by_server: dict[str, VM] = {}
         self._db_connections = app.soft.db_connections
         self._draining: dict[str, int] = {}  # tier -> count
@@ -74,7 +77,6 @@ class Actuator:
         self._retry_attempts: dict[str, int] = {}  # tier -> consecutive failures
         self._retry_handles: dict[str, list[EventHandle]] = {}  # tier -> polls
         self._bootstrap_vms: set[str] = set()
-        self._on_hardware_change: list[Callable[[str, str], None]] = []
 
     # ------------------------------------------------------------------
     # event emission
@@ -91,18 +93,10 @@ class Actuator:
         self.bus.publish(
             DecisionEvent(
                 time=self.sim.now, kind=kind, tier=tier, value=value,
-                detail=detail, source="actuator", reason=reason,
+                detail=detail, source=self.source, reason=reason,
                 estimate=estimate,
             )
         )
-
-    # ------------------------------------------------------------------
-    # subscriptions
-    # ------------------------------------------------------------------
-    def on_hardware_change(self, listener: Callable[[str, str], None]) -> None:
-        """Register ``listener(tier, kind)`` for completed hardware actions
-        (kind is ``"scale_out_ready"`` or ``"scale_in_done"``)."""
-        self._on_hardware_change.append(listener)
 
     # ------------------------------------------------------------------
     # bootstrap & hardware scaling
@@ -190,7 +184,6 @@ class Actuator:
             "bootstrap_ready" if vm.name in self._bootstrap_vms else "scale_out_ready"
         )
         self._emit(kind, vm.tier, detail=server.name)
-        self._notify(vm.tier, kind)
 
     def scale_up(
         self, tier: str, factor: float = 2.0, max_vcpus: float = 8.0
@@ -242,7 +235,6 @@ class Actuator:
             self._emit(
                 "scale_up_done", tier, value=int(new_vcpus), detail=server.name,
             )
-            self._notify(tier, "scale_up_done")
 
         self.hypervisor.resize(vm, new_vcpus, _apply)
         return True
@@ -288,7 +280,6 @@ class Actuator:
         self._draining[tier] = self._draining.get(tier, 1) - 1
         self._emit("scale_in_done", tier, detail=server.name,
                    reason="drain complete")
-        self._notify(tier, "scale_in_done")
 
     # ------------------------------------------------------------------
     # crash handling (fault injection)
@@ -341,7 +332,6 @@ class Actuator:
             "server_ejected", tier_name, value=len(victims), detail=server_name,
             reason=f"crash: {len(victims)} in-flight request(s) failed",
         )
-        self._notify(tier_name, "server_ejected")
         return victims
 
     # ------------------------------------------------------------------
@@ -443,7 +433,3 @@ class Actuator:
             or self._pending_retries.get(tier, 0) > 0
             or self._draining.get(tier, 0) > 0
         )
-
-    def _notify(self, tier: str, kind: str) -> None:
-        for listener in self._on_hardware_change:
-            listener(tier, kind)

@@ -19,24 +19,39 @@ from repro.sim.process import PeriodicProcess
 
 __all__ = ["BaseController"]
 
+#: The actuator's completed hardware changes, each of which reaches
+#: :meth:`BaseController.after_hardware_change`.
+_HARDWARE_CHANGES = (
+    "bootstrap_ready",
+    "scale_out_ready",
+    "scale_up_done",
+    "scale_in_done",
+    "server_ejected",
+)
+
 
 class BaseController(FaultAwareMixin):
     """Threshold-driven hardware scaling at a 1 s decision tick.
 
     Subclasses implement the soft-resource behaviour by overriding
-    :meth:`after_hardware_change` (invoked when a scale-out completes or
-    a scale-in finishes draining) and :meth:`periodic_adapt` (invoked on
-    every tick after the hardware decisions).
+    :meth:`after_hardware_change` (invoked once per completed hardware
+    change of the actuator: a bootstrap or scale-out VM ready, a
+    vertical scale-up applied, a scale-in drained, a crashed server
+    ejected) and :meth:`periodic_adapt` (invoked on every tick after
+    the hardware decisions).
 
     Every decision — including the ticks where nothing happened — is
     published as a :class:`~repro.control.events.DecisionEvent` on the
     actuator's control bus, giving all frameworks one uniform, auditable
-    decision trace.
+    decision trace. The controller hears the control plane on the same
+    bus, through one subscription: :meth:`_on_decision` runs the
+    fault-aware reactions, then the hardware-change hook.
 
     The inherited :class:`~repro.scaling.faultaware.FaultAwareMixin` is
     dormant unless the registry's build path (or a test) calls
     :meth:`~repro.scaling.faultaware.FaultAwareMixin.enable_fault_awareness`;
-    when enabled, scale-in decisions consult it before acting.
+    when enabled, it reacts to fault lifecycle events and scale-in
+    decisions consult it before acting.
     """
 
     name = "base"
@@ -63,7 +78,7 @@ class BaseController(FaultAwareMixin):
             DB: TierPolicyConfig(),
         }
         self.policy = ThresholdPolicy(sim, warehouse, actuator, configs)
-        actuator.on_hardware_change(self._hardware_changed)
+        self.bus.subscribe(self._on_decision)
         self._process = PeriodicProcess(
             sim, tick, self._tick, priority=PRIORITY_CONTROLLER
         )
@@ -124,8 +139,13 @@ class BaseController(FaultAwareMixin):
                 self.emit(NOOP, tier, reason=decision.reason)
         self.periodic_adapt(now)
 
-    def _hardware_changed(self, tier: str, kind: str) -> None:
-        self.after_hardware_change(tier, kind)
+    def _on_decision(self, event: DecisionEvent) -> None:
+        """The controller's bus subscription: the fault-aware reactions
+        (when enabled), then the hook for an actuator hardware change."""
+        if self._fault_aware:
+            self._on_fault_event(event)
+        if event.kind in _HARDWARE_CHANGES and event.source == self.actuator.source:
+            self.after_hardware_change(event.tier, event.kind)
 
     # ------------------------------------------------------------------
     # subclass hooks

@@ -4,10 +4,10 @@ Fault-blind controllers treat an incident as ordinary load noise: they
 happily scale *in* while a crash replacement is still provisioning,
 re-trip thresholds off post-recovery transients, and sit out a healed
 provisioning window on exponential backoff. :class:`FaultAwareMixin`
-closes the loop the ROADMAP's recovery-aware item calls for — it
-subscribes to the fault lifecycle events already flowing over the
-control bus (``fault_injected`` / ``fault_recovered`` /
-``server_ejected``) and reacts:
+closes that loop: it reacts to the fault lifecycle events already
+flowing over the control bus (``fault_injected`` / ``fault_recovered``
+/ ``server_ejected``, and ``scale_out_ready`` to end a crash holdoff),
+which the host controller's one bus subscription hands it:
 
 * **scale-in suspension** — while a crash replacement is pending or a
   provisioning-fault episode is open on a tier, scale-in decisions are
@@ -45,7 +45,6 @@ from repro.control.events import (
 from repro.faults.plan import ALL_TIERS, episode_class
 
 if TYPE_CHECKING:
-    from repro.control.bus import ControlBus
     from repro.scaling.actuator import Actuator
     from repro.scaling.policy import ThresholdPolicy
     from repro.sim.engine import Simulator
@@ -66,12 +65,13 @@ class FaultAwareMixin:
     Mixed into the controller base class but disabled by default, so
     directly-constructed controllers behave exactly as before; the
     registry's ``build`` path switches it on (see module docstring).
-    Relies on the host class providing ``sim``, ``bus``, ``actuator``,
-    ``policy`` and ``emit``.
+    The mixin does not subscribe to the bus itself: the host's bus
+    handler passes every event to :meth:`_on_fault_event` while fault
+    awareness is on. Relies on the host class providing ``sim``,
+    ``actuator``, ``policy`` and ``emit``.
     """
 
     sim: Simulator
-    bus: ControlBus
     actuator: Actuator
     policy: ThresholdPolicy
 
@@ -90,7 +90,7 @@ class FaultAwareMixin:
     _fault_aware = False
 
     def enable_fault_awareness(self) -> None:
-        """Subscribe to fault lifecycle events and start reacting."""
+        """Start reacting to fault lifecycle events."""
         if self._fault_aware:
             return
         self._fault_aware = True
@@ -103,7 +103,6 @@ class FaultAwareMixin:
         # Replacements owed to tiers whose ejection happened while a
         # provisioning episode was open (launch deferred until heal).
         self._pending_prewarm: dict[str, list[str]] = {}
-        self.bus.subscribe(DecisionEvent, self._on_fault_event)
 
     @property
     def fault_aware(self) -> bool:

@@ -8,9 +8,8 @@ derives from the registry instead:
 
 * ``execute_spec`` builds controllers through :meth:`ControllerSpec.build`
   (no if/elif dispatch);
-* the ``FRAMEWORKS`` tuple, the CLI's ``choices=``, ``repro compare``
-  and the resilience suite's framework axis all come from
-  :func:`registered_frameworks`;
+* the CLI's ``choices=``, ``repro compare`` and the resilience
+  suite's framework axis all come from :func:`registered_frameworks`;
 * ``RunSpec`` validates framework names and coerces
   ``RunOverrides.controller_params`` against the registered schema, so
   a typo'd param fails loudly and ``--param headroom=1`` digests
@@ -342,11 +341,9 @@ def get_controller(name: str) -> ControllerSpec:
 
 
 def registered_frameworks() -> tuple[str, ...]:
-    """All registered framework names, in registration order.
-
-    This is the single source the (deprecated) module-level
-    ``FRAMEWORKS`` re-exports delegate to.
-    """
+    """All registered framework names, in registration order: the
+    framework namespace of the CLI, ``repro compare`` and the
+    resilience suite."""
     return tuple(_REGISTRY)
 
 

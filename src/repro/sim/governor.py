@@ -88,7 +88,7 @@ class ModeGovernor:
         generator: "OpenLoopGenerator",
         stepper: "FluidStepper",
         factory: "RequestFactory",
-        bus: "ControlBus | None",
+        bus: "ControlBus",
         *,
         trace: "Trace",
         faults: "FaultPlan | None" = None,
@@ -115,8 +115,7 @@ class ModeGovernor:
         """Begin governing at the current simulation time (discrete)."""
         if self._proc is not None:
             raise ConfigurationError("governor already started")
-        if self.bus is not None:
-            self.bus.subscribe(DecisionEvent, self._on_decision)
+        self.bus.subscribe(self._on_decision)
         self._proc = PeriodicProcess(
             self.sim, TICK, self._tick, priority=PRIORITY_GOVERNOR
         )
@@ -126,7 +125,9 @@ class ModeGovernor:
 
         Called by the runner once the generation window closes. Any
         fluid outstanding mass is re-materialised as discrete requests,
-        which then drain through the normal grace period.
+        which then drain through the normal grace period. The bus
+        handler stays subscribed; what it records feeds only the ticks,
+        which end here.
         """
         self._finished = True
         if self.mode == MODE_FLUID:
@@ -134,8 +135,6 @@ class ModeGovernor:
         if self._proc is not None:
             self._proc.stop()
             self._proc = None
-        if self.bus is not None:
-            self.bus.unsubscribe(DecisionEvent, self._on_decision)
 
     # ------------------------------------------------------------------
     # triggers
@@ -223,8 +222,6 @@ class ModeGovernor:
         self._emit(_DISCRETE_ENTERED, handover, reason)
 
     def _emit(self, kind: str, value: int, reason: str) -> None:
-        if self.bus is None:
-            return
         self.bus.publish(
             DecisionEvent(
                 time=self.sim.now,

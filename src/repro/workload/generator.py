@@ -261,8 +261,9 @@ class ClosedLoopGenerator:
     ``num_users`` (the Fig. 3/7 sweep mode); a positive value draws
     exponential think times.
 
-    ``timeout`` models client abandonment: a user whose request has not
-    completed within the timeout gives up and immediately re-issues.
+    A client deadline (:meth:`set_client_timeout`, set by the fault
+    injector) models abandonment: a user whose request has not
+    completed within the deadline gives up and immediately re-issues.
     The abandoned request keeps consuming server resources until it
     finishes (as a real HTTP request does after the client hangs up),
     which is what makes tight client timeouts *amplify* overload —
@@ -277,21 +278,18 @@ class ClosedLoopGenerator:
         factory: RequestFactory,
         rng: np.random.Generator,
         think_time: float = 0.0,
-        timeout: float | None = None,
     ) -> None:
         if num_users < 1:
             raise ConfigurationError(f"num_users must be >= 1, got {num_users!r}")
         if think_time < 0:
             raise ConfigurationError(f"think_time must be >= 0, got {think_time!r}")
-        if timeout is not None and timeout <= 0:
-            raise ConfigurationError(f"timeout must be > 0, got {timeout!r}")
         self.sim = sim
         self.app = app
         self.num_users = num_users
         self.factory = factory
         self.rng = rng
         self.think_time = think_time
-        self.timeout = timeout
+        self.timeout: float | None = None
         self.generated = 0
         self.timeouts = 0
         # Closed users re-issue on completion anyway, so a timeout never
@@ -306,11 +304,10 @@ class ClosedLoopGenerator:
         # a completion: the user sees an error page and re-issues.
         app.on_fail(self._on_complete)
 
-    def start(self, ramp: float = 0.0) -> None:
-        """Launch all users, optionally staggered over ``ramp`` seconds."""
-        for i in range(self.num_users):
-            delay = (ramp * i / self.num_users) if ramp > 0 else 0.0
-            self.sim.schedule_after(delay, self._issue)
+    def start(self) -> None:
+        """Launch all users at the current instant."""
+        for _ in range(self.num_users):
+            self.sim.schedule_after(0.0, self._issue)
 
     def stop(self) -> None:
         """Users stop re-issuing after their current request."""
@@ -335,24 +332,9 @@ class ClosedLoopGenerator:
         """New requests are issued without a deadline again."""
         self.timeout = None
 
-    def set_population(self, num_users: int) -> None:
-        """Grow the user population at runtime (sweep support).
-
-        Shrinking is not supported: completed users simply stop
-        re-issuing when the population target is below the live count.
-        """
-        if num_users < 1:
-            raise ConfigurationError(f"num_users must be >= 1, got {num_users!r}")
-        extra = num_users - self.num_users
-        self.num_users = num_users
-        for _ in range(max(0, extra)):
-            self.sim.schedule_after(0.0, self._issue)
-
     def _issue(self) -> None:
         if self._stopped:
             return
-        if len(self._pending) >= self.num_users:
-            return  # population was shrunk; retire this user
         req = self.factory.create(self.sim.now)
         self.generated += 1
         handle = None

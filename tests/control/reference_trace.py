@@ -15,7 +15,6 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.control.bus import ControlBus
 from repro.control.events import NOOP, DecisionEvent
 
 __all__ = ["ReferenceTrace"]
@@ -37,29 +36,8 @@ class ReferenceTrace:
     # recording
     # ------------------------------------------------------------------
     def append(self, event: DecisionEvent) -> None:
-        """Record one event (also the bus-subscription entry point)."""
+        """Record one event."""
         self._events.append(event)
-
-    def attach(self, bus: ControlBus) -> "ReferenceTrace":
-        """Subscribe this trace to a bus; returns self for chaining."""
-        bus.subscribe(DecisionEvent, self.append)
-        return self
-
-    def record(
-        self,
-        time: float,
-        kind: str,
-        tier: str,
-        value: int | None = None,
-        detail: str = "",
-        source: str = "",
-        reason: str = "",
-        estimate: float | None = None,
-    ) -> None:
-        """Append one event from fields."""
-        self._events.append(
-            DecisionEvent(time, kind, tier, value, detail, source, reason, estimate)
-        )
 
     # ------------------------------------------------------------------
     # queries

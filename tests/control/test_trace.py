@@ -243,11 +243,3 @@ def test_columnar_trace_matches_the_reference(seed, monkeypatch):
         DecisionTrace.from_columns(columns), ReferenceTrace.from_columns(columns)
     )
 
-
-def test_record_matches_append():
-    events = random_events(5, count=40)
-    recorded = DecisionTrace()
-    for e in events:
-        recorded.record(e.time, e.kind, e.tier, e.value, e.detail, e.source,
-                        e.reason, e.estimate)
-    assert_matches_reference(recorded, ReferenceTrace(events))

@@ -44,8 +44,8 @@ def build_stack(topology=(1, 2, 2)):
     hv = Hypervisor(sim, prep_period=2.0)
     bus = ControlBus()
     wh = MetricWarehouse(sim, fine_interval=0.5)
-    trace = DecisionTrace()
-    actuator = Actuator(sim, app, hv, factory, wh, trace, bus)
+    trace = DecisionTrace().attach(bus)
+    actuator = Actuator(sim, app, hv, factory, wh, bus)
     for tier, n in zip((WEB, APP, DB), topology):
         actuator.bootstrap(tier, n)
     return sim, app, actuator, hv, wh, bus, trace

@@ -171,6 +171,20 @@ def test_deep_bus_vocabulary_fixture():
     assert not any("'defaulted_kind'" in m for m in messages)
 
 
+def test_deep_bus_row_replay_is_not_an_emission():
+    # fixtures/deep_events/repro/control/trace.py rebuilds stored events
+    # with DecisionEvent(*row). That replays, it does not emit, so the
+    # graph stays complete and the ghost-kind proof above can run.
+    from repro.lintpass.project import ProjectIndex
+    from repro.lintpass.rules_deep_events import bus_graph
+
+    graph = bus_graph(ProjectIndex.build([os.path.join(FIXTURES, "deep_events")]))
+    assert graph.complete is True
+    assert not any(
+        os.path.basename(r.file.path) == "trace.py" for r in graph.emissions
+    )
+
+
 def test_deep_bus_dynamic_binding_disables_absence_proofs():
     # The only emitter binds `kind` via **payload: the emitted-kind set
     # is a lower bound, so the publisher-less-handler proof must not
@@ -282,3 +296,28 @@ def test_source_tree_is_deep_clean():
     assert any(v.rule == "deep-frozen-flow" for v in report.suppressed)
     assert report.schema_fingerprint is not None
     assert isinstance(report.schema_version, int)
+
+
+def test_source_tree_bus_graph_is_complete():
+    """Every emission in the shipped tree resolves, so the vocabulary
+    rule's absence proofs (publisher-less handlers, over-declared
+    decision kinds) run on it. A refactor that hides an emission from
+    the call graph (say, a ``self.bus.publish(DecisionEvent(...))``
+    whose kind arrives through an unresolvable call) fails here."""
+    import repro
+    from repro.control.events import (
+        FAULT_KINDS,
+        HARDWARE_KINDS,
+        MODE_KINDS,
+        SOFT_KINDS,
+    )
+    from repro.lintpass.project import ProjectIndex
+    from repro.lintpass.rules_deep_events import bus_graph
+
+    package_dir = os.path.dirname(os.path.abspath(repro.__file__))
+    graph = bus_graph(ProjectIndex.build([package_dir]))
+    assert graph.complete is True
+    expected = set(MODE_KINDS + HARDWARE_KINDS + SOFT_KINDS + FAULT_KINDS)
+    assert expected <= graph.emitted_kinds(), sorted(
+        expected - graph.emitted_kinds()
+    )

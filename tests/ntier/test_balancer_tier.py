@@ -150,28 +150,3 @@ def test_collect_drained_waits_for_idle():
     assert tier.collect_drained() == [s2]
     assert tier.draining == []
 
-
-def test_change_notifications():
-    sim = Simulator()
-    tier = Tier("app")
-    events = []
-    tier.on_change(events.append)
-    s1, s2 = make_servers(sim, 2)
-    tier.add_server(s1)
-    tier.add_server(s2)
-    tier.begin_drain(s2)
-    tier.collect_drained()
-    assert events == ["add", "add", "drain", "retire"]
-
-
-def test_total_admitted_and_utilization():
-    sim = Simulator()
-    tier = Tier("db")
-    servers = make_servers(sim, 2, tier="db")
-    for s in servers:
-        tier.add_server(s)
-    from repro.ntier.request import Request
-
-    servers[0].admit(Request(0, "X", 0.0, {"db": 1.0}), lambda r: None)
-    assert tier.total_admitted() == 1
-    assert tier.mean_utilization() == pytest.approx(0.0)  # admitted, not active

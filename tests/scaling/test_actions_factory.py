@@ -1,7 +1,8 @@
-"""Tests for the decision trace's record surface and the server factory."""
+"""Tests for the decision trace's append surface and the server factory."""
 
 import pytest
 
+from repro.control.events import DecisionEvent
 from repro.control.trace import DecisionTrace
 from repro.errors import ConfigurationError
 from repro.scaling.factory import ServerFactory
@@ -11,14 +12,14 @@ from tests.conftest import simple_capacity
 
 
 # ----------------------------------------------------------------------
-# DecisionTrace.record
+# DecisionTrace.append
 # ----------------------------------------------------------------------
 
 def test_record_and_query():
     log = DecisionTrace()
-    log.record(1.0, "scale_out_started", "db", detail="db-vm1")
-    log.record(16.0, "scale_out_ready", "db", detail="db-2")
-    log.record(20.0, "soft_db_connections", "app", value=12)
+    log.append(DecisionEvent(1.0, "scale_out_started", "db", detail="db-vm1"))
+    log.append(DecisionEvent(16.0, "scale_out_ready", "db", detail="db-2"))
+    log.append(DecisionEvent(20.0, "soft_db_connections", "app", value=12))
     assert len(log) == 3
     assert [a.kind for a in log.of_kind("scale_out_ready")] == ["scale_out_ready"]
     assert len(log.for_tier("db")) == 2
@@ -27,7 +28,7 @@ def test_record_and_query():
 
 def test_render_contains_values():
     log = DecisionTrace()
-    log.record(2.5, "soft_app_threads", "app", value=30)
+    log.append(DecisionEvent(2.5, "soft_app_threads", "app", value=30))
     text = DecisionTrace.render(log.all())
     assert "soft_app_threads" in text
     assert "30" in text
@@ -36,7 +37,7 @@ def test_render_contains_values():
 def test_iteration_order_is_insertion():
     log = DecisionTrace()
     for t in (3.0, 1.0, 2.0):  # log is append-only, keeps call order
-        log.record(t, "x", "db")
+        log.append(DecisionEvent(t, "x", "db"))
     assert [a.time for a in log] == [3.0, 1.0, 2.0]
 
 

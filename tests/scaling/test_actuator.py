@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cloud.hypervisor import Hypervisor
+from repro.control.bus import ControlBus
 from repro.control.trace import DecisionTrace
 from repro.errors import ScalingError
 from repro.monitoring.warehouse import MetricWarehouse
@@ -24,8 +25,13 @@ def make_stack(prep=15.0, soft=None):
         factory.set_template(tier, simple_capacity(1000), soft.for_tier(tier))
     hv = Hypervisor(sim, prep_period=prep)
     wh = MetricWarehouse(sim)
-    actuator = Actuator(sim, app, hv, factory, wh, DecisionTrace())
+    actuator = Actuator(sim, app, hv, factory, wh, ControlBus())
     return sim, app, actuator
+
+
+def recorded(actuator):
+    """A trace of what ``actuator`` publishes from now on."""
+    return DecisionTrace().attach(actuator.bus)
 
 
 def bootstrap_all(sim, actuator, topology=(1, 1, 1)):
@@ -36,16 +42,18 @@ def bootstrap_all(sim, actuator, topology=(1, 1, 1)):
 
 def test_bootstrap_builds_topology_immediately():
     sim, app, actuator = make_stack()
+    trace = recorded(actuator)
     bootstrap_all(sim, actuator, (1, 2, 1))
     assert app.topology() == (1, 2, 1)
     assert set(app.conn_pools) == {"app-1", "app-2"}
     # bootstrap events are distinguishable from scale-outs
-    kinds = {a.kind for a in actuator.log}
+    kinds = {a.kind for a in trace}
     assert kinds == {"bootstrap_ready"}
 
 
 def test_scale_out_waits_prep_period():
     sim, app, actuator = make_stack(prep=15.0)
+    trace = recorded(actuator)
     bootstrap_all(sim, actuator)
     actuator.scale_out(DB)
     assert actuator.action_in_flight(DB)
@@ -54,17 +62,20 @@ def test_scale_out_waits_prep_period():
     sim.run(until=15.1)
     assert app.topology() == (1, 1, 2)
     assert not actuator.action_in_flight(DB)
-    assert actuator.log.scale_out_times(DB) == [pytest.approx(15.0)]
+    assert trace.scale_out_times(DB) == [pytest.approx(15.0)]
 
 
 def test_scale_out_notifies_listeners():
     sim, app, actuator = make_stack(prep=1.0)
     bootstrap_all(sim, actuator)
     events = []
-    actuator.on_hardware_change(lambda tier, kind: events.append((tier, kind)))
+    actuator.bus.subscribe(lambda e: events.append((e.tier, e.kind, e.source)))
     actuator.scale_out(APP)
     sim.run(until=2.0)
-    assert events == [(APP, "scale_out_ready")]
+    assert events == [
+        (APP, "scale_out_started", "actuator"),
+        (APP, "scale_out_ready", "actuator"),
+    ]
 
 
 def test_new_app_server_gets_current_db_connections():
@@ -78,6 +89,7 @@ def test_new_app_server_gets_current_db_connections():
 
 def test_scale_in_drains_then_stops():
     sim, app, actuator = make_stack(prep=0.5)
+    trace = recorded(actuator)
     bootstrap_all(sim, actuator, (1, 2, 1))
     # occupy app-2 so the drain has to wait
     server = app.tiers[APP].servers[1]
@@ -91,7 +103,7 @@ def test_scale_in_drains_then_stops():
     sim.run(until=5.0)
     assert not actuator.action_in_flight(APP)
     assert "app-2" not in app.conn_pools
-    kinds = [a.kind for a in actuator.log.for_tier(APP)]
+    kinds = [a.kind for a in trace.for_tier(APP)]
     assert kinds[-1] == "scale_in_done"
 
 
@@ -111,11 +123,12 @@ def test_soft_resizes_hit_live_servers_and_templates():
 
 def test_soft_resize_noop_not_logged():
     sim, app, actuator = make_stack()
+    trace = recorded(actuator)
     bootstrap_all(sim, actuator)
-    n_before = len(actuator.log)
+    n_before = len(trace)
     actuator.set_db_connections(actuator.db_connections)
     actuator.set_app_threads(actuator.factory.thread_limit(APP))
-    assert len(actuator.log) == n_before
+    assert len(trace) == n_before
 
 
 def test_soft_resize_validation():
@@ -129,10 +142,11 @@ def test_soft_resize_validation():
 
 def test_soft_actions_logged():
     sim, app, actuator = make_stack()
+    trace = recorded(actuator)
     bootstrap_all(sim, actuator)
     actuator.set_app_threads(30)
     actuator.set_db_connections(10)
-    kinds = [a.kind for a in actuator.log if a.kind.startswith("soft")]
+    kinds = [a.kind for a in trace if a.kind.startswith("soft")]
     assert kinds == ["soft_app_threads", "soft_db_connections"]
-    values = [a.value for a in actuator.log if a.kind.startswith("soft")]
+    values = [a.value for a in trace if a.kind.startswith("soft")]
     assert values == [30, 10]

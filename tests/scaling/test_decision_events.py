@@ -11,7 +11,9 @@ that justified them) are asserted for the frameworks that make them.
 import pytest
 
 from repro.cloud.hypervisor import Hypervisor
+from repro.control.bus import ControlBus
 from repro.control.events import THRESHOLD_TRIP
+from repro.control.trace import DecisionTrace
 from repro.monitoring.warehouse import MetricWarehouse
 from repro.ntier.app import APP, DB, WEB, NTierApplication, SoftResourceAllocation
 from repro.scaling.actuator import Actuator
@@ -63,7 +65,9 @@ def run_lifecycle(framework: str, high_until: float = 8.0, until: float = 30.0):
     # before the controller's same-instant tick reads the state.)
     hypervisor = Hypervisor(sim, prep_period=1.5)
     warehouse = MetricWarehouse(sim)
-    actuator = Actuator(sim, app, hypervisor, factory, warehouse)
+    bus = ControlBus()
+    trace = DecisionTrace().attach(bus)
+    actuator = Actuator(sim, app, hypervisor, factory, warehouse, bus)
     for tier in (WEB, APP, DB):
         actuator.bootstrap(tier, 1)
     # Synthetic smoothed-CPU signal: saturated during the burst, idle
@@ -75,7 +79,7 @@ def run_lifecycle(framework: str, high_until: float = 8.0, until: float = 30.0):
     controller = CONTROLLERS[framework](sim, warehouse, actuator)
     sim.run(until=until)
     controller.stop()
-    return controller, actuator.log
+    return controller, trace
 
 
 @pytest.mark.parametrize("framework", sorted(CONTROLLERS))

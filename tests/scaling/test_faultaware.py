@@ -43,14 +43,6 @@ class _FakeSim:
         self.now = 0.0
 
 
-class _FakeBus:
-    def __init__(self):
-        self.subscriptions = []
-
-    def subscribe(self, event_type, handler):
-        self.subscriptions.append((event_type, handler))
-
-
 class _FakeApp:
     tiers = ("web", "app", "db")
 
@@ -80,7 +72,6 @@ class _FakePolicy:
 class _Harness(FaultAwareMixin):
     def __init__(self):
         self.sim = _FakeSim()
-        self.bus = _FakeBus()
         self.actuator = _FakeActuator()
         self.policy = _FakePolicy()
         self.emitted = []
@@ -107,12 +98,11 @@ def test_mixin_is_inert_until_enabled():
     h = _Harness()
     assert not h.fault_aware
     assert h.scalein_blocked("db", 0.0) is None
-    assert h.bus.subscriptions == []
     h.enable_fault_awareness()
     assert h.fault_aware
-    assert len(h.bus.subscriptions) == 1
-    h.enable_fault_awareness()  # idempotent
-    assert len(h.bus.subscriptions) == 1
+    h._on_fault_event(_event("fault_injected", "*", reason="prov:*:fail@24+6: x"))
+    h.enable_fault_awareness()  # idempotent: the open episode survives
+    assert h.scalein_blocked("db", 1.0) == "provisioning-fault episode open"
 
 
 def test_prov_episode_suspends_scalein_until_settle_expires(harness):

@@ -8,7 +8,7 @@ from repro.scaling.conscale import ConScaleController
 from repro.scaling.estimator import TierEstimate
 from repro.sct.model import SCTEstimate
 
-from tests.scaling.test_actuator import bootstrap_all, make_stack
+from tests.scaling.test_actuator import bootstrap_all, make_stack, recorded
 
 
 def make_server_estimate(optimal, saturated=True, hw=True):
@@ -71,10 +71,11 @@ def test_set_app_threads_for_unknown_server():
 
 def test_set_app_threads_for_noop_not_logged():
     sim, app, actuator = make_stack()
+    trace = recorded(actuator)
     bootstrap_all(sim, actuator)
-    n = len(actuator.log)
+    n = len(trace)
     actuator.set_app_threads_for("app-1", 60)  # already 60
-    assert len(actuator.log) == n
+    assert len(trace) == n
 
 
 # ----------------------------------------------------------------------

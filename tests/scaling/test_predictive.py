@@ -8,7 +8,7 @@ from repro.ntier.request import Request
 from repro.scaling.policy import TierPolicyConfig
 from repro.scaling.predictive import PredictiveAutoScaling
 
-from tests.scaling.test_actuator import bootstrap_all, make_stack
+from tests.scaling.test_actuator import bootstrap_all, make_stack, recorded
 
 
 def ramp_db_load(sim, app, rate_per_sec, duration, demand=1000.0):
@@ -45,13 +45,14 @@ def test_predicted_cpu_extrapolates_trend():
 
 def test_predictive_scales_before_threshold():
     sim, app, actuator = make_stack(prep=15.0)
+    trace = recorded(actuator)
     bootstrap_all(sim, actuator)
     PredictiveAutoScaling(
         sim, actuator.warehouse, actuator, {"db": TierPolicyConfig()},
     )
     ramp_db_load(sim, app, rate_per_sec=20, duration=40)
     sim.run(until=40.0)
-    outs = actuator.log.of_kind("scale_out_started")
+    outs = trace.of_kind("scale_out_started")
     assert outs, "expected a proactive scale-out"
     t_first = outs[0].time
     # reactive crossing of 0.8 happens at ~40 s; proactive must fire
@@ -61,6 +62,7 @@ def test_predictive_scales_before_threshold():
 
 def test_predictive_does_not_act_when_cold():
     sim, app, actuator = make_stack(prep=15.0)
+    trace = recorded(actuator)
     bootstrap_all(sim, actuator)
     PredictiveAutoScaling(
         sim, actuator.warehouse, actuator, {"db": TierPolicyConfig()},
@@ -68,7 +70,7 @@ def test_predictive_does_not_act_when_cold():
     # a steep *relative* trend at very low utilisation: 0 -> 0.2
     ramp_db_load(sim, app, rate_per_sec=10, duration=20)
     sim.run(until=20.0)
-    assert not actuator.log.of_kind("scale_out_started")
+    assert not trace.of_kind("scale_out_started")
 
 
 def test_predictive_framework_via_runner():

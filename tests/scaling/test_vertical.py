@@ -5,7 +5,7 @@ import pytest
 from repro.errors import CloudError, ScalingError
 from repro.ntier.request import Request
 
-from tests.scaling.test_actuator import bootstrap_all, make_stack
+from tests.scaling.test_actuator import bootstrap_all, make_stack, recorded
 
 
 def test_server_set_capacity_rerates_inflight_work():
@@ -53,13 +53,14 @@ def test_hypervisor_resize_requires_running():
 
 def test_actuator_scale_up_doubles_capacity():
     sim, app, actuator = make_stack(prep=0.0)
+    trace = recorded(actuator)
     bootstrap_all(sim, actuator)
     server = app.tiers["db"].servers[0]
     before = server.capacity.saturation_concurrency
     assert actuator.scale_up("db", factor=2.0) is True
     sim.run(until=5.0)
     assert server.capacity.saturation_concurrency == pytest.approx(2 * before)
-    kinds = [a.kind for a in actuator.log if "scale_up" in a.kind]
+    kinds = [a.kind for a in trace if "scale_up" in a.kind]
     assert kinds == ["scale_up_started", "scale_up_done"]
 
 
@@ -86,7 +87,7 @@ def test_scale_up_notifies_and_resets_history():
     server_name = app.tiers["db"].servers[0].name
     assert len(actuator.warehouse.fine_samples(server_name, window=10.0))
     events = []
-    actuator.on_hardware_change(lambda tier, kind: events.append(kind))
+    actuator.bus.subscribe(lambda e: events.append(e.kind))
     actuator.scale_up("db")
     sim.run(until=6.0)
     assert "scale_up_done" in events
@@ -101,6 +102,7 @@ def test_vertical_first_controller_prefers_scale_up():
     from tests.scaling.test_policy import load_db
 
     sim, app, actuator = make_stack(prep=0.0)
+    trace = recorded(actuator)
     bootstrap_all(sim, actuator)
     config = TierPolicyConfig(
         prefer_vertical=True, max_vcpus=2.0, out_cooldown=5.0
@@ -108,10 +110,10 @@ def test_vertical_first_controller_prefers_scale_up():
     EC2AutoScaling(sim, actuator.warehouse, actuator, {"db": config})
     load_db(app, 900)  # util 0.9 on the a_sat=1000 test server
     sim.run(until=10.0)
-    ups = actuator.log.of_kind("scale_up_done")
+    ups = trace.of_kind("scale_up_done")
     assert ups, "expected a vertical scale-up first"
-    assert not actuator.log.of_kind("scale_out_started")
+    assert not trace.of_kind("scale_out_started")
     # once at the vCPU cap, the next breach adds a VM instead
     load_db(app, 1200)
     sim.run(until=25.0)
-    assert actuator.log.of_kind("scale_out_started")
+    assert trace.of_kind("scale_out_started")

@@ -32,7 +32,8 @@ def make_rig(sim, rng, trace, *, faults=None, bus=None):
         think_time=1.0, trace=trace,
     )
     governor = ModeGovernor(
-        sim, app, generator, stepper, factory, bus,
+        sim, app, generator, stepper, factory,
+        bus if bus is not None else ControlBus(),
         trace=trace, faults=faults,
     )
     return app, generator, stepper, governor
@@ -123,7 +124,7 @@ def test_switches_publish_mode_decision_events(sim, rng):
     trace = Trace("flat", [0.0, 60.0], [100.0, 100.0])
     bus = ControlBus()
     seen: list[DecisionEvent] = []
-    bus.subscribe(DecisionEvent, seen.append)
+    bus.subscribe(seen.append)
     _, generator, stepper, governor = make_rig(sim, rng, trace, bus=bus)
     generator.start()
     governor.start()

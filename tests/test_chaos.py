@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cloud.hypervisor import Hypervisor
-from repro.control.trace import DecisionTrace
+from repro.control.bus import ControlBus
 from repro.faults.injector import apply_slowdown, remove_slowdown
 from repro.monitoring.warehouse import MetricWarehouse
 from repro.ntier.app import APP, DB, WEB, NTierApplication, SoftResourceAllocation
@@ -51,7 +51,7 @@ def build_stack():
     factory.set_template(DB, simple_capacity(10, kappa=1e-4), 100_000)
     hv = Hypervisor(sim, prep_period=2.0)
     wh = MetricWarehouse(sim, fine_interval=0.5)
-    actuator = Actuator(sim, app, hv, factory, wh, DecisionTrace())
+    actuator = Actuator(sim, app, hv, factory, wh, ControlBus())
     for tier in (WEB, APP, DB):
         actuator.bootstrap(tier, 1)
     return sim, app, actuator

@@ -204,19 +204,6 @@ def test_closed_loop_stop(sim, rng):
     assert app.in_flight == 0  # all in-flight finished, none re-issued
 
 
-def test_closed_loop_grow_population(sim, rng):
-    app = build_app(sim, db_a_sat=1000)
-    gen = ClosedLoopGenerator(
-        sim, app, 2, make_factory(rng), rng.stream("u"), think_time=0.0
-    )
-    gen.start()
-    sim.schedule(0.1, gen.set_population, 6)
-    observed = []
-    sim.schedule(0.2, lambda: observed.append(app.in_flight))
-    sim.run(until=0.3)
-    assert observed == [6]
-
-
 def test_closed_loop_validation(sim, rng):
     app = build_app(sim)
     with pytest.raises(ConfigurationError):
@@ -232,17 +219,18 @@ def test_closed_loop_validation(sim, rng):
 
 def test_closed_loop_timeout_validation(sim, rng):
     app = build_app(sim)
+    gen = ClosedLoopGenerator(sim, app, 1, make_factory(rng), rng.stream("u"))
     with pytest.raises(ConfigurationError):
-        ClosedLoopGenerator(sim, app, 1, make_factory(rng), rng.stream("u"),
-                            timeout=0.0)
+        gen.set_client_timeout(0.0)
 
 
 def test_generous_timeout_changes_nothing(sim, rng):
     app = build_app(sim, db_a_sat=1000)
     gen = ClosedLoopGenerator(
         sim, app, 4, make_factory(rng, cv=0.0), rng.stream("u"),
-        think_time=0.0, timeout=10.0,
+        think_time=0.0,
     )
+    gen.set_client_timeout(10.0)
     gen.start()
     sim.run(until=10.0)
     assert gen.timeouts == 0
@@ -254,8 +242,9 @@ def test_tight_timeout_under_overload_abandons_and_retries(sim, rng):
     app = build_app(sim, db_a_sat=1.0)
     gen = ClosedLoopGenerator(
         sim, app, 20, make_factory(rng, cv=0.0), rng.stream("u"),
-        think_time=0.0, timeout=0.030,
+        think_time=0.0,
     )
+    gen.set_client_timeout(0.030)
     gen.start()
     sim.run(until=10.0)
     assert gen.timeouts > 50, "expected many abandonments under overload"
@@ -270,8 +259,9 @@ def test_timeout_survivors_still_counted_once(sim, rng):
     app = build_app(sim, db_a_sat=1.0)
     gen = ClosedLoopGenerator(
         sim, app, 5, make_factory(rng, cv=0.0), rng.stream("u"),
-        think_time=0.0, timeout=0.020,
+        think_time=0.0,
     )
+    gen.set_client_timeout(0.020)
     gen.start()
     sim.run(until=5.0)
     gen.stop()
