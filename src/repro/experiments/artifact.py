@@ -26,6 +26,7 @@ import dataclasses
 import hashlib
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -50,6 +51,7 @@ __all__ = [
     "RunArtifact",
     "decode_interactions",
     "DecodedInteractions",
+    "DerivedLatencies",
 ]
 
 #: Bump to invalidate every cached artifact (layout or semantics change).
@@ -97,6 +99,12 @@ __all__ = [
 #: objects. ``signature()`` digests the same ``(tier, time, optimal,
 #: q_upper, actionable)`` Python scalars from either form, and
 #: :meth:`RunArtifact.__setstate__` converts the lists on load.
+#: Still v7: the artifact no longer stores ``latencies``, where v7
+#: entries written before kept it as a column. It is derived on read
+#: from the completion and arrival columns by the very operations that
+#: built the stored one, ``signature()`` digests it in chunks
+#: (:class:`DerivedLatencies`) to the same entry, and
+#: :meth:`RunArtifact.__setstate__` drops the stored column on load.
 SCHEMA_VERSION = 7
 
 # Grace period after the trace ends for in-flight requests to drain
@@ -127,7 +135,7 @@ def canonical(value):
         arr = np.ascontiguousarray(value)
         # sha256 reads a contiguous array's buffer in place: no copy.
         return ("nd", str(arr.dtype), arr.shape, hashlib.sha256(arr).hexdigest())
-    if isinstance(value, DecodedInteractions):
+    if isinstance(value, (DecodedInteractions, DerivedLatencies)):
         return value.encode()
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         cls = type(value)
@@ -306,7 +314,9 @@ class FineSeries:
 
     Values are in the run's *scaled* domain (like the live
     ``IntervalMonitor``): figure code converts with ``config.rt_scale``
-    exactly as it did against the warehouse.
+    exactly as it did against the warehouse. The runner passes the
+    float64 columns over as writeable views of the closed monitor's
+    block rows, not copies; ``completions`` is an int64 copy of its row.
     """
 
     server: str
@@ -330,8 +340,19 @@ def decode_interactions(codes: np.ndarray, names: tuple[str, ...]) -> np.ndarray
     return np.array(names, dtype=str)[codes]
 
 
-#: Codes :class:`DecodedInteractions` decodes and hashes per step.
+#: Rows :class:`DecodedInteractions` and :class:`DerivedLatencies` build
+#: and hash per step.
 DECODE_CHUNK = 1 << 16
+
+
+def _chunked_entry(size: int, rows: Callable[[int, int], np.ndarray]) -> tuple:
+    """The ``("nd", dtype, (size,), sha256)`` entry of a column whose
+    rows ``[start, stop)`` are ``rows(start, stop)``, built and hashed
+    :data:`DECODE_CHUNK` rows at a time."""
+    digest = hashlib.sha256()
+    for start in range(0, size, DECODE_CHUNK):
+        digest.update(rows(start, start + DECODE_CHUNK))
+    return ("nd", str(rows(0, 0).dtype), (size,), digest.hexdigest())
 
 
 class DecodedInteractions:
@@ -351,19 +372,55 @@ class DecodedInteractions:
 
     def encode(self) -> tuple:
         table = np.array(self.names, dtype=str)
-        digest = hashlib.sha256()
-        for start in range(0, self.codes.size, DECODE_CHUNK):
-            digest.update(table[self.codes[start:start + DECODE_CHUNK]])
-        return ("nd", str(table.dtype), self.codes.shape, digest.hexdigest())
+        codes = self.codes
+        return _chunked_entry(codes.size, lambda a, b: table[codes[a:b]])
+
+
+def _derive_latencies(
+    completion_times: np.ndarray, arrival_times: np.ndarray, rt_scale: float
+) -> np.ndarray:
+    """Base-scale latencies: completion minus arrival, divided in place
+    by ``rt_scale``."""
+    latencies = completion_times - arrival_times
+    latencies /= rt_scale
+    return latencies
+
+
+class DerivedLatencies:
+    """:attr:`RunArtifact.latencies` for digesting, never built.
+
+    :func:`canonical` encodes it to the very ``("nd", "float64", shape,
+    sha256)`` entry of the derived column, but derives and hashes
+    :data:`DECODE_CHUNK` rows at a time: the operations are elementwise,
+    so each chunk holds the whole column's bits for its rows.
+    """
+
+    __slots__ = ("completion_times", "arrival_times", "rt_scale")
+
+    def __init__(
+        self, completion_times: np.ndarray, arrival_times: np.ndarray,
+        rt_scale: float,
+    ) -> None:
+        self.completion_times = completion_times
+        self.arrival_times = arrival_times
+        self.rt_scale = rt_scale
+
+    def encode(self) -> tuple:
+        comp, arr, scale = self.completion_times, self.arrival_times, self.rt_scale
+        return _chunked_entry(
+            comp.size, lambda a, b: _derive_latencies(comp[a:b], arr[a:b], scale)
+        )
 
 
 @dataclass
 class RunArtifact:
     """Serializable outcome of one scenario run.
 
-    Latencies are already converted to base-scale seconds (the
-    load-scaling contract); fine-grained series stay in the scaled
-    domain like the monitors that produced them. Each request's RUBBoS
+    It stores what the run measured. :attr:`latencies` is derived on
+    every read from the completion and arrival columns, already
+    converted to base-scale seconds (the load-scaling contract);
+    fine-grained series stay in the scaled domain like the monitors
+    that produced them. Each request's RUBBoS
     interaction is kept as a uint16 code into ``interaction_names``
     (2 bytes a request, where one ``<U`` string costs 4 per character);
     :attr:`interactions` decodes them on read. The decision trace and
@@ -375,7 +432,6 @@ class RunArtifact:
     """
 
     spec: RunSpec
-    latencies: np.ndarray
     completion_times: np.ndarray
     arrival_times: np.ndarray
     #: uint16, one per request: an index into ``interaction_names``.
@@ -400,6 +456,10 @@ class RunArtifact:
     schema: int = SCHEMA_VERSION
 
     def __setstate__(self, state: dict) -> None:
+        # Entries written before the derived latencies kept the column.
+        if "latencies" in state:
+            state = dict(state)
+            del state["latencies"]
         # Entries written before the codes kept ``interactions``, the
         # decoded ``<U`` array (the longest name present, so decoding
         # the converted codes gives it back byte for byte).
@@ -441,6 +501,15 @@ class RunArtifact:
         codes on every read (see :func:`decode_interactions`)."""
         return decode_interactions(self.interaction_codes, self.interaction_names)
 
+    @property
+    def latencies(self) -> np.ndarray:
+        """Base-scale latency of each request (seconds), derived on every
+        read: completion minus arrival, divided in place by
+        ``config.rt_scale``."""
+        return _derive_latencies(
+            self.completion_times, self.arrival_times, self.config.rt_scale
+        )
+
     def signature(self) -> str:
         """Content digest of the artifact's recorded series.
 
@@ -451,7 +520,8 @@ class RunArtifact:
         deep-digest-provenance lint rule cross-checks this against the
         dataclass). The interaction column is digested decoded (in
         chunks, see :class:`DecodedInteractions`), so a signature does
-        not depend on the order of the name table.
+        not depend on the order of the name table; the derived latencies
+        are digested in chunks too (:class:`DerivedLatencies`).
         """
         return content_digest(
             (
@@ -459,7 +529,9 @@ class RunArtifact:
                 self.schema,
                 self.spec.digest(),
                 self.actions.signature_key(),
-                self.latencies,
+                DerivedLatencies(
+                    self.completion_times, self.arrival_times, self.config.rt_scale
+                ),
                 self.completion_times,
                 self.arrival_times,
                 DecodedInteractions(self.interaction_codes, self.interaction_names),

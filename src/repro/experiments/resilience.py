@@ -230,11 +230,12 @@ def storyline_ttr(artifact, baseline=None) -> float:
         if artifact.completion_times.size
         else float(artifact.config.duration)
     )
+    latencies, twin_latencies = artifact.latencies, baseline.latencies
     twin_recovery = tuple(
         recovery_vs_twin(
-            artifact.latencies,
+            latencies,
             artifact.completion_times,
-            baseline.latencies,
+            twin_latencies,
             baseline.completion_times,
             ep,
             horizon,

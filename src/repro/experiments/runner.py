@@ -2,8 +2,8 @@
 
 ``run_experiment("conscale", config)`` builds the whole stack — cloud,
 application, workload, monitoring, controller — runs the trace, and
-returns a :class:`~repro.experiments.artifact.RunArtifact` with
-latencies already converted back to base-scale seconds (see
+returns a :class:`~repro.experiments.artifact.RunArtifact` whose
+latencies read in base-scale seconds (see
 :class:`~repro.experiments.scenarios.ScenarioConfig` for the
 load-scaling contract).
 
@@ -28,7 +28,7 @@ from repro.experiments.artifact import (
 )
 from repro.experiments.scenarios import ScenarioConfig
 from repro.faults.injector import FaultInjector
-from repro.faults.summary import ResilienceSummary, build_resilience_summary
+from repro.faults.summary import build_resilience_summary
 from repro.cloud.hypervisor import Hypervisor
 from repro.control.bus import ControlBus
 from repro.control.trace import DecisionTrace
@@ -284,15 +284,22 @@ def execute_spec(spec: RunSpec, *, sim: Simulator | None = None) -> RunArtifact:
             [s.t_end for s in samples], [s.cpu for s in samples]
         )
 
+    # The run is over: the log's columns and the monitors' float64 rows
+    # pass to the artifact as writeable views of their buffers, not
+    # copies, and the latencies are derived from the log's columns on
+    # read. Only the fine completions are copied, to the int dtype the
+    # signature digests.
+    log.close()
+    warehouse.close()
     fine_series: dict[str, FineSeries] = {}
     for name, (tier, fine) in sorted(warehouse.all_fine_samples(window).items()):
         fine_series[name] = FineSeries(
             server=name,
             tier=tier,
-            t_end=fine.t_end.copy(),
-            concurrency=fine.concurrency.copy(),
-            throughput=fine.throughput.copy(),
-            response_time=fine.response_time.copy(),
+            t_end=fine.t_end,
+            concurrency=fine.concurrency,
+            throughput=fine.throughput,
+            response_time=fine.response_time,
             completions=fine.completions.astype(int),
         )
 
@@ -303,33 +310,10 @@ def execute_spec(spec: RunSpec, *, sim: Simulator | None = None) -> RunArtifact:
             for tier in (APP, DB)
         }
 
-    # The run is over: the log's columns pass to the artifact as views
-    # of its buffers, not copies. Only the latencies are a new column.
-    log.close()
-    completion_times = log.completion_times
-    arrival_times = log.arrival_times
-    latencies = completion_times - arrival_times
-    latencies /= config.rt_scale
-    resilience: ResilienceSummary | None = None
-    if injector is not None:
-        resilience = build_resilience_summary(
-            injector.episodes,
-            failed=app.failed,
-            retried=generator.retried,
-            timeouts=generator.timeouts,
-            abandoned=generator.abandoned,
-            latencies=latencies,
-            completion_times=completion_times,
-            horizon=config.duration + DRAIN_GRACE,
-            storyline=spec.faults.storyline,
-            trace=actions,
-        )
-
-    return RunArtifact(
+    artifact = RunArtifact(
         spec=spec,
-        latencies=latencies,
-        completion_times=completion_times,
-        arrival_times=arrival_times,
+        completion_times=log.completion_times,
+        arrival_times=log.arrival_times,
         interaction_codes=log.interaction_codes,
         interaction_names=log.interaction_names,
         generated=generator.generated + (stepper.generated if stepper else 0),
@@ -343,5 +327,18 @@ def execute_spec(spec: RunSpec, *, sim: Simulator | None = None) -> RunArtifact:
         fine_series=fine_series,
         failed=app.failed,
         retried=generator.retried,
-        resilience=resilience,
     )
+    if injector is not None:
+        artifact.resilience = build_resilience_summary(
+            injector.episodes,
+            failed=app.failed,
+            retried=generator.retried,
+            timeouts=generator.timeouts,
+            abandoned=generator.abandoned,
+            latencies=artifact.latencies,
+            completion_times=artifact.completion_times,
+            horizon=config.duration + DRAIN_GRACE,
+            storyline=spec.faults.storyline,
+            trace=actions,
+        )
+    return artifact

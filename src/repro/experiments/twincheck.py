@@ -39,6 +39,7 @@ from repro.control.trace import DecisionTrace
 from repro.errors import ConfigurationError, TwinDivergenceError
 from repro.experiments.artifact import (
     DecodedInteractions,
+    DerivedLatencies,
     RunArtifact,
     RunSpec,
     content_digest,
@@ -143,7 +144,10 @@ def observable_digests(artifact: RunArtifact) -> dict[str, str]:
             (
                 artifact.arrival_times,
                 artifact.completion_times,
-                artifact.latencies,
+                DerivedLatencies(
+                    artifact.completion_times, artifact.arrival_times,
+                    artifact.config.rt_scale,
+                ),
                 DecodedInteractions(
                     artifact.interaction_codes, artifact.interaction_names
                 ),

@@ -16,7 +16,9 @@ equivalent to (but far cheaper than) post-processing the full log.
 
 The samples are stored as columns: one float64 block with a row per
 field and a column per interval. Readers get an :class:`IntervalWindow`
-of named column views and never see the layout.
+of named column views and never see the layout. The views are read-only
+until the run's end, when :meth:`IntervalMonitor.close` hands them over
+writeable.
 """
 
 from __future__ import annotations
@@ -45,9 +47,10 @@ _INITIAL_COLUMNS = 256
 class IntervalWindow:
     """Consecutive interval samples of one server, as named columns.
 
-    Each field is a read-only float64 array with one entry per interval,
-    oldest first. ``len()`` counts the intervals and slicing
-    (``window[a:b]``) selects a run of them.
+    Each field is a float64 array with one entry per interval, oldest
+    first, read-only unless the window comes from a closed monitor.
+    ``len()`` counts the intervals and slicing (``window[a:b]``) selects
+    a run of them.
     """
 
     __slots__ = ("_block",) + _FIELDS
@@ -60,12 +63,11 @@ class IntervalWindow:
     util: np.ndarray
 
     def __init__(self, block: np.ndarray) -> None:
-        """View ``block``, one row per field in ``_FIELDS`` order.
+        """View ``block``, one row per field in ``_FIELDS`` order; the
+        columns are writeable if ``block`` is.
 
         Outside this module, build a window with :meth:`from_columns`.
         """
-        block = block.view()
-        block.flags.writeable = False
         self._block = block
         for name, column in zip(_FIELDS, block):
             setattr(self, name, column)
@@ -81,11 +83,14 @@ class IntervalWindow:
         completions: np.ndarray,
         util: np.ndarray,
     ) -> IntervalWindow:
-        """A window over copies of the given equal-length columns."""
-        return cls(np.array(
+        """A read-only window over copies of the given equal-length
+        columns."""
+        block = np.array(
             [t_end, concurrency, throughput, response_time, completions, util],
             dtype=np.float64,
-        ))
+        )
+        block.flags.writeable = False
+        return cls(block)
 
     def __len__(self) -> int:
         return self._block.shape[1]
@@ -100,7 +105,8 @@ class IntervalMonitor:
     """Collects one server's interval samples, one block column per tick.
 
     :meth:`recent` and :attr:`samples` hand out :class:`IntervalWindow`
-    views; :meth:`clear` and :meth:`trim` drop samples from the front.
+    views, read-only until :meth:`close`; :meth:`clear` and :meth:`trim`
+    drop samples from the front.
     """
 
     def __init__(
@@ -127,6 +133,7 @@ class IntervalMonitor:
         self._prev_util = dict(server.util_integral)
         self._prev_t = sim.now
         self._suspended = False
+        self._closed = False
         self._process = PeriodicProcess(
             sim, self.interval, self._tick, priority=PRIORITY_FINE_MONITOR
         )
@@ -147,6 +154,16 @@ class IntervalMonitor:
     def resume(self) -> None:
         """End a telemetry dropout; sampling restarts from now."""
         self._suspended = False
+
+    def close(self) -> None:
+        """The run is over: from now on windows are writeable views of
+        the block, for a reader that keeps them without a copy (a
+        read-only array pickles to other bytes and loads read-only).
+
+        A column once written is never overwritten, so such views stay
+        valid whatever the monitor does next.
+        """
+        self._closed = True
 
     def _tick(self, now: float) -> None:
         server = self.server
@@ -194,10 +211,15 @@ class IntervalMonitor:
         self._prev_t = now
 
     # ------------------------------------------------------------------
+    def _window(self, first: int) -> IntervalWindow:
+        block = self._block[:, first:self._end]
+        block.flags.writeable = self._closed
+        return IntervalWindow(block)
+
     @property
     def samples(self) -> IntervalWindow:
         """Every retained sample."""
-        return IntervalWindow(self._block[:, self._start:self._end])
+        return self._window(self._start)
 
     def recent(self, window: float) -> IntervalWindow:
         """Samples whose interval ended within the last ``window`` seconds."""
@@ -205,7 +227,7 @@ class IntervalMonitor:
         first = self._start + int(
             np.searchsorted(t_end, self.sim.now - window, side="left")
         )
-        return IntervalWindow(self._block[:, first:self._end])
+        return self._window(first)
 
     def clear(self) -> None:
         """Drop every retained sample; sampling carries on."""

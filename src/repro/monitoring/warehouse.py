@@ -328,14 +328,22 @@ class MetricWarehouse:
             if self._states[name].server.tier == tier
         }
 
+    def close(self) -> None:
+        """The run is over: close every fine monitor, so the windows
+        handed out from now on are writeable views (see
+        :meth:`~repro.monitoring.interval.IntervalMonitor.close`)."""
+        for state in self._states.values():
+            state.fine.close()
+
     def all_fine_samples(
         self, window: float
     ) -> dict[str, tuple[str, IntervalWindow]]:
         """Every monitored server's ``(tier, samples)`` over the window.
 
         The end-of-run export the experiment engine uses to build
-        serializable artifacts — afterwards the warehouse (and the
-        simulator underneath it) can be dropped entirely.
+        serializable artifacts, after :meth:`close` — afterwards the
+        warehouse (and the simulator underneath it) can be dropped
+        entirely, while the artifact keeps views of the monitors' blocks.
         """
         return {
             name: (self._states[name].server.tier,

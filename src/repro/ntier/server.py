@@ -299,13 +299,15 @@ class Server:
         """Advance the monitoring accumulators with aggregate flow state.
 
         The fluid integrator has no per-request events, but controllers
-        and the warehouse only ever read these monotone accumulators —
-        so depositing the integrator's per-step occupancy/throughput
-        here makes fluid phases indistinguishable, telemetry-wise, from
-        discrete ones. ``active``/``admitted`` are this server's share
+        and the warehouse only ever read these monotone accumulators,
+        so they read the integrator's per-step occupancy/throughput
+        deposited here. ``active``/``admitted`` are this server's share
         of the tier's fluid occupancy over the step ``dt``; the PS
         credit clock is advanced first so discrete stragglers draining
-        through a fluid phase keep exact accounting.
+        through a fluid phase keep exact accounting. The whole step
+        lands at once: a monitor tick shorter than ``dt`` reads it all
+        in the tick after the deposit and none of it in the others
+        (ROADMAP item 11).
         """
         self._advance_clock()
         self.concurrency_integral += dt * admitted

@@ -25,9 +25,13 @@ discrete PS servers:
   calls);
 * per-step occupancy, utilisation, completions, and latency mass are
   deposited into the live servers' monotone monitoring accumulators
-  (:meth:`~repro.ntier.server.Server.absorb_flow`), so the 50 ms
-  interval monitors, the metric warehouse, and every controller see an
-  uninterrupted telemetry signal across mode switches.
+  (:meth:`~repro.ntier.server.Server.absorb_flow`), so the metric
+  warehouse and every controller read fluid phases through the same
+  accumulators as discrete ones. The deposit is one lump per step, so
+  a fine monitor whose interval is shorter than the step aliases: at
+  50 ms, one tick in five reads the whole step's occupancy and the
+  other four none of it (ROADMAP item 11). The 1 s warehouse samples
+  span whole steps and read steady.
 
 The inter-tier thread coupling — the paper's core mechanism — is
 preserved in aggregate: requests inside the DB tier still hold their

@@ -49,7 +49,6 @@ def build(rows, seed=0):
     config = ScenarioConfig(name="codes", load_scale=1.0, seed=seed)
     return RunArtifact(
         spec=RunSpec("conscale", config),
-        latencies=log.response_times / config.rt_scale,
         completion_times=log.completion_times,
         arrival_times=log.arrival_times,
         interaction_codes=log.interaction_codes,
@@ -70,7 +69,6 @@ def artifact_over(codes, names, completion_times):
     arrival_times = completion_times - 0.1
     return RunArtifact(
         spec=RunSpec("conscale", config),
-        latencies=completion_times - arrival_times,
         completion_times=completion_times,
         arrival_times=arrival_times,
         interaction_codes=codes,
@@ -103,8 +101,9 @@ def random_rows(seed, count=400, early=None):
 def parent_layout(artifact, rows):
     """The same run in the layout written before the codes: the instance
     dict holds ``interactions``, the ``<U`` name of each request, in
-    place of the codes and the name table. It pickles as that dict."""
-    state = {}
+    place of the codes and the name table, and the stored latency
+    column of that time. It pickles as that dict."""
+    state = {"latencies": artifact.latencies}
     for key, value in vars(artifact).items():
         if key == "interaction_codes":
             state["interactions"] = np.array([name for name, _, _ in rows], dtype=str)

@@ -157,7 +157,10 @@ def test_latency_divergence_raises(monkeypatch):
     def skewed(spec, sim=None):
         result = real_execute(spec, sim=sim)
         if spec.config.mode != "discrete":
-            result.latencies = result.latencies * 3.0
+            # Stretch every latency threefold by moving its completion.
+            result.completion_times = result.arrival_times + 3.0 * (
+                result.completion_times - result.arrival_times
+            )
         return result
 
     monkeypatch.setattr(twin_mod, "execute_spec", skewed)

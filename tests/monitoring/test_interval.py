@@ -117,6 +117,28 @@ def test_window_is_a_read_only_slice():
         window[0]
 
 
+def test_a_closed_monitor_hands_out_writeable_views():
+    """After ``close()`` windows are writeable views of the block (the
+    runner keeps them in the artifact without a copy); samples taken
+    later go to new columns and leave a view's values as they were."""
+    sim = Simulator()
+    mon = IntervalMonitor(sim, make_server(sim), interval=0.1)
+    sim.run(until=1.05)
+    before = mon.samples
+    mon.close()
+    window = mon.samples
+    assert not before.t_end.flags.writeable
+    assert window.t_end.tolist() == before.t_end.tolist()
+    for column in (window.t_end, window.concurrency, window[2:5].util):
+        assert column.flags.writeable
+        assert np.shares_memory(column, before.t_end.base)
+    assert mon.recent(0.25).t_end.flags.writeable
+    held = window.t_end.copy()
+    sim.run(until=100.0)  # grows the block past its first 256 columns
+    assert len(mon.samples) > 256
+    assert window.t_end.tolist() == held.tolist()
+
+
 def _assert_same(window: IntervalWindow, records) -> None:
     assert len(window) == len(records)
     assert window.t_end.tolist() == [s.t_end for s in records]

@@ -53,7 +53,6 @@ def run_artifact(rows, *, warmup=0.0, duration=10.0):
     )
     return RunArtifact(
         spec=RunSpec("conscale", config),
-        latencies=completions - arrivals,
         completion_times=completions,
         arrival_times=arrivals,
         interaction_codes=np.array([table.index(n) for n in names], dtype=np.uint16),
