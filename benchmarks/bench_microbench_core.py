@@ -51,7 +51,8 @@ PS_CAPACITIES = {
 
 @pytest.mark.parametrize("resources", sorted(PS_CAPACITIES))
 def test_ps_server_churn(benchmark, resources):
-    """Admit/work/release cycles through a contended PS server."""
+    """Admission-and-phase then release cycles through a contended PS
+    server."""
     capacity = CapacityModel(
         PS_CAPACITIES[resources], ContentionModel(3e-3, 2e-4)
     )
@@ -59,13 +60,10 @@ def test_ps_server_churn(benchmark, resources):
     def run():
         sim = Simulator()
         server = Server(sim, ServerConfig("db-1", "db", capacity, 100))
-
-        def flow(r):
-            server.work(r, 0.01, lambda x: server.release(x))
-
         for i in range(2_000):
             sim.schedule(i * 0.0005, server.admit,
-                         Request(i, "X", 0.0, {"db": 0.01}), flow)
+                         Request(i, "X", 0.0, {"db": 0.01}), 0.01,
+                         lambda r: None, True)
         sim.run()
         return server.completions
 

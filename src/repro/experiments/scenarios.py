@@ -12,6 +12,7 @@ demands multiplied by it, so measured latencies are reported divided by
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 from repro.errors import ConfigurationError
@@ -72,6 +73,11 @@ class ScenarioConfig:
     timeline_bin: float = 5.0
 
     def __post_init__(self) -> None:
+        # numpy's SeedSequence takes non-negative integers only.
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ConfigurationError(
+                f"seed must be a non-negative integer, got {self.seed!r}"
+            )
         # NaN passes every comparison below and inf the positivity ones.
         for name in ("duration", "max_users", "load_scale"):
             value = getattr(self, name)

@@ -103,7 +103,25 @@ class TierFlowState:
 
 
 class NTierApplication:
-    """Wires tiers, pools, and the request flow together."""
+    """Wires tiers, pools, and the request flow together.
+
+    The flow is one callback per hop. Admitting a request to a server
+    starts its first phase there (:meth:`Server.admit`), and a last
+    phase returns that server's thread as it completes, so each server
+    transition stamps the completion event once:
+
+    * :meth:`submit` admits the request to a web server and its web
+      phase;
+    * ``_web_work_done`` admits it to an app server and the phase
+      before the DB call;
+    * ``_app_pre_done`` waits for one of that app server's DB
+      connections, and ``_conn_granted`` admits the request to a DB
+      server and its only phase there (``release=True``);
+    * ``_db_done`` returns the connection and starts the app phase
+      after the DB call, the last there (:meth:`Server.work`);
+    * ``_app_post_done`` returns the web thread and completes the
+      request.
+    """
 
     def __init__(
         self,
@@ -289,26 +307,14 @@ class NTierApplication:
         self.submitted += 1
         web = self.tiers[WEB].route()
         request._servers[WEB] = web
-        web.admit(request, self._web_admitted)
-
-    def _web_admitted(self, request: Request) -> None:
-        if request.failed:
-            return
-        web = request._servers[WEB]
-        web.work(request, request.demand_at(WEB), self._web_work_done)
+        web.admit(request, request.demand_at(WEB), self._web_work_done)
 
     def _web_work_done(self, request: Request) -> None:
         if request.failed:
             return
         app = self.tiers[APP].route()
         request._servers[APP] = app
-        app.admit(request, self._app_admitted)
-
-    def _app_admitted(self, request: Request) -> None:
-        if request.failed:
-            return
-        app = request._servers[APP]
-        app.work(
+        app.admit(
             request,
             request.demand_at(APP) * _APP_PRE_FRACTION,
             self._app_pre_done,
@@ -332,18 +338,11 @@ class NTierApplication:
             return
         db = self.tiers[DB].route()
         request._servers[DB] = db
-        db.admit(request, self._db_admitted)
-
-    def _db_admitted(self, request: Request) -> None:
-        if request.failed:
-            return
-        db = request._servers[DB]
-        db.work(request, request.demand_at(DB), self._db_done)
+        db.admit(request, request.demand_at(DB), self._db_done, release=True)
 
     def _db_done(self, request: Request) -> None:
         if request.failed:
             return
-        request._servers[DB].release(request)
         pool = request._conn_pool
         request._conn_pool = None
         pool.release()  # type: ignore[union-attr]
@@ -357,7 +356,6 @@ class NTierApplication:
     def _app_post_done(self, request: Request) -> None:
         if request.failed:
             return
-        request._servers[APP].release(request)
         request._servers[WEB].release(request)
         request.completion = self.sim.now
         self.completed += 1

@@ -42,10 +42,13 @@ class LeastConnBalancer:
 
     "Outstanding" counts both admitted requests and those queued for a
     worker thread, which is what HAProxy's connection count sees. Ties
-    break by position for determinism.
+    break by position for determinism; a lone server is picked without
+    reading its load.
     """
 
     def pick(self, servers: Sequence[Server]) -> Server:
+        if len(servers) == 1:
+            return servers[0]
         if not servers:
             raise ConfigurationError("cannot route: tier has no live servers")
         best = servers[0]

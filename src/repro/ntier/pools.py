@@ -83,7 +83,8 @@ class FifoPool:
         if self._in_use <= 0:
             raise PoolError(f"pool {self.name!r}: release without acquire")
         self._in_use -= 1
-        self._grant_waiters()
+        if self._waiters:
+            self._grant_waiters()
 
     def waiting_tokens(self) -> list[Any]:
         """Tokens currently queued, in FIFO order (fault unwinding)."""

@@ -18,7 +18,9 @@ completion needs a calendar event, and only that one event is moved
 when ``a`` or ``m`` changes — O(log a) per transition. The rate reads
 the contention penalty from the capacity model's table by admitted
 count, and the completion event that fired is re-armed for the next
-phase instead of allocating a new one.
+phase instead of allocating a new one. Admitting a request starts its
+first phase, and a last phase returns its thread as it completes, so
+each transition stamps the event once.
 
 The server also keeps the monotone monitoring accumulators (time-
 weighted concurrency, completions, per-server latency since admission,
@@ -59,18 +61,21 @@ class _ActiveJob:
     The ordering key lives in the heap entry tuple
     ``(finish_credit, seq, job)`` rather than on the job itself, so
     ``heapq`` compares entirely in C (``seq`` is unique — two jobs are
-    never compared).
+    never compared). ``release`` marks the request's last phase on
+    this server: its completion returns the worker thread.
     """
 
-    __slots__ = ("request", "on_done", "done")
+    __slots__ = ("request", "on_done", "release", "done")
 
     def __init__(
         self,
         request: Request,
         on_done: Callable[[Request], None],
+        release: bool,
     ) -> None:
         self.request = request
         self.on_done = on_done
+        self.release = release
         self.done = False
 
 
@@ -166,23 +171,47 @@ class Server:
     # ------------------------------------------------------------------
     # request lifecycle
     # ------------------------------------------------------------------
-    def admit(self, request: Request, on_admitted: Callable[[Request], None]) -> None:
-        """Ask for a worker thread; ``on_admitted`` fires once granted.
+    def admit(
+        self,
+        request: Request,
+        demand: float,
+        on_done: Callable[[Request], None],
+        release: bool = False,
+    ) -> None:
+        """Ask for a worker thread; once granted, run the request's first
+        phase here: ``demand`` work-seconds, then ``on_done(request)``.
 
-        The per-server response time is measured from admission (not
-        queue entry), so it excludes upstream pool waits — matching a
-        request-processing log on the real server.
+        Admission and the phase start are one transition, so the
+        completion event is stamped once. With ``release`` the phase is
+        also the request's last here: its completion returns the thread
+        as :meth:`work`'s does. Without it the request keeps its thread
+        until :meth:`work` or :meth:`release`. The per-server response
+        time is measured from admission (not queue entry), so it
+        excludes upstream pool waits — matching a request-processing
+        log on the real server.
         """
-        self.threads.acquire(request, self._granted, on_admitted)
+        self.threads.acquire(request, self._granted, demand, on_done, release)
 
-    def _granted(self, request: Request, on_admitted: Callable[[Request], None]) -> None:
+    def _granted(
+        self,
+        request: Request,
+        demand: float,
+        on_done: Callable[[Request], None],
+        release: bool,
+    ) -> None:
         self._advance_clock()
         self._admitted += 1
         self.arrivals += 1
         self._admitted_at[request.req_id] = self.sim.now
         self._requests[request.req_id] = request
+        if demand > 0.0:
+            self._push(request, demand, on_done, release)
+            return
+        # The admission still moves the rate (the penalty counts it).
         self._reschedule()
-        on_admitted(request)
+        self.sim.schedule_after(
+            0.0, self._zero_phase_done, request, on_done, release
+        )
 
     def work(
         self,
@@ -190,12 +219,13 @@ class Server:
         demand: float,
         on_done: Callable[[Request], None],
     ) -> None:
-        """Run one PS compute phase of ``demand`` work-seconds.
+        """Run the request's last PS phase here: ``demand`` work-seconds,
+        then the worker thread goes back (as :meth:`release`) just
+        before ``on_done(request)`` runs.
 
-        The request must already be admitted. Requests between phases
-        (e.g. a Tomcat thread waiting on MySQL) simply are not in the
-        active set; their thread still counts toward the overhead
-        penalty via ``admitted``.
+        The request must already be admitted, between phases (e.g. a
+        Tomcat thread back from MySQL): while it waits its thread still
+        counts toward the overhead penalty via ``admitted``.
         """
         if request.req_id not in self._admitted_at:
             raise SimulationError(
@@ -205,14 +235,39 @@ class Server:
         if demand <= 0.0:
             # Zero-cost phase: complete on the next event tick to keep
             # callback depth bounded.
-            self.sim.schedule_after(0.0, on_done, request)
+            self.sim.schedule_after(
+                0.0, self._zero_phase_done, request, on_done, True
+            )
             return
         self._advance_clock()
-        job = _ActiveJob(request, on_done)
+        self._push(request, demand, on_done, True)
+
+    def _push(
+        self,
+        request: Request,
+        demand: float,
+        on_done: Callable[[Request], None],
+        release: bool,
+    ) -> None:
+        """Put a phase in the active set and stamp the completion event
+        (the clock is already advanced)."""
+        job = _ActiveJob(request, on_done, release)
         heapq.heappush(self._heap, (self._credit + demand, self._seq, job))
         self._seq += 1
         self._active += 1
         self._reschedule()
+
+    def _zero_phase_done(
+        self,
+        request: Request,
+        on_done: Callable[[Request], None],
+        release: bool,
+    ) -> None:
+        """A zero-cost phase's completion, one event tick after it began."""
+        # An aborted request's thread went back at the abort.
+        if release and request.req_id in self._admitted_at:
+            self.release(request)
+        on_done(request)
 
     def release(self, request: Request) -> None:
         """Return the worker thread; add the time since admission to
@@ -363,7 +418,14 @@ class Server:
             self._completion_event = self.sim.reschedule(ev, target)
 
     def _complete(self) -> None:
-        """Fire every job whose credit requirement has been met."""
+        """Fire every job whose credit requirement has been met.
+
+        Finished jobs are called back in heap order; a releasing job
+        returns its thread just before its ``on_done``. When the first
+        of them releases, this skips its own stamp: that release
+        re-stamps the completion event before anything else is
+        scheduled, so the calendar sees one stamp for the transition.
+        """
         self._advance_clock()
         self._fired = self._completion_event
         self._completion_event = None
@@ -380,9 +442,13 @@ class Server:
             self._active -= 1
             self.work_completions += 1
             finished.append(job)
-        self._reschedule()
+        if not finished or not finished[0].release:
+            self._reschedule()
         for job in finished:
-            job.on_done(job.request)
+            request = job.request
+            if job.release:
+                self.release(request)
+            job.on_done(request)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

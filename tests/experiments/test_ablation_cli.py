@@ -168,6 +168,7 @@ def test_cli_refuses_non_finite_calibration_inputs(argv, field, capsys, tmp_path
     (["sweep", "db", "--levels", "5", "--duration", "nan"], "duration"),
     (["run", "conscale", "--topology", "1,0,1"], "topology"),
     (["run", "conscale", "--mode", "fluid"], "--mode"),
+    (["run", "conscale", "--seed", "-1"], "seed"),
 ])
 def test_cli_refuses_bad_input_before_any_task(argv, named, capsys, tmp_path,
                                                monkeypatch):

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -152,6 +153,18 @@ def test_scenario_refuses_a_tier_without_replicas(topology):
 def test_scenario_refuses_non_finite_numbers(name, value):
     with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
         ScenarioConfig(**{name: value})
+
+
+@pytest.mark.parametrize("seed", [-1, np.int64(-2), 2.0, "3", None],
+                         ids=["negative", "numpy-negative", "float", "str", "none"])
+def test_scenario_refuses_a_seed_numpy_cannot_take(seed):
+    with pytest.raises(ConfigurationError, match="seed must be a non-negative integer"):
+        ScenarioConfig(seed=seed)
+
+
+def test_scenario_takes_numpy_integer_seeds():
+    assert ScenarioConfig(seed=np.int64(4)).seed == 4
+    assert ScenarioConfig(seed=0).seed == 0
 
 
 def test_with_update():

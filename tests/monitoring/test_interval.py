@@ -20,10 +20,10 @@ def make_server(sim, a_sat=10.0):
     return Server(sim, ServerConfig("db-1", "db", simple_capacity(a_sat), 1000))
 
 
-def flow(server, demand):
-    def _start(r):
-        server.work(r, demand, lambda x: server.release(x))
-    return _start
+def flow(demand):
+    """``Server.admit``'s arguments after the request: one phase of
+    ``demand`` that returns the thread as it completes."""
+    return demand, lambda r: None, True
 
 
 def test_invalid_interval():
@@ -53,7 +53,7 @@ def test_throughput_counts_completions_per_interval():
     # 5 sequential-ish jobs of 10ms each, all inside the first interval
     for i in range(5):
         sim.schedule(i * 0.011, server.admit,
-                     Request(i, "X", 0.0, {"db": 0.01}), flow(server, 0.01))
+                     Request(i, "X", 0.0, {"db": 0.01}), *flow(0.01))
     sim.run(until=0.25)
     samples = mon.samples
     assert samples.completions[0] == 5
@@ -67,7 +67,7 @@ def test_concurrency_is_time_weighted():
     mon = IntervalMonitor(sim, server, interval=0.1)
     # one request occupying the server for exactly half the interval
     sim.schedule(0.0, server.admit, Request(0, "X", 0.0, {"db": 1.0}),
-                 flow(server, 0.05))
+                 *flow(0.05))
     sim.run(until=0.15)
     assert mon.samples.concurrency[0] == pytest.approx(0.5)
 
@@ -77,7 +77,7 @@ def test_utilization_reported():
     server = make_server(sim, a_sat=10)
     mon = IntervalMonitor(sim, server, interval=0.1)
     sim.schedule(0.0, server.admit, Request(0, "X", 0.0, {"db": 1.0}),
-                 flow(server, 0.1))
+                 *flow(0.1))
     sim.run(until=0.12)
     # one active request on a_sat=10 -> util 0.1 for the whole interval
     # (the util column is the busiest resource's; "cpu" is the only one)
@@ -170,7 +170,7 @@ def test_window_matches_record_monitor():
     for i in range(2000):
         t += rng.exponential(0.009)
         sim.schedule(t, server.admit, Request(i, "X", 0.0, {"db": 1.0}),
-                     flow(server, rng.exponential(0.02)))
+                     *flow(rng.exponential(0.02)))
 
     trimmed: list[tuple[int, int]] = []
     snapshots: list[tuple[IntervalWindow, list]] = []

@@ -16,10 +16,10 @@ def make_server(sim, name="db-1", tier="db", a_sat=10.0):
     return Server(sim, ServerConfig(name, tier, simple_capacity(a_sat), 1000))
 
 
-def busy_flow(server, demand):
-    def _start(r):
-        server.work(r, demand, lambda x: server.release(x))
-    return _start
+def busy_flow(demand):
+    """``Server.admit``'s arguments after the request: one phase of
+    ``demand`` that returns the thread as it completes."""
+    return demand, lambda r: None, True
 
 
 def test_register_and_deregister():
@@ -53,7 +53,7 @@ def test_tier_cpu_reflects_load():
     wh.register_server(server)
     # Keep 5 requests active for the whole window -> util 0.5.
     for i in range(5):
-        server.admit(Request(i, "X", 0.0, {"db": 1.0}), busy_flow(server, 100.0))
+        server.admit(Request(i, "X", 0.0, {"db": 1.0}), *busy_flow(100.0))
     sim.run(until=4.0)
     assert wh.tier_cpu("db", window=3.0) == pytest.approx(0.5, abs=0.02)
 
@@ -208,7 +208,7 @@ def test_vectorised_collection_matches_across_calendars():
                 i * 0.1,
                 servers[i % 3].admit,
                 Request(i, "X", 0.0, {"db": 0.2}),
-                busy_flow(servers[i % 3], 0.2),
+                *busy_flow(0.2),
             )
         sim.run(until=5.0)
         return [

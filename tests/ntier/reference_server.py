@@ -2,16 +2,21 @@
 
 :class:`repro.ntier.server.Server` keeps an admission instant per
 request, accrues busy time through one
-:meth:`~repro.ntier.capacity.CapacityModel.accrue_busy` call and hands
-its pool the admission continuation as arguments, and
-:class:`~repro.workload.generator.RequestFactory` draws demands from
+:meth:`~repro.ntier.capacity.CapacityModel.accrue_busy` call, hands
+its pool the admission continuation as arguments and stamps its
+completion event once per transition (an admission starts the first
+phase in the same stamp; a last phase's release stamps for its
+completion), and :class:`~repro.workload.generator.RequestFactory` draws demands from
 samplers bound once. Those are pure performance structures. Fed the
 same operations, the production server must leave exactly the
 accumulators and the pending completion time of :class:`ReferenceServer`
 below, which opens a visit record per admission, wraps each admission
-in a fresh closure and accrues busy time one
-:meth:`~repro.ntier.capacity.CapacityModel.utilization` call per
-resource; and a sampler must make exactly the generator calls of
+in a fresh closure that admits and then starts the first phase as a
+step of its own (the phase start its :meth:`work` makes), stamps the
+completion event after every transition (its ``_complete`` stamps,
+then releases, then calls back) and accrues busy
+time one :meth:`~repro.ntier.capacity.CapacityModel.utilization` call
+per resource; and a sampler must make exactly the generator calls of
 :func:`reference_draw`, which recomputes every tier's parameters per
 request.
 """
@@ -50,11 +55,14 @@ class _Visit:
 
 
 class _ActiveJob:
-    __slots__ = ("request", "on_done", "done")
+    __slots__ = ("request", "on_done", "release", "done")
 
-    def __init__(self, request: Request, on_done: Callable[[Request], None]) -> None:
+    def __init__(
+        self, request: Request, on_done: Callable[[Request], None], release: bool
+    ) -> None:
         self.request = request
         self.on_done = on_done
+        self.release = release
         self.done = False
 
 
@@ -114,20 +122,38 @@ class ReferenceServer:
             self.util_integral.setdefault(res.name, 0.0)
         self._reschedule()
 
-    def admit(self, request: Request, on_admitted: Callable[[Request], None]) -> None:
-        self.threads.acquire(request, lambda req: self._granted(req, on_admitted))
+    def admit(
+        self,
+        request: Request,
+        demand: float,
+        on_done: Callable[[Request], None],
+        release: bool = False,
+    ) -> None:
+        def granted(req: Request) -> None:
+            self._granted(req)
+            self._phase(req, demand, on_done, release)
 
-    def _granted(self, request: Request, on_admitted: Callable[[Request], None]) -> None:
+        self.threads.acquire(request, granted)
+
+    def _granted(self, request: Request) -> None:
         self._advance_clock()
         self._admitted += 1
         self.arrivals += 1
         self._visits[request.req_id] = _Visit(self.name, self.sim.now)
         self._requests[request.req_id] = request
         self._reschedule()
-        on_admitted(request)
 
     def work(
         self, request: Request, demand: float, on_done: Callable[[Request], None]
+    ) -> None:
+        self._phase(request, demand, on_done, True)
+
+    def _phase(
+        self,
+        request: Request,
+        demand: float,
+        on_done: Callable[[Request], None],
+        release: bool,
     ) -> None:
         if request.req_id not in self._visits:
             raise SimulationError(
@@ -135,10 +161,16 @@ class ReferenceServer:
                 "which was never admitted"
             )
         if demand <= 0.0:
-            self.sim.schedule_after(0.0, on_done, request)
+
+            def finish() -> None:
+                if release and request.req_id in self._visits:
+                    self.release(request)
+                on_done(request)
+
+            self.sim.schedule_after(0.0, finish)
             return
         self._advance_clock()
-        job = _ActiveJob(request, on_done)
+        job = _ActiveJob(request, on_done, release)
         heapq.heappush(self._heap, (self._credit + demand, self._seq, job))
         self._seq += 1
         self._active += 1
@@ -263,6 +295,8 @@ class ReferenceServer:
             finished.append(job)
         self._reschedule()
         for job in finished:
+            if job.release:
+                self.release(job.request)
             job.on_done(job.request)
 
 

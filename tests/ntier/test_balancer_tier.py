@@ -41,7 +41,7 @@ def test_leastconn_prefers_least_loaded():
     from repro.ntier.request import Request
 
     req = Request(0, "X", 0.0, {"app": 1.0})
-    servers[0].admit(req, lambda r: None)
+    servers[0].admit(req, 0.0, lambda r: None)
     lc = LeastConnBalancer()
     assert lc.pick(servers).name == "app-2"
 
@@ -53,8 +53,8 @@ def test_leastconn_counts_queued():
 
     # two requests to server 0: one admitted, one queued
     for i in range(2):
-        servers[0].admit(Request(i, "X", 0.0, {"app": 1.0}), lambda r: None)
-    servers[1].admit(Request(2, "X", 0.0, {"app": 1.0}), lambda r: None)
+        servers[0].admit(Request(i, "X", 0.0, {"app": 1.0}), 0.0, lambda r: None)
+    servers[1].admit(Request(2, "X", 0.0, {"app": 1.0}), 0.0, lambda r: None)
     # server0 load=2, server1 load=1
     assert LeastConnBalancer().pick(servers).name == "app-2"
 
@@ -143,7 +143,7 @@ def test_collect_drained_waits_for_idle():
     from repro.ntier.request import Request
 
     req = Request(0, "X", 0.0, {"app": 1.0})
-    s2.admit(req, lambda r: None)
+    s2.admit(req, 0.0, lambda r: None)
     tier.begin_drain(s2)
     assert tier.collect_drained() == []  # still busy
     s2.release(req)

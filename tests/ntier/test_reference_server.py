@@ -41,7 +41,8 @@ _WEIGHTS = np.array([6, 5, 4, 5, 1, 1, 1, 1, 1], dtype=float)
 
 
 class _Side:
-    """One server on its own simulator, plus where each request is."""
+    """One server on its own simulator, plus which requests have a
+    phase pending (queued with their first phase, running, or due)."""
 
     def __init__(self, server_cls) -> None:
         self.sim = Simulator()
@@ -49,44 +50,50 @@ class _Side:
             self.sim, ServerConfig("db-1", "db", TWO_RESOURCES, 3)
         )
         self.requests: dict[int, Request] = {}
-        self.queued: list[int] = []  # waiting for a worker thread
-        self.idle: list[int] = []  # admitted, between phases
-        self.working: list[int] = []  # in a PS phase
+        self.busy: set[int] = set()
 
-    def admitted(self, request: Request) -> None:
-        self.queued.remove(request.req_id)
-        self.idle.append(request.req_id)
+    @property
+    def queued(self) -> list[int]:
+        """Waiting for a worker thread."""
+        return [r.req_id for r in self.server.threads.waiting_tokens()]
+
+    @property
+    def idle(self) -> list[int]:
+        """Admitted, between phases."""
+        return [r.req_id for r in self.server.occupants()
+                if r.req_id not in self.busy]
+
+    @property
+    def working(self) -> list[int]:
+        """Admitted, in a phase."""
+        return [r.req_id for r in self.server.occupants()
+                if r.req_id in self.busy]
 
     def done(self, request: Request) -> None:
         # A zero-demand phase still completes after its request is aborted.
-        if request.req_id in self.working:
-            self.working.remove(request.req_id)
-            self.idle.append(request.req_id)
+        self.busy.discard(request.req_id)
 
     def apply(self, op: str, arg) -> None:
         server = self.server
         if op == "admit":
-            req = Request(arg, "X", self.sim.now, {"db": 0.0})
-            self.requests[arg] = req
-            self.queued.append(arg)
-            server.admit(req, self.admitted)
+            req_id, demand, release = arg
+            req = Request(req_id, "X", self.sim.now, {"db": demand})
+            self.requests[req_id] = req
+            self.busy.add(req_id)
+            server.admit(req, demand, self.done, release)
         elif op == "work":
             req_id, demand = arg
-            self.idle.remove(req_id)
-            self.working.append(req_id)
+            self.busy.add(req_id)
             server.work(self.requests[req_id], demand, self.done)
         elif op == "release":
-            self.idle.remove(arg)
             server.release(self.requests[arg])
         elif op == "advance":
             self.sim.run(until=self.sim.now + arg)
         elif op == "abort":
             req = self.requests[arg]
-            if server.abort(req):
-                (self.idle if arg in self.idle else self.working).remove(arg)
-            else:
+            self.busy.discard(arg)
+            if not server.abort(req):
                 assert server.threads.cancel(req)
-                self.queued.remove(arg)
         elif op == "capacity":
             server.set_capacity(server.capacity.scaled_cores(*arg))
         elif op == "absorb":
@@ -118,18 +125,27 @@ class _Side:
         )
 
 
+def _pick_demand(rng: np.random.Generator) -> float:
+    """Zero, or a fixed demand (phases started in one instant finish in
+    one), or an exponential draw."""
+    u = rng.random()
+    if u < 0.15:
+        return 0.0
+    return 0.01 if u < 0.35 else float(rng.exponential(0.02))
+
+
 def _pick_arg(op: str, side: _Side, rng: np.random.Generator, next_id: int):
     """An argument for ``op``, or None when ``op`` does not apply now."""
     if op == "admit":
-        return next_id
+        return next_id, _pick_demand(rng), bool(rng.random() < 0.4)
     if op in ("work", "release"):
-        if not side.idle:
+        idle = side.idle
+        if not idle:
             return None
-        req_id = side.idle[rng.integers(len(side.idle))]
+        req_id = idle[rng.integers(len(idle))]
         if op == "release":
             return req_id
-        demand = 0.0 if rng.random() < 0.15 else float(rng.exponential(0.02))
-        return req_id, demand
+        return req_id, _pick_demand(rng)
     if op == "advance":
         return float(rng.choice([0.0, 1e-4, rng.exponential(0.01), 0.2]))
     if op == "abort":
@@ -217,7 +233,7 @@ def _assert_table_rates(capacity: CapacityModel) -> Server:
         server = Server(Simulator(), ServerConfig("db-1", "db", capacity, 64))
         requests = [Request(i, "X", 0.0, {"db": 1.0}) for i in range(admitted)]
         for req in requests:
-            server.admit(req, lambda r: None)
+            server.admit(req, 0.0, lambda r: None)
         for active, req in enumerate(requests, start=1):
             server.work(req, 1.0, lambda r: None)
             assert server._rate_per_job == (

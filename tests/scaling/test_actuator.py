@@ -94,7 +94,7 @@ def test_scale_in_drains_then_stops():
     # occupy app-2 so the drain has to wait
     server = app.tiers[APP].servers[1]
     req = Request(0, "X", 0.0, {"app": 1.0})
-    server.admit(req, lambda r: None)
+    server.admit(req, 0.0, lambda r: None)
     actuator.scale_in(APP)
     assert app.topology() == (1, 1, 1)  # removed from routing at once
     sim.run(until=3.0)

@@ -64,12 +64,10 @@ def drive_server_through_levels(sim, server, levels, dwell, demand=0.01):
     state = {"target": 0, "next_id": 0}
 
     def refill(r=None):
-        if r is not None:
-            server.release(r)
         while server.admitted < state["target"]:
             req = Request(state["next_id"], "X", sim.now, {"db": demand})
             state["next_id"] += 1
-            server.admit(req, lambda rr: server.work(rr, demand, refill))
+            server.admit(req, demand, refill, release=True)
 
     for i, level in enumerate(levels):
         def set_level(level=level):

@@ -22,7 +22,9 @@ def load_db(app, n, demand=1000.0):
     for i in range(n):
         server.admit(
             Request(1000 + i, "X", 0.0, {"db": demand}),
-            lambda r: server.work(r, demand, lambda x: server.release(x)),
+            demand,
+            lambda x: None,
+            release=True,
         )
 
 

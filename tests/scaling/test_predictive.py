@@ -21,7 +21,7 @@ def ramp_db_load(sim, app, rate_per_sec, duration, demand=1000.0):
 
         def admit(i=i):
             req = Request(10_000 + i, "X", sim.now, {"db": demand})
-            server.admit(req, lambda r: server.work(r, demand, lambda x: None))
+            server.admit(req, demand, lambda x: None)
 
         sim.schedule(t, admit)
 

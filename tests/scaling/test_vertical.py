@@ -23,7 +23,8 @@ def test_server_set_capacity_rerates_inflight_work():
     for i in range(2):
         server.admit(
             Request(i, "X", 0.0, {"db": 2.0}),
-            lambda r: server.work(r, 2.0, lambda x: done_at.append(sim.now)),
+            2.0,
+            lambda x: done_at.append(sim.now),
         )
     # at t=2 each job has 1.0 work left at rate 0.5 (finish at t=4);
     # doubling cores doubles the PS rate -> finish at t=3

@@ -53,8 +53,7 @@ def test_util_takes_max_resource():
     server = Server(sim, ServerConfig("db-1", "db", capacity, 10))
     mon = IntervalMonitor(sim, server, interval=0.1)
     request = Request(0, "X", 0.0, {"db": 1.0})
-    sim.schedule(0.0, server.admit, request,
-                 lambda r: server.work(r, 1.0, server.release))
+    sim.schedule(0.0, server.admit, request, 1.0, lambda r: None, True)
     sim.run(until=0.15)
     (util,) = Scatter.from_window(mon.samples).util.tolist()
     assert util == pytest.approx(0.9)

@@ -46,10 +46,9 @@ def run_mg1_ps(lam: float, mean_demand: float, cv: float, duration: float,
         counter["n"] += 1
 
         def done(r):
-            server.release(r)
             latencies.append(sim.now - start)
 
-        server.admit(req, lambda r: server.work(r, draw_demand(), done))
+        server.admit(req, draw_demand(), done, release=True)
         if sim.now < duration:
             sim.schedule_after(float(arrivals.exponential(1.0 / lam)), arrive)
 
@@ -101,10 +100,9 @@ def test_littles_law_on_open_run():
         start = sim.now
 
         def done(r):
-            server.release(r)
             latencies.append(sim.now - start)
 
-        server.admit(req, lambda r: server.work(r, d, done))
+        server.admit(req, d, done, release=True)
         if sim.now < 200.0:
             sim.schedule_after(float(arrivals.exponential(d / rho)), arrive)
 
