@@ -30,7 +30,9 @@ import math
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
+from repro.ntier.app import APP, DB, WEB
 from repro.ntier.capacity import CapacityModel, ContentionModel, Resource
+from repro.ntier.demand import TierDemand
 
 __all__ = [
     "Calibration",
@@ -146,6 +148,28 @@ class Calibration:
     dataset_scale: float = 1.0
 
     def __post_init__(self) -> None:
+        # Every request carries a demand for each tier (the flow reads
+        # ``request.demands[tier]``), so each must be given and valid.
+        tiers = (WEB, APP, DB)
+        for tier in tiers:
+            if tier not in self.base_demands:
+                raise ConfigurationError(
+                    f"base_demands has no {tier!r} tier; "
+                    "it must give exactly web, app and db"
+                )
+        for tier, pair in self.base_demands.items():
+            if tier not in tiers:
+                raise ConfigurationError(
+                    f"base_demands has an unknown tier {tier!r}; "
+                    "it must give exactly web, app and db"
+                )
+            try:
+                mean, cv = pair
+                TierDemand(mean, cv)
+            except (ConfigurationError, TypeError, ValueError) as exc:
+                raise ConfigurationError(
+                    f"base_demands[{tier!r}] = {pair!r}: {exc}"
+                ) from None
         for name in ("web_cores", "app_cores", "db_cores", "dataset_scale"):
             _require_positive(name, getattr(self, name))
         if not 0 <= self.think_time < math.inf:

@@ -26,7 +26,13 @@ from repro.ntier.server import Server
 from repro.sim.engine import PRIORITY_SAMPLER, PRIORITY_WAREHOUSE, Simulator
 from repro.sim.process import PeriodicProcess
 
-__all__ = ["VmSample", "MetricWarehouse"]
+__all__ = ["VmSample", "MetricWarehouse", "TELEMETRY_STALE_AFTER"]
+
+#: Seconds after which a tier's telemetry counts as stale: the threshold
+#: policy freezes hardware decisions, the SCT estimator flags its
+#: estimates stale, and ConScale and MPC hold their caps once the
+#: newest sample (:meth:`MetricWarehouse.telemetry_age`) is older.
+TELEMETRY_STALE_AFTER = 5.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -191,7 +197,8 @@ class MetricWarehouse:
 
         The staleness signal controllers consult before trusting
         windowed aggregates: during a blackout :meth:`tier_cpu` would
-        otherwise quietly decay to 0.0 and read as an idle tier.
+        otherwise quietly decay to 0.0 and read as an idle tier. An age
+        above :data:`TELEMETRY_STALE_AFTER` counts as stale.
         """
         last = self._last_sample_t.get(tier)
         if last is None:

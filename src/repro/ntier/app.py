@@ -31,7 +31,6 @@ from repro.sim.engine import Simulator
 __all__ = [
     "NTierApplication",
     "SoftResourceAllocation",
-    "TierFlowState",
     "WEB",
     "APP",
     "DB",
@@ -77,29 +76,6 @@ class SoftResourceAllocation:
             # connection pools).
             return 100_000
         raise ConfigurationError(f"unknown tier {tier!r}")
-
-
-@dataclass(frozen=True, slots=True)
-class TierFlowState:
-    """Aggregate hand-off state of one tier for the fluid integrator.
-
-    ``outstanding`` counts every request the tier currently owns
-    (admitted plus queued for a thread/connection); ``soft_cap`` is the
-    tier's total soft-resource concurrency limit (worker threads, or the
-    summed DB connection pools for the DB tier) and ``soft_in_use`` how
-    much of it is held right now. The fluid stepper reads the caps to
-    bound its occupancy, and the mode governor reads ``outstanding`` to
-    know when discrete stragglers have drained out of a fluid phase.
-    """
-
-    tier: str
-    servers: int
-    outstanding: int
-    admitted: int
-    active: int
-    queued: int
-    soft_cap: int
-    soft_in_use: int
 
 
 class NTierApplication:
@@ -172,8 +148,22 @@ class NTierApplication:
         """Requests submitted but neither completed nor failed."""
         return self.submitted - self.completed - self.failed
 
+    def soft_cap(self, tier: str) -> int:
+        """A tier's soft-resource concurrency limit.
+
+        For the web and app tiers, the summed thread limits of the live
+        servers (a draining server takes no new requests); for the DB
+        tier, the summed connection pools of every app server, a
+        draining one's included (its requests still reach MySQL). The
+        fluid stepper bounds its occupancy by this cap, and
+        :meth:`admission_pressure` reports it as the capacity.
+        """
+        if tier == DB:
+            return sum(p.limit for p in self.conn_pools.values())
+        return sum(s.threads.limit for s in self._tier(tier).servers)
+
     def admission_pressure(self, tier: str) -> tuple[int, int]:
-        """``(queued, capacity)`` at a tier's admission points.
+        """``(queued, soft_cap(tier))`` at a tier's admission points.
 
         For the web and app tiers these are the server thread pools; for
         the DB tier the per-app-server connection pools (which is where
@@ -184,46 +174,16 @@ class NTierApplication:
         just under the utilisation threshold.
         """
         if tier == DB:
-            pools = list(self.conn_pools.values())
-            return (sum(p.queued for p in pools), sum(p.limit for p in pools))
-        t = self.tiers.get(tier)
-        if t is None:
-            raise ConfigurationError(f"unknown tier {tier!r}")
-        servers = t.servers
-        return (
-            sum(s.threads.queued for s in servers),
-            sum(s.threads.limit for s in servers),
-        )
-
-    def tier_flow_state(self, tier: str) -> TierFlowState:
-        """Snapshot one tier's aggregate occupancy for the fluid integrator."""
-        t = self.tiers.get(tier)
-        if t is None:
-            raise ConfigurationError(f"unknown tier {tier!r}")
-        servers = t.servers
-        admitted = sum(s.admitted for s in servers)
-        active = sum(s.active for s in servers)
-        queued = sum(s.threads.queued for s in servers)
-        if tier == DB:
-            pools = sorted(self.conn_pools.items())
-            soft_cap = sum(p.limit for _, p in pools)
-            soft_in_use = sum(p.in_use for _, p in pools)
-            # Requests queued on a connection pool are waiting *for* the
-            # DB tier even though they sit in an app server.
-            queued += sum(p.queued for _, p in pools)
+            queued = sum(p.queued for p in self.conn_pools.values())
         else:
-            soft_cap = sum(s.threads.limit for s in servers)
-            soft_in_use = admitted
-        return TierFlowState(
-            tier=tier,
-            servers=t.size,
-            outstanding=admitted + queued,
-            admitted=admitted,
-            active=active,
-            queued=queued,
-            soft_cap=soft_cap,
-            soft_in_use=soft_in_use,
-        )
+            queued = sum(s.threads.queued for s in self._tier(tier).servers)
+        return (queued, self.soft_cap(tier))
+
+    def _tier(self, tier: str) -> Tier:
+        t = self.tiers.get(tier)
+        if t is None:
+            raise ConfigurationError(f"unknown tier {tier!r}")
+        return t
 
     def record_synthetic_completion(self, count: int) -> None:
         """Account one fluid step's ``count`` completions as whole lifecycles.
@@ -307,7 +267,7 @@ class NTierApplication:
         self.submitted += 1
         web = self.tiers[WEB].route()
         request._servers[WEB] = web
-        web.admit(request, request.demand_at(WEB), self._web_work_done)
+        web.admit(request, request.demands[WEB], self._web_work_done)
 
     def _web_work_done(self, request: Request) -> None:
         if request.failed:
@@ -315,9 +275,7 @@ class NTierApplication:
         app = self.tiers[APP].route()
         request._servers[APP] = app
         app.admit(
-            request,
-            request.demand_at(APP) * _APP_PRE_FRACTION,
-            self._app_pre_done,
+            request, request.demands[APP] * _APP_PRE_FRACTION, self._app_pre_done
         )
 
     def _app_pre_done(self, request: Request) -> None:
@@ -338,7 +296,7 @@ class NTierApplication:
             return
         db = self.tiers[DB].route()
         request._servers[DB] = db
-        db.admit(request, request.demand_at(DB), self._db_done, release=True)
+        db.admit(request, request.demands[DB], self._db_done, release=True)
 
     def _db_done(self, request: Request) -> None:
         if request.failed:
@@ -349,7 +307,7 @@ class NTierApplication:
         app = request._servers[APP]
         app.work(
             request,
-            request.demand_at(APP) * (1.0 - _APP_PRE_FRACTION),
+            request.demands[APP] * (1.0 - _APP_PRE_FRACTION),
             self._app_post_done,
         )
 

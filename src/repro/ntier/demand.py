@@ -16,6 +16,7 @@ server's optimal concurrency downward when the dataset grows
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -53,10 +54,20 @@ class TierDemand:
     dataset_exponent: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.mean <= 0:
-            raise ConfigurationError(f"demand mean must be > 0, got {self.mean!r}")
-        if self.cv < 0:
-            raise ConfigurationError(f"demand cv must be >= 0, got {self.cv!r}")
+        # NaN fails every comparison and inf passes ``> 0``: test both ends.
+        if not 0 < self.mean < math.inf:
+            raise ConfigurationError(
+                f"demand mean must be finite and > 0, got {self.mean!r}"
+            )
+        if not 0 <= self.cv < math.inf:
+            raise ConfigurationError(
+                f"demand cv must be finite and >= 0, got {self.cv!r}"
+            )
+        if not math.isfinite(self.dataset_exponent):
+            raise ConfigurationError(
+                "demand dataset_exponent must be finite, "
+                f"got {self.dataset_exponent!r}"
+            )
 
     def effective_mean(self, dataset_scale: float) -> float:
         """Mean demand after applying the dataset-size factor."""
@@ -124,15 +135,6 @@ class DemandProfile:
             }
 
         return sample
-
-    def draw(
-        self,
-        rng: np.random.Generator,
-        dataset_scale: float = 1.0,
-        demand_scale: float = 1.0,
-    ) -> dict[str, float]:
-        """Sample one request's per-tier demands (see :meth:`sampler`)."""
-        return self.sampler(dataset_scale, demand_scale)(rng)
 
     def mean_demand(self, tier_name: str, dataset_scale: float = 1.0) -> float:
         """Mean demand this interaction places on ``tier_name``."""

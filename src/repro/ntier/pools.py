@@ -32,9 +32,6 @@ class FifoPool:
         self._limit = int(limit)
         self._in_use = 0
         self._waiters: deque[tuple[Any, Callable[..., None], tuple]] = deque()
-        # Lifetime counters for monitoring/diagnostics.
-        self.total_acquired = 0
-        self.total_queued = 0
 
     # ------------------------------------------------------------------
     # introspection
@@ -54,12 +51,6 @@ class FifoPool:
         """Requests waiting for a permit."""
         return len(self._waiters)
 
-    @property
-    def available(self) -> int:
-        """Permits grantable right now (0 while over-subscribed after a
-        shrink)."""
-        return max(0, self._limit - self._in_use)
-
     # ------------------------------------------------------------------
     # acquire / release
     # ------------------------------------------------------------------
@@ -72,10 +63,8 @@ class FifoPool:
         """
         if self._in_use < self._limit and not self._waiters:
             self._in_use += 1
-            self.total_acquired += 1
             granted(token, *args)
         else:
-            self.total_queued += 1
             self._waiters.append((token, granted, args))
 
     def release(self) -> None:
@@ -121,7 +110,6 @@ class FifoPool:
         while self._waiters and self._in_use < self._limit:
             token, callback, args = self._waiters.popleft()
             self._in_use += 1
-            self.total_acquired += 1
             callback(token, *args)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

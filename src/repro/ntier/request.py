@@ -17,9 +17,12 @@ class Request:
 
     The per-tier service demands (seconds of work at concurrency 1) are
     drawn once at creation time by the workload generator from the
-    RUBBoS interaction catalog; servers consume them as the request
-    progresses. Per-server response times are summed by the servers
-    (``Server.latency_total``); a request keeps no visit history.
+    RUBBoS interaction catalog, one for each of the web, app and db
+    tiers (a :class:`~repro.experiments.calibration.Calibration` must
+    give all three); the application flow reads ``demands[tier]`` as
+    the request progresses. Per-server response times are summed by
+    the servers (``Server.latency_total``); a request keeps no visit
+    history.
     """
 
     req_id: int
@@ -44,13 +47,3 @@ class Request:
     def done(self) -> bool:
         """Whether the request has left the system."""
         return self.completion is not None
-
-    def demand_at(self, tier_name: str) -> float:
-        """Service demand (seconds) this request places on ``tier_name``."""
-        try:
-            return self.demands[tier_name]
-        except KeyError:
-            raise KeyError(
-                f"request {self.req_id} carries no demand for tier {tier_name!r}; "
-                f"has {sorted(self.demands)}"
-            ) from None

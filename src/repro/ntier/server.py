@@ -22,11 +22,14 @@ phase instead of allocating a new one. Admitting a request starts its
 first phase, and a last phase returns its thread as it completes, so
 each transition stamps the event once.
 
-The server also keeps the monotone monitoring accumulators (time-
-weighted concurrency, completions, per-server latency since admission,
-resource busy integrals) that the 50 ms interval monitor and the 1 s
-metric warehouse difference, which is how the paper's fine-grained
-request-log analysis is reproduced without storing every event.
+The server also keeps exactly the four monotone monitoring
+accumulators that the 50 ms interval monitor, the 1 s metric warehouse
+and the concurrency sweep difference: ``concurrency_integral``
+(time-weighted admitted count), ``completions`` (requests that returned
+their thread), ``latency_total`` (per-server latency since admission)
+and ``util_integral`` (busy time per resource). That is how the paper's
+fine-grained request-log analysis is reproduced without storing every
+event.
 """
 
 from __future__ import annotations
@@ -110,14 +113,11 @@ class Server:
 
         # --- monotone monitoring accumulators --------------------------
         self.concurrency_integral = 0.0  # ∫ admitted dt
-        self.active_integral = 0.0  # ∫ active dt
         self.completions = 0  # requests that fully departed
         self.latency_total = 0.0  # sum of per-server response times
-        self.work_completions = 0  # PS phases finished
         self.util_integral: dict[str, float] = {
             r.name: 0.0 for r in self.capacity.resources
         }
-        self.arrivals = 0
 
     # ------------------------------------------------------------------
     # introspection
@@ -142,10 +142,6 @@ class Server:
     def is_idle(self) -> bool:
         """True when no request is admitted, queued, or waiting."""
         return self._admitted == 0 and self.threads.queued == 0
-
-    def utilization(self, resource: str = "cpu") -> float:
-        """Instantaneous utilisation of one resource."""
-        return self.capacity.utilization(resource, self._active, self._admitted)
 
     def set_capacity(self, capacity: CapacityModel) -> None:
         """Swap the capacity model at runtime (vertical scaling).
@@ -201,7 +197,6 @@ class Server:
     ) -> None:
         self._advance_clock()
         self._admitted += 1
-        self.arrivals += 1
         self._admitted_at[request.req_id] = self.sim.now
         self._requests[request.req_id] = request
         if demand > 0.0:
@@ -327,7 +322,6 @@ class Server:
                 self._credit += dt * self._rate_per_job
                 self.capacity.accrue_busy(self.util_integral, dt, active)
             self.concurrency_integral += dt * self._admitted
-            self.active_integral += dt * active
             self._last_update = now
 
     def sync_monitors(self) -> None:
@@ -349,30 +343,28 @@ class Server:
         admitted: float,
         completions: int = 0,
         latency: float = 0.0,
-        arrivals: int = 0,
     ) -> None:
         """Advance the monitoring accumulators with aggregate flow state.
 
         The fluid integrator has no per-request events, but controllers
-        and the warehouse only ever read these monotone accumulators,
+        and the warehouse only ever read the four monotone accumulators,
         so they read the integrator's per-step occupancy/throughput
-        deposited here. ``active``/``admitted`` are this server's share
-        of the tier's fluid occupancy over the step ``dt``; the PS
-        credit clock is advanced first so discrete stragglers draining
-        through a fluid phase keep exact accounting. The whole step
-        lands at once: a monitor tick shorter than ``dt`` reads it all
-        in the tick after the deposit and none of it in the others
-        (ROADMAP item 11).
+        deposited here: ``admitted`` over the step ``dt`` goes to
+        ``concurrency_integral``, ``active`` to ``util_integral``, and
+        ``completions`` and their ``latency`` mass to ``completions``
+        and ``latency_total``. ``active``/``admitted`` are this server's
+        share of the tier's fluid occupancy; the PS credit clock is
+        advanced first so discrete stragglers draining through a fluid
+        phase keep exact accounting. The whole step lands at once: a
+        monitor tick shorter than ``dt`` reads it all in the tick after
+        the deposit and none of it in the others (ROADMAP item 11).
         """
         self._advance_clock()
         self.concurrency_integral += dt * admitted
-        self.active_integral += dt * active
         if active > 0.0:
             self.capacity.accrue_busy(self.util_integral, dt, active)
         self.completions += completions
         self.latency_total += latency
-        self.arrivals += arrivals
-        self.work_completions += completions
 
     def _reschedule(self) -> None:
         """Recompute the PS rate and (re)schedule the next completion.
@@ -440,7 +432,6 @@ class Server:
                 continue
             job.done = True
             self._active -= 1
-            self.work_completions += 1
             finished.append(job)
         if not finished or not finished[0].release:
             self._reschedule()

@@ -19,7 +19,7 @@ each MySQL should run at ``Q*`` and there are ``n_db`` MySQL and
 from __future__ import annotations
 
 from repro.control.events import STALE_HOLD
-from repro.monitoring.warehouse import MetricWarehouse
+from repro.monitoring.warehouse import TELEMETRY_STALE_AFTER, MetricWarehouse
 from repro.ntier.app import APP, DB
 from repro.scaling.actuator import Actuator
 from repro.scaling.controller import BaseController
@@ -28,6 +28,13 @@ from repro.scaling.policy import TierPolicyConfig
 from repro.sim.engine import Simulator
 
 __all__ = ["ConScaleController"]
+
+#: Bounds on the caps ConScale actuates: Tomcat threads, and each
+#: Tomcat's DB connection pool.
+_MIN_APP_THREADS = 4
+_MAX_APP_THREADS = 400
+_MIN_DB_CONNECTIONS = 2
+_MAX_DB_CONNECTIONS = 400
 
 
 class ConScaleController(BaseController):
@@ -46,10 +53,6 @@ class ConScaleController(BaseController):
         adapt_interval: float = 2.0,
         hysteresis: float = 0.2,
         headroom: float = 1.15,
-        min_app_threads: int = 4,
-        max_app_threads: int = 400,
-        min_db_connections: int = 2,
-        max_db_connections: int = 400,
         per_server_app: bool = False,
     ) -> None:
         super().__init__(sim, warehouse, actuator, tier_configs, tick)
@@ -62,10 +65,6 @@ class ConScaleController(BaseController):
         # below the hardware scaler's threshold. The paper's own runs
         # show the same behaviour (e.g. "MySQL1 20 -> 22" in Fig. 8).
         self.headroom = float(headroom)
-        self.min_app_threads = int(min_app_threads)
-        self.max_app_threads = int(max_app_threads)
-        self.min_db_connections = int(min_db_connections)
-        self.max_db_connections = int(max_db_connections)
         # Per-server app-tier actuation for heterogeneous fleets (e.g.
         # after vertical scaling of part of the tier): each Tomcat gets
         # its own estimated optimum instead of the tier median.
@@ -121,9 +120,7 @@ class ConScaleController(BaseController):
             return
         if self._usable(est):
             target = self._clamp(
-                self._with_headroom(est.optimal),
-                self.min_app_threads,
-                self.max_app_threads,
+                self._with_headroom(est.optimal), _MIN_APP_THREADS, _MAX_APP_THREADS
             )
             if force or self._drifted(current, target):
                 self.actuator.set_app_threads(
@@ -134,7 +131,7 @@ class ConScaleController(BaseController):
                 )
             return
         if self._should_explore(APP, est):
-            target = min(self.max_app_threads, self._probe_up(current))
+            target = min(_MAX_APP_THREADS, self._probe_up(current))
             if target != current:
                 self.actuator.set_app_threads(
                     target,
@@ -158,8 +155,8 @@ class ConScaleController(BaseController):
             total_db_concurrency = self._with_headroom(est.optimal) * n_db
             per_app = self._clamp(
                 -(-total_db_concurrency // n_app),  # ceil division
-                self.min_db_connections,
-                self.max_db_connections,
+                _MIN_DB_CONNECTIONS,
+                _MAX_DB_CONNECTIONS,
             )
             if force or self._drifted(current, per_app):
                 self.actuator.set_db_connections(
@@ -170,7 +167,7 @@ class ConScaleController(BaseController):
                 )
             return
         if self._should_explore(DB, est):
-            target = min(self.max_db_connections, self._probe_up(current))
+            target = min(_MAX_DB_CONNECTIONS, self._probe_up(current))
             if target != current:
                 self.actuator.set_db_connections(
                     target,
@@ -204,8 +201,8 @@ class ConScaleController(BaseController):
                 continue
             target = self._clamp(
                 self._with_headroom(server_est.optimal),
-                self.min_app_threads,
-                self.max_app_threads,
+                _MIN_APP_THREADS,
+                _MAX_APP_THREADS,
             )
             if force or self._drifted(server.threads.limit, target):
                 self.actuator.set_app_threads_for(
@@ -267,8 +264,7 @@ class ConScaleController(BaseController):
         if current >= static_default:
             return current
         age = self.warehouse.telemetry_age(tier)
-        stale_after = getattr(self.estimator, "stale_after", 5.0)
-        if age != float("inf") and age > stale_after:
+        if age != float("inf") and age > TELEMETRY_STALE_AFTER:
             # Telemetry dropout: the cool-CPU reading below would be
             # computed over a window with no fresh samples (or decay to
             # 0.0 outright) — never widen a cap while blind.

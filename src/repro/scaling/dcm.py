@@ -38,6 +38,9 @@ __all__ = [
     "DCMController",
 ]
 
+#: Floor on each Tomcat's DB connection pool.
+_MIN_DB_CONNECTIONS = 2
+
 
 def offline_profile(
     capacity: CapacityModel,
@@ -132,11 +135,9 @@ class DCMController(BaseController):
         profile: DcmTrainedProfile,
         tier_configs: dict[str, TierPolicyConfig] | None = None,
         tick: float = 1.0,
-        min_db_connections: int = 2,
     ) -> None:
         super().__init__(sim, warehouse, actuator, tier_configs, tick)
         self.profile = profile
-        self.min_db_connections = int(min_db_connections)
         # DCM configures the trained allocation up-front as well.
         sim.schedule_after(0.0, lambda: self._apply())
 
@@ -158,8 +159,7 @@ class DCMController(BaseController):
             estimate=float(self.profile.app_optimal),
         )
         per_app = max(
-            self.min_db_connections,
-            int(round(self.profile.db_optimal * n_db / n_app)),
+            _MIN_DB_CONNECTIONS, int(round(self.profile.db_optimal * n_db / n_app))
         )
         self.actuator.set_db_connections(
             per_app,

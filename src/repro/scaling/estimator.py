@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.errors import EstimationError
 from repro.monitoring.interval import IntervalWindow
-from repro.monitoring.warehouse import MetricWarehouse
+from repro.monitoring.warehouse import TELEMETRY_STALE_AFTER, MetricWarehouse
 from repro.sct.drift import detect_drift
 from repro.sct.model import SCTEstimate, SCTModel
 from repro.sct.scatter import Scatter
@@ -204,19 +204,12 @@ class OptimalConcurrencyEstimator:
         window: float = 60.0,
         drift_check: bool = False,
         drift_min_samples: int = 60,
-        stale_after: float = 5.0,
     ) -> None:
         if window <= 0:
             raise EstimationError(f"window must be > 0, got {window!r}")
-        if stale_after <= 0:
-            raise EstimationError(f"stale_after must be > 0, got {stale_after!r}")
         self.warehouse = warehouse
         self.model = model or SCTModel()
         self.window = float(window)
-        # Estimates whose newest backing sample is older than this are
-        # flagged stale (telemetry dropout): controllers must hold their
-        # last-known-good caps rather than actuate on them.
-        self.stale_after = float(stale_after)
         # Optional stationarity guard: before estimating, compare the
         # two halves of each server's window (repro.sct.drift); when
         # the capacity curve shifted mid-window, the pre-shift half is
@@ -262,7 +255,10 @@ class OptimalConcurrencyEstimator:
             (float(window.t_end[-1]) for window in fine.values() if len(window)),
             default=float("-inf"),
         )
-        stale = (self.warehouse.sim.now - newest) > self.stale_after
+        # An estimate whose newest backing sample is stale (telemetry
+        # dropout) is flagged: controllers hold their last-known-good
+        # caps rather than actuate on it.
+        stale = (self.warehouse.sim.now - newest) > TELEMETRY_STALE_AFTER
         estimate = TierEstimate(
             tier=tier,
             time=self.warehouse.sim.now,

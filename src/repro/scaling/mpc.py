@@ -35,7 +35,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.control.events import FORECAST, MPC_CORRECTION, STALE_HOLD
-from repro.monitoring.warehouse import MetricWarehouse, VmSample
+from repro.monitoring.warehouse import (
+    TELEMETRY_STALE_AFTER,
+    MetricWarehouse,
+    VmSample,
+)
 from repro.ntier.app import APP, DB
 from repro.qnet.mva import MvaResult, solve_mva
 from repro.qnet.network import station_from_capacity
@@ -48,6 +52,10 @@ __all__ = ["MPCHybridController"]
 
 #: Cap on memoised MVA solutions before the cache is dropped wholesale.
 _MVA_CACHE_MAX = 64
+
+#: Bounds on the per-server cap a correction actuates.
+_MIN_CAP = 2
+_MAX_CAP = 400
 
 
 class MPCHybridController(PredictiveAutoScaling):
@@ -68,9 +76,6 @@ class MPCHybridController(PredictiveAutoScaling):
         correction_interval: float = 2.0,
         hysteresis: float = 0.2,
         q_max: int = 200,
-        min_cap: int = 2,
-        max_cap: int = 400,
-        stale_after: float = 5.0,
     ) -> None:
         super().__init__(
             sim, warehouse, actuator, tier_configs, tick,
@@ -80,9 +85,6 @@ class MPCHybridController(PredictiveAutoScaling):
         self.correction_interval = float(correction_interval)
         self.hysteresis = float(hysteresis)
         self.q_max = int(q_max)
-        self.min_cap = int(min_cap)
-        self.max_cap = int(max_cap)
-        self.stale_after = float(stale_after)
         self._last_correction = -1e18
         # Memoised MVA solutions keyed by (tier, capacity curve, demand
         # rounded to 3 significant figures). The rounded demand is also
@@ -116,7 +118,7 @@ class MPCHybridController(PredictiveAutoScaling):
         age = self.warehouse.telemetry_age(tier)
         if age == float("inf"):
             return  # never sampled yet; nothing to hold or correct
-        if age > self.stale_after:
+        if age > TELEMETRY_STALE_AFTER:
             self.emit(
                 STALE_HOLD, tier,
                 reason=f"telemetry stale ({age:.1f}s old); "
@@ -134,7 +136,7 @@ class MPCHybridController(PredictiveAutoScaling):
         required = forecast / n_servers
         q_star, model_x = self._solve_cap(tier, demand, required)
         q_star = self._pressure_bump(tier, q_star)
-        q_star = max(self.min_cap, min(self.max_cap, q_star))
+        q_star = max(_MIN_CAP, min(_MAX_CAP, q_star))
         if tier == APP:
             current = self.actuator.factory.thread_limit(APP)
             if self._drifted(current, q_star):

@@ -14,18 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.monitoring.warehouse import MetricWarehouse
+from repro.monitoring.warehouse import TELEMETRY_STALE_AFTER, MetricWarehouse
 from repro.scaling.actuator import Actuator
 from repro.sim.engine import Simulator
 
 __all__ = ["TierPolicyConfig", "PolicyDecision", "ThresholdPolicy"]
-
-# Hardware decisions freeze when the newest warehouse sample of a tier
-# is older than this: a telemetry dropout makes the windowed CPU decay
-# toward 0.0, which would otherwise read as an idle tier and trigger
-# scale-in on garbage. The "never sampled yet" startup state (age inf)
-# keeps the pre-fault behaviour of treating missing data as 0.0 load.
-TELEMETRY_STALE_AFTER = 5.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,8 +121,11 @@ class ThresholdPolicy:
         size = self.actuator.app.tiers[tier].size
         age = self.warehouse.telemetry_age(tier)
         if age != float("inf") and age > TELEMETRY_STALE_AFTER:
-            # Telemetry dropout: hold, and restart the sustained-low
-            # clock so the blind stretch cannot count toward scale-in.
+            # Telemetry dropout: the windowed CPU decays toward 0.0 and
+            # would read as an idle tier, so hold, and restart the
+            # sustained-low clock so the blind stretch cannot count
+            # toward scale-in. The "never sampled yet" startup state
+            # (age inf) treats missing data as 0.0 load.
             self._low_since[tier] = None
             return PolicyDecision(
                 None,

@@ -9,7 +9,8 @@ discrete PS servers:
 * each tier is a load-dependent station whose total work rate at
   occupancy ``j`` is the sum of its servers' ``work_rate`` at an even
   occupancy split, capped by the tier's soft-resource concurrency limit
-  (worker threads; summed DB connection pools for the DB tier);
+  (:meth:`~repro.ntier.app.NTierApplication.soft_cap`: worker threads;
+  summed DB connection pools for the DB tier);
 * open arrivals (rate ``users(t) / think_time``, read off the run's
   trace) relax each tier's occupancy toward the stationary mean of the
   corresponding birth–death queue — which for a penalty-free
@@ -114,6 +115,11 @@ def open_occupancy(lam: float, comp_rates: np.ndarray) -> tuple[float, bool]:
     return mean, True
 
 
+#: What a tier's table is built from: each live server's name, capacity
+#: key and thread limit, and the tier's soft cap.
+_Signature = tuple[tuple[object, ...], int]
+
+
 class _TierTable:
     """Work-rate table of one tier at its current topology/capacity."""
 
@@ -124,7 +130,7 @@ class _TierTable:
         cap: int,
         work_rates: np.ndarray,
         demand: float,
-        signature: tuple[object, ...],
+        signature: _Signature,
     ) -> None:
         self.cap = cap
         self.work_rates = work_rates
@@ -285,29 +291,27 @@ class FluidStepper:
     # ------------------------------------------------------------------
     # rate tables
     # ------------------------------------------------------------------
-    def _tier_signature(self, tier: str) -> tuple[object, ...]:
+    def _tier_signature(self, tier: str) -> _Signature:
         servers = sorted(self.app.tiers[tier].servers, key=lambda s: s.name)
-        state = self.app.tier_flow_state(tier)
         return (
             tuple(
                 (s.name, s.capacity.canonical_key(), s.threads.limit)
                 for s in servers
             ),
-            state.soft_cap,
+            self.app.soft_cap(tier),
         )
 
     def _build_table(
-        self, tier: str, signature: tuple[object, ...], blocked: float
+        self, tier: str, signature: _Signature, blocked: float
     ) -> _TierTable:
         servers = sorted(self.app.tiers[tier].servers, key=lambda s: s.name)
-        state = self.app.tier_flow_state(tier)
+        cap = signature[1]
         count = len(servers)
         demand = (
             self.mix.mean_demand(tier, self.dataset_scale) * self.demand_scale
         )
-        if count == 0 or state.soft_cap <= 0:
+        if count == 0 or cap <= 0:
             return _TierTable(0, np.zeros(0), demand, signature)
-        cap = int(state.soft_cap)
         per_server_cap = cap / count
         occ = np.minimum(np.arange(1, cap + 1, dtype=float) / count, per_server_cap)
         blocked_share = blocked / count
@@ -407,7 +411,7 @@ class FluidStepper:
         self.completed += comp_int
 
         latencies = self._record_completions(now, comp_int, residences)
-        self._deposit_telemetry(dt, gen, comp_int, latencies)
+        self._deposit_telemetry(dt, comp_int, latencies)
         self._last = now
 
     # ------------------------------------------------------------------
@@ -451,7 +455,7 @@ class FluidStepper:
         return mass
 
     def _deposit_telemetry(
-        self, dt: float, gen: int, comp_int: int, latency_mass: dict[str, float]
+        self, dt: float, comp_int: int, latency_mass: dict[str, float]
     ) -> None:
         """Spread the step's aggregate state over the live servers.
 
@@ -474,10 +478,8 @@ class FluidStepper:
                 continue
             active_total, admitted_total = occupancy[tier]
             base, extra = divmod(comp_int, count)
-            gbase, gextra = divmod(gen, count)
             for idx, server in enumerate(servers):
                 share = base + (1 if idx < extra else 0)
-                g_share = gbase + (1 if idx < gextra else 0)
                 thread_cap = float(server.threads.limit)
                 admitted = min(admitted_total / count, thread_cap)
                 active = min(active_total / count, admitted)
@@ -492,5 +494,4 @@ class FluidStepper:
                     admitted=admitted,
                     completions=share,
                     latency=lat,
-                    arrivals=g_share,
                 )

@@ -43,7 +43,6 @@ class PeriodicProcess:
         self._sim = sim
         self._interval = float(interval)
         self._callback = callback
-        self._priority = priority
         self._handle: EventHandle | None = None
         self._stopped = False
         first = start_at if start_at is not None else sim.now + interval

@@ -92,6 +92,30 @@ def test_calibration_refuses_bad_think_time(value):
     assert Calibration(think_time=0.0).think_time == 0.0
 
 
+_DEMANDS = Calibration().base_demands
+
+
+@pytest.mark.parametrize(
+    "base_demands, match",
+    [
+        ({"web": _DEMANDS["web"], "app": _DEMANDS["app"]}, "no 'db' tier"),
+        ({**_DEMANDS, "cache": (0.001, 0.1)}, "unknown tier 'cache'"),
+        ({**_DEMANDS, "db": (math.nan, 0.3)}, r"\['db'\].*mean must be finite"),
+        ({**_DEMANDS, "app": (-0.01, 0.3)}, r"\['app'\].*mean must be finite"),
+        ({**_DEMANDS, "db": (0.01, math.inf)}, r"\['db'\].*cv must be finite"),
+        ({**_DEMANDS, "web": (0.0003,)}, r"\['web'\]"),
+    ],
+    ids=["missing-db", "unknown-tier", "nan-mean", "negative-mean", "inf-cv",
+         "not-a-pair"],
+)
+def test_calibration_refuses_bad_base_demands(base_demands, match):
+    """Refused by name when built: a missing tier would raise KeyError at
+    the first request, a NaN mean ran with zero-cost phases, and an
+    infinite cv raised ZeroDivisionError in the sampler."""
+    with pytest.raises(ConfigurationError, match=f"base_demands.*{match}"):
+        Calibration(base_demands=base_demands)
+
+
 def test_default_calibration_tiers_balanced():
     """App and DB single-server peak throughputs must be within ~2x so
     both tiers scale during the evaluation runs (as in the paper)."""

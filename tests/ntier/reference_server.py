@@ -87,14 +87,11 @@ class ReferenceServer:
         self._visits: dict[int, _Visit] = {}
         self._requests: dict[int, Request] = {}
         self.concurrency_integral = 0.0
-        self.active_integral = 0.0
         self.completions = 0
         self.latency_total = 0.0
-        self.work_completions = 0
         self.util_integral: dict[str, float] = {
             r.name: 0.0 for r in self.capacity.resources
         }
-        self.arrivals = 0
 
     @property
     def admitted(self) -> int:
@@ -111,9 +108,6 @@ class ReferenceServer:
     @property
     def is_idle(self) -> bool:
         return self._admitted == 0 and self.threads.queued == 0
-
-    def utilization(self, resource: str = "cpu") -> float:
-        return self.capacity.utilization(resource, self._active, self._admitted)
 
     def set_capacity(self, capacity: CapacityModel) -> None:
         self._advance_clock()
@@ -138,7 +132,6 @@ class ReferenceServer:
     def _granted(self, request: Request) -> None:
         self._advance_clock()
         self._admitted += 1
-        self.arrivals += 1
         self._visits[request.req_id] = _Visit(self.name, self.sim.now)
         self._requests[request.req_id] = request
         self._reschedule()
@@ -220,7 +213,6 @@ class ReferenceServer:
             if self._active > 0:
                 self._credit += dt * self._rate_per_job
             self.concurrency_integral += dt * self._admitted
-            self.active_integral += dt * self._active
             if self._active > 0:
                 for res in self.capacity.resources:
                     self.util_integral[res.name] += dt * self.capacity.utilization(
@@ -241,11 +233,9 @@ class ReferenceServer:
         admitted: float,
         completions: int = 0,
         latency: float = 0.0,
-        arrivals: int = 0,
     ) -> None:
         self._advance_clock()
         self.concurrency_integral += dt * admitted
-        self.active_integral += dt * active
         if active > 0.0:
             for res in self.capacity.resources:
                 self.util_integral[res.name] += dt * self.capacity.utilization(
@@ -253,8 +243,6 @@ class ReferenceServer:
                 )
         self.completions += completions
         self.latency_total += latency
-        self.arrivals += arrivals
-        self.work_completions += completions
 
     def _reschedule(self) -> None:
         heap = self._heap
@@ -291,7 +279,6 @@ class ReferenceServer:
                 continue
             job.done = True
             self._active -= 1
-            self.work_completions += 1
             finished.append(job)
         self._reschedule()
         for job in finished:

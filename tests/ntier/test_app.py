@@ -55,7 +55,7 @@ def test_request_visits_all_three_tiers():
     web, app_, db = (app.tiers[t].servers[0] for t in (WEB, APP, DB))
     assert [s.name for s in (web, app_, db)] == ["web-1", "app-1", "db-1"]
     for server in (web, app_, db):
-        assert (server.arrivals, server.completions) == (1, 1)
+        assert server.completions == 1 and server.is_idle
     # nesting: the web visit spans the app visit, which spans the db visit
     assert web.latency_total >= app_.latency_total >= db.latency_total > 0.0
 
@@ -141,6 +141,29 @@ def test_admission_pressure_unknown_tier():
     app = build_app(sim)
     with pytest.raises(ConfigurationError):
         app.admission_pressure("queue")
+
+
+def test_soft_cap_is_the_admission_capacity():
+    """One definition of a tier's soft cap: the live servers' thread
+    limits for web and app, every app server's connection pool (a
+    draining one's included) for the DB tier."""
+    from repro.ntier.server import Server, ServerConfig
+    from tests.conftest import simple_capacity
+
+    sim = Simulator()
+    app = build_app(sim, soft=SoftResourceAllocation(1000, 60, 40))
+    app_2 = Server(sim, ServerConfig("app-2", APP, simple_capacity(1000), 30))
+    app.attach_server(app_2, db_connections=7)
+    app.attach_server(Server(sim, ServerConfig("db-2", DB, simple_capacity(10), 500)))
+    app.conn_pools["app-1"].resize(12)
+    app_2.threads.resize(25)
+    assert [app.soft_cap(t) for t in (WEB, APP, DB)] == [1000, 60 + 25, 12 + 7]
+    app.tiers[APP].begin_drain(app_2)
+    assert [app.soft_cap(t) for t in (WEB, APP, DB)] == [1000, 60, 12 + 7]
+    for tier in (WEB, APP, DB):
+        assert app.admission_pressure(tier)[1] == app.soft_cap(tier)
+    with pytest.raises(ConfigurationError):
+        app.soft_cap("queue")
 
 
 def test_attach_unknown_tier_rejected():

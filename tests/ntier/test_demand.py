@@ -1,5 +1,7 @@
 """Tests for the service-demand model."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,26 @@ def test_tier_demand_validation():
         TierDemand(mean=0.0)
     with pytest.raises(ConfigurationError):
         TierDemand(mean=0.01, cv=-0.5)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        dict(mean=math.nan),
+        dict(mean=math.inf),
+        dict(mean=0.01, cv=math.nan),
+        dict(mean=0.01, cv=math.inf),
+        dict(mean=0.01, dataset_exponent=math.nan),
+        dict(mean=0.01, dataset_exponent=-math.inf),
+    ],
+    ids=["nan-mean", "inf-mean", "nan-cv", "inf-cv", "nan-exponent", "inf-exponent"],
+)
+def test_tier_demand_refuses_non_finite_parameters(fields):
+    """A NaN mean would send every phase down the server's zero-demand
+    path, and an infinite cv divides by zero in the sampler: both are
+    refused when the demand is built."""
+    with pytest.raises(ConfigurationError, match="must be finite"):
+        TierDemand(**fields)
 
 
 def test_effective_mean_dataset_scaling():
@@ -45,27 +67,27 @@ def _profile(cv=0.3):
 
 def test_draw_deterministic_when_cv_zero():
     rng = np.random.default_rng(0)
-    out = _profile(cv=0.0).draw(rng)
+    out = _profile(cv=0.0).sampler()(rng)
     assert out == {"web": 0.001, "db": 0.010}
 
 
 def test_draw_respects_demand_scale():
     rng = np.random.default_rng(0)
-    out = _profile(cv=0.0).draw(rng, demand_scale=25.0)
+    out = _profile(cv=0.0).sampler(demand_scale=25.0)(rng)
     assert out["db"] == pytest.approx(0.25)
 
 
 def test_draw_respects_dataset_scale():
     rng = np.random.default_rng(0)
-    out = _profile(cv=0.0).draw(rng, dataset_scale=2.0)
+    out = _profile(cv=0.0).sampler(dataset_scale=2.0)(rng)
     assert out["db"] == pytest.approx(0.020)
     assert out["web"] == pytest.approx(0.001)  # exponent 0
 
 
 def test_draw_statistics_match_configuration():
     rng = np.random.default_rng(42)
-    profile = _profile(cv=0.4)
-    draws = np.array([profile.draw(rng)["db"] for _ in range(4000)])
+    sample = _profile(cv=0.4).sampler()
+    draws = np.array([sample(rng)["db"] for _ in range(4000)])
     assert draws.mean() == pytest.approx(0.010, rel=0.05)
     assert draws.std() / draws.mean() == pytest.approx(0.4, rel=0.10)
     assert (draws > 0).all()
@@ -83,7 +105,7 @@ def test_unknown_distribution_rejected():
 def test_gamma_default_draws_unchanged():
     """The ``distribution`` field defaults to gamma and must reproduce
     the historical draws bit-for-bit (byte-identity contract)."""
-    a = _profile(cv=0.3).draw(np.random.default_rng(7))
+    a = _profile(cv=0.3).sampler()(np.random.default_rng(7))
     explicit = DemandProfile(
         interaction="X",
         tiers={
@@ -92,7 +114,7 @@ def test_gamma_default_draws_unchanged():
         },
         distribution="gamma",
     )
-    b = explicit.draw(np.random.default_rng(7))
+    b = explicit.sampler()(np.random.default_rng(7))
     assert a == b
     rng = np.random.default_rng(7)
     shape = 1.0 / 0.3**2
@@ -109,8 +131,8 @@ def _lognormal_profile(cv):
 
 def test_lognormal_moments_match_configuration():
     rng = np.random.default_rng(42)
-    profile = _lognormal_profile(cv=0.5)
-    draws = np.array([profile.draw(rng)["db"] for _ in range(8000)])
+    sample = _lognormal_profile(cv=0.5).sampler()
+    draws = np.array([sample(rng)["db"] for _ in range(8000)])
     assert draws.mean() == pytest.approx(0.010, rel=0.03)
     assert draws.std() / draws.mean() == pytest.approx(0.5, rel=0.10)
     assert (draws > 0).all()
@@ -133,7 +155,7 @@ def test_lognormal_tail_heavier_than_gamma():
 
 def test_lognormal_cv_zero_is_deterministic():
     rng = np.random.default_rng(0)
-    out = _lognormal_profile(cv=0.0).draw(rng)
+    out = _lognormal_profile(cv=0.0).sampler()(rng)
     assert out == {"db": 0.010}
 
 
@@ -180,7 +202,8 @@ def test_sampler_matches_the_per_draw_parameters(profile):
         assert got == want
         assert list(got) == list(want)
     assert ours.bit_generator.state == theirs.bit_generator.state
-    assert profile.draw(ours, 2.0, 25.0) == reference_draw(profile, theirs, 2.0, 25.0)
+    fresh = profile.sampler(2.0, 25.0)
+    assert fresh(ours) == reference_draw(profile, theirs, 2.0, 25.0)
 
 
 @pytest.mark.parametrize("make_mix", [browse_only_mix, read_write_mix])

@@ -17,7 +17,7 @@ def test_immediate_grant_when_free():
     pool.acquire("a", granted.append)
     assert granted == ["a"]
     assert pool.in_use == 1
-    assert pool.available == 1
+    assert pool.queued == 0
 
 
 def test_queues_when_full():
@@ -69,8 +69,8 @@ def test_resize_shrink_is_graceful():
     # nobody evicted; over-subscribed until holders release
     assert pool.in_use == 3
     assert pool.limit == 1
-    assert pool.available == 0
     pool.acquire("d", granted.append)
+    assert pool.queued == 1
     pool.release()
     pool.release()
     # still 1 in use >= limit 1, d keeps waiting
@@ -92,15 +92,6 @@ def test_cancel_removes_waiter():
 def test_cancel_missing_returns_false():
     pool, _ = make_pool(1)
     assert pool.cancel("ghost") is False
-
-
-def test_counters():
-    pool, granted = make_pool(1)
-    pool.acquire("a", granted.append)
-    pool.acquire("b", granted.append)
-    pool.release()
-    assert pool.total_acquired == 2
-    assert pool.total_queued == 1
 
 
 def test_fifo_no_overtake_after_grow():

@@ -108,12 +108,9 @@ class _Side:
         event = server._completion_event
         return (
             server.concurrency_integral,
-            server.active_integral,
             list(server.util_integral.items()),
             server.latency_total,
             server.completions,
-            server.work_completions,
-            server.arrivals,
             None if event is None else event.time,
             self.sim.now,
             server.admitted,
@@ -162,7 +159,6 @@ def _pick_arg(op: str, side: _Side, rng: np.random.Generator, next_id: int):
             admitted=active + float(rng.uniform(0.0, 5.0)),
             completions=int(rng.integers(0, 4)),
             latency=float(rng.uniform(0.0, 0.1)),
-            arrivals=int(rng.integers(0, 4)),
         )
     if op == "sync":
         return ()

@@ -12,10 +12,3 @@ def test_response_time_requires_completion():
     req.completion = 3.5
     assert req.response_time == pytest.approx(2.5)
     assert req.done
-
-
-def test_demand_lookup_and_error():
-    req = Request(0, "X", 0.0, demands={"db": 0.01})
-    assert req.demand_at("db") == 0.01
-    with pytest.raises(KeyError, match="web"):
-        req.demand_at("web")

@@ -64,11 +64,9 @@ def test_hysteresis_blocks_small_drift():
 
 
 def test_clamps_apply():
-    sim, app, actuator, controller = make_controller(
-        app_est=estimate(1000), max_app_threads=100
-    )
+    sim, app, actuator, controller = make_controller(app_est=estimate(1000))
     controller._adapt(force=True)
-    assert actuator.factory.thread_limit(APP) == 100
+    assert actuator.factory.thread_limit(APP) == 400  # not ceil(1000*1.15)
 
 
 def test_db_target_scales_with_topology():
