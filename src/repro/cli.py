@@ -514,16 +514,13 @@ def cmd_controllers(args: argparse.Namespace) -> int:
         import json
 
         print(json.dumps(
-            {"version": 1, "controllers": [s.describe() for s in specs]},
+            {"version": 2, "controllers": [s.describe() for s in specs]},
             indent=2, sort_keys=True,
         ))
         return 0
     rows = []
     for spec in specs:
-        params = ", ".join(
-            f"{p.name}={p.default!r}" if p.cli else f"{p.name}=<object>"
-            for p in spec.params
-        )
+        params = ", ".join(f"{p.name}={p.default!r}" for p in spec.params)
         rows.append(
             (
                 spec.name,

@@ -171,17 +171,11 @@ def _tail_ms(artifact: RunArtifact) -> dict[str, float]:
 
 
 def _param_str(name: str, value) -> str:
-    """One ``name=value`` label fragment, schema-agnostic.
-
-    Floats render with ``:g`` (so ``headroom=3.0`` reads ``headroom=3``);
-    structured values (e.g. a trained DCM profile) render as their type
-    name rather than their repr, which would bloat the label.
-    """
+    """One ``name=value`` label fragment: floats render with ``:g`` (so
+    ``headroom=3.0`` reads ``headroom=3``), switches as ``True``/``False``."""
     if isinstance(value, float):
         return f"{name}={value:g}"
-    if value is None or isinstance(value, (bool, int, str)):
-        return f"{name}={value}"
-    return f"{name}=<{type(value).__qualname__}>"
+    return f"{name}={value}"
 
 
 def _label(artifact: RunArtifact) -> str:

@@ -79,8 +79,8 @@ def run_experiment(
     """Run one scenario under one scaling framework.
 
     ``params`` sets controller parameters per the framework's registered
-    schema (e.g. ``{"headroom": 1.3}`` for ConScale, ``{"profile": ...}``
-    for DCM).
+    schema (e.g. ``{"headroom": 1.3}`` for ConScale, ``{"slo_ms": 100.0}``
+    for QoS).
     """
     overrides = RunOverrides.from_params(
         params or None,
@@ -131,10 +131,7 @@ def execute_spec(spec: RunSpec, *, sim: Simulator | None = None) -> RunArtifact:
     bus = ControlBus()
     actions = DecisionTrace().attach(bus)
     warehouse = MetricWarehouse(
-        sim,
-        tick=1.0,
-        fine_interval=config.effective_fine_interval(),
-        history_seconds=config.duration + DRAIN_GRACE + 60.0,
+        sim, fine_interval=config.effective_fine_interval()
     )
     actuator = Actuator(sim, app, hypervisor, factory, warehouse, bus)
     n_web, n_app, n_db = config.topology

@@ -20,6 +20,7 @@ from repro.experiments.calibration import Calibration, default_calibration
 from repro.ntier.app import SoftResourceAllocation
 from repro.ntier.demand import DEMAND_DISTRIBUTIONS
 from repro.scaling.policy import TierPolicyConfig
+from repro.workload.shapes import TRACE_NAMES
 
 __all__ = ["ScenarioConfig", "ARRIVAL_MODELS", "SIM_MODES"]
 
@@ -86,6 +87,12 @@ class ScenarioConfig:
         if self.load_scale < 1.0:
             raise ConfigurationError(
                 f"load_scale must be >= 1, got {self.load_scale!r}"
+            )
+        trace = self.trace_name
+        if trace not in TRACE_NAMES and not trace.endswith(".csv"):
+            raise ConfigurationError(
+                f"trace_name must be one of {TRACE_NAMES} or a .csv path, "
+                f"got {trace!r}"
             )
         if self.workload_mode not in ("browse", "readwrite"):
             raise ConfigurationError(

@@ -8,13 +8,13 @@ Optimal Concurrency Estimator asynchronously pulls the fine-grained
 
 The warehouse owns one :class:`~repro.monitoring.interval.IntervalMonitor`
 per registered server, so servers added by scale-out are monitored from
-the moment they join.
+the moment they join. It keeps every 1 s VM sample for the whole run:
+one small record per server per second.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -27,6 +27,9 @@ from repro.sim.engine import PRIORITY_SAMPLER, PRIORITY_WAREHOUSE, Simulator
 from repro.sim.process import PeriodicProcess
 
 __all__ = ["VmSample", "MetricWarehouse", "TELEMETRY_STALE_AFTER"]
+
+#: Seconds between VM metric collections (and sampler ticks).
+_TICK = 1.0
 
 #: Seconds after which a tier's telemetry counts as stale: the threshold
 #: policy freezes hardware decisions, the SCT estimator flags its
@@ -70,15 +73,8 @@ class _VmState:
 class MetricWarehouse:
     """Collects per-VM metrics at 1 s and per-server tuples at 50 ms."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        tick: float = 1.0,
-        fine_interval: float = 0.050,
-        history_seconds: float = 900.0,
-    ) -> None:
+    def __init__(self, sim: Simulator, fine_interval: float = 0.050) -> None:
         self.sim = sim
-        self.tick = float(tick)
         self.fine_interval = float(fine_interval)
         self._states: dict[str, _VmState] = {}
         # Name-sorted registry plus the differencing baselines, kept as
@@ -88,13 +84,12 @@ class MetricWarehouse:
         self._order: list[str] = []
         self._prev = np.zeros((0, 3), dtype=np.float64)
         self._prev_t = np.zeros(0, dtype=np.float64)
-        self._history: deque[VmSample] = deque()
-        self._history_seconds = float(history_seconds)
+        self._history: list[VmSample] = []
         # Tiers currently in a telemetry blackout ("*" = every tier).
         self._blackout: set[str] = set()
         self._last_sample_t: dict[str, float] = {}  # tier -> newest t_end
         self._process = PeriodicProcess(
-            sim, self.tick, self._collect, priority=PRIORITY_WAREHOUSE
+            sim, _TICK, self._collect, priority=PRIORITY_WAREHOUSE
         )
 
     # ------------------------------------------------------------------
@@ -263,9 +258,6 @@ class MetricWarehouse:
             # bogus catch-up sample appears when the blackout ends.
             np.copyto(self._prev, cur, where=fresh[:, None])
             self._prev_t[fresh] = now
-        cutoff = now - self._history_seconds
-        while self._history and self._history[0].t_end < cutoff:
-            self._history.popleft()
 
     def register_sampler(
         self,
@@ -281,7 +273,7 @@ class MetricWarehouse:
         acting. The experiment runner registers its VM-count sampler
         here instead of wiring its own periodic process.
         """
-        return PeriodicProcess(self.sim, self.tick, fn, priority=priority)
+        return PeriodicProcess(self.sim, _TICK, fn, priority=priority)
 
     # ------------------------------------------------------------------
     # queries

@@ -6,9 +6,14 @@ soft-resource adaption:
 1. when a hardware scaling action completes, immediately re-estimate
    the optimal concurrency of the app and DB tiers with the SCT model
    and re-allocate the pools;
-2. additionally re-estimate periodically, so runtime-environment
+2. additionally re-estimate every 2 s, so runtime-environment
    changes that do not coincide with scaling events (e.g. the dataset
    size drifting — the Fig. 11 scenario) are also caught.
+
+Every tier gets one cap from the tier's median estimate: each Tomcat
+the same thread count, each Tomcat's pool the same share of the DB
+tier's concurrency. The only setting a run chooses is the actuation
+``headroom``; the rest are the constants below.
 
 The DB tier's concurrency is actuated indirectly: if the SCT model says
 each MySQL should run at ``Q*`` and there are ``n_db`` MySQL and
@@ -22,7 +27,12 @@ from repro.control.events import STALE_HOLD
 from repro.monitoring.warehouse import TELEMETRY_STALE_AFTER, MetricWarehouse
 from repro.ntier.app import APP, DB
 from repro.scaling.actuator import Actuator
-from repro.scaling.controller import BaseController
+from repro.scaling.controller import (
+    BaseController,
+    admission_pressured,
+    cap_drifted,
+    probe_up,
+)
 from repro.scaling.estimator import OptimalConcurrencyEstimator, TierEstimate
 from repro.scaling.policy import TierPolicyConfig
 from repro.sim.engine import Simulator
@@ -35,6 +45,9 @@ _MIN_APP_THREADS = 4
 _MAX_APP_THREADS = 400
 _MIN_DB_CONNECTIONS = 2
 _MAX_DB_CONNECTIONS = 400
+
+#: Seconds between periodic soft-resource adaptions.
+_ADAPT_INTERVAL = 2.0
 
 
 class ConScaleController(BaseController):
@@ -49,26 +62,16 @@ class ConScaleController(BaseController):
         actuator: Actuator,
         estimator: OptimalConcurrencyEstimator | None = None,
         tier_configs: dict[str, TierPolicyConfig] | None = None,
-        tick: float = 1.0,
-        adapt_interval: float = 2.0,
-        hysteresis: float = 0.2,
         headroom: float = 1.15,
-        per_server_app: bool = False,
     ) -> None:
-        super().__init__(sim, warehouse, actuator, tier_configs, tick)
+        super().__init__(sim, warehouse, actuator, tier_configs)
         self.estimator = estimator or OptimalConcurrencyEstimator(warehouse)
-        self.adapt_interval = float(adapt_interval)
-        self.hysteresis = float(hysteresis)
         # Actuate slightly above the estimated Q_lower: the estimate is
         # noise-biased a little low (tolerance band on a rising curve),
         # and a cap exactly at the knee parks the bottleneck's CPU just
         # below the hardware scaler's threshold. The paper's own runs
         # show the same behaviour (e.g. "MySQL1 20 -> 22" in Fig. 8).
         self.headroom = float(headroom)
-        # Per-server app-tier actuation for heterogeneous fleets (e.g.
-        # after vertical scaling of part of the tier): each Tomcat gets
-        # its own estimated optimum instead of the tier median.
-        self.per_server_app = bool(per_server_app)
         self._last_adapt = -1e18
 
     # ------------------------------------------------------------------
@@ -80,7 +83,7 @@ class ConScaleController(BaseController):
 
     def periodic_adapt(self, now: float) -> None:
         """Continuous adaption for non-scaling environment changes."""
-        if now - self._last_adapt >= self.adapt_interval:
+        if now - self._last_adapt >= _ADAPT_INTERVAL:
             self._adapt(force=False)
 
     # ------------------------------------------------------------------
@@ -114,15 +117,11 @@ class ConScaleController(BaseController):
         current = self.actuator.factory.thread_limit(APP)
         if self._hold_if_stale(APP, est):
             return
-        if self.per_server_app and est is not None and self._adapt_app_per_server(
-            est, force
-        ):
-            return
         if self._usable(est):
             target = self._clamp(
                 self._with_headroom(est.optimal), _MIN_APP_THREADS, _MAX_APP_THREADS
             )
-            if force or self._drifted(current, target):
+            if force or cap_drifted(current, target):
                 self.actuator.set_app_threads(
                     target,
                     reason=f"SCT Q_lower={est.optimal} x headroom "
@@ -131,7 +130,7 @@ class ConScaleController(BaseController):
                 )
             return
         if self._should_explore(APP, est):
-            target = min(_MAX_APP_THREADS, self._probe_up(current))
+            target = min(_MAX_APP_THREADS, probe_up(current))
             if target != current:
                 self.actuator.set_app_threads(
                     target,
@@ -158,7 +157,7 @@ class ConScaleController(BaseController):
                 _MIN_DB_CONNECTIONS,
                 _MAX_DB_CONNECTIONS,
             )
-            if force or self._drifted(current, per_app):
+            if force or cap_drifted(current, per_app):
                 self.actuator.set_db_connections(
                     per_app,
                     reason=f"SCT Q_lower={est.optimal} x headroom "
@@ -167,7 +166,7 @@ class ConScaleController(BaseController):
                 )
             return
         if self._should_explore(DB, est):
-            target = min(_MAX_DB_CONNECTIONS, self._probe_up(current))
+            target = min(_MAX_DB_CONNECTIONS, probe_up(current))
             if target != current:
                 self.actuator.set_db_connections(
                     target,
@@ -179,40 +178,6 @@ class ConScaleController(BaseController):
             self.actuator.set_db_connections(
                 relaxed, reason="relax stale cap toward static default"
             )
-
-    def _adapt_app_per_server(self, est: TierEstimate, force: bool) -> bool:
-        """Give each app server its own actionable optimum.
-
-        Returns True when at least one server was individually
-        actuated; the caller then skips the uniform path this round.
-        Servers without an actionable estimate keep their current
-        limit (the relax/explore machinery still reaches them through
-        later uniform rounds if the whole tier stalls).
-        """
-        live = {s.name: s for s in self.actuator.app.tiers[APP].servers}
-        acted = False
-        for name, server_est in est.per_server.items():
-            server = live.get(name)
-            if server is None:
-                continue
-            if not (
-                server_est.saturation_observed and server_est.hardware_limited
-            ):
-                continue
-            target = self._clamp(
-                self._with_headroom(server_est.optimal),
-                _MIN_APP_THREADS,
-                _MAX_APP_THREADS,
-            )
-            if force or self._drifted(server.threads.limit, target):
-                self.actuator.set_app_threads_for(
-                    name, target,
-                    reason=f"per-server SCT Q_lower={server_est.optimal} x "
-                    f"headroom {self.headroom:.2f}",
-                    estimate=float(server_est.optimal),
-                )
-                acted = True
-        return acted
 
     # ------------------------------------------------------------------
     def _usable(self, est: TierEstimate | None) -> bool:
@@ -242,12 +207,7 @@ class ConScaleController(BaseController):
         """
         if est is None or est.saturation_observed or not est.plateau_hot:
             return False
-        queued, capacity = self.actuator.app.admission_pressure(tier)
-        return capacity > 0 and queued >= 0.25 * capacity
-
-    def _probe_up(self, current: int) -> int:
-        """One upward exploration step (25 %, at least +2)."""
-        return max(current + 2, int(current * 1.25))
+        return admission_pressured(self.actuator.app, tier)
 
     def _maybe_relax(self, tier: str, current: int, static_default: int) -> int:
         """Gradually widen a previously applied cap when the tier has
@@ -276,11 +236,6 @@ class ConScaleController(BaseController):
     def _with_headroom(self, optimal: int) -> int:
         """Estimated Q_lower plus the actuation headroom, rounded up."""
         return max(1, int(-(-optimal * self.headroom // 1)))
-
-    def _drifted(self, current: int, target: int) -> bool:
-        if current <= 0:
-            return True
-        return abs(target - current) / current > self.hysteresis
 
     @staticmethod
     def _clamp(value: int, lo: int, hi: int) -> int:

@@ -10,14 +10,27 @@ from repro.control.events import (
     DecisionEvent,
 )
 from repro.monitoring.warehouse import MetricWarehouse
-from repro.ntier.app import APP, DB
+from repro.ntier.app import APP, DB, NTierApplication
 from repro.scaling.actuator import Actuator
 from repro.scaling.faultaware import FaultAwareMixin
 from repro.scaling.policy import ThresholdPolicy, TierPolicyConfig
 from repro.sim.engine import PRIORITY_CONTROLLER, Simulator
 from repro.sim.process import PeriodicProcess
 
-__all__ = ["BaseController"]
+__all__ = [
+    "BaseController",
+    "DECISION_TICK",
+    "cap_drifted",
+    "admission_pressured",
+    "probe_up",
+]
+
+#: Seconds between the controller's decision ticks.
+DECISION_TICK = 1.0
+
+#: Relative drift from the current soft cap that a new target must
+#: exceed before ConScale's or MPC's periodic correction re-actuates.
+_CAP_HYSTERESIS = 0.2
 
 #: The actuator's completed hardware changes, each of which reaches
 #: :meth:`BaseController.after_hardware_change`.
@@ -67,7 +80,6 @@ class BaseController(FaultAwareMixin):
         warehouse: MetricWarehouse,
         actuator: Actuator,
         tier_configs: dict[str, TierPolicyConfig] | None = None,
-        tick: float = 1.0,
     ) -> None:
         self.sim = sim
         self.warehouse = warehouse
@@ -80,7 +92,7 @@ class BaseController(FaultAwareMixin):
         self.policy = ThresholdPolicy(sim, warehouse, actuator, configs)
         self.bus.subscribe(self._on_decision)
         self._process = PeriodicProcess(
-            sim, tick, self._tick, priority=PRIORITY_CONTROLLER
+            sim, DECISION_TICK, self._tick, priority=PRIORITY_CONTROLLER
         )
 
     def stop(self) -> None:
@@ -155,3 +167,27 @@ class BaseController(FaultAwareMixin):
 
     def periodic_adapt(self, now: float) -> None:
         """Per-tick soft-resource adaption (ConScale's online path)."""
+
+
+# ----------------------------------------------------------------------
+# soft-cap checks shared by the adaptive controllers (ConScale and MPC)
+# ----------------------------------------------------------------------
+
+def cap_drifted(current: int, target: int) -> bool:
+    """Whether ``target`` is far enough from the ``current`` cap to
+    re-actuate: the hysteresis gate of a periodic correction."""
+    if current <= 0:
+        return True
+    return abs(target - current) / current > _CAP_HYSTERESIS
+
+
+def admission_pressured(app: NTierApplication, tier: str) -> bool:
+    """Whether requests queue at the tier's admission point: a quarter
+    of its soft capacity or more is waiting."""
+    queued, capacity = app.admission_pressure(tier)
+    return capacity > 0 and queued >= 0.25 * capacity
+
+
+def probe_up(cap: int) -> int:
+    """One upward exploration step of a soft cap: 25 %, at least +2."""
+    return max(cap + 2, int(cap * 1.25))

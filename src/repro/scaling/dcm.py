@@ -134,9 +134,8 @@ class DCMController(BaseController):
         actuator: Actuator,
         profile: DcmTrainedProfile,
         tier_configs: dict[str, TierPolicyConfig] | None = None,
-        tick: float = 1.0,
     ) -> None:
-        super().__init__(sim, warehouse, actuator, tier_configs, tick)
+        super().__init__(sim, warehouse, actuator, tier_configs)
         self.profile = profile
         # DCM configures the trained allocation up-front as well.
         sim.schedule_after(0.0, lambda: self._apply())

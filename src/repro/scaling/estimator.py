@@ -30,6 +30,10 @@ if TYPE_CHECKING:
 
 __all__ = ["TierEstimate", "EstimateHistory", "OptimalConcurrencyEstimator"]
 
+#: Fewest fine samples in a server's window before the drift check
+#: compares its two halves.
+_DRIFT_MIN_SAMPLES = 60
+
 
 @dataclass(frozen=True, slots=True)
 class TierEstimate:
@@ -203,7 +207,6 @@ class OptimalConcurrencyEstimator:
         model: SCTModel | None = None,
         window: float = 60.0,
         drift_check: bool = False,
-        drift_min_samples: int = 60,
     ) -> None:
         if window <= 0:
             raise EstimationError(f"window must be > 0, got {window!r}")
@@ -216,7 +219,6 @@ class OptimalConcurrencyEstimator:
         # trimmed from the warehouse so it cannot poison this or any
         # later estimate.
         self.drift_check = bool(drift_check)
-        self.drift_min_samples = int(drift_min_samples)
         self.drift_events = 0
         self._history: dict[str, list[TierEstimate]] = {}
 
@@ -232,7 +234,7 @@ class OptimalConcurrencyEstimator:
         fine = self.warehouse.fine_samples_for_tier(tier, self.window)
         per_server: dict[str, SCTEstimate] = {}
         for name, window in fine.items():
-            if self.drift_check and len(window) >= self.drift_min_samples:
+            if self.drift_check and len(window) >= _DRIFT_MIN_SAMPLES:
                 window = self._drop_pre_drift(name, window)
             try:
                 per_server[name] = self.model.estimate(Scatter.from_window(window))

@@ -10,13 +10,13 @@ repo's plumbing:
   :class:`~repro.scaling.predictive.PredictiveAutoScaling` — linear
   CPU-trend extrapolation arms hardware scale-outs one provisioning
   lead-time ahead;
-* the reactive half corrects the *soft-resource caps* every
-  ``correction_interval`` seconds: from warehouse telemetry it
-  estimates each tier's per-request service demand (utilisation law),
-  forecasts the tier's near-future throughput need, solves the
-  calibrated load-dependent MVA model (:mod:`repro.qnet`) for the
-  smallest per-server concurrency that sustains the forecast demand,
-  and actuates it through the same pool caps ConScale uses.
+* the reactive half corrects the *soft-resource caps* every 2 s: from
+  warehouse telemetry it estimates each tier's per-request service
+  demand (utilisation law), forecasts the tier's near-future
+  throughput need, solves the calibrated load-dependent MVA model
+  (:mod:`repro.qnet`) for the smallest per-server concurrency that
+  sustains the forecast demand, and actuates it through the same pool
+  caps ConScale uses.
 
 Unlike ConScale it never *measures* the throughput/concurrency curve —
 it trusts the analytical model, so its corrections are only as good as
@@ -27,7 +27,8 @@ interesting failure mode to compare against SCT-based estimation.
 
 Every reasoning step is auditable on the decision trace: a ``forecast``
 event per tier per correction round, and an ``mpc_correction`` event
-whenever the model picks a new cap.
+whenever the model picks a new cap. A run sets none of its settings;
+they are the constants below and the predictive half's.
 """
 
 from __future__ import annotations
@@ -44,8 +45,9 @@ from repro.ntier.app import APP, DB
 from repro.qnet.mva import MvaResult, solve_mva
 from repro.qnet.network import station_from_capacity
 from repro.scaling.actuator import Actuator
+from repro.scaling.controller import admission_pressured, cap_drifted, probe_up
 from repro.scaling.policy import TierPolicyConfig
-from repro.scaling.predictive import PredictiveAutoScaling
+from repro.scaling.predictive import TREND_WINDOW, PredictiveAutoScaling
 from repro.sim.engine import Simulator
 
 __all__ = ["MPCHybridController"]
@@ -56,6 +58,13 @@ _MVA_CACHE_MAX = 64
 #: Bounds on the per-server cap a correction actuates.
 _MIN_CAP = 2
 _MAX_CAP = 400
+
+#: Seconds between receding-horizon cap corrections, and so the horizon
+#: the throughput forecast looks ahead.
+_CORRECTION_INTERVAL = 2.0
+
+#: Largest per-server concurrency the MVA model solves for.
+_Q_MAX = 200
 
 
 class MPCHybridController(PredictiveAutoScaling):
@@ -69,22 +78,8 @@ class MPCHybridController(PredictiveAutoScaling):
         warehouse: MetricWarehouse,
         actuator: Actuator,
         tier_configs: dict[str, TierPolicyConfig] | None = None,
-        tick: float = 1.0,
-        trend_window: float = 30.0,
-        lead_time: float | None = None,
-        arm_threshold: float = 0.45,
-        correction_interval: float = 2.0,
-        hysteresis: float = 0.2,
-        q_max: int = 200,
     ) -> None:
-        super().__init__(
-            sim, warehouse, actuator, tier_configs, tick,
-            trend_window=trend_window, lead_time=lead_time,
-            arm_threshold=arm_threshold,
-        )
-        self.correction_interval = float(correction_interval)
-        self.hysteresis = float(hysteresis)
-        self.q_max = int(q_max)
+        super().__init__(sim, warehouse, actuator, tier_configs)
         self._last_correction = -1e18
         # Memoised MVA solutions keyed by (tier, capacity curve, demand
         # rounded to 3 significant figures). The rounded demand is also
@@ -103,7 +98,7 @@ class MPCHybridController(PredictiveAutoScaling):
     def periodic_adapt(self, now: float) -> None:
         """Proactive hardware forecasting, then the MPC correction."""
         super().periodic_adapt(now)
-        if now - self._last_correction >= self.correction_interval:
+        if now - self._last_correction >= _CORRECTION_INTERVAL:
             self._correct()
 
     # ------------------------------------------------------------------
@@ -125,7 +120,7 @@ class MPCHybridController(PredictiveAutoScaling):
                 "holding last-known-good caps",
             )
             return
-        samples = self.warehouse.samples(self.trend_window, tier)
+        samples = self.warehouse.samples(TREND_WINDOW, tier)
         demand = self._estimated_demand(tier, samples)
         if demand is None:
             return
@@ -139,7 +134,7 @@ class MPCHybridController(PredictiveAutoScaling):
         q_star = max(_MIN_CAP, min(_MAX_CAP, q_star))
         if tier == APP:
             current = self.actuator.factory.thread_limit(APP)
-            if self._drifted(current, q_star):
+            if cap_drifted(current, q_star):
                 self.emit(MPC_CORRECTION, tier, value=q_star, estimate=model_x)
                 self.actuator.set_app_threads(
                     q_star,
@@ -151,7 +146,7 @@ class MPCHybridController(PredictiveAutoScaling):
             n_app = max(1, self.actuator.app.tiers[APP].size)
             per_app = max(1, -(-q_star * n_servers // n_app))  # ceil
             current = self.actuator.db_connections
-            if self._drifted(current, per_app):
+            if cap_drifted(current, per_app):
                 self.emit(MPC_CORRECTION, tier, value=q_star, estimate=model_x)
                 self.actuator.set_db_connections(
                     per_app,
@@ -191,7 +186,7 @@ class MPCHybridController(PredictiveAutoScaling):
 
         The per-server samples of each warehouse tick are summed into a
         tier-total series first; a linear trend over the window is then
-        extrapolated ``correction_interval`` seconds forward.
+        extrapolated one correction interval forward.
         """
         by_tick: dict[float, float] = {}
         for s in samples:
@@ -202,11 +197,11 @@ class MPCHybridController(PredictiveAutoScaling):
         t = np.array(ticks)
         x = np.array([by_tick[tick] for tick in ticks])
         slope, intercept = np.polyfit(t - t[-1], x, 1)
-        forecast = float(max(0.0, intercept + slope * self.correction_interval))
+        forecast = float(max(0.0, intercept + slope * _CORRECTION_INTERVAL))
         self.emit(
             FORECAST, tier, estimate=forecast,
             reason=f"linear trend over {len(ticks)} tick(s): "
-            f"{x[-1]:.1f} -> {forecast:.1f}/s in {self.correction_interval:.0f}s",
+            f"{x[-1]:.1f} -> {forecast:.1f}/s in {_CORRECTION_INTERVAL:.0f}s",
         )
         return forecast
 
@@ -248,7 +243,7 @@ class MPCHybridController(PredictiveAutoScaling):
         if len(self._mva_cache) >= _MVA_CACHE_MAX:
             self._mva_cache.clear()
         station = station_from_capacity(tier, capacity, rounded)
-        result = solve_mva([station], self.q_max)
+        result = solve_mva([station], _Q_MAX)
         self._mva_cache[key] = result
         return result
 
@@ -262,12 +257,6 @@ class MPCHybridController(PredictiveAutoScaling):
         observable symptom; bump the model's answer upward until the
         pressure drains.
         """
-        queued, capacity = self.actuator.app.admission_pressure(tier)
-        if capacity > 0 and queued >= 0.25 * capacity:
-            return max(q_star + 2, int(q_star * 1.25))
+        if admission_pressured(self.actuator.app, tier):
+            return probe_up(q_star)
         return q_star
-
-    def _drifted(self, current: int, target: int) -> bool:
-        if current <= 0:
-            return True
-        return abs(target - current) / current > self.hysteresis

@@ -12,7 +12,8 @@ so it inherits the concurrency-collapse problem the paper demonstrates;
 it simply pays for VMs earlier. The paper's position — that prediction
 cannot remove temporary overloading for bursty n-tier workloads, so
 fast *reactive* concurrency adaption is needed — is exactly what the
-``bench_predictive_baseline`` comparison probes.
+``bench_predictive_baseline`` comparison probes. A run sets none of its
+settings; they are the constants below.
 """
 
 from __future__ import annotations
@@ -22,11 +23,19 @@ import numpy as np
 from repro.control.events import THRESHOLD_TRIP
 from repro.monitoring.warehouse import MetricWarehouse
 from repro.scaling.actuator import Actuator
-from repro.scaling.controller import BaseController
+from repro.scaling.controller import DECISION_TICK, BaseController
 from repro.scaling.policy import TierPolicyConfig
 from repro.sim.engine import Simulator
 
-__all__ = ["PredictiveAutoScaling"]
+__all__ = ["PredictiveAutoScaling", "TREND_WINDOW"]
+
+#: Seconds of telemetry behind a linear trend (the CPU forecast here,
+#: and MPC's throughput forecast and demand estimate).
+TREND_WINDOW = 30.0
+
+#: Minimum current tier CPU before a forecast may act: a steep trend
+#: from 5 % to 10 % CPU is noise, not a burst.
+_ARM_THRESHOLD = 0.45
 
 
 class PredictiveAutoScaling(BaseController):
@@ -40,30 +49,17 @@ class PredictiveAutoScaling(BaseController):
         warehouse: MetricWarehouse,
         actuator: Actuator,
         tier_configs: dict[str, TierPolicyConfig] | None = None,
-        tick: float = 1.0,
-        trend_window: float = 30.0,
-        lead_time: float | None = None,
-        arm_threshold: float = 0.45,
     ) -> None:
-        super().__init__(sim, warehouse, actuator, tier_configs, tick)
-        self.trend_window = float(trend_window)
-        # Forecast horizon: the VM preparation period plus one decision
-        # tick, unless overridden.
-        self.lead_time = (
-            float(lead_time)
-            if lead_time is not None
-            else actuator.hypervisor.prep_period + tick
-        )
-        # Don't act on extrapolation alone when the tier is still cold;
-        # a steep trend from 5% to 10% CPU is noise, not a burst.
-        self.arm_threshold = float(arm_threshold)
+        super().__init__(sim, warehouse, actuator, tier_configs)
+        # Forecast horizon: the VM preparation period plus one tick.
+        self.lead_time = actuator.hypervisor.prep_period + DECISION_TICK
 
     def predicted_cpu(self, tier: str) -> float:
         """Linear-trend forecast of the tier's CPU one lead-time ahead.
 
         Returns 0.0 while fewer than three samples exist.
         """
-        samples = self.warehouse.samples(self.trend_window, tier)
+        samples = self.warehouse.samples(TREND_WINDOW, tier)
         if len(samples) < 3:
             return 0.0
         t = np.array([s.t_end for s in samples])
@@ -84,7 +80,7 @@ class PredictiveAutoScaling(BaseController):
             if not self.policy.can_scale_out(tier):
                 continue
             current = self.warehouse.tier_cpu(tier, config.out_window)
-            if current < self.arm_threshold:
+            if current < _ARM_THRESHOLD:
                 continue
             predicted = self.predicted_cpu(tier)
             if predicted > config.high_threshold:

@@ -4,14 +4,16 @@ RobustScaler (Qian et al., 2022) frames autoscaling as optimisation
 under a QoS *chance constraint*: keep the probability of violating the
 latency objective below a tolerance ``epsilon``. This controller
 implements the reactive core of that idea on the repo's plumbing: over
-a sliding telemetry window it measures the completion-weighted fraction
-of requests whose response time exceeded the SLO, and scales the
-offending tier's hardware once the constraint
+a sliding 20 s telemetry window it measures the completion-weighted
+fraction of requests whose response time exceeded the SLO, and scales
+the offending tier's hardware once the constraint
 
     P(RT > SLO) <= epsilon
 
-has been violated for ``sustain`` consecutive decision ticks (the
-hysteresis that keeps a single noisy interval from buying a VM).
+has been violated for 3 consecutive decision ticks (the hysteresis
+that keeps a single noisy interval from buying a VM). ``slo_ms`` and
+``epsilon`` define the constraint, so a run may set them; the window
+and the streak are constants.
 
 Like EC2-AutoScaling and the predictive baseline it is hardware-only —
 no soft-resource adaption — so it shares their concurrency-collapse
@@ -40,6 +42,17 @@ from repro.sim.engine import Simulator
 
 __all__ = ["QoSRobustController"]
 
+#: Seconds of fine-grained samples behind each constraint check.
+_WINDOW = 20.0
+
+#: Consecutive breach ticks required before scaling.
+_SUSTAIN = 3
+
+#: Fewest completions in the window that count as evidence: a violation
+#: probability computed over a handful of completions is noise, not a
+#: constraint check.
+_MIN_COMPLETIONS = 20
+
 
 class QoSRobustController(BaseController):
     """Tail-latency chance-constraint scaling with hysteresis."""
@@ -52,22 +65,13 @@ class QoSRobustController(BaseController):
         warehouse: MetricWarehouse,
         actuator: Actuator,
         tier_configs: dict[str, TierPolicyConfig] | None = None,
-        tick: float = 1.0,
         slo_ms: float = 250.0,
         epsilon: float = 0.05,
-        window: float = 20.0,
-        sustain: int = 3,
-        min_completions: int = 20,
         rt_scale: float = 1.0,
     ) -> None:
-        super().__init__(sim, warehouse, actuator, tier_configs, tick)
+        super().__init__(sim, warehouse, actuator, tier_configs)
         self.slo_ms = float(slo_ms)
         self.epsilon = float(epsilon)
-        self.window = float(window)
-        self.sustain = int(sustain)
-        # Evidence guard: a violation probability computed over a
-        # handful of completions is noise, not a constraint check.
-        self.min_completions = int(min_completions)
         self.rt_scale = float(rt_scale)
         self._streaks: dict[str, int] = {}
 
@@ -87,14 +91,14 @@ class QoSRobustController(BaseController):
         slo = self.slo
         total = 0
         breached = 0
-        fine = self.warehouse.fine_samples_for_tier(tier, self.window)
+        fine = self.warehouse.fine_samples_for_tier(tier, _WINDOW)
         for _name, window in sorted(fine.items()):
             rt = window.response_time
             completed = (window.completions > 0) & ~np.isnan(rt)
             counts = window.completions.astype(np.int64)
             total += int(counts[completed].sum())
             breached += int(counts[completed & (rt > slo)].sum())
-        if total < self.min_completions:
+        if total < _MIN_COMPLETIONS:
             return None
         return breached / total
 
@@ -114,13 +118,13 @@ class QoSRobustController(BaseController):
             self._streaks[tier] = streak
             reason = (
                 f"P(RT>{self.slo_ms:.0f}ms)={prob:.3f} > "
-                f"eps={self.epsilon:.3f} ({streak}/{self.sustain} tick(s))"
+                f"eps={self.epsilon:.3f} ({streak}/{_SUSTAIN} tick(s))"
             )
             self.emit(
                 QOS_CONSTRAINT, tier, value=streak, estimate=prob,
                 reason=reason,
             )
-            if streak < self.sustain or not self.policy.can_scale_out(tier):
+            if streak < _SUSTAIN or not self.policy.can_scale_out(tier):
                 continue
             # Vertical-first, mirroring the shared threshold loop.
             scaled_up = config.prefer_vertical and self.actuator.scale_up(

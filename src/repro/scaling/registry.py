@@ -16,6 +16,13 @@ derives from the registry instead:
   identically to ``headroom=1.0``;
 * ``repro controllers`` lists the registry (``--json`` for machines).
 
+A schema holds only the values a run sets, nine in all: ConScale's
+``headroom``, QoS's ``slo_ms`` and ``epsilon`` (the chance constraint
+P(RT > SLO) <= epsilon), and the ``fault_aware`` switch every framework
+gets. Every other setting of a built-in controller is a module constant
+of that controller. A param is a ``float`` (finite, > 0, below an
+optional bound) or a ``bool``.
+
 Third-party controllers plug in the same way the built-ins do::
 
     from repro.scaling.registry import ControllerSpec, ParamSpec, register_controller
@@ -41,6 +48,7 @@ qos baselines.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
@@ -72,10 +80,9 @@ __all__ = [
     "parse_cli_params",
 ]
 
-#: Parameter value kinds the schema supports. ``object`` params carry
-#: arbitrary canonicalisable values (e.g. a trained DCM profile) and are
-#: API-only — the CLI refuses to parse them.
-PARAM_KINDS = ("int", "float", "bool", "str", "object")
+#: Parameter value kinds the schema supports: a ``float`` is finite,
+#: > 0 and below the spec's ``below`` bound; a ``bool`` is a switch.
+PARAM_KINDS = ("float", "bool")
 
 _BOOL_STRINGS = {
     "true": True, "1": True, "yes": True, "on": True,
@@ -89,13 +96,16 @@ class ParamSpec:
 
     ``kind`` drives both CLI parsing (``--param name=value``) and the
     normalisation applied when a :class:`~repro.experiments.artifact.RunSpec`
-    is built, so equivalent spellings of a value digest identically.
+    is built, so equivalent spellings of a value digest identically and
+    an out-of-range value is refused, by name, before any task starts.
     """
 
     name: str
     kind: str
-    default: Any = None
+    default: Any
     help: str = ""
+    #: Exclusive upper bound on a ``float`` (e.g. 1 for a probability).
+    below: float = math.inf
 
     def __post_init__(self) -> None:
         if not self.name.isidentifier():
@@ -108,77 +118,46 @@ class ParamSpec:
                 f"got {self.kind!r}"
             )
 
-    @property
-    def cli(self) -> bool:
-        """Whether ``--param name=value`` can set this parameter."""
-        return self.kind != "object"
-
     def coerce(self, value: Any) -> Any:
         """Normalise an API-supplied value to the declared kind."""
-        if self.kind == "int":
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigurationError(
-                    f"param {self.name!r} expects an int, got {value!r}"
-                )
-            if float(value) != int(value):
-                raise ConfigurationError(
-                    f"param {self.name!r} expects an int, got {value!r}"
-                )
-            return int(value)
-        if self.kind == "float":
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigurationError(
-                    f"param {self.name!r} expects a float, got {value!r}"
-                )
-            return float(value)
         if self.kind == "bool":
             if not isinstance(value, bool):
                 raise ConfigurationError(
                     f"param {self.name!r} expects a bool, got {value!r}"
                 )
             return value
-        if self.kind == "str":
-            if not isinstance(value, str):
-                raise ConfigurationError(
-                    f"param {self.name!r} expects a str, got {value!r}"
-                )
-            return value
-        return value  # "object": passed through, canonical() validates later
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigurationError(
+                f"param {self.name!r} expects a float, got {value!r}"
+            )
+        value = float(value)
+        # NaN fails every comparison, so it is refused here too.
+        if not (math.isfinite(value) and 0.0 < value < self.below):
+            bound = f" and < {self.below:g}" if self.below < math.inf else ""
+            raise ConfigurationError(
+                f"param {self.name!r} must be finite and > 0{bound}, "
+                f"got {value!r}"
+            )
+        return value
 
     def parse(self, text: str) -> Any:
         """Parse a CLI value string to the declared kind."""
-        if self.kind == "object":
-            raise ConfigurationError(
-                f"param {self.name!r} holds an object and cannot be set "
-                "from the command line"
-            )
         try:
-            if self.kind == "int":
-                return int(text)
-            if self.kind == "float":
-                return float(text)
             if self.kind == "bool":
-                try:
-                    return _BOOL_STRINGS[text.strip().lower()]
-                except KeyError:
-                    raise ValueError(text) from None
-            return text
-        except ValueError:
+                return _BOOL_STRINGS[text.strip().lower()]
+            return float(text)
+        except (KeyError, ValueError):
             raise ConfigurationError(
                 f"param {self.name!r} expects a {self.kind}, got {text!r}"
             ) from None
 
     def describe(self) -> dict[str, Any]:
         """JSON-ready description (``repro controllers --json``)."""
-        default = self.default
-        if default is not None and self.kind == "object":
-            default = repr(default)
         return {
             "name": self.name,
             "kind": self.kind,
-            "default": default,
+            "default": self.default,
             "help": self.help,
-            "cli": self.cli,
         }
 
 
@@ -380,11 +359,9 @@ def _build_ec2(ctx: ControllerContext) -> BaseController:
 def _build_dcm(ctx: ControllerContext) -> BaseController:
     from repro.scaling.dcm import DCMController, default_profile
 
-    profile = ctx.params["profile"]
-    if profile is None:
-        profile = default_profile(ctx.config)
     return DCMController(
-        ctx.sim, ctx.warehouse, ctx.actuator, profile, ctx.tier_configs
+        ctx.sim, ctx.warehouse, ctx.actuator, default_profile(ctx.config),
+        ctx.tier_configs,
     )
 
 
@@ -399,33 +376,25 @@ def _build_conscale(ctx: ControllerContext) -> BaseController:
         window=ctx.config.sct_window,
         drift_check=ctx.config.sct_drift_check,
     )
-    p = ctx.params
     return ConScaleController(
         ctx.sim, ctx.warehouse, ctx.actuator, estimator, ctx.tier_configs,
-        adapt_interval=p["adapt_interval"], hysteresis=p["hysteresis"],
-        headroom=p["headroom"], per_server_app=p["per_server_app"],
+        headroom=ctx.params["headroom"],
     )
 
 
 def _build_predictive(ctx: ControllerContext) -> BaseController:
     from repro.scaling.predictive import PredictiveAutoScaling
 
-    p = ctx.params
     return PredictiveAutoScaling(
-        ctx.sim, ctx.warehouse, ctx.actuator, ctx.tier_configs,
-        trend_window=p["trend_window"], arm_threshold=p["arm_threshold"],
+        ctx.sim, ctx.warehouse, ctx.actuator, ctx.tier_configs
     )
 
 
 def _build_mpc(ctx: ControllerContext) -> BaseController:
     from repro.scaling.mpc import MPCHybridController
 
-    p = ctx.params
     return MPCHybridController(
-        ctx.sim, ctx.warehouse, ctx.actuator, ctx.tier_configs,
-        trend_window=p["trend_window"],
-        correction_interval=p["correction_interval"],
-        hysteresis=p["hysteresis"], q_max=p["q_max"],
+        ctx.sim, ctx.warehouse, ctx.actuator, ctx.tier_configs
     )
 
 
@@ -435,8 +404,7 @@ def _build_qos(ctx: ControllerContext) -> BaseController:
     p = ctx.params
     return QoSRobustController(
         ctx.sim, ctx.warehouse, ctx.actuator, ctx.tier_configs,
-        slo_ms=p["slo_ms"], epsilon=p["epsilon"], window=p["window"],
-        sustain=p["sustain"], rt_scale=ctx.config.rt_scale,
+        slo_ms=p["slo_ms"], epsilon=p["epsilon"], rt_scale=ctx.config.rt_scale,
     )
 
 
@@ -450,11 +418,6 @@ register_controller(ControllerSpec(
     name="dcm",
     summary="threshold hardware scaling + offline-trained concurrency table",
     factory=_build_dcm,
-    params=(
-        ParamSpec("profile", "object", None,
-                  help="DcmTrainedProfile override (API only; default: "
-                  "train under default conditions)"),
-    ),
 ))
 
 register_controller(ControllerSpec(
@@ -464,13 +427,6 @@ register_controller(ControllerSpec(
     params=(
         ParamSpec("headroom", "float", 1.15,
                   help="actuate this factor above the estimated Q_lower"),
-        ParamSpec("adapt_interval", "float", 2.0,
-                  help="seconds between periodic soft-resource adaptions"),
-        ParamSpec("hysteresis", "float", 0.2,
-                  help="relative cap drift required before re-actuating"),
-        ParamSpec("per_server_app", "bool", False,
-                  help="actuate each app server's own optimum (heterogeneous "
-                  "fleets)"),
     ),
     decision_kinds=(STALE_HOLD,),
 ))
@@ -480,12 +436,6 @@ register_controller(ControllerSpec(
     summary="trend-extrapolating proactive hardware scaling (no soft "
     "resources)",
     factory=_build_predictive,
-    params=(
-        ParamSpec("trend_window", "float", 30.0,
-                  help="seconds of CPU history behind the linear forecast"),
-        ParamSpec("arm_threshold", "float", 0.45,
-                  help="minimum current CPU before acting on a forecast"),
-    ),
 ))
 
 register_controller(ControllerSpec(
@@ -493,18 +443,6 @@ register_controller(ControllerSpec(
     summary="OptScaler-style hybrid: workload forecast + receding-horizon "
     "MVA cap correction",
     factory=_build_mpc,
-    params=(
-        ParamSpec("trend_window", "float", 30.0,
-                  help="seconds of telemetry behind forecast and demand "
-                  "estimates"),
-        ParamSpec("correction_interval", "float", 2.0,
-                  help="seconds between receding-horizon cap corrections"),
-        ParamSpec("hysteresis", "float", 0.2,
-                  help="relative cap drift required before re-actuating"),
-        ParamSpec("q_max", "int", 200,
-                  help="largest per-server concurrency the MVA model solves "
-                  "for"),
-    ),
     decision_kinds=(FORECAST, MPC_CORRECTION, STALE_HOLD),
 ))
 
@@ -516,15 +454,9 @@ register_controller(ControllerSpec(
     params=(
         ParamSpec("slo_ms", "float", 250.0,
                   help="latency objective in base-scale milliseconds"),
-        ParamSpec("epsilon", "float", 0.05,
-                  help="tolerated violation probability (0.05 = guard the "
-                  "p95)"),
-        ParamSpec("window", "float", 20.0,
-                  help="seconds of fine-grained samples behind the "
-                  "constraint check"),
-        ParamSpec("sustain", "int", 3,
-                  help="consecutive breach ticks required before scaling "
-                  "(hysteresis)"),
+        ParamSpec("epsilon", "float", 0.05, below=1.0,
+                  help="tolerated violation probability, in (0, 1) "
+                  "(0.05 = guard the p95)"),
     ),
     decision_kinds=(QOS_CONSTRAINT,),
 ))

@@ -35,7 +35,6 @@ class PeriodicProcess:
         interval: float,
         callback: Callable[[float], None],
         *,
-        start_at: float | None = None,
         priority: int = PRIORITY_MODEL,
     ) -> None:
         if interval <= 0:
@@ -43,10 +42,10 @@ class PeriodicProcess:
         self._sim = sim
         self._interval = float(interval)
         self._callback = callback
-        self._handle: EventHandle | None = None
         self._stopped = False
-        first = start_at if start_at is not None else sim.now + interval
-        self._handle = sim.schedule(first, self._tick, priority=priority)
+        self._handle: EventHandle | None = sim.schedule(
+            sim.now + interval, self._tick, priority=priority
+        )
 
     @property
     def interval(self) -> float:

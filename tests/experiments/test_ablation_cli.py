@@ -169,6 +169,14 @@ def test_cli_refuses_non_finite_calibration_inputs(argv, field, capsys, tmp_path
     (["run", "conscale", "--topology", "1,0,1"], "topology"),
     (["run", "conscale", "--mode", "fluid"], "--mode"),
     (["run", "conscale", "--seed", "-1"], "seed"),
+    (["run", "conscale", "--trace", "bogus"], "trace_name"),
+    (["run", "conscale", "--param", "headroom=nan"], "headroom"),
+    (["run", "conscale", "--param", "headroom=inf"], "headroom"),
+    (["run", "conscale", "--param", "headroom=-1"], "headroom"),
+    (["run", "qos", "--param", "slo_ms=nan"], "slo_ms"),
+    (["run", "qos", "--param", "epsilon=2"], "epsilon"),
+    (["run", "qos", "--param", "epsilon=1.5"], "epsilon"),
+    (["run", "conscale", "--param", "per_server_app=true"], "per_server_app"),
 ])
 def test_cli_refuses_bad_input_before_any_task(argv, named, capsys, tmp_path,
                                                monkeypatch):

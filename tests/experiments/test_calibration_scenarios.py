@@ -16,6 +16,7 @@ from repro.experiments.calibration import (
     web_capacity,
 )
 from repro.experiments.scenarios import ScenarioConfig
+from repro.workload.shapes import TRACE_NAMES
 
 
 # ----------------------------------------------------------------------
@@ -184,6 +185,18 @@ def test_scenario_refuses_non_finite_numbers(name, value):
 def test_scenario_refuses_a_seed_numpy_cannot_take(seed):
     with pytest.raises(ConfigurationError, match="seed must be a non-negative integer"):
         ScenarioConfig(seed=seed)
+
+
+@pytest.mark.parametrize("trace", ["bogus", "dual-phase", "trace.txt", ""])
+def test_scenario_refuses_an_unknown_trace_name(trace):
+    with pytest.raises(ConfigurationError, match="trace_name must be one of"):
+        ScenarioConfig(trace_name=trace)
+
+
+def test_scenario_takes_named_traces_and_csv_paths():
+    for name in TRACE_NAMES:
+        assert ScenarioConfig(trace_name=name).trace_name == name
+    assert ScenarioConfig(trace_name="my_trace.csv").trace_name == "my_trace.csv"
 
 
 def test_scenario_takes_numpy_integer_seeds():

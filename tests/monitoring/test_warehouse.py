@@ -38,7 +38,7 @@ def test_register_and_deregister():
 
 def test_vm_samples_collected_each_tick():
     sim = Simulator()
-    wh = MetricWarehouse(sim, tick=1.0)
+    wh = MetricWarehouse(sim)
     wh.register_server(make_server(sim))
     sim.run(until=3.5)
     samples = wh.samples(window=10.0)
@@ -48,7 +48,7 @@ def test_vm_samples_collected_each_tick():
 
 def test_tier_cpu_reflects_load():
     sim = Simulator()
-    wh = MetricWarehouse(sim, tick=1.0)
+    wh = MetricWarehouse(sim)
     server = make_server(sim, a_sat=10)
     wh.register_server(server)
     # Keep 5 requests active for the whole window -> util 0.5.
@@ -66,7 +66,7 @@ def test_tier_cpu_no_samples_is_zero():
 
 def test_fine_samples_per_server():
     sim = Simulator()
-    wh = MetricWarehouse(sim, tick=1.0, fine_interval=0.1)
+    wh = MetricWarehouse(sim, fine_interval=0.1)
     wh.register_server(make_server(sim))
     sim.run(until=1.0)
     fine = wh.fine_samples("db-1", window=0.45)
@@ -88,7 +88,7 @@ def test_fine_samples_for_tier_grouping():
 
 def test_deregistered_server_takes_its_fine_samples():
     sim = Simulator()
-    wh = MetricWarehouse(sim, tick=1.0, fine_interval=0.1)
+    wh = MetricWarehouse(sim, fine_interval=0.1)
     wh.register_server(make_server(sim))
     sim.run(until=2.5)
     wh.deregister_server("db-1")
@@ -120,12 +120,12 @@ def test_samples_window_matches_full_scan():
     """The newest-first walk returns what filtering the whole history
     returns, in the same order."""
     sim = Simulator()
-    wh = MetricWarehouse(sim, tick=1.0, history_seconds=30.0)
+    wh = MetricWarehouse(sim)
     for name, tier in [("app-1", "app"), ("db-1", "db"), ("db-2", "db")]:
         wh.register_server(make_server(sim, name, tier))
     sim.run(until=45.5)
     history = wh.samples(window=1e9)
-    assert history[0].t_end == 15.0
+    assert history[0].t_end == 1.0
     for window in (0.0, 1.0, 7.5, 29.0, 100.0):
         for tier in (None, "app", "db", "web"):
             cutoff = sim.now - window
@@ -134,18 +134,9 @@ def test_samples_window_matches_full_scan():
             assert wh.samples(window, tier) == expected
 
 
-def test_history_trimming():
-    sim = Simulator()
-    wh = MetricWarehouse(sim, tick=1.0, history_seconds=5.0)
-    wh.register_server(make_server(sim))
-    sim.run(until=20.0)
-    samples = wh.samples(window=100.0)
-    assert all(s.t_end >= 15.0 for s in samples)
-
-
 def test_late_registered_server_monitored_from_join():
     sim = Simulator()
-    wh = MetricWarehouse(sim, tick=1.0, fine_interval=0.5)
+    wh = MetricWarehouse(sim, fine_interval=0.5)
     server = make_server(sim)
     sim.schedule(5.0, wh.register_server, server)
     sim.run(until=8.0)
@@ -155,7 +146,7 @@ def test_late_registered_server_monitored_from_join():
 
 def test_register_sampler_ticks_on_warehouse_cadence():
     sim = Simulator()
-    wh = MetricWarehouse(sim, tick=1.0)
+    wh = MetricWarehouse(sim)
     seen = []
     proc = wh.register_sampler(seen.append)
     sim.run(until=3.5)
@@ -169,7 +160,7 @@ def test_register_sampler_observes_settled_tick():
     """A sampler registered through the warehouse sees the warehouse's
     own collection for the same instant already applied."""
     sim = Simulator()
-    wh = MetricWarehouse(sim, tick=1.0)
+    wh = MetricWarehouse(sim)
     wh.register_server(make_server(sim))
     counts = []
     wh.register_sampler(lambda now: counts.append(len(wh.samples(window=now + 1.0))))
@@ -183,7 +174,7 @@ def test_primary_resource_rename_raises():
     from repro.ntier.capacity import CapacityModel, ContentionModel, Resource
 
     sim = Simulator()
-    wh = MetricWarehouse(sim, tick=1.0)
+    wh = MetricWarehouse(sim)
     server = make_server(sim)
     wh.register_server(server)
     sim.run(until=1.0)
@@ -199,7 +190,7 @@ def test_vectorised_collection_matches_across_calendars():
     the reference heap event loop."""
 
     def samples_on(sim):
-        wh = MetricWarehouse(sim, tick=1.0, fine_interval=0.25)
+        wh = MetricWarehouse(sim, fine_interval=0.25)
         servers = [make_server(sim, f"db-{i}", "db") for i in range(3)]
         for s in servers:
             wh.register_server(s)

@@ -5,7 +5,7 @@ import pytest
 from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import ScenarioConfig
 from repro.ntier.app import DB
-from repro.scaling.dcm import DcmTrainedProfile
+from repro.scaling.dcm import default_profile
 
 
 def small_config(**kw):
@@ -36,12 +36,14 @@ def test_ec2_vm_count_grows_with_load():
 
 
 def test_dcm_applies_trained_profile_at_start_and_scaling():
-    profile = DcmTrainedProfile(app_optimal=33, db_optimal=9)
-    res = run_experiment("dcm", small_config(), params={"profile": profile})
+    config = small_config()
+    profile = default_profile(config)
+    res = run_experiment("dcm", config)
     app_sets = res.actions.of_kind("soft_app_threads")
-    assert app_sets and app_sets[0].value == 33
+    assert app_sets and app_sets[0].value == profile.app_optimal
     conn_sets = res.actions.of_kind("soft_db_connections")
-    assert conn_sets and conn_sets[0].value == 9
+    # 1 db / 1 app at the start: each pool gets the trained DB optimum.
+    assert conn_sets and conn_sets[0].value == profile.db_optimal
 
 
 def test_conscale_adapts_db_connections():

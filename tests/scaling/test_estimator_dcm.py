@@ -137,7 +137,7 @@ def test_drift_check_trims_stale_half():
     wh.register_server(server)
     est = OptimalConcurrencyEstimator(
         wh, SCTModel(min_samples=4), window=300.0,
-        drift_check=True, drift_min_samples=40,
+        drift_check=True,
     )
     # one continuous level schedule; the capacity doubles at t=20, so
     # the second half of the schedule traces the 2x curve

@@ -97,12 +97,13 @@ def test_qos_violation_probability_weights_by_completions():
     fine = {"db-1": window([0.2], [13]),
             "db-2": window([0.5, float("nan"), 0.05], [3, 0, 4])}
     controller = SimpleNamespace(
-        slo=0.1, window=60.0, min_completions=20,
+        slo=0.1,
         warehouse=SimpleNamespace(fine_samples_for_tier=lambda tier, w: fine),
     )
     prob = QoSRobustController.violation_probability(controller, "db")
     assert prob == (13 + 3) / 20
-    controller.min_completions = 21
+    # One completion fewer is below the 20-completion evidence floor.
+    fine["db-2"] = window([0.5, float("nan"), 0.05], [3, 0, 3])
     assert QoSRobustController.violation_probability(controller, "db") is None
 
 

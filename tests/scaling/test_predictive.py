@@ -31,16 +31,16 @@ def test_predicted_cpu_extrapolates_trend():
     bootstrap_all(sim, actuator)
     controller = PredictiveAutoScaling(
         sim, actuator.warehouse, actuator, {"db": TierPolicyConfig()},
-        lead_time=20.0,
     )
+    assert controller.lead_time == 16.0  # the 15 s prep period + one tick
     controller.stop()  # probe the predictor without acting
     # utilisation rises ~0.02/s (20 new permanent requests/s, a_sat 1000)
     ramp_db_load(sim, app, rate_per_sec=20, duration=30)
     sim.run(until=30.0)
     current = actuator.warehouse.tier_cpu("db", 5.0)
     predicted = controller.predicted_cpu("db")
-    assert predicted > current + 0.2  # ~0.02/s * 20 s lead
-    assert predicted == pytest.approx(current + 0.02 * 20.0, abs=0.1)
+    assert predicted > current + 0.2  # ~0.02/s * 16 s lead
+    assert predicted == pytest.approx(current + 0.02 * 16.0, abs=0.1)
 
 
 def test_predictive_scales_before_threshold():

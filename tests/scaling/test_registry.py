@@ -81,8 +81,16 @@ def test_duplicate_param_names_rejected():
         ControllerSpec(
             name="twice",
             factory=lambda ctx: None,
-            params=(ParamSpec("g", "float", 1.0), ParamSpec("g", "int", 1)),
+            params=(ParamSpec("g", "float", 1.0), ParamSpec("g", "float", 2.0)),
         )
+
+
+def test_only_float_and_bool_kinds():
+    ParamSpec("g", "float", 1.0)
+    ParamSpec("on", "bool", True)
+    for kind in ("int", "str", "object"):
+        with pytest.raises(ConfigurationError, match="kind must be one of"):
+            ParamSpec("g", kind, 1)
 
 
 # ----------------------------------------------------------------------
@@ -104,19 +112,51 @@ def test_coercion_rejects_wrong_kinds():
     conscale = get_controller("conscale")
     with pytest.raises(ConfigurationError, match="expects a float"):
         conscale.param("headroom").coerce("wide")
+    with pytest.raises(ConfigurationError, match="expects a float"):
+        conscale.param("headroom").coerce(True)
     with pytest.raises(ConfigurationError, match="expects a bool"):
-        conscale.param("per_server_app").coerce(1)
-    mpc = get_controller("mpc")
-    with pytest.raises(ConfigurationError, match="expects an int"):
-        mpc.param("q_max").coerce(2.5)
-    assert mpc.param("q_max").coerce(200.0) == 200  # integral float is fine
+        conscale.param("fault_aware").coerce(1)
+    assert conscale.param("headroom").coerce(2) == 2.0
+
+
+@pytest.mark.parametrize(
+    "framework, name, value",
+    [
+        ("conscale", "headroom", float("nan")),
+        ("conscale", "headroom", float("inf")),
+        ("conscale", "headroom", -1.0),
+        ("conscale", "headroom", 0.0),
+        ("qos", "slo_ms", float("nan")),
+        ("qos", "slo_ms", -250.0),
+        ("qos", "epsilon", float("nan")),
+        ("qos", "epsilon", 0.0),
+        ("qos", "epsilon", 1.0),
+        ("qos", "epsilon", 1.5),
+        ("qos", "epsilon", 2),
+    ],
+)
+def test_float_params_refuse_out_of_range_values_by_name(framework, name, value):
+    """A non-finite or non-positive float, or an epsilon of 1 or more,
+    is refused when the spec is built, before any task starts."""
+    with pytest.raises(ConfigurationError, match=f"param '{name}' must be"):
+        get_controller(framework).param(name).coerce(value)
+    with pytest.raises(ConfigurationError, match=f"param '{name}' must be"):
+        RunSpec(framework, small_config(),
+                RunOverrides.from_params({name: value}))
+
+
+def test_float_params_accept_their_range():
+    qos = get_controller("qos")
+    assert qos.param("epsilon").coerce(0.999) == 0.999
+    assert qos.param("slo_ms").coerce(1e-3) == 1e-3
+    assert get_controller("conscale").param("headroom").coerce(0.5) == 0.5
 
 
 def test_resolve_overlays_defaults():
     conscale = get_controller("conscale")
     params = conscale.resolve({"headroom": 2.0})
     assert params["headroom"] == 2.0
-    assert params["adapt_interval"] == 2.0  # untouched default
+    assert params["fault_aware"] is True  # untouched default
     # coerce_params leaves defaults out — that is what keeps old cache
     # digests valid when a schema grows a new parameter.
     assert conscale.coerce_params({"headroom": 2.0}) == {"headroom": 2.0}
@@ -124,15 +164,17 @@ def test_resolve_overlays_defaults():
 
 def test_cli_param_parsing():
     parsed = parse_cli_params(
-        "conscale", ["headroom=1.3", "per_server_app=yes"]
+        "conscale", ["headroom=1.3", "fault_aware=no"]
     )
-    assert parsed == {"headroom": 1.3, "per_server_app": True}
+    assert parsed == {"headroom": 1.3, "fault_aware": False}
     with pytest.raises(ConfigurationError, match="NAME=VALUE"):
         parse_cli_params("conscale", ["headroom"])
     with pytest.raises(ConfigurationError, match="expects a float"):
         parse_cli_params("conscale", ["headroom=wide"])
-    with pytest.raises(ConfigurationError, match="cannot be set"):
-        parse_cli_params("dcm", ["profile=x"])  # object params are API-only
+    with pytest.raises(ConfigurationError, match="expects a bool"):
+        parse_cli_params("conscale", ["fault_aware=maybe"])
+    with pytest.raises(ConfigurationError, match="no param 'per_server_app'"):
+        parse_cli_params("conscale", ["per_server_app=true"])
 
 
 # ----------------------------------------------------------------------
@@ -203,8 +245,8 @@ class PacedController(BaseController):
     name = "paced"
 
     def __init__(self, sim, warehouse, actuator, tier_configs=None,
-                 tick=1.0, app_threads=48):
-        super().__init__(sim, warehouse, actuator, tier_configs, tick)
+                 app_threads=48):
+        super().__init__(sim, warehouse, actuator, tier_configs)
         self.app_threads = int(app_threads)
 
     def periodic_adapt(self, now):
@@ -221,7 +263,7 @@ PACED_SPEC = ControllerSpec(
         ctx.sim, ctx.warehouse, ctx.actuator, ctx.tier_configs,
         app_threads=ctx.params["app_threads"],
     ),
-    params=(ParamSpec("app_threads", "int", 48, help="fixed app cap"),),
+    params=(ParamSpec("app_threads", "float", 48.0, help="fixed app cap"),),
 )
 
 
@@ -293,10 +335,19 @@ def test_cli_controllers_json_round_trips(capsys):
 
     assert main(["controllers", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["version"] == 1
+    assert payload["version"] == 2
     names = [c["name"] for c in payload["controllers"]]
     assert names == list(registered_frameworks())
     by_name = {c["name"]: c for c in payload["controllers"]}
+    params = {name: [p["name"] for p in c["params"]] for name, c in by_name.items()}
+    assert params == {
+        "ec2": ["fault_aware"],
+        "dcm": ["fault_aware"],
+        "conscale": ["headroom", "fault_aware"],
+        "predictive": ["fault_aware"],
+        "mpc": ["fault_aware"],
+        "qos": ["slo_ms", "epsilon", "fault_aware"],
+    }
     headroom = next(
         p for p in by_name["conscale"]["params"] if p["name"] == "headroom"
     )
@@ -305,6 +356,5 @@ def test_cli_controllers_json_round_trips(capsys):
         "kind": "float",
         "default": 1.15,
         "help": "actuate this factor above the estimated Q_lower",
-        "cli": True,
     }
     assert "qos_constraint" in by_name["qos"]["decision_kinds"]

@@ -16,14 +16,6 @@ def test_ticks_at_fixed_interval():
     assert ticks == [1.0, 2.0, 3.0, 4.0, 5.0]
 
 
-def test_custom_start_time():
-    sim = Simulator()
-    ticks = []
-    PeriodicProcess(sim, 2.0, ticks.append, start_at=0.5)
-    sim.run(until=5.0)
-    assert ticks == [0.5, 2.5, 4.5]
-
-
 def test_stop_cancels_future_ticks():
     sim = Simulator()
     ticks = []
