@@ -23,8 +23,9 @@ Commands:
 * ``figure`` — regenerate one figure by number (1, 3, 5, 6, 7, 9, 10, 11);
 * ``predict`` — analytical (MVA) closed-loop throughput/latency curve;
 * ``traces`` — list the six built-in trace shapes;
-* ``lint`` — the repro-lint determinism/invariant static-analysis pass
-  (exit 0 clean, 1 with violations; ``--json`` for machine output).
+* ``lint`` — the repro-lint determinism/invariant static-analysis pass:
+  every rule, no flags (exit 0 clean, 1 on any finding, 2 on bad
+  input).
 
 ``run --mode {discrete,hybrid}`` selects the simulation mode: classic
 per-request discrete events, or hybrid, where the governor
@@ -649,34 +650,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Sentinel for a bare ``--rules`` (list the registry instead of linting).
-_LIST_RULES = "@list"
-
-
-def _list_rules() -> int:
-    """Render the rule registry (``repro lint --rules`` with no ids)."""
-    from repro.lintpass import all_rules
-
-    rows = [
-        (rule_id, cls.summary) for rule_id, cls in sorted(all_rules().items())
-    ]
-    print(format_table(["rule", "summary"], rows))
-    print("\nselect with --rules ID,ID; deselect with --rules=-ID")
-    return 0
-
-
 def cmd_lint(args: argparse.Namespace) -> int:
     """Run the repro-lint static-analysis pass (see repro.lintpass)."""
     from repro.lintpass import run_lint
-    from repro.lintpass.baseline import (
-        compare_baseline,
-        load_baseline,
-        write_baseline,
-    )
-    from repro.lintpass.report import render_json, render_text
 
-    if args.rules == _LIST_RULES:
-        return _list_rules()
     if args.paths:
         paths = args.paths
     else:
@@ -684,28 +661,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
         import repro
 
         paths = [os.path.dirname(os.path.abspath(repro.__file__))]
-    rules = (
-        [r.strip() for r in args.rules.split(",") if r.strip()]
-        if args.rules
-        else None
-    )
-    report = run_lint(paths, rules=rules)
-    delta = None
-    if args.update_baseline:
-        write_baseline(args.update_baseline, report)
-        print(f"baseline written: {args.update_baseline}", file=sys.stderr)
-    elif args.baseline:
-        delta = compare_baseline(report, load_baseline(args.baseline))
-    if args.json:
-        print(render_json(report, delta))
-    else:
-        print(render_text(report, delta))
-        if report.suppressed:
-            print(f"({len(report.suppressed)} suppressed)")
-    if args.update_baseline:
-        return 0  # the recorded findings are the new accepted backlog
-    if delta is not None:
-        return 0 if delta.gate_passed else 1
+    report = run_lint(paths)
+    print(report.render())
     return 0 if report.clean else 1
 
 
@@ -920,24 +877,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument(
         "paths", nargs="*",
         help="files or directories to lint (default: the repro package)",
-    )
-    p_lint.add_argument("--json", action="store_true",
-                        help="machine-readable JSON report on stdout")
-    p_lint.add_argument(
-        "--rules", nargs="?", const=_LIST_RULES, default=None,
-        metavar="ID,ID",
-        help="comma-separated rule ids to run (--rules=-ID deselects; "
-        "attach with '=' so the dash is not read as a flag); with no "
-        "value, list every rule with its summary",
-    )
-    p_lint.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="burn-down gate: exit non-zero only on findings not in "
-        "this baseline file (see results/lint-baseline.json)",
-    )
-    p_lint.add_argument(
-        "--update-baseline", default=None, metavar="FILE",
-        help="write the current findings as the new baseline and exit 0",
     )
     p_lint.set_defaults(func=cmd_lint)
 

@@ -107,6 +107,13 @@ __all__ = [
 #: :meth:`RunArtifact.__setstate__` drops the stored column on load.
 SCHEMA_VERSION = 7
 
+#: Fingerprint of the field sets of the frozen dataclasses reachable
+#: from :class:`RunSpec` (``repro.lintpass.rules_deep_digest.
+#: schema_snapshot``). ``repro lint`` fails while it differs: a change
+#: to those field sets bumps :data:`SCHEMA_VERSION` and re-pins this in
+#: the same change, using the fingerprint the finding prints.
+SCHEMA_FINGERPRINT = "0c701686bf70e4f126513b6694b4e5fdfc017b6361d157adf0c4710975811b2f"
+
 # Grace period after the trace ends for in-flight requests to drain
 # (also the horizon padding of the artifact's timeline).
 DRAIN_GRACE = 20.0

@@ -29,6 +29,7 @@ comma-separated ``kind:...`` atoms, e.g.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterator, Union
@@ -61,11 +62,20 @@ def _check_tier(tier: str, wildcard: bool = False) -> None:
         )
 
 
+def _check_time(at: float) -> None:
+    # NaN fails every comparison, so each check asks for the good case.
+    if not (math.isfinite(at) and at >= 0):
+        raise ConfigurationError(
+            f"fault time must be finite and >= 0, got {at!r}"
+        )
+
+
 def _check_window(at: float, duration: float) -> None:
-    if at < 0:
-        raise ConfigurationError(f"fault time must be >= 0, got {at!r}")
-    if duration <= 0:
-        raise ConfigurationError(f"fault duration must be > 0, got {duration!r}")
+    _check_time(at)
+    if not (math.isfinite(duration) and duration > 0):
+        raise ConfigurationError(
+            f"fault duration must be finite and > 0, got {duration!r}"
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,9 +95,9 @@ class SlowNodeSpec:
     def __post_init__(self) -> None:
         _check_tier(self.tier)
         _check_window(self.at, self.duration)
-        if self.slowdown <= 1.0:
+        if not (math.isfinite(self.slowdown) and self.slowdown > 1.0):
             raise ConfigurationError(
-                f"slowdown must be > 1, got {self.slowdown!r}"
+                f"slowdown must be finite and > 1, got {self.slowdown!r}"
             )
         if self.server_index < 0:
             raise ConfigurationError(
@@ -118,8 +128,7 @@ class ServerCrashSpec:
 
     def __post_init__(self) -> None:
         _check_tier(self.tier)
-        if self.at < 0:
-            raise ConfigurationError(f"fault time must be >= 0, got {self.at!r}")
+        _check_time(self.at)
         if self.server_index < 0:
             raise ConfigurationError(
                 f"server_index must be >= 0, got {self.server_index!r}"
@@ -158,9 +167,10 @@ class ProvisioningFaultSpec:
             raise ConfigurationError(
                 f"mode must be 'fail' or 'delay', got {self.mode!r}"
             )
-        if self.delay_factor <= 1.0:
+        if not (math.isfinite(self.delay_factor) and self.delay_factor > 1.0):
             raise ConfigurationError(
-                f"delay_factor must be > 1, got {self.delay_factor!r}"
+                f"delay_factor must be finite and > 1, "
+                f"got {self.delay_factor!r}"
             )
 
     kind = "prov"
@@ -208,9 +218,9 @@ class ClientTimeoutSpec:
 
     def __post_init__(self) -> None:
         _check_window(self.at, self.duration)
-        if self.deadline <= 0:
+        if not (math.isfinite(self.deadline) and self.deadline > 0):
             raise ConfigurationError(
-                f"deadline must be > 0, got {self.deadline!r}"
+                f"deadline must be finite and > 0, got {self.deadline!r}"
             )
         if self.max_retries < 0:
             raise ConfigurationError(

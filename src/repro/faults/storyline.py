@@ -42,6 +42,7 @@ Built-in storylines:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,11 +223,13 @@ class Storyline:
                 f"storyline epicenter tier must be one of {_TIERS}, "
                 f"got {tier!r}"
             )
-        if t0 < 0:
-            raise ConfigurationError(f"storyline t0 must be >= 0, got {t0!r}")
-        if duration <= 0:
+        if not (math.isfinite(t0) and t0 >= 0):
             raise ConfigurationError(
-                f"storyline duration must be > 0, got {duration!r}"
+                f"storyline t0 must be finite and >= 0, got {t0!r}"
+            )
+        if not (math.isfinite(duration) and duration > 0):
+            raise ConfigurationError(
+                f"storyline duration must be finite and > 0, got {duration!r}"
             )
         specs: list[FaultSpec] = []
         for rep in range(self.repeat):

@@ -20,7 +20,8 @@ rule id                     invariant
 ``deep-digest-provenance``  every field of a digested dataclass (own
                             and inherited) is reachable from its
                             digest method through helper calls; dead
-                            CLI flags; schema-fingerprint drift
+                            CLI flags; the digested schema matches
+                            ``SCHEMA_FINGERPRINT``
 ``deep-bus-vocabulary``     every kind reaching a ``DecisionEvent``
                             (literal or helper-forwarded) is declared
                             in :mod:`repro.control.events`; dead
@@ -35,23 +36,25 @@ rule id                     invariant
                             tracked through aliases and helper calls
 ==========================  ==========================================
 
-A violation can be silenced on its line with a justification comment::
+A violation can be silenced on the line it is reported on with a
+comment that names the rule::
 
     risky_call()  # repro-lint: ignore[wall-clock]
 
-(On a multi-line statement the comment may sit on any line of the
-statement's span.) Run it as ``python -m repro lint [--json]
-[--rules ID,-ID] [--baseline FILE] [paths...]``; pre-existing findings
-live in ``results/lint-baseline.json`` with burn-down semantics — the
-gate fails on *new* findings only. The dynamic complement (the
-same-timestamp ``race`` twin check) lives in
+A comment that names no rule, or an unknown one, is an error. Run it
+as ``python -m repro lint [paths...]``: it prints one line per finding
+and exits 1 on any finding, 2 on bad input. A change to the field
+sets of the ``RunSpec`` closure that was not re-pinned in
+``SCHEMA_FINGERPRINT``, beside ``SCHEMA_VERSION`` in
+:mod:`repro.experiments.artifact`, is one such finding. The dynamic
+complement (the same-timestamp ``race`` twin check) lives in
 :mod:`repro.experiments.twincheck`.
 """
 
 from __future__ import annotations
 
 from repro.lintpass.base import Rule, Violation, all_rules
-from repro.lintpass.run import LintReport, run_lint, select_rules
+from repro.lintpass.run import LintReport, run_lint
 
 __all__ = [
     "Rule",
@@ -59,5 +62,4 @@ __all__ = [
     "all_rules",
     "LintReport",
     "run_lint",
-    "select_rules",
 ]

@@ -4,13 +4,13 @@ A rule is a class with a stable ``id`` (the slug users write in
 suppression comments), a one-line ``summary``, and a ``check`` method
 that walks a :class:`~repro.lintpass.project.ProjectIndex` and yields
 :class:`Violation` records. Rules register themselves with the
-:func:`register` decorator; :func:`all_rules` is the registry the CLI
-and the suppression validator read.
+:func:`register` decorator; :func:`all_rules` is the registry
+:func:`~repro.lintpass.run.run_lint` runs and checks suppression ids
+against.
 """
 
 from __future__ import annotations
 
-import ast
 import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator
@@ -26,13 +26,7 @@ __all__ = [
     "register",
     "all_rules",
     "parse_suppressions",
-    "expand_suppressions",
-    "SUPPRESS_ALL",
 ]
-
-#: Sentinel rule id meaning "ignore every rule on this line"
-#: (a bare ``# repro-lint: ignore`` comment).
-SUPPRESS_ALL = "*"
 
 _SUPPRESS_RE = re.compile(
     r"#\s*repro-lint:\s*ignore(?:\[(?P<ids>[^\]]*)\])?"
@@ -104,78 +98,17 @@ def parse_suppressions(lines: Iterable[str]) -> dict[int, frozenset[str]]:
     """Per-line suppression sets from ``repro-lint: ignore[rule]`` comments.
 
     Returns ``{line_number: {rule ids}}`` (1-based lines, matching AST
-    positions). A bare ``ignore`` with no bracket suppresses every rule
-    on that line (:data:`SUPPRESS_ALL`). Rule-id validity is checked
-    later against the registry, once all rules are loaded.
+    positions). A comment silences only findings reported on its own
+    line. One that names no rule (a bare ``ignore`` or ``ignore[]``)
+    maps to the empty set; :func:`~repro.lintpass.run.run_lint` refuses
+    it, as it refuses an unknown id, once all rules are loaded.
     """
     out: dict[int, frozenset[str]] = {}
     for lineno, text in enumerate(lines, start=1):
         m = _SUPPRESS_RE.search(text)
-        if m is None:
-            continue
-        ids = m.group("ids")
-        if ids is None:
-            out[lineno] = frozenset((SUPPRESS_ALL,))
-            continue
-        parsed = frozenset(part.strip() for part in ids.split(",") if part.strip())
-        if not parsed:
-            raise LintError(
-                f"empty suppression list on line {lineno}: {text.strip()!r}"
+        if m is not None:
+            ids = m.group("ids") or ""
+            out[lineno] = frozenset(
+                part.strip() for part in ids.split(",") if part.strip()
             )
-        out[lineno] = parsed
     return out
-
-
-#: Compound statement types a suppression must never expand across:
-#: covering an ``if``/``for``/``def`` span would silence the rule for
-#: every statement in the block, not just the annotated one.
-_COMPOUND_STMTS: tuple[type[ast.AST], ...] = tuple(
-    getattr(ast, name)
-    for name in (
-        "If", "For", "AsyncFor", "While", "With", "AsyncWith",
-        "Try", "TryStar", "FunctionDef", "AsyncFunctionDef",
-        "ClassDef", "Match",
-    )
-    if hasattr(ast, name)
-)
-
-
-def expand_suppressions(
-    tree: ast.Module, suppressed: dict[int, frozenset[str]]
-) -> dict[int, frozenset[str]]:
-    """Extend suppression comments to the full span of their statement.
-
-    A violation is reported at the *first* line of its node, but a
-    multi-line call naturally carries its ``repro-lint: ignore``
-    comment on whichever physical line holds the offending argument or
-    the closing paren. Map each suppression onto the innermost *simple*
-    statement whose line span contains it, covering every line of that
-    span, so the comment silences the finding wherever it is anchored.
-    Compound statements (``if``/``for``/``def``/...) are excluded: a
-    suppression on a one-line statement inside a block must stay exact,
-    not blanket the whole block.
-    """
-    if not suppressed:
-        return suppressed
-    spans: list[tuple[int, int]] = []
-    for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.stmt)
-            and not isinstance(node, _COMPOUND_STMTS)
-            and node.end_lineno is not None
-        ):
-            spans.append((node.lineno, node.end_lineno))
-    expanded: dict[int, set[str]] = {
-        line: set(ids) for line, ids in suppressed.items()
-    }
-    for line, ids in suppressed.items():
-        containing = [
-            span for span in spans if span[0] <= line <= span[1] and span[0] != span[1]
-        ]
-        if not containing:
-            continue
-        # Innermost statement: the narrowest containing span.
-        start, end = min(containing, key=lambda span: span[1] - span[0])
-        for covered in range(start, end + 1):
-            expanded.setdefault(covered, set()).update(ids)
-    return {line: frozenset(ids) for line, ids in expanded.items()}

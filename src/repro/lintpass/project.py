@@ -34,7 +34,7 @@ import os
 from dataclasses import dataclass, field
 
 from repro.errors import LintError
-from repro.lintpass.base import expand_suppressions, parse_suppressions
+from repro.lintpass.base import parse_suppressions
 
 __all__ = [
     "SourceFile",
@@ -134,8 +134,7 @@ class SourceFile:
         )
 
     def is_suppressed(self, line: int, rule_id: str) -> bool:
-        marks = self.suppressed.get(line)
-        return marks is not None and (rule_id in marks or "*" in marks)
+        return rule_id in self.suppressed.get(line, ())
 
 
 @dataclass(frozen=True)
@@ -332,8 +331,7 @@ class ProjectIndex:
                 if isinstance(node, ast.ClassDef):
                     info = _class_info(file, node)
                     self.classes.setdefault(info.name, []).append(info)
-        # Deep-analysis layers, built lazily so a --rules subset of
-        # per-file rules never pays for them.
+        # Deep-analysis layers, built on first use.
         self._functions: dict[str, FunctionInfo] | None = None
         self._functions_by_name: dict[str, list[FunctionInfo]] | None = None
         self._flows: dict[str, FunctionFlow] = {}
@@ -392,9 +390,7 @@ class ProjectIndex:
                     source=source,
                     tree=tree,
                     aliases=_alias_map(tree, module),
-                    suppressed=expand_suppressions(
-                        tree, parse_suppressions(source.splitlines())
-                    ),
+                    suppressed=parse_suppressions(source.splitlines()),
                     parents=parents,
                 )
             )

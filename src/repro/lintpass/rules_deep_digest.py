@@ -1,4 +1,4 @@
-"""Deep digest provenance: fields, helpers, CLI flags, schema bumps.
+"""Deep digest provenance: fields, helpers, CLI flags, the schema pin.
 
 The content-addressed cache assumes a spec's digest covers everything
 that changes a run's outcome. The classic way that assumption rots: a
@@ -16,10 +16,14 @@ Two companion checks ride the same closure:
 * **dead CLI flags** — an ``add_argument`` destination whose value is
   never read anywhere in the tree cannot possibly reach a digested
   field, so the flag silently changes nothing a cache key sees;
-* **schema snapshot** — :func:`schema_snapshot` fingerprints the
-  field sets of every frozen dataclass reachable from ``RunSpec``.
-  The baseline comparison (see :mod:`repro.lintpass.baseline`) flags a
-  fingerprint change without a ``SCHEMA_VERSION`` bump.
+* **schema pin** — :func:`schema_snapshot` fingerprints the field sets
+  of every frozen dataclass reachable from ``RunSpec``, and
+  ``SCHEMA_FINGERPRINT`` beside ``SCHEMA_VERSION`` in
+  ``repro.experiments.artifact`` must equal it. A field-set change
+  moves the fingerprint while old cache entries still claim the same
+  ``SCHEMA_VERSION``, so it is a finding until the change bumps the
+  version and re-pins the fingerprint. A lint of part of the package,
+  which cuts the closure short, skips the pin.
 """
 
 from __future__ import annotations
@@ -42,8 +46,11 @@ _MAX_HELPER_DEPTH = 6
 #: The root of the digested-spec closure for schema fingerprinting.
 _SCHEMA_ROOT = "RunSpec"
 
-#: Module holding the schema version constant.
+#: Module holding ``SCHEMA_VERSION`` and the pinned fingerprint.
 _SCHEMA_MODULE = "repro.experiments.artifact"
+
+#: The constant that pins :func:`schema_snapshot`'s fingerprint.
+_SCHEMA_PIN = "SCHEMA_FINGERPRINT"
 
 
 def _passes_whole_self(method: ast.FunctionDef) -> bool:
@@ -118,11 +125,13 @@ def _transitive_coverage(
 
 @register
 class DeepDigestProvenanceRule(Rule):
-    """Digest coverage through helper methods, plus dead CLI flags."""
+    """Digest coverage through helper methods, dead CLI flags, and the
+    schema pin."""
 
     id = "deep-digest-provenance"
     summary = ("digested-dataclass field unreachable from its digest "
-               "method (helper chains followed); dead CLI flags")
+               "method (helper chains followed); dead CLI flags; "
+               "digested schema differs from SCHEMA_FINGERPRINT")
 
     def check(self, index: ProjectIndex) -> Iterator[Violation]:
         for infos in index.classes.values():
@@ -130,6 +139,7 @@ class DeepDigestProvenanceRule(Rule):
                 if info.is_dataclass:
                     yield from self._check_class(index, info)
         yield from self._check_cli_flags(index)
+        yield from self._check_schema_pin(index)
 
     # ------------------------------------------------------------------
     def _check_class(
@@ -195,6 +205,48 @@ class DeepDigestProvenanceRule(Rule):
                     "through",
                 )
 
+    # ------------------------------------------------------------------
+    def _check_schema_pin(self, index: ProjectIndex) -> Iterator[Violation]:
+        artifact = next(
+            (f for f in index.files if f.module == _SCHEMA_MODULE), None
+        )
+        fingerprint = schema_snapshot(index)
+        if artifact is None or fingerprint is None:
+            return  # a partial lint: the closure cannot be fingerprinted
+        constants = index.module_constants(_SCHEMA_MODULE)
+        pinned = constants.get(_SCHEMA_PIN)
+        if pinned == fingerprint:
+            return
+        version = constants.get("SCHEMA_VERSION")
+        if pinned is None:
+            problem = (
+                f"{_SCHEMA_MODULE} pins no {_SCHEMA_PIN} beside "
+                "SCHEMA_VERSION"
+            )
+        else:
+            problem = (
+                f"the digested-spec field set no longer matches "
+                f"{_SCHEMA_PIN} (pinned {str(pinned)[:12]}...): cache "
+                f"entries written under SCHEMA_VERSION {version} would "
+                "load for a different field set"
+            )
+        # Reported at the pin, else at SCHEMA_VERSION, else line 1.
+        sites = {
+            target.id: node
+            for node in artifact.tree.body
+            if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        site = sites.get(_SCHEMA_PIN) or sites.get("SCHEMA_VERSION")
+        yield self.violation(
+            artifact.path,
+            site.lineno if site else 1,
+            site.col_offset if site else 0,
+            f"{problem}; bump SCHEMA_VERSION and set {_SCHEMA_PIN} = "
+            f"{fingerprint!r} in the same change",
+        )
+
 
 def _argument_dest(call: ast.Call) -> tuple[str, str] | None:
     """(display flag, destination name) of an add_argument call."""
@@ -225,7 +277,7 @@ def _argument_dest(call: ast.Call) -> tuple[str, str] | None:
 
 
 # ----------------------------------------------------------------------
-# schema fingerprint (consumed by the baseline comparison)
+# schema fingerprint (checked against the pin)
 # ----------------------------------------------------------------------
 def _annotation_class_names(annotation: ast.expr) -> Iterator[str]:
     for node in ast.walk(annotation):
@@ -252,18 +304,21 @@ def _identifier_tokens(text: str) -> Iterator[str]:
         yield token
 
 
-def schema_snapshot(index: ProjectIndex) -> tuple[str, int | None] | None:
-    """Fingerprint of the digested-spec schema, plus SCHEMA_VERSION.
+def schema_snapshot(index: ProjectIndex) -> str | None:
+    """Fingerprint of the digested-spec schema.
 
     The closure starts at ``RunSpec`` and follows field annotations to
     every frozen dataclass in the tree; the fingerprint hashes the
     sorted ``(class, field, ...)`` tuples, so it changes exactly when a
     digest-relevant field set changes. Returns ``None`` when the tree
-    has no ``RunSpec`` (fixture trees, partial lints).
+    has no frozen ``RunSpec``, or when a closure field's annotation
+    names a class imported from a ``repro`` module outside the index (a
+    partial lint, whose closure would be cut short).
     """
     root = index.resolve_class(_SCHEMA_ROOT)
     if root is None or not root.is_frozen:
         return None
+    indexed = {file.module for file in index.files}
     closure: dict[str, ClassInfo] = {}
     queue = [root]
     while queue:
@@ -274,9 +329,16 @@ def schema_snapshot(index: ProjectIndex) -> tuple[str, int | None] | None:
         for _, annotation in info.field_annotations:
             for name in _annotation_class_names(annotation):
                 candidate = index.resolve_class(name)
-                if (
-                    candidate is not None
-                    and candidate.is_dataclass
+                if candidate is None:
+                    # Imported from a repro module outside the index?
+                    origin = info.file.aliases.get(name, "")
+                    if origin.startswith("repro.") and not (
+                        origin in indexed
+                        or origin.rpartition(".")[0] in indexed
+                    ):
+                        return None
+                elif (
+                    candidate.is_dataclass
                     and candidate.is_frozen
                     and candidate.name not in closure
                 ):
@@ -284,6 +346,4 @@ def schema_snapshot(index: ProjectIndex) -> tuple[str, int | None] | None:
     shape = sorted(
         (name, index.all_fields(info)) for name, info in closure.items()
     )
-    digest = hashlib.sha256(repr(shape).encode("utf-8")).hexdigest()
-    version = index.module_constants(_SCHEMA_MODULE).get("SCHEMA_VERSION")
-    return digest, version if isinstance(version, int) else None
+    return hashlib.sha256(repr(shape).encode("utf-8")).hexdigest()

@@ -1,4 +1,4 @@
-"""The lint driver: build the index, run the rules, apply suppressions."""
+"""Run the lint pass: build the index, run every rule, apply suppressions."""
 
 from __future__ import annotations
 
@@ -6,106 +6,84 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.errors import LintError
-from repro.lintpass.base import SUPPRESS_ALL, Rule, Violation, all_rules
+from repro.lintpass.base import Violation, all_rules
 from repro.lintpass.project import ProjectIndex
-from repro.lintpass.rules_deep_digest import schema_snapshot
 
-__all__ = ["LintReport", "run_lint", "select_rules"]
+__all__ = ["LintReport", "run_lint"]
 
 
 @dataclass(frozen=True)
 class LintReport:
     """Outcome of one lint run."""
 
-    roots: tuple[str, ...]
     files_checked: int
     violations: tuple[Violation, ...]
     #: violations silenced by per-line ignore comments
     suppressed: tuple[Violation, ...]
-    #: rule ids that actually ran, after --rules selection
-    rules_run: tuple[str, ...] = ()
-    #: digested-spec schema snapshot (trees with RunSpec only)
-    schema_fingerprint: str | None = None
-    schema_version: int | None = None
 
     @property
     def clean(self) -> bool:
         return not self.violations
 
+    def render(self) -> str:
+        """One line per violation, a summary line, and the suppressed
+        count when any finding was silenced."""
+        lines = [v.render() for v in self.violations]
+        noun = "file" if self.files_checked == 1 else "files"
+        count = len(self.violations)
+        if count:
+            vnoun = "violation" if count == 1 else "violations"
+            lines.append(
+                f"{count} {vnoun} in {self.files_checked} {noun} checked"
+            )
+        else:
+            lines.append(
+                f"clean: 0 violations in {self.files_checked} {noun} checked"
+            )
+        if self.suppressed:
+            lines.append(f"({len(self.suppressed)} suppressed)")
+        return "\n".join(lines)
+
 
 def _validate_suppressions(index: ProjectIndex, known: Iterable[str]) -> None:
-    valid = set(known) | {SUPPRESS_ALL}
+    valid = set(known)
     for file in index.files:
         for line, ids in sorted(file.suppressed.items()):
+            if not ids:
+                raise LintError(
+                    f"{file.path}:{line}: suppression names no rule id "
+                    "(name the rule: ignore[rule-id])"
+                )
             unknown = sorted(ids - valid)
             if unknown:
                 raise LintError(
                     f"{file.path}:{line}: unknown rule id(s) in suppression: "
-                    f"{', '.join(unknown)} (known: {', '.join(sorted(known))})"
+                    f"{', '.join(unknown)} (known: {', '.join(sorted(valid))})"
                 )
 
 
-def select_rules(
-    registry: dict[str, type[Rule]],
-    rules: Sequence[str] | None,
-) -> list[str]:
-    """Resolve the rule selection for one run.
+def run_lint(paths: Sequence[str]) -> LintReport:
+    """Lint every ``.py`` file under ``paths`` with every registered rule.
 
-    The default is every registered rule. ``rules`` modifies it: plain
-    ids replace the default set outright, while ``-id`` entries
-    subtract from it.
-    """
-    if not rules:
-        return sorted(registry)
-    positive = [r for r in rules if not r.startswith("-")]
-    negative = [r[1:] for r in rules if r.startswith("-")]
-    unknown = sorted((set(positive) | set(negative)) - set(registry))
-    if unknown:
-        raise LintError(
-            f"unknown rule id(s): {', '.join(unknown)} "
-            f"(known: {', '.join(sorted(registry))})"
-        )
-    selected = set(positive) if positive else set(registry)
-    return sorted(selected - set(negative))
-
-
-def run_lint(
-    paths: Sequence[str],
-    rules: Sequence[str] | None = None,
-) -> LintReport:
-    """Lint every ``.py`` file under ``paths``.
-
-    ``rules`` selects a subset by id (default: every rule; ``-id``
-    deselects). An unknown id raises :class:`~repro.errors.LintError`. Suppression
-    comments are validated against the *full* registry even when only a
-    subset runs, so a typoed slug never silently suppresses nothing.
+    A suppression comment that names no rule, or an id the registry
+    does not know, raises :class:`~repro.errors.LintError`, so a typoed
+    slug never silently suppresses nothing.
     """
     registry = all_rules()
-    selected = select_rules(registry, rules)
     index = ProjectIndex.build(list(paths))
     _validate_suppressions(index, registry)
     by_path = {file.path: file for file in index.files}
     active: list[Violation] = []
     suppressed: list[Violation] = []
-    for rule_id in selected:
-        rule = registry[rule_id]()
-        for violation in rule.check(index):
+    for rule_id in sorted(registry):
+        for violation in registry[rule_id]().check(index):
             file = by_path[violation.path]
             if file.is_suppressed(violation.line, violation.rule):
                 suppressed.append(violation)
             else:
                 active.append(violation)
-    fingerprint: str | None = None
-    version: int | None = None
-    snapshot = schema_snapshot(index)
-    if snapshot is not None:
-        fingerprint, version = snapshot
     return LintReport(
-        roots=tuple(paths),
         files_checked=len(index.files),
         violations=tuple(sorted(active)),
         suppressed=tuple(sorted(suppressed)),
-        rules_run=tuple(selected),
-        schema_fingerprint=fingerprint,
-        schema_version=version,
     )

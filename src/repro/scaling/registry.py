@@ -425,7 +425,9 @@ register_controller(ControllerSpec(
     summary="SCT-driven online concurrency adaption (the paper's framework)",
     factory=_build_conscale,
     params=(
-        ParamSpec("headroom", "float", 1.15,
+        # From 400 up, the app-thread target sits at ConScale's 400 cap
+        # for every estimate >= 1; a huge factor overflowed the rounding.
+        ParamSpec("headroom", "float", 1.15, below=400.0,
                   help="actuate this factor above the estimated Q_lower"),
     ),
     decision_kinds=(STALE_HOLD,),

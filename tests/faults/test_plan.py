@@ -84,6 +84,55 @@ def test_spec_validation():
         FaultPlan(("not a spec",))
 
 
+NON_FINITE = [float("nan"), float("inf")]
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda v: SlowNodeSpec("db", v), "fault time"),
+        (lambda v: SlowNodeSpec("db", 10.0, duration=v), "fault duration"),
+        (lambda v: SlowNodeSpec("db", 10.0, slowdown=v), "slowdown"),
+        (lambda v: ServerCrashSpec("db", v), "fault time"),
+        (lambda v: ProvisioningFaultSpec("db", v, 5.0), "fault time"),
+        (lambda v: ProvisioningFaultSpec("db", 10.0, v), "fault duration"),
+        (lambda v: ProvisioningFaultSpec("db", 10.0, 5.0, mode="delay",
+                                         delay_factor=v), "delay_factor"),
+        (lambda v: TelemetryDropoutSpec(v, 5.0), "fault time"),
+        (lambda v: TelemetryDropoutSpec(10.0, v), "fault duration"),
+        (lambda v: ClientTimeoutSpec(v, 5.0), "fault time"),
+        (lambda v: ClientTimeoutSpec(10.0, v), "fault duration"),
+        (lambda v: ClientTimeoutSpec(10.0, 5.0, deadline=v), "deadline"),
+    ],
+    ids=[
+        "slow-at", "slow-duration", "slowdown", "crash-at", "prov-at",
+        "prov-duration", "delay_factor", "dropout-at", "dropout-duration",
+        "timeout-at", "timeout-duration", "deadline",
+    ],
+)
+def test_specs_refuse_non_finite_numbers_by_name(build, name, value):
+    # NaN fails every comparison, so a "< 0" check alone lets it through.
+    with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
+        build(value)
+
+
+@pytest.mark.parametrize(
+    "atom, name",
+    [
+        ("crash:db:nan", "fault time"),
+        ("dropout:all:10:nan", "fault duration"),
+        ("slow:db:10:5:nan", "slowdown"),
+        ("prov:db:10:5:delay:nan", "delay_factor"),
+        ("timeout:10:5:nan", "deadline"),
+        ("slow:db:inf", "fault time"),
+    ],
+)
+def test_parse_refuses_non_finite_numbers_by_name(atom, name):
+    with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
+        parse_fault(atom)
+
+
 def test_overlapping_dropouts_rejected():
     with pytest.raises(ExperimentError):
         FaultPlan(

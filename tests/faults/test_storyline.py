@@ -138,6 +138,27 @@ def test_malformed_storyline_specs():
         parse_storyline("az-outage:rack7", run_duration=300.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")],
+                         ids=["nan", "inf"])
+@pytest.mark.parametrize("field", ["t0", "duration"])
+def test_instantiate_refuses_non_finite_window_by_name(field, value):
+    story = get_storyline("az-outage")
+    with pytest.raises(ConfigurationError,
+                       match=f"storyline {field} must be finite"):
+        story.instantiate(tier="db", **{field: value})
+
+
+@pytest.mark.parametrize("spec, field", [
+    ("az-outage:db:nan", "t0"),
+    ("az-outage:db:10:nan", "duration"),
+    ("az-outage:db:inf:10", "t0"),
+])
+def test_parse_storyline_refuses_non_finite_window_by_name(spec, field):
+    with pytest.raises(ConfigurationError,
+                       match=f"storyline {field} must be finite"):
+        parse_storyline(spec, run_duration=300.0)
+
+
 def test_malformed_atoms_rejected():
     with pytest.raises(ConfigurationError, match="kind"):
         StoryAtom(kind="meteor")

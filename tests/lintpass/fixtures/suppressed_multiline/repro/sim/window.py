@@ -1,4 +1,4 @@
-"""Fixture: suppression comment on the last line of a multi-line stmt."""
+"""Fixture: a comment on a multi-line stmt's last line silences nothing."""
 
 import time
 

@@ -6,11 +6,14 @@ to them exactly as they do to ``src/repro``.
 """
 
 import os
+import shutil
 
 import pytest
 
 from repro.errors import LintError
-from repro.lintpass import all_rules, run_lint, select_rules
+from repro.lintpass import all_rules, run_lint
+from repro.lintpass.project import ProjectIndex
+from repro.lintpass.rules_deep_digest import schema_snapshot
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -21,8 +24,8 @@ ALL_RULES = {
 }
 
 
-def lint(case: str, rules=None):
-    return run_lint([os.path.join(FIXTURES, case)], rules=rules)
+def lint(case: str):
+    return run_lint([os.path.join(FIXTURES, case)])
 
 
 def rules_fired(report) -> set[str]:
@@ -46,8 +49,8 @@ def test_rng_registry_itself_is_exempt():
 
     rng_py = os.path.join(os.path.dirname(os.path.abspath(repro.__file__)),
                           "rng.py")
-    report = run_lint([rng_py], rules=["rng-direct"])
-    assert report.violations == ()
+    report = run_lint([rng_py])
+    assert [v for v in report.violations if v.rule == "rng-direct"] == []
 
 
 def test_wall_clock_fixture():
@@ -96,20 +99,9 @@ def test_suppression_comment_silences_and_is_reported():
     assert report.suppressed[0].rule == "wall-clock"
 
 
-def test_suppression_covers_multiline_statement_span():
-    # The comment sits on the closing-paren line; the violation anchors
-    # on the time.time() line two lines up. The statement-span expansion
-    # must connect them.
-    report = lint("suppressed_multiline")
-    assert report.clean, [v.render() for v in report.violations]
-    assert len(report.suppressed) == 1
-    assert report.suppressed[0].rule == "wall-clock"
-
-
 def test_suppression_does_not_blanket_enclosing_block(tmp_path):
-    # A suppression on a one-line statement inside a function must stay
-    # exact: expanding to the innermost *compound* statement would
-    # silence the rule for the whole body.
+    # A suppression silences only the line it sits on, not the rest of
+    # the enclosing function body.
     tree = tmp_path / "repro" / "sim"
     tree.mkdir(parents=True)
     (tree / "x.py").write_text(
@@ -127,6 +119,14 @@ def test_suppression_does_not_blanket_enclosing_block(tmp_path):
     assert report.violations[0].line == 6
 
 
+def test_suppression_on_multiline_statement_silences_only_its_line():
+    # The comment sits on the closing-paren line; the finding is
+    # reported on the time.time() line above it and stays active.
+    report = lint("suppressed_multiline")
+    assert report.suppressed == ()
+    assert [(v.rule, v.line) for v in report.violations] == [("wall-clock", 9)]
+
+
 # ----------------------------------------------------------------------
 # whole-program rules
 # ----------------------------------------------------------------------
@@ -142,6 +142,91 @@ def test_deep_digest_provenance_fixture():
     assert "name" not in messages[1] and "scale" not in messages[1]
     # The parsed-but-never-read CLI flag.
     assert "--dead-knob" in messages[0]
+
+
+PIN_CASE = os.path.join(FIXTURES, "schema_pin")
+
+
+def pin_tree(tmp_path, *edits: tuple[str, str, str]) -> str:
+    """A copy of the schema_pin fixture with ``(module, old, new)``
+    text replacements applied."""
+    root = tmp_path / "schema_pin"
+    shutil.copytree(PIN_CASE, root)
+    for module, old, new in edits:
+        source = root / "repro" / "experiments" / module
+        text = source.read_text()
+        assert old in text
+        source.write_text(text.replace(old, new))
+    return str(root)
+
+
+def pin_finding(root: str):
+    """The one finding of a tree whose pin is stale or missing."""
+    report = run_lint([root])
+    assert len(report.violations) == 1, [v.render() for v in report.violations]
+    (finding,) = report.violations
+    assert finding.rule == "deep-digest-provenance"
+    assert finding.path.endswith("artifact.py")
+    assert "SCHEMA_VERSION" in finding.message
+    # It prints the fingerprint to re-pin.
+    assert schema_snapshot(ProjectIndex.build([root])) in finding.message
+    return finding
+
+
+def test_schema_pin_matching_the_closure_is_clean():
+    report = lint("schema_pin")
+    assert report.clean, [v.render() for v in report.violations]
+    index = ProjectIndex.build([PIN_CASE])
+    pinned = index.module_constants("repro.experiments.artifact")
+    assert pinned["SCHEMA_FINGERPRINT"] == schema_snapshot(index)
+
+
+ADDED_FIELD = ("scenarios.py", "    duration: float = 60.0\n",
+               "    duration: float = 60.0\n    extra_knob: float = 0.0\n")
+
+
+def test_schema_drift_without_version_bump_fails(tmp_path):
+    finding = pin_finding(pin_tree(tmp_path, ADDED_FIELD))
+    assert finding.line == 10  # the SCHEMA_FINGERPRINT assignment
+    assert "no longer matches SCHEMA_FINGERPRINT" in finding.message
+    assert "SCHEMA_VERSION 3" in finding.message
+
+
+def test_schema_drift_with_version_bump_still_needs_repin(tmp_path):
+    # Bumping the version alone is not enough: until the pin moves with
+    # it, the next field-set change could not be caught.
+    bumped = ("artifact.py", "SCHEMA_VERSION = 3", "SCHEMA_VERSION = 4")
+    finding = pin_finding(pin_tree(tmp_path, ADDED_FIELD, bumped))
+    assert finding.line == 10
+    assert "no longer matches SCHEMA_FINGERPRINT" in finding.message
+    assert "SCHEMA_VERSION 4" in finding.message
+
+
+def test_missing_schema_pin_is_one_finding(tmp_path):
+    root = pin_tree(
+        tmp_path, ("artifact.py", "SCHEMA_FINGERPRINT = ", "_UNPINNED = ")
+    )
+    finding = pin_finding(root)
+    assert finding.line == 8  # reported at SCHEMA_VERSION instead
+    assert "pins no SCHEMA_FINGERPRINT" in finding.message
+
+
+def test_partial_lint_skips_the_schema_pin():
+    # A lint of part of the package (a pre-commit hook over changed
+    # files, say) indexes RunSpec but not every class of its closure:
+    # no fingerprint, so no pin finding that would ask for a wrong pin.
+    artifact = os.path.join(PIN_CASE, "repro", "experiments", "artifact.py")
+    assert schema_snapshot(ProjectIndex.build([artifact])) is None
+    report = run_lint([artifact])
+    assert report.clean, [v.render() for v in report.violations]
+    # The shipped experiments package alone lacks TierPolicyConfig and
+    # the fault specs of the closure.
+    import repro
+
+    experiments = os.path.join(
+        os.path.dirname(os.path.abspath(repro.__file__)), "experiments"
+    )
+    assert schema_snapshot(ProjectIndex.build([experiments])) is None
 
 
 def test_deep_bus_vocabulary_fixture():
@@ -226,38 +311,23 @@ def test_deep_frozen_flow_fixture():
     assert not any(v.line == 17 for v in report.violations)
 
 
-def test_select_rules_deselection():
-    registry = all_rules()
-    assert set(select_rules(registry, None)) == ALL_RULES
-    minus = select_rules(registry, ["-wall-clock"])
-    assert "wall-clock" not in minus and "rng-direct" in minus
-    assert set(minus) == ALL_RULES - {"wall-clock"}
-    only = select_rules(registry, ["deep-priority-layers"])
-    assert only == ["deep-priority-layers"]
-    with pytest.raises(LintError, match="unknown rule id"):
-        select_rules(registry, ["-bogus"])
-
-
-def test_rule_subset_selection():
-    report = lint("wall_clock", rules=["rng-direct"])
-    assert report.clean  # the wall-clock violation is outside the subset
-
-
-def test_unknown_rule_selection_raises():
-    with pytest.raises(LintError, match="unknown rule id"):
-        lint("wall_clock", rules=["no-such-rule"])
-
-
 def test_unknown_suppression_slug_raises(tmp_path):
+    # A typoed id, a bare ignore and an empty bracket all name their
+    # line: none of them may silently suppress nothing (or everything).
     bad = tmp_path / "repro" / "sim"
     bad.mkdir(parents=True)
-    (bad / "x.py").write_text(
-        "import time\n\n\n"
-        "def stamp() -> float:\n"
-        "    return time.time()  # repro-lint: ignore[wallclock-typo]\n"
-    )
-    with pytest.raises(LintError, match="wallclock-typo"):
-        run_lint([str(tmp_path)])
+    for comment, match in (
+        ("ignore[wallclock-typo]", "x.py:5: unknown rule id.*wallclock-typo"),
+        ("ignore", "x.py:5: suppression names no rule id"),
+        ("ignore[]", "x.py:5: suppression names no rule id"),
+    ):
+        (bad / "x.py").write_text(
+            "import time\n\n\n"
+            "def stamp() -> float:\n"
+            f"    return time.time()  # repro-lint: {comment}\n"
+        )
+        with pytest.raises(LintError, match=match):
+            run_lint([str(tmp_path)])
 
 
 def test_missing_path_raises():
@@ -271,7 +341,6 @@ def test_source_tree_is_clean():
 
     package_dir = os.path.dirname(os.path.abspath(repro.__file__))
     report = run_lint([package_dir])
-    assert set(report.rules_run) == ALL_RULES
     assert report.violations == (), "\n".join(
         v.render() for v in report.violations
     )
@@ -282,20 +351,23 @@ def test_source_tree_is_clean():
 
 def test_source_tree_is_deep_clean():
     """The whole-program analyses pass over the shipped tree on a plain
-    lint, and the digest-memo suppression silences deep-frozen-flow."""
+    lint, the digest-memo suppression silences deep-frozen-flow, and
+    the schema pin is really checked: the tree's closure fingerprints
+    (a renamed or unfrozen ``RunSpec`` would switch the check off) and
+    equals the pin."""
     import repro
+    from repro.experiments.artifact import SCHEMA_FINGERPRINT
 
     package_dir = os.path.dirname(os.path.abspath(repro.__file__))
     report = run_lint([package_dir])
     deep = {rule for rule in ALL_RULES if rule.startswith("deep-")}
-    assert deep <= set(report.rules_run)
     deep_violations = [v for v in report.violations if v.rule in deep]
     assert deep_violations == [], "\n".join(
         v.render() for v in deep_violations
     )
     assert any(v.rule == "deep-frozen-flow" for v in report.suppressed)
-    assert report.schema_fingerprint is not None
-    assert isinstance(report.schema_version, int)
+    index = ProjectIndex.build([package_dir])
+    assert schema_snapshot(index) == SCHEMA_FINGERPRINT
 
 
 def test_source_tree_bus_graph_is_complete():

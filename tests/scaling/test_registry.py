@@ -126,6 +126,8 @@ def test_coercion_rejects_wrong_kinds():
         ("conscale", "headroom", float("inf")),
         ("conscale", "headroom", -1.0),
         ("conscale", "headroom", 0.0),
+        ("conscale", "headroom", 400.0),
+        ("conscale", "headroom", 1e308),
         ("qos", "slo_ms", float("nan")),
         ("qos", "slo_ms", -250.0),
         ("qos", "epsilon", float("nan")),
@@ -136,8 +138,9 @@ def test_coercion_rejects_wrong_kinds():
     ],
 )
 def test_float_params_refuse_out_of_range_values_by_name(framework, name, value):
-    """A non-finite or non-positive float, or an epsilon of 1 or more,
-    is refused when the spec is built, before any task starts."""
+    """A non-finite or non-positive float, an epsilon of 1 or more, or a
+    headroom of 400 or more is refused when the spec is built, before
+    any task starts."""
     with pytest.raises(ConfigurationError, match=f"param '{name}' must be"):
         get_controller(framework).param(name).coerce(value)
     with pytest.raises(ConfigurationError, match=f"param '{name}' must be"):
@@ -150,6 +153,7 @@ def test_float_params_accept_their_range():
     assert qos.param("epsilon").coerce(0.999) == 0.999
     assert qos.param("slo_ms").coerce(1e-3) == 1e-3
     assert get_controller("conscale").param("headroom").coerce(0.5) == 0.5
+    assert get_controller("conscale").param("headroom").coerce(399) == 399.0
 
 
 def test_resolve_overlays_defaults():
